@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -32,6 +35,11 @@ func TestParallelOutputMatchesSerial(t *testing.T) {
 	}
 }
 
+// update rewrites the experiment goldens from the current serial output:
+//
+//	go test ./internal/experiments -run TestParallelSimOutputMatchesSerial -update
+var update = flag.Bool("update", false, "rewrite testdata/golden from the serial -quick output")
+
 // The parallel cluster driver must be invisible in every experiment's
 // output: the full registry, run with per-node event queues on goroutines
 // (ParallelSim), must be byte-identical to the serial shared-clock run.
@@ -39,6 +47,11 @@ func TestParallelOutputMatchesSerial(t *testing.T) {
 // the whole registry keeps the invariant pinned as more experiments move
 // to the cluster layer. Run under -race this doubles as the data-race
 // check on the conservative-lookahead synchronization.
+//
+// The serial output is also compared byte for byte against the committed
+// golden testdata/golden/<id>.txt, so any change to a simulated answer —
+// not only a serial/parallel split — fails here. Regenerate with -update
+// only for a deliberate change of modelled behaviour.
 func TestParallelSimOutputMatchesSerial(t *testing.T) {
 	for _, e := range All() {
 		e := e
@@ -47,6 +60,7 @@ func TestParallelSimOutputMatchesSerial(t *testing.T) {
 			if err := e.Run(&serial, Options{Quick: true}); err != nil {
 				t.Fatalf("serial: %v", err)
 			}
+			checkGolden(t, e.ID, serial.Bytes())
 			if err := e.Run(&parallel, Options{Quick: true, ParallelSim: true, Workers: 2}); err != nil {
 				t.Fatalf("parallel-sim: %v", err)
 			}
@@ -55,6 +69,29 @@ func TestParallelSimOutputMatchesSerial(t *testing.T) {
 					serial.String(), parallel.String())
 			}
 		})
+	}
+}
+
+// checkGolden compares an experiment's serial -quick output with its
+// committed golden, or rewrites the golden under -update.
+func checkGolden(t *testing.T, id string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", id+".txt")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("serial output differs from %s\n--- golden ---\n%s\n--- got ---\n%s", path, want, got)
 	}
 }
 
