@@ -13,6 +13,15 @@
 // task issues a PCIe read flow concurrently with compute, so DHA traffic
 // contends with in-flight copies on the same lane exactly as on real
 // hardware — this is what produces Table 4's interference numbers.
+//
+// Each run allocates a constant number of objects, whatever its layer
+// count. A runState embeds the run's Result and owns slices sized from the
+// plan: Timings, one op record per stream task issued, and one stream event
+// per copy or forward. An op is its own stream.Handler, sim.Handler and
+// simnet.Handler, so it is queued, timed and notified without closures.
+// It holds the pending timer or flow, so FailGPU can abort any run by
+// walking its ops. Fault support therefore needs no opt-in: the active-run
+// registry is always kept.
 package engine
 
 import (
@@ -43,12 +52,6 @@ type Config struct {
 	// (secondary-partition copies land on the secondary's tracks).
 	// Recording is observation-only and never perturbs the simulation.
 	Trace *trace.Recorder
-	// Failable enables FailGPU/RecoverGPU: the engine tracks every active
-	// run's cancellable blocking points so a GPU failure can abort its runs
-	// mid-flight. Off (the default) the engine allocates no tracking state
-	// and behaves byte-identically to a failable engine that never fails a
-	// GPU — fault support is observation-free until a fault actually fires.
-	Failable bool
 	// Monitor, when non-nil, receives per-GPU run counters (completed and
 	// aborted runs, execution-stream seconds, host→GPU copy and DHA bytes)
 	// keyed by a gpu label. Instruments resolve once at construction; the
@@ -72,10 +75,16 @@ type Engine struct {
 	trace *trace.Recorder
 	gpus  []gpuStreams
 
-	// Fault state, populated only when Config.Failable is set.
-	failable bool
-	failed   []bool
-	active   []*runState
+	// hostPath[g] is GPU g's host→GPU PCIe path and nvPath[s][d] the NVLink
+	// path from s to d (nil without a link), resolved once so scheduling
+	// builds no path slices.
+	hostPath [][]*simnet.Link
+	nvPath   [][][]*simnet.Link
+
+	// failed marks GPUs out of service; active holds every unfinished run
+	// so FailGPU can abort the ones using a failed GPU.
+	failed []bool
+	active []*runState
 
 	// names caches per-model diagnostic task names ("dha:encoder0", ...) so
 	// steady-state scheduling concatenates no strings. Keyed by model pointer:
@@ -135,17 +144,21 @@ func New(cfg Config) *Engine {
 	if cfg.Sim == nil || cfg.Net == nil || cfg.Topo == nil || cfg.Cost == nil {
 		panic("engine: incomplete config")
 	}
+	ngpu := cfg.Topo.NumGPUs()
 	e := &Engine{sim: cfg.Sim, net: cfg.Net, topo: cfg.Topo, cost: cfg.Cost, trace: cfg.Trace,
-		failable: cfg.Failable}
-	if cfg.Failable {
-		e.failed = make([]bool, cfg.Topo.NumGPUs())
-	}
-	for i := 0; i < cfg.Topo.NumGPUs(); i++ {
+		failed: make([]bool, ngpu)}
+	for i := 0; i < ngpu; i++ {
 		e.gpus = append(e.gpus, gpuStreams{
 			exec:      stream.New(cfg.Sim, fmt.Sprintf("gpu%d/exec", i)),
 			load:      stream.New(cfg.Sim, fmt.Sprintf("gpu%d/load", i)),
 			migration: stream.New(cfg.Sim, fmt.Sprintf("gpu%d/migration", i)),
 		})
+		e.hostPath = append(e.hostPath, cfg.Topo.HostToGPUPath(i))
+		nv := make([][]*simnet.Link, ngpu)
+		for j := range nv {
+			nv[j], _ = cfg.Topo.GPUToGPUPath(i, j)
+		}
+		e.nvPath = append(e.nvPath, nv)
 	}
 	if reg := cfg.Monitor; reg != nil {
 		m := &engInstruments{}
@@ -280,7 +293,7 @@ func (e *Engine) Start(spec Spec) error {
 	if spec.Primary < 0 || spec.Primary >= len(e.gpus) {
 		return fmt.Errorf("engine: primary GPU %d out of range", spec.Primary)
 	}
-	if e.failable && e.failed[spec.Primary] {
+	if e.failed[spec.Primary] {
 		return fmt.Errorf("engine: primary GPU %d is failed", spec.Primary)
 	}
 	want := spec.Plan.NumParts - 1
@@ -295,10 +308,10 @@ func (e *Engine) Start(spec Spec) error {
 		if s < 0 || s >= len(e.gpus) || s == spec.Primary {
 			return fmt.Errorf("engine: bad secondary GPU %d", s)
 		}
-		if !e.topo.HasNVLink(s, spec.Primary) {
+		if e.nvPath[s][spec.Primary] == nil {
 			return fmt.Errorf("engine: no NVLink from GPU %d to primary %d", s, spec.Primary)
 		}
-		if e.failable && e.failed[s] {
+		if e.failed[s] {
 			return fmt.Errorf("engine: secondary GPU %d is failed", s)
 		}
 	}
@@ -332,58 +345,251 @@ func scaleDur(d sim.Duration, s float64) sim.Duration {
 	return sim.Duration(float64(d) * s)
 }
 
+// transmits reports whether layer i is copied host→GPU in this run.
+func transmits(spec *Spec, i int) bool {
+	return !resident(spec, i) && spec.Plan.Layers[i].Method == plan.Load && spec.Model.Layers[i].HasParams()
+}
+
+// plainCompute reports whether layer i needs neither an arrival wait nor a
+// PCIe flow: it is pure GPU compute. Contiguous plain-compute layers are
+// coalesced into one stream task — semantically identical (the durations
+// sum) but far cheaper to simulate, which matters for the million-request
+// trace replays of Figure 15.
+func plainCompute(spec *Spec, i int) bool {
+	dha := spec.Plan.Layers[i].Method == plan.DHA && spec.Model.Layers[i].HasParams()
+	return !dha && !transmits(spec, i)
+}
+
+// runState is everything one run owns: the Result handed to OnDone
+// (embedded, so it costs no separate allocation), one op record per stream
+// task the run issued, and one stream event per transmission op, both
+// sized exactly from the plan. Nothing in the engine refers to a run once
+// its OnDone has returned.
 type runState struct {
-	res       *Result
-	remaining int
+	Result
+	e      *Engine
+	m      *dnn.Model
+	names  *modelNames // nil for StartTask runs, which emit no trace
+	scale  float64     // Spec.ComputeScale
+	onDone func(*Result)
+	ops    []op
+	// evs[o.ev] is recorded on a copy or forward op's stream right after
+	// it; an arrival op's event fires when its layer reaches the primary.
+	evs []stream.Event
 
-	// Fault-abort bookkeeping, used only on failable engines. aborted makes
-	// every not-yet-started task of the run a no-op; awaits holds the run's
-	// in-flight blocking points so an abort can cancel them; index is the
-	// run's slot in Engine.active (-1 once finished or aborted); onDone is
-	// the spec's completion callback, also invoked (with res.Aborted set)
-	// when the run aborts.
-	aborted bool
-	awaits  []*await
+	// prevDone is when the exec stream last retired one of this run's
+	// layers; the next layer's stall is measured from it.
+	prevDone sim.Time
+	// started counts ops that began work, stamping each with its start
+	// order so an abort cancels in-flight ops in the order they started.
+	started uint32
+	// index is the run's slot in Engine.active (-1 once finished or
+	// aborted); aborted makes every not-yet-started op a pass-through.
 	index   int
-	onDone  func(*Result)
+	aborted bool
 }
 
-// await is one cancellable blocking point of a run: a pending timer, an
-// in-flight network flow, or both in sequence. done is the owning stream
-// task's completion callback; cancel undoes whatever is pending. Exactly one
-// of the normal completion (via settle) and the abort path (abortRun) runs.
-type await struct {
-	settled bool
-	done    func()
-	cancel  func()
-}
-
-// newAwait registers a blocking point for rs. It returns nil on a
-// non-failable engine, keeping the common path allocation-free; settle and
-// the cancel-wiring guards below are nil-safe.
-func (e *Engine) newAwait(rs *runState, done func()) *await {
-	if !e.failable {
-		return nil
+// newOp appends an op record of the given kind. The record's address is
+// handed to streams and events, so the slice must never grow past the
+// capacity the run was sized with.
+func (rs *runState) newOp(kind opKind, layer int) *op {
+	if len(rs.ops) == cap(rs.ops) {
+		panic("engine: op records under-sized for " + rs.Model)
 	}
-	aw := &await{done: done}
-	rs.awaits = append(rs.awaits, aw)
-	return aw
+	rs.ops = append(rs.ops, op{rs: rs, kind: kind, layer: int32(layer)})
+	return &rs.ops[len(rs.ops)-1]
 }
 
-// settle runs fn, a task's normal completion, unless the await was already
-// aborted. Marking the await settled also tells a later abort to skip it —
-// in particular never to cancel its (recycled) timer event.
-func settle(aw *await, fn func()) {
-	if aw != nil {
-		if aw.settled {
+// opKind is the stream task an op record performs.
+type opKind uint8
+
+const (
+	opBegin   opKind = iota // exec stream reaches the run: stamp ExecBegin
+	opCopy                  // host→GPU copy: fixed overhead, then a PCIe flow
+	opForward               // NVLink forward: fixed overhead, then a flow
+	opSegment               // coalesced plain-compute layers [layer, hi)
+	opExec                  // one layer's compute after its weights arrived
+	opDHA                   // compute ∥ PCIe reads, then the fixed DHA tail
+	opTask                  // StartTask's opaque occupancy; reports the run
+	opFinish                // last task: finalize and report the run
+)
+
+// opStage is an op's progress; opRunning and opTail are in flight, the
+// only stages an abort has to undo.
+type opStage uint8
+
+const (
+	opQueued  opStage = iota
+	opRunning         // started; its timer or flow is pending
+	opTail            // DHA only: the fixed-overhead timer is pending
+	opDone
+)
+
+// op is one stream task of a run. It is its own stream.Handler (Start),
+// sim.Handler (Fire: its one pending timer expired) and simnet.Handler
+// (FlowDone: its one pending flow landed), so issuing and completing the
+// task allocates nothing beyond the simnet Flow itself. At most one timer
+// and one flow are pending per op; both are held here for abort.
+type op struct {
+	rs      *runState
+	kind    opKind
+	stage   opStage
+	pending uint8        // DHA: compute timer and read flow still outstanding
+	arrival bool         // evs[ev] marks the layer's arrival on the primary GPU
+	gpu     int32        // copy destination or forwarding source
+	layer   int32        // the op's layer (first layer of a segment)
+	hi      int32        // segment end, exclusive
+	order   uint32       // start order within the run, for aborts
+	ev      int32        // copy and forward: index into runState.evs
+	d       sim.Duration // compute time (segment total, task length)
+	bytes   float64      // copy, forward or DHA traffic
+	done    func()       // the stream's completion callback while in flight
+	timer   *sim.Event
+	flow    *simnet.Flow
+}
+
+// Start implements stream.Handler: the op's stream reached it.
+func (o *op) Start(done func()) {
+	rs := o.rs
+	e := rs.e
+	now := e.sim.Now()
+	switch o.kind {
+	case opBegin:
+		rs.ExecBegin = now
+		rs.prevDone = now
+		done()
+		return
+	case opFinish:
+		if !rs.aborted { // else abortRun already finalized and reported it
+			e.complete(rs)
+		}
+		done()
+		return
+	}
+	if rs.aborted {
+		o.stage = opDone
+		done()
+		return
+	}
+	o.done = done
+	o.stage = opRunning
+	o.order = rs.started
+	rs.started++
+	switch o.kind {
+	case opCopy:
+		rs.Timings[o.layer].LoadStart = now
+		o.timer = e.sim.AfterHandler(sim.Duration(e.topo.PerCopyOverheadNanos), o)
+	case opForward:
+		o.timer = e.sim.AfterHandler(sim.Duration(e.topo.NVLinkCopyOverheadNanos), o)
+	case opSegment:
+		rs.Timings[o.layer].Stall = now.Sub(rs.prevDone)
+		o.timer = e.sim.AfterHandler(o.d, o)
+	case opExec:
+		t := &rs.Timings[o.layer]
+		t.ExecStart = now
+		t.Stall = now.Sub(rs.prevDone)
+		o.timer = e.sim.AfterHandler(o.d, o)
+	case opDHA:
+		t := &rs.Timings[o.layer]
+		t.ExecStart = now
+		t.Stall = now.Sub(rs.prevDone)
+		o.pending = 2
+		o.flow = e.net.StartFlowHandler(rs.names.layers[o.layer].dha, e.hostPath[rs.Primary], o.bytes, o)
+		o.timer = e.sim.AfterHandler(o.d, o)
+	case opTask:
+		rs.ExecBegin = now
+		o.timer = e.sim.AfterHandler(o.d, o)
+	}
+}
+
+// Fire implements sim.Handler: the op's pending timer expired.
+func (o *op) Fire() {
+	o.timer = nil
+	rs := o.rs
+	e := rs.e
+	now := e.sim.Now()
+	switch o.kind {
+	case opCopy:
+		o.flow = e.net.StartFlowHandler(rs.names.layers[o.layer].cp, e.hostPath[o.gpu], o.bytes, o)
+	case opForward:
+		o.flow = e.net.StartFlowHandler("forward", e.nvPath[o.gpu][rs.Primary], o.bytes, o)
+	case opSegment:
+		// Attribute per-layer windows inside the segment, which began
+		// exactly o.d ago.
+		at := now.Add(-o.d)
+		for k := o.layer; k < o.hi; k++ {
+			tk := &rs.Timings[k]
+			tk.ExecStart = at
+			at = at.Add(scaleDur(e.cost.ComputeTime(&rs.m.Layers[k], rs.Batch), rs.scale))
+			tk.ExecDone = at
+		}
+		rs.prevDone = now
+		o.finish()
+	case opExec:
+		rs.Timings[o.layer].ExecDone = now
+		rs.prevDone = now
+		o.finish()
+	case opDHA:
+		if o.stage == opTail {
+			rs.Timings[o.layer].ExecDone = now
+			rs.prevDone = now
+			o.finish()
 			return
 		}
-		aw.settled = true
+		o.joinDHA()
+	case opTask:
+		// The report precedes the stream's advance, exactly as a separate
+		// finish task queued right behind this one would run.
+		e.complete(rs)
+		o.finish()
 	}
-	fn()
 }
 
-// track adds rs to the active-run registry (failable engines only).
+// FlowDone implements simnet.Handler: the op's pending flow landed.
+func (o *op) FlowDone(at sim.Time) {
+	o.flow = nil
+	switch o.kind {
+	case opCopy:
+		o.rs.Timings[o.layer].LoadDone = at
+		o.finish()
+	case opForward:
+		o.finish()
+	case opDHA:
+		o.joinDHA()
+	}
+}
+
+// joinDHA retires one of a DHA layer's two concurrent halves (compute and
+// host reads); the fixed DHA penalty lands after both.
+func (o *op) joinDHA() {
+	o.pending--
+	if o.pending != 0 {
+		return
+	}
+	o.stage = opTail
+	e := o.rs.e
+	o.timer = e.sim.AfterHandler(e.cost.DHAFixedOverhead, o)
+}
+
+// finish completes the op's stream task.
+func (o *op) finish() {
+	o.stage = opDone
+	done := o.done
+	o.done = nil
+	done()
+}
+
+// abort cancels an in-flight op's pending timer and flow and completes its
+// stream task, so the stream keeps draining.
+func (o *op) abort() {
+	e := o.rs.e
+	e.net.Abort(o.flow) // no-op when nil
+	e.sim.Cancel(o.timer)
+	o.flow, o.timer = nil, nil
+	o.finish()
+}
+
+// track adds rs to the active-run registry.
 func (e *Engine) track(rs *runState) {
 	rs.index = len(e.active)
 	e.active = append(e.active, rs)
@@ -408,13 +614,8 @@ func (e *Engine) untrack(rs *runState) {
 
 // FailGPU takes a GPU out of service: every active run using it as primary
 // or secondary aborts immediately (its OnDone fires with Result.Aborted
-// set), and Start rejects new runs on it until RecoverGPU. It panics on a
-// non-failable engine — fault injection requires Config.Failable so that
-// fault-free simulations never pay for the tracking state.
+// set), and Start rejects new runs on it until RecoverGPU.
 func (e *Engine) FailGPU(gpu int) {
-	if !e.failable {
-		panic("engine: FailGPU on an engine without Config.Failable")
-	}
 	if gpu < 0 || gpu >= len(e.gpus) {
 		panic(fmt.Sprintf("engine: FailGPU(%d) out of range", gpu))
 	}
@@ -426,11 +627,11 @@ func (e *Engine) FailGPU(gpu int) {
 	// may even start new (retried) runs.
 	var victims []*runState
 	for _, rs := range e.active {
-		if rs.res.Primary == gpu {
+		if rs.Primary == gpu {
 			victims = append(victims, rs)
 			continue
 		}
-		for _, s := range rs.res.Secondaries {
+		for _, s := range rs.Secondaries {
 			if s == gpu {
 				victims = append(victims, rs)
 				break
@@ -446,9 +647,6 @@ func (e *Engine) FailGPU(gpu int) {
 // repair: the failure already aborted the GPU's runs and its streams were
 // drained by the abort.
 func (e *Engine) RecoverGPU(gpu int) {
-	if !e.failable {
-		panic("engine: RecoverGPU on an engine without Config.Failable")
-	}
 	if gpu < 0 || gpu >= len(e.gpus) {
 		panic(fmt.Sprintf("engine: RecoverGPU(%d) out of range", gpu))
 	}
@@ -457,36 +655,54 @@ func (e *Engine) RecoverGPU(gpu int) {
 
 // GPUFailed reports whether a GPU is currently out of service.
 func (e *Engine) GPUFailed(gpu int) bool {
-	return e.failable && gpu >= 0 && gpu < len(e.failed) && e.failed[gpu]
+	return gpu >= 0 && gpu < len(e.failed) && e.failed[gpu]
 }
 
-// abortRun cancels every in-flight blocking point of rs and completes the
-// run as aborted. Cancelled stream tasks call their done() so the streams
-// keep draining: queued tasks of the aborted run see rs.aborted and pass
-// through instantly, Record tasks still fire their events, and therefore no
-// Wait on any stream can hang on an aborted producer.
+// abortRun cancels every in-flight op of rs, in the order the ops started,
+// and completes the run as aborted. Cancelled ops complete their stream
+// tasks so the streams keep draining: queued ops of the aborted run see
+// rs.aborted and pass through instantly, Record tasks still fire their
+// events, and therefore no Wait on any stream can hang on an aborted
+// producer.
 func (e *Engine) abortRun(rs *runState) {
 	if rs.aborted || rs.index < 0 {
 		return
 	}
 	rs.aborted = true
 	e.untrack(rs)
-	for i := 0; i < len(rs.awaits); i++ {
-		aw := rs.awaits[i]
-		if aw.settled {
-			continue
+	for {
+		// At most one op per stream is in flight, so this scan runs a
+		// handful of times.
+		var next *op
+		for i := range rs.ops {
+			o := &rs.ops[i]
+			if (o.stage == opRunning || o.stage == opTail) && (next == nil || o.order < next.order) {
+				next = o
+			}
 		}
-		aw.settled = true
-		if aw.cancel != nil {
-			aw.cancel()
+		if next == nil {
+			break
 		}
-		aw.done()
+		next.abort()
 	}
-	rs.res.Aborted = true
-	rs.res.Finish = e.sim.Now()
-	e.finalize(rs.res)
+	rs.Aborted = true
+	rs.Finish = e.sim.Now()
+	e.finalize(rs)
 	if rs.onDone != nil {
-		rs.onDone(rs.res)
+		rs.onDone(&rs.Result)
+	}
+}
+
+// complete finalizes and reports a run that ran to its end.
+func (e *Engine) complete(rs *runState) {
+	e.untrack(rs)
+	rs.Finish = e.sim.Now()
+	e.finalize(rs)
+	if e.trace != nil && rs.names != nil {
+		rs.EmitTrace(e.trace)
+	}
+	if rs.onDone != nil {
+		rs.onDone(&rs.Result)
 	}
 }
 
@@ -495,9 +711,9 @@ func (e *Engine) schedule(spec Spec, batch int) {
 	p := spec.Plan
 	names := e.namesFor(m)
 	primary := e.gpus[spec.Primary]
-	hostPath := e.topo.HostToGPUPath(spec.Primary)
+	n := m.NumLayers()
 
-	rs := &runState{res: &Result{
+	rs := &runState{Result: Result{
 		Model:       m.Name,
 		Mode:        p.Mode,
 		Batch:       batch,
@@ -505,303 +721,144 @@ func (e *Engine) schedule(spec Spec, batch int) {
 		Secondaries: spec.Secondaries,
 		Warm:        spec.Warm,
 		Submitted:   e.sim.Now(),
-		Timings:     make([]LayerTiming, m.NumLayers()),
-	}, index: -1, onDone: spec.OnDone}
-	if e.failable {
-		e.track(rs)
-	}
-	for i := range rs.res.Timings {
-		rs.res.Timings[i] = LayerTiming{
+		Timings:     make([]LayerTiming, n),
+	}, e: e, m: m, names: names, scale: spec.ComputeScale, onDone: spec.OnDone, index: -1}
+	e.track(rs)
+
+	// Size the op records: begin and finish, one or two transmission tasks
+	// per transmitted layer (a secondary partition's copy is forwarded),
+	// and one exec task per layer or coalesced plain-compute run.
+	nops, nevs := 2, 0
+	prevPlain := false
+	for i := range rs.Timings {
+		rs.Timings[i] = LayerTiming{
 			Index:     i,
 			Name:      m.Layers[i].Name,
 			Method:    p.Layers[i].Method,
 			Partition: p.Layers[i].Partition,
 		}
+		if transmits(&spec, i) {
+			nops++
+			nevs++
+			if p.Layers[i].Partition > 0 {
+				nops++
+				nevs++
+			}
+		}
+		plain := plainCompute(&spec, i)
+		if !plain || !prevPlain {
+			nops++
+		}
+		prevPlain = plain
+	}
+	rs.ops = make([]op, 0, nops)
+	if nevs > 0 {
+		rs.evs = make([]stream.Event, nevs)
 	}
 
-	baseline := p.Mode == "baseline"
-	availEvents := make([]*stream.Event, m.NumLayers())
-	var lastLoadEvent *stream.Event
-
 	// Phase 1: schedule transmissions.
+	var lastArrival *stream.Event
+	var nev int32
 	for i := range m.Layers {
-		l := &m.Layers[i]
-		lp := &p.Layers[i]
-		t := &rs.res.Timings[i]
-		if resident(&spec, i) || lp.Method != plan.Load || !l.HasParams() {
-			continue // nothing to transmit
+		if !transmits(&spec, i) {
+			continue
 		}
-		bytes := float64(l.ParamBytes)
-		rs.res.BytesLoaded += bytes
+		bytes := float64(m.Layers[i].ParamBytes)
+		rs.BytesLoaded += bytes
 		if spec.PCM != nil {
 			spec.PCM.AddLoad(bytes)
 		}
-		arrive := stream.NewEvent()
-		if lp.Partition == 0 {
-			e.submitCopy(rs, primary.load, hostPath, bytes, t, names.layers[i].cp)
-			primary.load.Record(arrive)
-			arrive.OnFire(func() { t.AvailAt = arrive.FiredAt() })
-		} else {
-			secID := spec.Secondaries[lp.Partition-1]
-			sec := e.gpus[secID]
-			landed := stream.NewEvent()
-			e.submitCopy(rs, sec.load, e.topo.HostToGPUPath(secID), bytes, t, names.layers[i].cp)
-			sec.load.Record(landed)
-			// Forward over NVLink once landed on the secondary.
-			nvPath, _ := e.topo.GPUToGPUPath(secID, spec.Primary)
-			rs.res.BytesNVLink += bytes
-			if spec.PCM != nil {
-				spec.PCM.AddNVLink(bytes)
-			}
-			sec.migration.Wait(landed)
-			e.submitNVLinkCopy(rs, sec.migration, nvPath, bytes)
-			sec.migration.Record(arrive)
-			arrive.OnFire(func() { t.AvailAt = arrive.FiredAt() })
+		part := p.Layers[i].Partition
+		cp := rs.newOp(opCopy, i)
+		cp.bytes = bytes
+		cp.ev = nev
+		nev++
+		if part == 0 {
+			cp.gpu = int32(spec.Primary)
+			cp.arrival = true
+			primary.load.SubmitHandler(names.layers[i].cp, cp)
+			lastArrival = &rs.evs[cp.ev]
+			primary.load.Record(lastArrival)
+			continue
 		}
-		availEvents[i] = arrive
-		lastLoadEvent = arrive
+		// A secondary partition lands on its GPU, then is forwarded over
+		// NVLink to the primary.
+		secID := spec.Secondaries[part-1]
+		sec := e.gpus[secID]
+		cp.gpu = int32(secID)
+		sec.load.SubmitHandler(names.layers[i].cp, cp)
+		sec.load.Record(&rs.evs[cp.ev])
+		rs.BytesNVLink += bytes
+		if spec.PCM != nil {
+			spec.PCM.AddNVLink(bytes)
+		}
+		sec.migration.Wait(&rs.evs[cp.ev])
+		fw := rs.newOp(opForward, i)
+		fw.gpu, fw.bytes, fw.arrival, fw.ev = int32(secID), bytes, true, nev
+		nev++
+		sec.migration.SubmitHandler("forward", fw)
+		lastArrival = &rs.evs[fw.ev]
+		sec.migration.Record(lastArrival)
 	}
 
-	// Phase 2: schedule execution on the primary GPU.
-	var prevDone sim.Time
-	primary.exec.Do(names.begin, func() {
-		rs.res.ExecBegin = e.sim.Now()
-		prevDone = rs.res.ExecBegin
-	})
-	// plainCompute reports whether layer i needs neither an arrival wait nor
-	// a PCIe flow: it is pure GPU compute. Contiguous plain-compute layers
-	// are coalesced into one stream task — semantically identical (the
-	// durations sum) but far cheaper to simulate, which matters for the
-	// million-request trace replays of Figure 15.
-	plainCompute := func(i int) bool {
-		l := &m.Layers[i]
-		lp := &p.Layers[i]
-		if lp.Method == plan.DHA && l.HasParams() {
-			return false
-		}
-		if !resident(&spec, i) && lp.Method == plan.Load && l.HasParams() {
-			return false
-		}
-		return true
-	}
-	for i := 0; i < m.NumLayers(); {
-		if plainCompute(i) {
+	// Phase 2: schedule execution on the primary GPU. Arrival ops were
+	// appended in layer order, so a cursor pairs each transmitted layer
+	// with its arrival event.
+	primary.exec.SubmitHandler(names.begin, rs.newOp(opBegin, 0))
+	next := 0
+	for i := 0; i < n; {
+		if plainCompute(&spec, i) {
+			o := rs.newOp(opSegment, i)
 			j := i
-			var total sim.Duration
-			for j < m.NumLayers() && plainCompute(j) {
-				total += scaleDur(e.cost.ComputeTime(&m.Layers[j], batch), spec.ComputeScale)
+			for j < n && plainCompute(&spec, j) {
+				o.d += scaleDur(e.cost.ComputeTime(&m.Layers[j], batch), spec.ComputeScale)
 				j++
 			}
-			lo, hi := i, j
-			primary.exec.Submit(names.layers[lo].seg, func(done func()) {
-				if rs.aborted {
-					done()
-					return
-				}
-				segStart := e.sim.Now()
-				rs.res.Timings[lo].Stall = segStart.Sub(prevDone)
-				aw := e.newAwait(rs, done)
-				var timer *sim.Event
-				timer = e.sim.After(total, func() {
-					timer = nil
-					settle(aw, func() {
-						// Attribute per-layer windows inside the segment.
-						at := segStart
-						for k := lo; k < hi; k++ {
-							tk := &rs.res.Timings[k]
-							tk.ExecStart = at
-							at = at.Add(scaleDur(e.cost.ComputeTime(&m.Layers[k], batch), spec.ComputeScale))
-							tk.ExecDone = at
-						}
-						prevDone = e.sim.Now()
-						done()
-					})
-				})
-				if aw != nil {
-					aw.cancel = func() {
-						if timer != nil {
-							e.sim.Cancel(timer)
-						}
-					}
-				}
-			})
+			o.hi = int32(j)
+			primary.exec.SubmitHandler(names.layers[i].seg, o)
 			i = j
 			continue
 		}
-
 		l := &m.Layers[i]
-		lp := &p.Layers[i]
-		t := &rs.res.Timings[i]
-
-		if !resident(&spec, i) && lp.Method == plan.Load && l.HasParams() {
-			if baseline {
-				if lastLoadEvent != nil {
-					primary.exec.Wait(lastLoadEvent)
-				}
-			} else if availEvents[i] != nil {
-				primary.exec.Wait(availEvents[i])
+		if transmits(&spec, i) {
+			for !rs.ops[next].arrival {
+				next++
 			}
+			arrival := &rs.evs[rs.ops[next].ev]
+			next++
+			if p.Mode == "baseline" {
+				arrival = lastArrival // the baseline waits for the whole model
+			}
+			primary.exec.Wait(arrival)
 		}
-		switch {
-		case lp.Method == plan.DHA && l.HasParams():
-			dhaBytes := e.cost.DHABytes(l, batch)
-			rs.res.BytesDHA += dhaBytes
+		if p.Layers[i].Method == plan.DHA {
+			o := rs.newOp(opDHA, i)
+			o.bytes = e.cost.DHABytes(l, batch)
+			rs.BytesDHA += o.bytes
 			if spec.PCM != nil {
-				spec.PCM.AddDHA(dhaBytes)
+				spec.PCM.AddDHA(o.bytes)
 			}
-			compute := scaleDur(e.cost.ComputeTime(l, batch), spec.ComputeScale)
-			dhaName := names.layers[i].dha
-			primary.exec.Submit(dhaName, func(done func()) {
-				if rs.aborted {
-					done()
-					return
-				}
-				t.ExecStart = e.sim.Now()
-				t.Stall = t.ExecStart.Sub(prevDone)
-				aw := e.newAwait(rs, done)
-				var fl *simnet.Flow
-				var computeTimer, tailTimer *sim.Event
-				pending := 2
-				finish := func() {
-					pending--
-					if pending != 0 {
-						return
-					}
-					// The fixed DHA penalty lands after compute and reads.
-					tailTimer = e.sim.After(e.cost.DHAFixedOverhead, func() {
-						tailTimer = nil
-						settle(aw, func() {
-							t.ExecDone = e.sim.Now()
-							prevDone = t.ExecDone
-							done()
-						})
-					})
-				}
-				fl = e.net.StartFlow(dhaName, hostPath, dhaBytes, func(sim.Time) { finish() })
-				computeTimer = e.sim.After(compute, func() {
-					computeTimer = nil
-					finish()
-				})
-				if aw != nil {
-					aw.cancel = func() {
-						e.net.Abort(fl) // no-op if the reads already finished
-						if computeTimer != nil {
-							e.sim.Cancel(computeTimer)
-						}
-						if tailTimer != nil {
-							e.sim.Cancel(tailTimer)
-						}
-					}
-				}
-			})
-		default:
-			compute := scaleDur(e.cost.ComputeTime(l, batch), spec.ComputeScale)
-			primary.exec.Submit(names.layers[i].exec, func(done func()) {
-				if rs.aborted {
-					done()
-					return
-				}
-				t.ExecStart = e.sim.Now()
-				t.Stall = t.ExecStart.Sub(prevDone)
-				aw := e.newAwait(rs, done)
-				var timer *sim.Event
-				timer = e.sim.After(compute, func() {
-					timer = nil
-					settle(aw, func() {
-						t.ExecDone = e.sim.Now()
-						prevDone = t.ExecDone
-						done()
-					})
-				})
-				if aw != nil {
-					aw.cancel = func() {
-						if timer != nil {
-							e.sim.Cancel(timer)
-						}
-					}
-				}
-			})
+			o.d = scaleDur(e.cost.ComputeTime(l, batch), spec.ComputeScale)
+			primary.exec.SubmitHandler(names.layers[i].dha, o)
+		} else {
+			o := rs.newOp(opExec, i)
+			o.d = scaleDur(e.cost.ComputeTime(l, batch), spec.ComputeScale)
+			primary.exec.SubmitHandler(names.layers[i].exec, o)
 		}
 		i++
 	}
-	primary.exec.Do(names.finish, func() {
-		if rs.aborted {
-			// abortRun already finalized and reported the run.
-			return
-		}
-		e.untrack(rs)
-		rs.res.Finish = e.sim.Now()
-		e.finalize(rs.res)
-		if e.trace != nil {
-			rs.res.EmitTrace(e.trace)
-		}
-		if rs.onDone != nil {
-			rs.onDone(rs.res)
-		}
-	})
+	primary.exec.SubmitHandler(names.finish, rs.newOp(opFinish, 0))
 }
 
-// submitCopy enqueues a host→GPU copy: fixed per-copy overhead, then a PCIe
-// flow. Timing is captured into t; name is the cached "copy:<layer>" label.
-func (e *Engine) submitCopy(rs *runState, ld *stream.Stream, path []*simnet.Link, bytes float64, t *LayerTiming, name string) {
-	ld.Submit(name, func(done func()) {
-		if rs.aborted {
-			done()
-			return
+// finalize derives the aggregate result fields from per-layer timings and
+// the arrival events of the run's op records.
+func (e *Engine) finalize(rs *runState) {
+	r := &rs.Result
+	for i := range rs.ops {
+		if o := &rs.ops[i]; o.arrival && rs.evs[o.ev].Fired() {
+			r.Timings[o.layer].AvailAt = rs.evs[o.ev].FiredAt()
 		}
-		t.LoadStart = e.sim.Now()
-		aw := e.newAwait(rs, done)
-		var timer *sim.Event
-		var fl *simnet.Flow
-		timer = e.sim.After(sim.Duration(e.topo.PerCopyOverheadNanos), func() {
-			timer = nil
-			fl = e.net.StartFlow(name, path, bytes, func(at sim.Time) {
-				settle(aw, func() {
-					t.LoadDone = at
-					done()
-				})
-			})
-		})
-		if aw != nil {
-			aw.cancel = func() {
-				if timer != nil {
-					e.sim.Cancel(timer)
-				}
-				e.net.Abort(fl)
-			}
-		}
-	})
-}
-
-// submitNVLinkCopy enqueues a GPU→GPU forwarding copy on a migration stream.
-func (e *Engine) submitNVLinkCopy(rs *runState, mig *stream.Stream, path []*simnet.Link, bytes float64) {
-	mig.Submit("forward", func(done func()) {
-		if rs.aborted {
-			done()
-			return
-		}
-		aw := e.newAwait(rs, done)
-		var timer *sim.Event
-		var fl *simnet.Flow
-		timer = e.sim.After(sim.Duration(e.topo.NVLinkCopyOverheadNanos), func() {
-			timer = nil
-			fl = e.net.StartFlow("forward", path, bytes, func(sim.Time) {
-				settle(aw, done)
-			})
-		})
-		if aw != nil {
-			aw.cancel = func() {
-				if timer != nil {
-					e.sim.Cancel(timer)
-				}
-				e.net.Abort(fl)
-			}
-		}
-	})
-}
-
-// finalize derives the aggregate result fields from per-layer timings.
-func (e *Engine) finalize(r *Result) {
+	}
 	first, last := sim.MaxTime, sim.Time(0)
 	for i := range r.Timings {
 		t := &r.Timings[i]
@@ -874,58 +931,29 @@ func (e *Engine) ExecIdle(gpu int) bool { return e.gpus[gpu].exec.Idle() }
 // given duration — the serving layer's decode iterations, which have no
 // per-layer structure worth simulating individually. The task queues FIFO
 // behind (and ahead of) ordinary runs on the same stream, so prefills and
-// decode iterations serialize exactly like kernels on one CUDA stream. On a
-// failable engine the task is tracked like a run: FailGPU on its GPU aborts
-// it and onDone fires with Result.Aborted set.
+// decode iterations serialize exactly like kernels on one CUDA stream. The
+// task is tracked like a run: FailGPU on its GPU aborts it and onDone fires
+// with Result.Aborted set.
 func (e *Engine) StartTask(gpu int, name string, d sim.Duration, onDone func(*Result)) error {
 	if gpu < 0 || gpu >= len(e.gpus) {
 		return fmt.Errorf("engine: task GPU %d out of range", gpu)
 	}
-	if e.failable && e.failed[gpu] {
+	if e.failed[gpu] {
 		return fmt.Errorf("engine: task GPU %d is failed", gpu)
 	}
-	rs := &runState{res: &Result{
-		Model:     name,
-		Mode:      "task",
-		Primary:   gpu,
-		Submitted: e.sim.Now(),
-	}, index: -1, onDone: onDone}
-	if e.failable {
-		e.track(rs)
-	}
-	ex := e.gpus[gpu].exec
-	ex.Submit(name, func(done func()) {
-		if rs.aborted {
-			done()
-			return
-		}
-		rs.res.ExecBegin = e.sim.Now()
-		aw := e.newAwait(rs, done)
-		var timer *sim.Event
-		timer = e.sim.After(d, func() {
-			timer = nil
-			settle(aw, done)
-		})
-		if aw != nil {
-			aw.cancel = func() {
-				if timer != nil {
-					e.sim.Cancel(timer)
-				}
-			}
-		}
-	})
-	ex.Do(name, func() {
-		if rs.aborted {
-			// abortRun already finalized and reported the task.
-			return
-		}
-		e.untrack(rs)
-		rs.res.Finish = e.sim.Now()
-		e.finalize(rs.res)
-		if rs.onDone != nil {
-			rs.onDone(rs.res)
-		}
-	})
+	// A task's run state and its one op record are one allocation; the op
+	// reports the run itself when its time is up.
+	tr := &struct {
+		runState
+		ops [1]op
+	}{}
+	rs := &tr.runState
+	rs.Result = Result{Model: name, Mode: "task", Primary: gpu, Submitted: e.sim.Now()}
+	rs.e, rs.onDone, rs.ops, rs.index = e, onDone, tr.ops[:0], -1
+	e.track(rs)
+	task := rs.newOp(opTask, 0)
+	task.d = d
+	e.gpus[gpu].exec.SubmitHandler(name, task)
 	return nil
 }
 

@@ -8,20 +8,17 @@ import (
 	"deepplan/internal/topology"
 )
 
-// failableFixture builds a failable engine over a fresh substrate.
-func failableFixture(t *testing.T, name string) (*fixture, *sim.Simulator, *Engine) {
+// engineFixture builds an engine over a fresh substrate.
+func engineFixture(t *testing.T, name string) (*fixture, *sim.Simulator, *Engine) {
 	t.Helper()
 	f := fix(t, name)
 	s := sim.New()
-	e := New(Config{
-		Sim: s, Net: simnet.New(s), Topo: topology.P38xlarge(),
-		Cost: f.cost, Failable: true,
-	})
+	e := New(Config{Sim: s, Net: simnet.New(s), Topo: topology.P38xlarge(), Cost: f.cost})
 	return f, s, e
 }
 
 func TestFailGPUAbortsColdRunMidLoad(t *testing.T) {
-	f, s, e := failableFixture(t, "bert-base")
+	f, s, e := engineFixture(t, "bert-base")
 	var res *Result
 	err := e.Start(Spec{
 		Model: f.model, Plan: f.pl.PlanPipeSwitch(f.prof), Primary: 1,
@@ -51,7 +48,7 @@ func TestFailGPUAbortsColdRunMidLoad(t *testing.T) {
 }
 
 func TestFailSecondaryAbortsParallelRunAndPrimaryDrains(t *testing.T) {
-	f, s, e := failableFixture(t, "bert-base")
+	f, s, e := engineFixture(t, "bert-base")
 	p := f.pl.PlanPTDHA(f.prof, 2)
 	if p.NumParts != 2 {
 		t.Skip("model does not plan to two partitions")
@@ -87,7 +84,7 @@ func TestFailSecondaryAbortsParallelRunAndPrimaryDrains(t *testing.T) {
 }
 
 func TestFailGPUAbortsWarmRun(t *testing.T) {
-	f, s, e := failableFixture(t, "bert-base")
+	f, s, e := engineFixture(t, "bert-base")
 	var res *Result
 	if err := e.Start(Spec{
 		Model: f.model, Plan: f.pl.PlanDHA(f.prof), Primary: 3, Warm: true,
@@ -106,7 +103,7 @@ func TestFailGPUAbortsWarmRun(t *testing.T) {
 }
 
 func TestStartRejectsFailedGPUUntilRecovery(t *testing.T) {
-	f, s, e := failableFixture(t, "bert-base")
+	f, s, e := engineFixture(t, "bert-base")
 	e.FailGPU(1)
 	spec := Spec{Model: f.model, Plan: f.pl.PlanDHA(f.prof), Primary: 1}
 	if err := e.Start(spec); err == nil {
@@ -133,49 +130,4 @@ func TestStartRejectsFailedGPUUntilRecovery(t *testing.T) {
 	if res == nil || res.Aborted {
 		t.Fatal("run after recovery did not complete")
 	}
-}
-
-// A failable engine that never fails must produce byte-identical results to
-// a non-failable one: the tracking state is pure bookkeeping.
-func TestFailableIsObservationFreeWithoutFaults(t *testing.T) {
-	f := fix(t, "bert-base")
-	run := func(failable bool) *Result {
-		s := sim.New()
-		e := New(Config{
-			Sim: s, Net: simnet.New(s), Topo: topology.P38xlarge(),
-			Cost: f.cost, Failable: failable,
-		})
-		var res *Result
-		if err := e.Start(Spec{
-			Model: f.model, Plan: f.pl.PlanPTDHA(f.prof, 2), Primary: 0,
-			Secondaries: []int{2},
-			OnDone:      func(r *Result) { res = r },
-		}); err != nil {
-			t.Fatal(err)
-		}
-		s.Run()
-		return res
-	}
-	a, b := run(false), run(true)
-	if a.Finish != b.Finish || a.TotalStall != b.TotalStall || a.ExecBegin != b.ExecBegin {
-		t.Fatalf("failable bookkeeping perturbed the run: %v/%v vs %v/%v",
-			a.Finish, a.TotalStall, b.Finish, b.TotalStall)
-	}
-	for i := range a.Timings {
-		if a.Timings[i] != b.Timings[i] {
-			t.Fatalf("layer %d timing differs: %+v vs %+v", i, a.Timings[i], b.Timings[i])
-		}
-	}
-}
-
-func TestFailGPUWithoutFailablePanics(t *testing.T) {
-	f := fix(t, "bert-base")
-	s := sim.New()
-	e := New(Config{Sim: s, Net: simnet.New(s), Topo: topology.P38xlarge(), Cost: f.cost})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FailGPU on non-failable engine did not panic")
-		}
-	}()
-	e.FailGPU(0)
 }

@@ -49,12 +49,12 @@ func TestStartTaskValidation(t *testing.T) {
 	}
 }
 
-// On a failable engine, FailGPU aborts an in-flight task (Aborted result,
-// delivered at failure time) and rejects new tasks while the GPU is down.
+// FailGPU aborts an in-flight task (Aborted result, delivered at failure
+// time) and rejects new tasks while the GPU is down.
 func TestStartTaskAbortsOnGPUFailure(t *testing.T) {
 	f := fix(t, "bert-base")
 	s := sim.New()
-	e := New(Config{Sim: s, Net: simnet.New(s), Topo: topology.P38xlarge(), Cost: f.cost, Failable: true})
+	e := New(Config{Sim: s, Net: simnet.New(s), Topo: topology.P38xlarge(), Cost: f.cost})
 	var res *Result
 	if err := e.StartTask(0, "decode", 50*sim.Millisecond, func(r *Result) {
 		res = r

@@ -134,8 +134,7 @@ func TestTracingIsObservationFreeUnderFaults(t *testing.T) {
 	}
 }
 
-// Without a fault schedule the new counters stay zero and the engine stays
-// on its non-failable path.
+// Without a fault schedule the fault counters stay zero.
 func TestNoFaultsLeavesCountersZero(t *testing.T) {
 	srv := newServer(t, PolicyDHA)
 	deployBERT(t, srv, 8)

@@ -84,6 +84,9 @@ type llmState struct {
 	kvwait    []*llmSeq // deferred by KV admission; retried as memory frees
 	transfers []*llmSeq // prompt KV in flight to the decode GPU
 	running   bool      // an iteration task is on the exec stream
+	// iterDone is the engine callback for this instance's decode
+	// iterations, allocated once with the state.
+	iterDone func(*engine.Result)
 	// busyGS is the gpuState the running loop counted busyUp on. Pinned at
 	// loop start because an abort callback can arrive after the instance
 	// was evicted and re-placed elsewhere, when decodeGPU() has moved on.
@@ -155,6 +158,7 @@ func (srv *Server) llmPrefillDone(inst *Instance, reqs []pending, res *engine.Re
 	}
 	if inst.llm == nil {
 		inst.llm = &llmState{}
+		inst.llm.iterDone = func(res *engine.Result) { srv.llmIterDone(inst, res) }
 	}
 	perTok := inst.dep.Model.KVBytesPerToken()
 	for _, p := range reqs {
@@ -336,14 +340,29 @@ func (srv *Server) llmAdmitJoins(inst *Instance) {
 
 // llmIterate issues one decode iteration for the current active batch.
 func (srv *Server) llmIterate(inst *Instance) {
-	d := srv.cfg.Cost.DecodeIterTime(inst.dep.Model, len(inst.llm.active))
-	err := srv.eng.StartTask(srv.decodeGPU(inst), inst.dep.decodeName, d,
-		func(res *engine.Result) { srv.llmIterDone(inst, res) })
+	d := srv.decodeIterTime(inst.dep, len(inst.llm.active))
+	err := srv.eng.StartTask(srv.decodeGPU(inst), inst.dep.decodeName, d, inst.llm.iterDone)
 	if err != nil {
 		// Unreachable: a failing decode GPU evicts the instance (clearing
 		// the batch) before the engine rejects tasks on it.
 		panic("serving: decode iteration rejected: " + err.Error())
 	}
+}
+
+// decodeIterTime is the cost model's DecodeIterTime for dep's model,
+// memoized per batch width: the per-layer walk runs once per width instead
+// of on every iteration.
+func (srv *Server) decodeIterTime(dep *Deployment, nSeqs int) sim.Duration {
+	if nSeqs < 1 {
+		nSeqs = 1 // DecodeIterTime's own floor
+	}
+	if nSeqs >= len(dep.decodeIter) {
+		dep.decodeIter = append(dep.decodeIter, make([]sim.Duration, nSeqs+1-len(dep.decodeIter))...)
+	}
+	if dep.decodeIter[nSeqs] == 0 {
+		dep.decodeIter[nSeqs] = srv.cfg.Cost.DecodeIterTime(dep.Model, nSeqs)
+	}
+	return dep.decodeIter[nSeqs]
 }
 
 // llmIterDone retires one decode iteration: every active sequence gains a

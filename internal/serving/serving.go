@@ -76,10 +76,10 @@ type Config struct {
 	// queue depth, GPU busy fraction, eviction counts) in Report.Telemetry.
 	Telemetry bool
 	// Faults, when non-nil and non-empty, arms a fault-injection schedule
-	// against this run: the engine becomes failable, GPU failures abort
-	// in-flight runs (each affected request is retried once on a surviving
-	// GPU), new placements avoid down GPUs, and link/straggler/memory events
-	// degrade the simulated fabric. A nil schedule costs nothing: the run is
+	// against this run: GPU failures abort in-flight engine runs (each
+	// affected request is retried once on a surviving GPU), new placements
+	// avoid down GPUs, and link/straggler/memory events degrade the
+	// simulated fabric. A nil schedule costs nothing: the run is
 	// byte-identical to a server built before faults existed.
 	Faults *faults.Schedule
 	// AdmitFactor, when positive, enables SLO-aware admission control for
@@ -244,6 +244,9 @@ type Deployment struct {
 	gpuBytes int64
 	// decodeName is the cached exec-stream task label for decode iterations.
 	decodeName string
+	// decodeIter[n] memoizes the cost model's DecodeIterTime for a batch of
+	// n sequences (zero until first asked), filled lazily by decodeIterTime.
+	decodeIter []sim.Duration
 	// mon holds the deployment's pre-resolved monitor handles; nil when
 	// monitoring is off.
 	mon *depInstruments
@@ -413,7 +416,7 @@ func New(cfg Config) (*Server, error) {
 		net: net,
 		eng: engine.New(engine.Config{
 			Sim: s, Net: net, Topo: cfg.Topo, Cost: cfg.Cost, Trace: cfg.Trace,
-			Failable: !cfg.Faults.Empty(), Monitor: cfg.Monitor,
+			Monitor: cfg.Monitor,
 		}),
 		pl:          planner.New(cfg.Topo),
 		host:        host,

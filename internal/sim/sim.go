@@ -60,13 +60,30 @@ func (t Time) String() string { return Duration(t).String() }
 // recycled event, so drop (or overwrite) the pointer when the event fires or
 // immediately after cancelling it — exactly what every caller in this
 // repository already does. Recycling is what keeps million-event serving
-// traces from churning the garbage collector.
+// traces from churning the garbage collector. The free list is bounded
+// (maxFree), so a burst of pre-scheduled events — a whole arrival trace
+// queued up front — is not kept alive for the rest of the run once it fires.
 type Event struct {
 	at    Time
 	seq   uint64
-	fn    func()
+	h     Handler
 	index int // heap index, -1 when not queued
 }
+
+// Handler is the one-method form of an event callback. Long-lived objects
+// that schedule many events (the engine's per-run op records) implement it
+// so that scheduling allocates no closure; At and After wrap a plain func in
+// the same form, so both share one queue path.
+type Handler interface {
+	// Fire runs when the event fires, with the clock at the event's instant.
+	Fire()
+}
+
+// funcHandler adapts a plain callback to Handler. A func value is pointer
+// shaped, so the conversion itself allocates nothing.
+type funcHandler func()
+
+func (f funcHandler) Fire() { f() }
 
 // At returns the instant the event is (or was) scheduled to fire.
 func (e *Event) At() Time { return e.at }
@@ -103,6 +120,11 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
+// maxFree bounds the recycled-event free list. Steady-state demand is the
+// number of events pending at once apart from pre-scheduled arrivals, which
+// stays in the hundreds even on the busiest serving runs.
+const maxFree = 1024
+
 // Simulator is a discrete-event scheduler with a virtual clock.
 // The zero value is not usable; call New.
 type Simulator struct {
@@ -130,10 +152,24 @@ func (s *Simulator) Pending() int { return len(s.events) }
 // always a logic error in the layers above, and silently reordering time
 // would corrupt every timeline built on top of the simulator.
 func (s *Simulator) At(t Time, fn func()) *Event {
+	if fn == nil {
+		panic("sim: nil event callback")
+	}
+	return s.AtHandler(t, funcHandler(fn))
+}
+
+// After schedules fn to run d from now. Negative d panics via At.
+func (s *Simulator) After(d Duration, fn func()) *Event {
+	return s.At(s.now.Add(d), fn)
+}
+
+// AtHandler schedules h.Fire to run at instant t, with the same ordering and
+// past-time panic as At.
+func (s *Simulator) AtHandler(t Time, h Handler) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
-	if fn == nil {
+	if h == nil {
 		panic("sim: nil event callback")
 	}
 	var e *Event
@@ -141,18 +177,18 @@ func (s *Simulator) At(t Time, fn func()) *Event {
 		e = s.free[k]
 		s.free[k] = nil
 		s.free = s.free[:k]
-		e.at, e.seq, e.fn, e.index = t, s.seq, fn, -1
+		e.at, e.seq, e.h, e.index = t, s.seq, h, -1
 	} else {
-		e = &Event{at: t, seq: s.seq, fn: fn, index: -1}
+		e = &Event{at: t, seq: s.seq, h: h, index: -1}
 	}
 	s.seq++
 	heap.Push(&s.events, e)
 	return e
 }
 
-// After schedules fn to run d from now. Negative d panics via At.
-func (s *Simulator) After(d Duration, fn func()) *Event {
-	return s.At(s.now.Add(d), fn)
+// AfterHandler schedules h.Fire to run d from now.
+func (s *Simulator) AfterHandler(d Duration, h Handler) *Event {
+	return s.AtHandler(s.now.Add(d), h)
 }
 
 // Cancel removes a pending event and recycles it. Cancelling an event that
@@ -162,8 +198,7 @@ func (s *Simulator) Cancel(e *Event) {
 		return
 	}
 	heap.Remove(&s.events, e.index)
-	e.fn = nil
-	s.free = append(s.free, e)
+	s.recycle(e)
 }
 
 // Step fires the earliest pending event and advances the clock to it.
@@ -175,13 +210,20 @@ func (s *Simulator) Step() bool {
 	e := heap.Pop(&s.events).(*Event)
 	s.now = e.at
 	s.fired++
-	fn := e.fn
-	fn()
+	e.h.Fire()
 	// Recycle after the callback so nothing scheduled inside it can alias
 	// the event that is still conceptually "firing".
-	e.fn = nil
-	s.free = append(s.free, e)
+	s.recycle(e)
 	return true
+}
+
+// recycle drops e's handler and returns it to the free list if there is
+// room; otherwise e is left to the garbage collector.
+func (s *Simulator) recycle(e *Event) {
+	e.h = nil
+	if len(s.free) < maxFree {
+		s.free = append(s.free, e)
+	}
 }
 
 // Run fires events until none remain.

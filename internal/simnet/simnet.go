@@ -108,11 +108,11 @@ type Flow struct {
 	total     float64
 	rate      float64
 	started   sim.Time
-	onDone    func(at sim.Time)
+	onDone    Handler // nil when nobody waits for completion
 	net       *Network
-	done      bool
-	index     int    // position in Network.flows, -1 when not active
 	seq       uint64 // start order, for deterministic completion callbacks
+	index     int32  // position in Network.flows, -1 when not active
+	done      bool
 }
 
 // Name returns the flow's diagnostic name.
@@ -199,11 +199,43 @@ func (n *Network) ObserveRates(fn RateObserver) { n.obs = fn }
 // registered are affected; caps on already-running flows do not change.
 func (n *Network) LimitFlows(fn FlowLimiter) { n.limiter = fn }
 
+// Handler is the one-method form of a flow's completion callback. Objects
+// that start many flows (the engine's per-run op records) implement it so
+// that starting a flow allocates no closure.
+type Handler interface {
+	// FlowDone runs inside the simulator when the flow's last byte arrives.
+	FlowDone(at sim.Time)
+}
+
+// funcHandler adapts a plain completion callback to Handler.
+type funcHandler func(at sim.Time)
+
+func (f funcHandler) FlowDone(at sim.Time) { f(at) }
+
+// instantFlow is a zero-size flow viewed as the sim event that completes it.
+type instantFlow Flow
+
+func (f *instantFlow) Fire() {
+	if f.onDone != nil {
+		f.onDone.FlowDone(f.net.sim.Now())
+	}
+}
+
 // StartFlow begins transferring bytes across path. onDone, if non-nil, is
 // invoked (inside the simulator) when the last byte arrives. A flow with no
 // bytes or an empty path completes immediately, via a zero-delay event so
 // that callbacks still run in deterministic simulator order.
 func (n *Network) StartFlow(name string, path []*Link, bytes float64, onDone func(at sim.Time)) *Flow {
+	var h Handler
+	if onDone != nil {
+		h = funcHandler(onDone)
+	}
+	return n.StartFlowHandler(name, path, bytes, h)
+}
+
+// StartFlowHandler is StartFlow with a Handler (nil for none) as the
+// completion callback.
+func (n *Network) StartFlowHandler(name string, path []*Link, bytes float64, onDone Handler) *Flow {
 	if bytes < 0 {
 		panic(fmt.Sprintf("simnet: flow %q has negative size %g", name, bytes))
 	}
@@ -231,15 +263,11 @@ func (n *Network) StartFlow(name string, path []*Link, bytes float64, onDone fun
 	n.flowSeq++
 	if bytes == 0 || len(path) == 0 {
 		f.done = true
-		n.sim.After(0, func() {
-			if f.onDone != nil {
-				f.onDone(n.sim.Now())
-			}
-		})
+		n.sim.AfterHandler(0, (*instantFlow)(f))
 		return f
 	}
 	n.advance()
-	f.index = len(n.flows)
+	f.index = int32(len(n.flows))
 	n.flows = append(n.flows, f)
 	for _, l := range f.path {
 		if l.activeFlows == 0 {
@@ -306,10 +334,10 @@ func (n *Network) advance() {
 func (n *Network) remove(f *Flow) {
 	f.done = true
 	f.rate = 0
-	i, last := f.index, len(n.flows)-1
+	i, last := int(f.index), len(n.flows)-1
 	if i >= 0 && n.flows[i] == f {
 		n.flows[i] = n.flows[last]
-		n.flows[i].index = i
+		n.flows[i].index = int32(i)
 		n.flows[last] = nil
 		n.flows = n.flows[:last]
 	}
@@ -379,7 +407,7 @@ func (n *Network) onCompletion() {
 	n.reallocate()
 	for _, f := range finished {
 		if f.onDone != nil {
-			f.onDone(n.sim.Now())
+			f.onDone.FlowDone(n.sim.Now())
 		}
 	}
 	for i := range finished {

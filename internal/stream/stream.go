@@ -11,7 +11,10 @@
 // steady state: the task queue is a reusable ring, the built-in task kinds
 // (Do, Delay, Record, Wait) are tagged entries rather than closures, each
 // stream's completion callback is allocated once at construction, and an
-// event's first waiter is stored inline instead of growing a slice.
+// event's first waiter is stored inline instead of growing a slice. Callers
+// that issue many tasks from one long-lived object submit it as a Handler
+// (SubmitHandler) instead of a fresh Task closure, and can hold their Events
+// by value.
 package stream
 
 import (
@@ -19,7 +22,8 @@ import (
 )
 
 // Event is a one-shot synchronization point, analogous to a CUDA event.
-// It fires when a stream reaches the Record task that owns it.
+// It fires when a stream reaches the Record task that owns it. The zero
+// value is an unfired event, so Events can be held by value.
 type Event struct {
 	fired   bool
 	firedAt sim.Time
@@ -79,7 +83,16 @@ func (e *Event) fire(at sim.Time) {
 // the stream advance.
 type Task func(done func())
 
-// Built-in task kinds. kindTask runs a caller-provided Task; the others are
+// Start runs the task; it makes Task a Handler.
+func (t Task) Start(done func()) { t(done) }
+
+// Handler is the one-method form of a Task: Start begins the work when the
+// stream reaches it and must arrange for done to be called exactly once.
+type Handler interface {
+	Start(done func())
+}
+
+// Built-in task kinds. kindTask runs a caller-provided Handler; the others are
 // interpreted by the stream loop directly so the convenience entry points
 // never allocate a closure per call.
 type taskKind uint8
@@ -92,12 +105,13 @@ const (
 	kindWait
 )
 
+// queued is one ring entry. Its payload shares one field, which keeps the
+// entry at 48 bytes: a stream's ring holds its high-water mark of queued
+// tasks for the life of the simulation.
 type queued struct {
 	name string
 	kind taskKind
-	run  Task         // kindTask
-	fn   func()       // kindDo
-	ev   *Event       // kindRecord, kindWait
+	arg  any          // Handler (kindTask), func() (kindDo), *Event (kindRecord, kindWait)
 	d    sim.Duration // kindDelay
 }
 
@@ -141,7 +155,13 @@ func (st *Stream) push(q queued) {
 
 // Submit enqueues a task.
 func (st *Stream) Submit(name string, run Task) {
-	st.push(queued{name: name, kind: kindTask, run: run})
+	st.SubmitHandler(name, run)
+}
+
+// SubmitHandler enqueues h as a task: h.Start runs when the stream reaches
+// it, exactly as a Task submitted at the same point would.
+func (st *Stream) SubmitHandler(name string, h Handler) {
+	st.push(queued{name: name, kind: kindTask, arg: h})
 }
 
 // complete is the shared completion callback: it finishes the task the
@@ -177,15 +197,15 @@ func (st *Stream) advance() {
 		kind := next.kind
 		switch kind {
 		case kindDo:
-			fn := next.fn
+			fn := next.arg.(func())
 			*next = queued{}
 			fn()
 		case kindRecord:
-			ev := next.ev
+			ev := next.arg.(*Event)
 			*next = queued{}
 			ev.fire(st.sim.Now())
 		case kindWait:
-			ev := next.ev
+			ev := next.arg.(*Event)
 			*next = queued{}
 			if ev.fired {
 				continue
@@ -201,9 +221,9 @@ func (st *Stream) advance() {
 			return
 		default: // kindTask
 			st.curName, st.completed = next.name, false
-			run := next.run
+			run := next.arg.(Handler)
 			*next = queued{}
-			run(st.done)
+			run.Start(st.done)
 			return
 		}
 	}
@@ -221,18 +241,18 @@ func (st *Stream) Delay(name string, d sim.Duration) {
 
 // Do enqueues an instantaneous task: fn runs when the stream reaches it.
 func (st *Stream) Do(name string, fn func()) {
-	st.push(queued{name: name, kind: kindDo, fn: fn})
+	st.push(queued{name: name, kind: kindDo, arg: fn})
 }
 
 // Record enqueues a task that fires e when the stream reaches it,
 // mirroring cudaEventRecord.
 func (st *Stream) Record(e *Event) {
-	st.push(queued{name: "record", kind: kindRecord, ev: e})
+	st.push(queued{name: "record", kind: kindRecord, arg: e})
 }
 
 // Wait enqueues a task that blocks the stream until e fires, mirroring
 // cudaStreamWaitEvent. If e already fired the stream passes through without
 // consuming time.
 func (st *Stream) Wait(e *Event) {
-	st.push(queued{name: "wait", kind: kindWait, ev: e})
+	st.push(queued{name: "wait", kind: kindWait, arg: e})
 }
