@@ -175,7 +175,7 @@ func BenchmarkSimnetFairShare(b *testing.B) {
 // 64 persistent flows over a two-switch shared-uplink topology (the
 // p3.8xlarge shape), re-triggering reallocation by starting and aborting a
 // probe flow. Steady-state allocs/op is the headline number: the epoch-
-// stamped link scratch state keeps it at the single probe-Flow allocation.
+// stamped link scratch state and the recycled probe Flow keep it at zero.
 func BenchmarkMaxMinRates(b *testing.B) {
 	s := sim.New()
 	n := simnet.New(s)
@@ -191,6 +191,8 @@ func BenchmarkMaxMinRates(b *testing.B) {
 	for f := 0; f < 64; f++ {
 		n.StartFlow("bg", paths[f%4], 1e18, nil)
 	}
+	// One probe up front, so the timed loop reuses its recycled Flow.
+	n.Abort(n.StartFlow("probe", paths[0], 1e18, nil))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -6,10 +6,15 @@
 // clock from event to event. Two events scheduled for the same instant fire
 // in submission order, which makes every simulation in this repository fully
 // deterministic and therefore testable.
+//
+// Pending events sit in a hand-written 4-ary min-heap ordered by (instant,
+// submission sequence), compared directly rather than through
+// container/heap's interface, and fired events are recycled through a
+// bounded free list, so scheduling, firing and cancelling allocate nothing
+// in steady state.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -91,35 +96,6 @@ func (e *Event) At() Time { return e.at }
 // Scheduled reports whether the event is still pending.
 func (e *Event) Scheduled() bool { return e.index >= 0 }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
-}
-
 // maxFree bounds the recycled-event free list. Steady-state demand is the
 // number of events pending at once apart from pre-scheduled arrivals, which
 // stays in the hundreds even on the busiest serving runs.
@@ -129,7 +105,7 @@ const maxFree = 1024
 // The zero value is not usable; call New.
 type Simulator struct {
 	now    Time
-	events eventHeap
+	events []*Event // 4-ary min-heap ordered by (at, seq)
 	seq    uint64
 	fired  uint64
 	free   []*Event // recycled Event objects (see Event)
@@ -182,7 +158,8 @@ func (s *Simulator) AtHandler(t Time, h Handler) *Event {
 		e = &Event{at: t, seq: s.seq, h: h, index: -1}
 	}
 	s.seq++
-	heap.Push(&s.events, e)
+	s.events = append(s.events, nil)
+	s.siftUp(e, len(s.events)-1)
 	return e
 }
 
@@ -197,7 +174,7 @@ func (s *Simulator) Cancel(e *Event) {
 	if e == nil || e.index < 0 {
 		return
 	}
-	heap.Remove(&s.events, e.index)
+	s.remove(e.index)
 	s.recycle(e)
 }
 
@@ -207,7 +184,8 @@ func (s *Simulator) Step() bool {
 	if len(s.events) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.events).(*Event)
+	e := s.events[0]
+	s.remove(0)
 	s.now = e.at
 	s.fired++
 	e.h.Fire()
@@ -267,4 +245,81 @@ func (s *Simulator) PeekTime() (t Time, ok bool) {
 		return 0, false
 	}
 	return s.events[0].at, true
+}
+
+// The pending events form a 4-ary min-heap on (at, seq): the children of
+// slot i are 4i+1 … 4i+4. A 4-ary heap is half as deep as a binary one, and
+// the four siblings it compares on the way down sit next to each other in
+// the backing array. Each event keeps its slot in index so Cancel can
+// remove it directly. Both sifts move a hole rather than swapping: each
+// displaced event is written once, and the moving event only at its final
+// slot.
+
+// before reports whether a fires before b: earlier instant first, then
+// submission order. seq is unique, so this is a strict total order and the
+// firing sequence does not depend on the heap's shape.
+func before(a, b *Event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// siftUp moves e from the hole at slot i towards the root until its parent
+// fires before it, then stores it there.
+func (s *Simulator) siftUp(e *Event, i int) {
+	h := s.events
+	for i > 0 {
+		p := (i - 1) / 4
+		q := h[p]
+		if !before(e, q) {
+			break
+		}
+		h[i], q.index = q, i
+		i = p
+	}
+	h[i], e.index = e, i
+}
+
+// siftDown moves e from the hole at slot i towards the leaves until it fires
+// before all of its children, then stores it there.
+func (s *Simulator) siftDown(e *Event, i int) {
+	h := s.events
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if before(h[j], h[m]) {
+				m = j
+			}
+		}
+		q := h[m]
+		if !before(q, e) {
+			break
+		}
+		h[i], q.index = q, i
+		i = m
+	}
+	h[i], e.index = e, i
+}
+
+// remove takes the event at slot i out of the heap and marks it unqueued.
+// The last event fills the hole and sifts whichever way restores order.
+func (s *Simulator) remove(i int) {
+	h := s.events
+	e := h[i]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	s.events = h[:n]
+	e.index = -1
+	if i == n {
+		return
+	}
+	if i > 0 && before(last, h[(i-1)/4]) {
+		s.siftUp(last, i)
+	} else {
+		s.siftDown(last, i)
+	}
 }
