@@ -5,17 +5,15 @@
 //
 //	deepplan-bench -list
 //	deepplan-bench -exp fig11
-//	deepplan-bench -exp all [-quick] [-parallel [-workers N]] [-parallel-sim]
+//	deepplan-bench -exp all [-quick] [-parallel [-workers N]]
 //
 // With -parallel, independent experiments — and the independent sweep points
 // inside the serving and batching sweeps — run concurrently on a bounded
 // worker pool (GOMAXPROCS workers unless -workers says otherwise), each
-// simulation still single-threaded on its own sim.Simulator. -parallel-sim
-// goes one level deeper: the cluster experiments (fig-cluster, fig-capacity)
-// run every node of every simulated cluster on its own goroutine under
-// conservative lookahead. Both knobs keep the tables on stdout
-// byte-identical to a serial run; only wall-clock changes. Timing lines go
-// to stderr, keeping stdout a pure function of the experiment set.
+// simulation still single-threaded on its own sim.Simulator. The tables on
+// stdout stay byte-identical to a serial run; only wall-clock changes.
+// Timing lines go to stderr, keeping stdout a pure function of the
+// experiment set.
 package main
 
 import (
@@ -35,7 +33,6 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink serving experiments for a fast pass")
 	parallel := flag.Bool("parallel", false, "run independent experiments and sweep points concurrently")
 	workers := flag.Int("workers", 0, "worker pool size for -parallel (default GOMAXPROCS)")
-	parallelSim := flag.Bool("parallel-sim", false, "run cluster simulations with per-node event queues on separate goroutines (byte-identical output)")
 	tracePath := flag.String("trace", "", "write a Chrome trace of the representative serving run (fig13/fig15 only)")
 	metricsPath := flag.String("metrics", "", "write the representative run's OpenMetrics exposition (fig-slo only)")
 	telemetry := flag.Bool("telemetry", false, "append per-window resource telemetry to fig13/fig15 output")
@@ -63,7 +60,7 @@ func main() {
 	}
 
 	opts := experiments.Options{Quick: *quick, TracePath: *tracePath, MetricsPath: *metricsPath,
-		Telemetry: *telemetry, ParallelSim: *parallelSim, ZooN: *zoo, ZooPolicy: *zooPolicy,
+		Telemetry: *telemetry, ZooN: *zoo, ZooPolicy: *zooPolicy,
 		LLMBatching: *llm, PrefillDecode: *prefillDecode, AutoscalePolicy: *autoscalePolicy}
 	pool := 1
 	if *parallel {

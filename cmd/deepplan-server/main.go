@@ -37,13 +37,10 @@
 // warm-p99, and shed error budgets — and prints the alert log;
 // -metrics-interval appends intermediate registry snapshots on the virtual
 // clock. Monitoring is observation-only and deterministic: the exposition
-// is byte-identical across reruns and across -parallel-sim.
+// is byte-identical across reruns.
 //
-// -parallel-sim (cluster mode) gives every node its own event queue on its
-// own goroutine, synchronized conservatively at the router. Stdout is a
-// pure function of the flags either way — wall-clock timing goes to stderr
-// — so `deepplan-server -nodes 16 ... | diff - <(deepplan-server -nodes 16
-// ... -parallel-sim)` is empty by construction.
+// Stdout is a pure function of the flags — wall-clock timing goes to
+// stderr — so two runs of the same command diff clean.
 package main
 
 import (
@@ -80,7 +77,6 @@ func main() {
 	route := flag.String("route", "least-outstanding", "cluster routing policy: round-robin | least-outstanding | affinity")
 	autoscale := flag.Bool("autoscale", false, "cluster mode: per-model replica autoscaling from a 1-replica floor")
 	autoscalePolicy := flag.String("autoscale-policy", "", "with -autoscale: reactive | predictive (forecast-driven prewarm/sleep; default reactive)")
-	parallelSim := flag.Bool("parallel-sim", false, "cluster mode: per-node event queues on separate goroutines (byte-identical output)")
 	zoo := flag.Int("zoo", 0, "deploy an N-variant model zoo (tenants with Zipf popularity) instead of -model/-instances")
 	zooPolicy := flag.String("zoo-policy", "", "host-memory cache policy for the zoo: pinned | lru | cost (default lru with -zoo)")
 	llmMode := flag.String("llm", "", "autoregressive serving: continuous | static batching (empty = single-shot inference)")
@@ -100,8 +96,8 @@ func main() {
 	if err := modeConflicts(*zoo, *autoscale, *autoscalePolicy, *maf, llm); err != nil {
 		fail("%v", err)
 	}
-	if *nodes > 1 || *autoscale || *parallelSim {
-		runCluster(*nodes, *route, *autoscale, *autoscalePolicy, *parallelSim, *policy, *modelName,
+	if *nodes > 1 || *autoscale {
+		runCluster(*nodes, *route, *autoscale, *autoscalePolicy, *policy, *modelName,
 			*instances, *rate, *requests, *sloMs, *maxBatch, *seed, *maf,
 			*faultSpec, *admit, *tracePath, *telemetry,
 			*metricsPath, deepplan.Duration(*metricsEvery), *zoo, *zooPolicy,
@@ -218,7 +214,7 @@ func main() {
 		fail("%v", err)
 	}
 	// Wall-clock timing goes to stderr so stdout stays a pure function of
-	// the flags (diffable across runs and across -parallel-sim).
+	// the flags (diffable across runs).
 	fmt.Fprintf(os.Stderr, "wall clock: %s\n", time.Since(start).Round(time.Millisecond))
 	fmt.Printf("policy:        %s\n", rep.Policy)
 	fmt.Printf("requests:      %d (simulated)\n", rep.Requests)
@@ -333,10 +329,9 @@ func writeMetrics(path string, reg *deepplan.MetricsRegistry) {
 
 // runCluster is the multi-node path: N independent simulated servers behind
 // the front-end router (and, with -autoscale, the reactive replica
-// controller). The model is replicated on every node. With parallelSim the
-// nodes run on separate goroutines under conservative lookahead instead of
-// one shared clock; the printed report is byte-identical either way.
-func runCluster(nodes int, route string, autoscale bool, autoscalePolicy string, parallelSim bool, policy, modelName string,
+// controller). The model is replicated on every node, and every node runs
+// on one shared virtual clock.
+func runCluster(nodes int, route string, autoscale bool, autoscalePolicy string, policy, modelName string,
 	instances int, rate float64, requests, sloMs, maxBatch int, seed int64,
 	maf bool, faultSpec string, admit float64, tracePath string, telemetry bool,
 	metricsPath string, metricsEvery deepplan.Duration, zoo int, zooPolicy string,
@@ -361,7 +356,7 @@ func runCluster(nodes int, route string, autoscale bool, autoscalePolicy string,
 	}
 	// -metrics enables the registry and the SLO burn-rate monitor; the file
 	// gets one exposition block per -metrics-interval of sim time (if set)
-	// plus a final snapshot, all byte-identical across -parallel-sim.
+	// plus a final snapshot, all byte-identical across reruns.
 	var reg *deepplan.MetricsRegistry
 	var alerts *deepplan.SLOConfig
 	var metricsFile *os.File
@@ -393,7 +388,6 @@ func runCluster(nodes int, route string, autoscale bool, autoscalePolicy string,
 		Alerts:          alerts,
 		MetricsWriter:   metricsFile,
 		MetricsInterval: metricsEvery,
-		Parallel:        parallelSim,
 		LLM:             llm,
 	}
 	if zoo > 0 {
@@ -448,7 +442,7 @@ func runCluster(nodes int, route string, autoscale bool, autoscalePolicy string,
 	if err != nil {
 		fail("%v", err)
 	}
-	// Stderr, so serial and -parallel-sim stdout diff clean (see package doc).
+	// Stderr, so reruns' stdout diffs clean (see package doc).
 	fmt.Fprintf(os.Stderr, "wall clock: %s\n", time.Since(start).Round(time.Millisecond))
 	fmt.Printf("policy:        %s, %d nodes, %s routing\n", rep.Policy, rep.Nodes, rep.Route)
 	fmt.Printf("requests:      %d (simulated)\n", rep.Requests)

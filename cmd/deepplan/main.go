@@ -20,7 +20,7 @@ import (
 	"deepplan"
 	"deepplan/internal/gantt"
 	"deepplan/internal/plan"
-	"deepplan/internal/tracefmt"
+	"deepplan/internal/trace"
 )
 
 func main() {
@@ -96,7 +96,9 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		if err := tracefmt.Write(f, res); err != nil {
+		rec := trace.New()
+		res.EmitTrace(rec)
+		if err := trace.WriteChrome(f, rec, map[string]string{"model": res.Model, "mode": res.Mode}); err != nil {
 			fail("%v", err)
 		}
 		if err := f.Close(); err != nil {

@@ -520,11 +520,6 @@ type ClusterOptions struct {
 	// time during the run.
 	MetricsWriter   io.Writer
 	MetricsInterval Duration
-	// Parallel runs each node's event queue on its own goroutine with
-	// conservative-lookahead synchronization at the router. Reports and
-	// traces stay byte-identical to the default serial clock; only
-	// wall-clock time changes.
-	Parallel bool
 	// HostPolicy selects each node's pinned host-memory tier policy (see
 	// ServerOptions.HostPolicy).
 	HostPolicy HostPolicy
@@ -563,7 +558,6 @@ func (p *Platform) NewCluster(opts ClusterOptions) (*Cluster, error) {
 		Alerts:          opts.Alerts,
 		MetricsWriter:   opts.MetricsWriter,
 		MetricsInterval: opts.MetricsInterval,
-		Parallel:        opts.Parallel,
 		HostPolicy:      opts.HostPolicy,
 		HostMemory:      opts.HostMemory,
 		Pack:            opts.Pack,

@@ -232,11 +232,6 @@ type SearchSpec struct {
 	// ZooPolicy is the host pinned-cache eviction policy for zoo probes
 	// ("lru" or "cost"). Default lru.
 	ZooPolicy string `json:"zoo_policy,omitempty"`
-	// Parallel runs each probe's cluster with per-node event queues on
-	// separate goroutines (cluster.Config.Parallel). Probe results are
-	// byte-identical either way, so the plan is unchanged; the field is
-	// excluded from the cache identity for exactly that reason.
-	Parallel bool `json:"-"`
 }
 
 func (s SearchSpec) withDefaults() SearchSpec {
@@ -372,7 +367,6 @@ func evaluateMonitored(pt Point, spec SearchSpec, rate int, reg *monitor.Registr
 		Autoscale:   as,
 		Monitor:     reg,
 		Alerts:      alerts,
-		Parallel:    spec.Parallel,
 	}
 	if spec.Zoo > 0 {
 		ccfg.HostPolicy = hostmem.Policy(spec.ZooPolicy)

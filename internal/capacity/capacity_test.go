@@ -84,8 +84,8 @@ func TestSaturationMonotoneInSLO(t *testing.T) {
 }
 
 // TestSweepByteIdenticalSerialParallel runs the full default grid serially,
-// in parallel, and again serially, and requires the rendered plans — JSON and
-// table — to match byte for byte.
+// on pools of 4 and 8 workers, and again serially, and requires the rendered
+// plans — JSON and table — to match byte for byte.
 func TestSweepByteIdenticalSerialParallel(t *testing.T) {
 	spec := testSpec()
 	space := DefaultSpace()
@@ -103,48 +103,18 @@ func TestSweepByteIdenticalSerialParallel(t *testing.T) {
 		return j.String(), tbl.String()
 	}
 	j1, t1 := render(1)
-	j8, t8 := render(8)
+	for _, workers := range []int{4, 8} {
+		j, tbl := render(workers)
+		if j1 != j {
+			t.Fatalf("JSON plan differs serial vs %d workers:\n--- serial ---\n%s\n--- parallel ---\n%s", workers, j1, j)
+		}
+		if t1 != tbl {
+			t.Fatalf("table differs serial vs %d workers:\n--- serial ---\n%s\n--- parallel ---\n%s", workers, t1, tbl)
+		}
+	}
 	j1b, t1b := render(1)
-	if j1 != j8 {
-		t.Fatalf("JSON plan differs serial vs parallel:\n--- serial ---\n%s\n--- parallel ---\n%s", j1, j8)
-	}
-	if t1 != t8 {
-		t.Fatalf("table differs serial vs parallel:\n--- serial ---\n%s\n--- parallel ---\n%s", t1, t8)
-	}
 	if j1 != j1b || t1 != t1b {
 		t.Fatal("plan differs across reruns with identical inputs")
-	}
-}
-
-// The saturation oracle must not notice how its clusters are clocked: a
-// sweep whose probes run with per-node event queues on goroutines
-// (SearchSpec.Parallel) must render the byte-identical plan, including
-// when the probes themselves fan across the worker pool.
-func TestSweepByteIdenticalWithParallelSim(t *testing.T) {
-	space := DefaultSpace()
-	render := func(spec SearchSpec, workers int) (string, string) {
-		res, err := Sweep(space, spec, DefaultPricing(), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan := Analyze(spec, res, 60, 0)
-		var j, tbl bytes.Buffer
-		if err := plan.WriteJSON(&j); err != nil {
-			t.Fatal(err)
-		}
-		plan.WriteTable(&tbl)
-		return j.String(), tbl.String()
-	}
-	serialSpec := testSpec()
-	parallelSpec := testSpec()
-	parallelSpec.Parallel = true
-	j1, t1 := render(serialSpec, 1)
-	j2, t2 := render(parallelSpec, 4)
-	if j1 != j2 {
-		t.Fatalf("JSON plan differs with parallel-sim probes:\n--- serial ---\n%s\n--- parallel-sim ---\n%s", j1, j2)
-	}
-	if t1 != t2 {
-		t.Fatalf("table differs with parallel-sim probes:\n--- serial ---\n%s\n--- parallel-sim ---\n%s", t1, t2)
 	}
 }
 

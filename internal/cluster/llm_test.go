@@ -1,120 +1,29 @@
 package cluster
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 
-	"deepplan/internal/dnn"
-	"deepplan/internal/faults"
-	"deepplan/internal/serving"
-	"deepplan/internal/trace"
 	"deepplan/internal/workload"
 )
 
 // llmRunOnce builds a cluster in autoregressive mode, deploys gpt2, replays
-// a token-annotated Poisson workload, and returns the report and trace.
+// a token-annotated Poisson workload, and returns the report and trace
+// (see runTraced). It fails the test if the decode path barely ran.
 func llmRunOnce(t *testing.T, cfg Config, replicas, requests int, rate float64) (*Report, []byte) {
 	t.Helper()
-	rec := trace.New()
-	cfg.Trace = rec
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
+	rep, tr := runTraced(t, cfg, "gpt2", replicas, func(c *Cluster) []Request {
+		base := workload.WithTokens(
+			workload.Poisson(17, rate, requests, c.models["GPT-2"].active), 17, 192, 24)
+		reqs := make([]Request, len(base))
+		for i, r := range base {
+			reqs[i] = Request{At: r.At, Model: "GPT-2", Key: r.Instance,
+				PromptTokens: r.PromptTokens, OutputTokens: r.OutputTokens}
+		}
+		return reqs
+	})
+	if rep.TokensGenerated <= rep.Requests {
+		t.Fatalf("decode path barely exercised: %d tokens over %d requests",
+			rep.TokensGenerated, rep.Requests)
 	}
-	m, err := dnn.ByName("gpt2")
-	if err != nil {
-		t.Fatalf("ByName: %v", err)
-	}
-	if err := c.Deploy(m, replicas); err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
-	c.Warmup()
-	base := workload.WithTokens(
-		workload.Poisson(17, rate, requests, c.models["GPT-2"].active), 17, 192, 24)
-	reqs := make([]Request, len(base))
-	for i, r := range base {
-		reqs[i] = Request{At: r.At, Model: "GPT-2", Key: r.Instance,
-			PromptTokens: r.PromptTokens, OutputTokens: r.OutputTokens}
-	}
-	rep, err := c.Run(reqs)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := trace.WriteChrome(&buf, rec, nil); err != nil {
-		t.Fatalf("WriteChrome: %v", err)
-	}
-	return rep, buf.Bytes()
-}
-
-// The repo invariant extended to the decode path: parallel per-node event
-// queues must reproduce the serial run byte for byte under continuous
-// batching, static batching, disaggregation, and faults mid-decode.
-func TestParallelMatchesSerialLLM(t *testing.T) {
-	faultSched, err := faults.Parse("gpu=1@30ms+150ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{"continuous-4", Config{Nodes: 4,
-			LLM: serving.LLMConfig{Enabled: true, TokenBudget: 8}}},
-		{"static-2", Config{Nodes: 2,
-			LLM: serving.LLMConfig{Enabled: true, Batching: serving.LLMBatchStatic, TokenBudget: 8}}},
-		{"prefill-decode-4", Config{Nodes: 4,
-			LLM: serving.LLMConfig{Enabled: true, PrefillDecode: true}}},
-		{"faults-2", Config{Nodes: 2, Faults: faultSched,
-			LLM: serving.LLMConfig{Enabled: true, TokenBudget: 8}}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			serialCfg, parallelCfg := tc.cfg, tc.cfg
-			parallelCfg.Parallel = true
-			wantRep, wantTrace := llmRunOnce(t, serialCfg, 12, 300, 150)
-			gotRep, gotTrace := llmRunOnce(t, parallelCfg, 12, 300, 150)
-			if wantRep.TokensGenerated <= wantRep.Requests {
-				t.Fatalf("decode path barely exercised: %d tokens over %d requests",
-					wantRep.TokensGenerated, wantRep.Requests)
-			}
-			if !reflect.DeepEqual(wantRep, gotRep) {
-				t.Fatalf("parallel LLM report diverged from serial:\nserial:   %+v\nparallel: %+v", wantRep, gotRep)
-			}
-			if !bytes.Equal(wantTrace, gotTrace) {
-				t.Fatalf("parallel LLM trace diverged (%d vs %d bytes)", len(wantTrace), len(gotTrace))
-			}
-		})
-	}
-}
-
-// Sixteen nodes decoding concurrently: repeated parallel runs and the
-// serial oracle all agree byte for byte.
-func TestParallelSixteenNodeLLM(t *testing.T) {
-	if testing.Short() {
-		t.Skip("16-node LLM stress run in -short mode")
-	}
-	cfg := Config{Nodes: 16, Route: RouteLeastOutstanding, Parallel: true,
-		LLM: serving.LLMConfig{Enabled: true, TokenBudget: 8}}
-	wantRep, wantTrace := llmRunOnce(t, cfg, 12, 400, 200)
-	rep, tr := llmRunOnce(t, cfg, 12, 400, 200)
-	if !reflect.DeepEqual(wantRep, rep) {
-		t.Fatalf("parallel rerun diverged:\nfirst: %+v\nrerun: %+v", wantRep, rep)
-	}
-	if !bytes.Equal(wantTrace, tr) {
-		t.Fatal("parallel rerun trace diverged")
-	}
-	serial := cfg
-	serial.Parallel = false
-	rep, tr = llmRunOnce(t, serial, 12, 400, 200)
-	if !reflect.DeepEqual(wantRep, rep) {
-		t.Fatalf("16-node serial oracle diverged:\nserial:   %+v\nparallel: %+v", rep, wantRep)
-	}
-	if !bytes.Equal(wantTrace, tr) {
-		t.Fatal("16-node serial oracle trace diverged")
-	}
+	return rep, tr
 }

@@ -892,8 +892,8 @@ func (e *Engine) finalize(rs *runState) {
 // on the primary GPU's exec track, host→GPU copy spans on the load track of
 // the GPU that received each partition, and NVLink forwarding spans on the
 // secondary's migration track. It is called automatically for engines built
-// with Config.Trace; exporters for standalone Results (tracefmt) call it
-// directly. Safe on a nil recorder.
+// with Config.Trace; exporters for standalone Results (cmd/deepplan -trace)
+// call it directly. Safe on a nil recorder.
 func (r *Result) EmitTrace(rec *trace.Recorder) {
 	if rec == nil {
 		return

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -107,5 +109,72 @@ func TestEmitTraceCoversAllGPUs(t *testing.T) {
 	}
 	if count[[2]int{2, trace.TIDExec}] != 0 {
 		t.Fatal("secondary GPU must not execute layers")
+	}
+}
+
+// TestEmitTraceChromeExport replays a standalone PT+DHA run through EmitTrace
+// and WriteChrome, the path behind `deepplan -trace`: the export must be
+// valid JSON carrying the run metadata and layer names, every track must be
+// populated, and the secondary GPU's PCIe copies and NVLink forwards must
+// land under its own named pid rather than the primary's.
+func TestEmitTraceChromeExport(t *testing.T) {
+	f := fix(t, "bert-base")
+	res := f.run(t, f.pl.PlanPTDHA(f.prof, 2), []int{2})
+	rec := trace.New()
+	res.EmitTrace(rec)
+	var buf bytes.Buffer
+	if err := trace.WriteChrome(&buf, rec, map[string]string{"model": res.Model, "mode": res.Mode}); err != nil {
+		t.Fatal(err)
+	}
+	var parsed struct {
+		TraceEvents []map[string]any  `json:"traceEvents"`
+		OtherData   map[string]string `json:"otherData"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	if parsed.OtherData["model"] != "BERT-Base" {
+		t.Fatalf("otherData = %v", parsed.OtherData)
+	}
+	if !strings.Contains(buf.String(), "embeddings.word") {
+		t.Fatal("trace missing layer names")
+	}
+	tracks := map[int]int{}
+	var primary, secLoad, secMigrate, secNamed int
+	for _, e := range parsed.TraceEvents {
+		pid := int(e["pid"].(float64))
+		if e["ph"] == "M" && e["name"] == "process_name" && pid == 2 {
+			secNamed++
+		}
+		if e["ph"] != "X" {
+			continue
+		}
+		if e["dur"].(float64) < 0 {
+			t.Fatal("negative duration event")
+		}
+		tid := int(e["tid"].(float64))
+		tracks[tid]++
+		if pid == 0 {
+			primary++
+		}
+		if pid == 2 && tid == trace.TIDLoad {
+			secLoad++
+		}
+		if pid == 2 && tid == trace.TIDMigrate {
+			secMigrate++
+		}
+	}
+	if tracks[trace.TIDExec] == 0 || tracks[trace.TIDLoad] == 0 || tracks[trace.TIDMigrate] == 0 {
+		t.Fatalf("track counts exec=%d load=%d migrate=%d; all should be populated for PT+DHA",
+			tracks[trace.TIDExec], tracks[trace.TIDLoad], tracks[trace.TIDMigrate])
+	}
+	if primary == 0 {
+		t.Fatal("no spans on the primary GPU")
+	}
+	if secLoad == 0 || secMigrate == 0 {
+		t.Fatalf("secondary GPU spans: %d load, %d migrate; want both", secLoad, secMigrate)
+	}
+	if secNamed == 0 {
+		t.Fatal("secondary GPU process is unnamed")
 	}
 }

@@ -44,14 +44,6 @@ type Options struct {
 	// queue depth, busy fraction, evictions) for that same representative
 	// configuration to the supporting experiments' output.
 	Telemetry bool
-	// ParallelSim runs every cluster simulation inside the experiments
-	// (fig-cluster's sweeps, fig-capacity's saturation probes) with one
-	// event queue per node on its own goroutine instead of the shared
-	// serial clock. Output is byte-identical either way — the parallel
-	// driver synchronizes conservatively at every router event — so the
-	// flag trades nothing but wall-clock time. Composes with Workers,
-	// which parallelizes *across* independent simulations.
-	ParallelSim bool
 	// ZooN, when positive, replaces fig-zoo's model-count sweep with a
 	// single zoo of exactly this many variants. ZooPolicy ("lru" or
 	// "cost") pins fig-zoo's host-cache policy; empty compares both.

@@ -74,12 +74,11 @@ func (p forecastParams) workload() ([]cluster.Request, error) {
 
 // runForecastPolicy replays the trace under one controller policy.
 func runForecastPolicy(p forecastParams, policy cluster.AutoscalePolicy,
-	reqs []cluster.Request, parallel bool) (*cluster.Report, error) {
+	reqs []cluster.Request) (*cluster.Report, error) {
 	c, err := cluster.New(cluster.Config{
-		Nodes:    p.nodes,
-		Route:    cluster.RouteAffinity,
-		SLO:      100 * sim.Millisecond,
-		Parallel: parallel,
+		Nodes: p.nodes,
+		Route: cluster.RouteAffinity,
+		SLO:   100 * sim.Millisecond,
 		Autoscale: cluster.AutoscaleConfig{
 			Enabled:  true,
 			Interval: p.interval,
@@ -147,7 +146,7 @@ func FigForecast(w io.Writer, opts Options) error {
 	}
 	reports := make([]*cluster.Report, len(policies))
 	err = runner.ForEach(opts.Workers, len(policies), func(i int) error {
-		rep, err := runForecastPolicy(p, policies[i], reqs, opts.ParallelSim)
+		rep, err := runForecastPolicy(p, policies[i], reqs)
 		if err != nil {
 			return err
 		}

@@ -16,11 +16,11 @@ func TestFigForecastPredictiveWinsColdTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reactive, err := runForecastPolicy(p, cluster.AutoscaleReactive, reqs, false)
+	reactive, err := runForecastPolicy(p, cluster.AutoscaleReactive, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	predictive, err := runForecastPolicy(p, cluster.AutoscalePredictive, reqs, false)
+	predictive, err := runForecastPolicy(p, cluster.AutoscalePredictive, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,25 +38,6 @@ func TestFigForecastPredictiveWinsColdTail(t *testing.T) {
 	}
 	if rp, rr := replicaSeconds(predictive), replicaSeconds(reactive); rp > rr {
 		t.Fatalf("predictive billed %v replica-seconds, more than reactive's %v", rp, rr)
-	}
-}
-
-// TestFigForecastByteIdenticalParallelSim: the experiment's stdout must
-// not depend on the simulator execution mode.
-func TestFigForecastByteIdenticalParallelSim(t *testing.T) {
-	var serial, parallel bytes.Buffer
-	if err := FigForecast(&serial, Options{Quick: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := FigForecast(&parallel, Options{Quick: true, ParallelSim: true}); err != nil {
-		t.Fatal(err)
-	}
-	if serial.Len() == 0 {
-		t.Fatal("empty experiment output")
-	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Fatalf("fig-forecast output differs between serial and -parallel-sim:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial.String(), parallel.String())
 	}
 }
 

@@ -37,36 +37,29 @@ func TestParallelOutputMatchesSerial(t *testing.T) {
 
 // update rewrites the experiment goldens from the current serial output:
 //
-//	go test ./internal/experiments -run TestParallelSimOutputMatchesSerial -update
+//	go test ./internal/experiments -run TestExperimentGoldens -update
 var update = flag.Bool("update", false, "rewrite testdata/golden from the serial -quick output")
 
-// The parallel cluster driver must be invisible in every experiment's
-// output: the full registry, run with per-node event queues on goroutines
-// (ParallelSim), must be byte-identical to the serial shared-clock run.
-// Only fig-cluster and fig-capacity simulate clusters today, but sweeping
-// the whole registry keeps the invariant pinned as more experiments move
-// to the cluster layer. Run under -race this doubles as the data-race
-// check on the conservative-lookahead synchronization.
-//
-// The serial output is also compared byte for byte against the committed
-// golden testdata/golden/<id>.txt, so any change to a simulated answer —
-// not only a serial/parallel split — fails here. Regenerate with -update
-// only for a deliberate change of modelled behaviour.
-func TestParallelSimOutputMatchesSerial(t *testing.T) {
+// TestExperimentGoldens compares every experiment's serial -quick output
+// byte for byte against the committed golden testdata/golden/<id>.txt, so
+// any change to a simulated answer fails here, then requires a run on a
+// two-worker pool to reproduce it. Regenerate with -update only for a
+// deliberate change of modelled behaviour.
+func TestExperimentGoldens(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			var serial, parallel bytes.Buffer
+			var serial, pooled bytes.Buffer
 			if err := e.Run(&serial, Options{Quick: true}); err != nil {
 				t.Fatalf("serial: %v", err)
 			}
 			checkGolden(t, e.ID, serial.Bytes())
-			if err := e.Run(&parallel, Options{Quick: true, ParallelSim: true, Workers: 2}); err != nil {
-				t.Fatalf("parallel-sim: %v", err)
+			if err := e.Run(&pooled, Options{Quick: true, Workers: 2}); err != nil {
+				t.Fatalf("workers=2: %v", err)
 			}
-			if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-				t.Fatalf("parallel-sim output differs from serial\n--- serial ---\n%s\n--- parallel-sim ---\n%s",
-					serial.String(), parallel.String())
+			if !bytes.Equal(serial.Bytes(), pooled.Bytes()) {
+				t.Fatalf("workers=2 output differs from serial\n--- serial ---\n%s\n--- workers=2 ---\n%s",
+					serial.String(), pooled.String())
 			}
 		})
 	}

@@ -83,7 +83,6 @@ func FigSLO(w io.Writer, opts Options) error {
 				AlertLatency: 100 * sim.Millisecond,
 				LongWindow:   sim.Second,
 			},
-			Parallel: opts.ParallelSim,
 		})
 		if err != nil {
 			return err

@@ -81,7 +81,6 @@ func FigZoo(w io.Writer, opts Options) error {
 			// the dominant cost and the policies separate.
 			HostFetchBandwidth: 25e9,
 			Pack:               serving.PackDense,
-			Parallel:           opts.ParallelSim,
 		})
 		if err != nil {
 			return err

@@ -76,8 +76,8 @@ type Prediction struct {
 }
 
 // Forecaster is a deterministic per-model arrival forecaster. Not safe
-// for concurrent use; in the cluster it lives on the router goroutine,
-// which under the parallel driver only runs at conservative barriers.
+// for concurrent use; in the cluster it lives on the router, which runs
+// on the shared simulation clock.
 type Forecaster struct {
 	cfg    Config
 	counts []uint32

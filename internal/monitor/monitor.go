@@ -13,13 +13,11 @@
 // the per-event path is a nil check plus a float add; no label formatting
 // or map lookups happen per observation.
 //
-// Like the trace recorder, a registry is single-goroutine: the parallel
-// cluster simulator gives each node a private view (Node) writing into its
-// own storage, and the exporter folds root plus views with a full
-// deterministic sort, so serial and parallel runs of the same workload
-// export byte-identical text. Cross-view reads (the SLO monitor, the
-// exporter) happen only at router barriers, which establish happens-before
-// with every node goroutine.
+// Like the trace recorder, a registry is single-goroutine. A cluster gives
+// each node a view (Node) that labels its series node="<n>" and writes into
+// its own storage, and the exporter folds root plus views with a full
+// deterministic sort, so reruns of the same workload export byte-identical
+// text.
 package monitor
 
 import (
@@ -90,8 +88,7 @@ func New() *Registry {
 }
 
 // Node returns a view of the registry for node n: a child registry whose
-// every series carries a node="<n>" label and whose storage is private, so
-// a per-node goroutine may write it without synchronizing with other nodes.
+// every series carries a node="<n>" label and whose storage is private.
 // The view is folded into exports and cross-registry sums of the root.
 // Mirrors trace.Recorder.Node. Returns nil on a nil registry.
 func (r *Registry) Node(n int) *Registry {

@@ -12,9 +12,8 @@ import (
 // root and every node view folded together — ending with the mandatory
 // `# EOF` line. The output is a pure function of the recorded values:
 // families are sorted by name and series by their canonical label
-// signature, so the byte stream does not depend on registration order,
-// view merge order, or whether the run used the serial or the parallel
-// cluster simulator (the analogue of trace.MergeViews' stable sort).
+// signature, so the byte stream does not depend on registration order or
+// view merge order (the analogue of trace.MergeViews' stable sort).
 // Histogram series emit only non-empty finite buckets plus the mandatory
 // cumulative +Inf bucket, keeping files small under wide layouts.
 //

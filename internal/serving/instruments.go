@@ -5,7 +5,6 @@ import (
 
 	"deepplan/internal/faults"
 	"deepplan/internal/monitor"
-	"deepplan/internal/sim"
 )
 
 // instruments are the server's pre-resolved monitor handles. They are
@@ -41,10 +40,6 @@ type instruments struct {
 	gpuFailures []*monitor.Counter
 
 	faultEvents [faults.NumKinds]*monitor.Counter
-
-	// final guards the end-of-run gauge publication: the first caller
-	// (the cluster, with the cluster-wide horizon) wins.
-	final bool
 }
 
 // depInstruments are the per-deployment handles, indexed by class
@@ -130,19 +125,13 @@ func (ins *instruments) deployInstruments(policy Policy, model string) *depInstr
 	return d
 }
 
-// FinalizeMonitor publishes the end-of-run derived gauges (per-GPU busy
-// fraction) against an explicit horizon. The cluster calls it with the
-// cluster-wide quiesce time before Finish: under the parallel simulator a
-// node's private clock stops at that node's last event, so dividing by the
-// local clock would make the exported fractions depend on the execution
-// mode. Only the first call takes effect; the single-node path finalizes
-// from report with the server's own clock.
-func (srv *Server) FinalizeMonitor(end sim.Time) {
-	if srv.ins == nil || srv.ins.final {
+// finalizeMonitor publishes the end-of-run derived gauges (per-GPU busy
+// fraction) against the current clock.
+func (srv *Server) finalizeMonitor() {
+	if srv.ins == nil {
 		return
 	}
-	srv.ins.final = true
-	elapsed := end.Sub(0).Seconds()
+	elapsed := srv.sim.Now().Seconds()
 	for g := range srv.gpus {
 		frac := 0.0
 		if elapsed > 0 {

@@ -221,23 +221,6 @@ func (s *Simulator) RunUntil(t Time) {
 	}
 }
 
-// AdvanceTo fires every event scheduled strictly before t, then sets the
-// clock to t. Events at exactly t remain pending, which is the boundary a
-// conservative parallel driver needs: an external event injected at t (with
-// a fresh, higher sequence number) still fires before any internal event
-// already pending at t would in a shared-clock run, because pre-scheduled
-// external events always carry lower sequence numbers than runtime-scheduled
-// internal ones. A t at or before Now fires nothing and leaves the clock
-// unchanged.
-func (s *Simulator) AdvanceTo(t Time) {
-	for len(s.events) > 0 && s.events[0].at < t {
-		s.Step()
-	}
-	if t > s.now {
-		s.now = t
-	}
-}
-
 // PeekTime returns the timestamp of the earliest pending event. ok is false
 // when no events are pending.
 func (s *Simulator) PeekTime() (t Time, ok bool) {

@@ -252,50 +252,6 @@ func TestPropertyCancelSubset(t *testing.T) {
 	}
 }
 
-// AdvanceTo is the conservative-lookahead boundary: events strictly before
-// the target fire, events exactly at it stay pending, and the clock lands
-// on the target.
-func TestAdvanceToExclusiveBoundary(t *testing.T) {
-	s := New()
-	var got []int
-	s.At(10, func() { got = append(got, 1) })
-	s.At(20, func() { got = append(got, 2) })
-	s.At(30, func() { got = append(got, 3) })
-	s.AdvanceTo(20)
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("fired %v, want only the event before t=20", got)
-	}
-	if s.Now() != 20 {
-		t.Fatalf("Now() = %v, want 20", s.Now())
-	}
-	if s.Pending() != 2 {
-		t.Fatalf("Pending() = %d, want 2 (events at 20 and 30 must wait)", s.Pending())
-	}
-	// A target at or before Now is a no-op that never rewinds the clock.
-	s.AdvanceTo(5)
-	if s.Now() != 20 || s.Pending() != 2 {
-		t.Fatalf("AdvanceTo(5) moved state: now %v pending %d", s.Now(), s.Pending())
-	}
-	s.Run()
-	if len(got) != 3 || s.Now() != 30 {
-		t.Fatalf("drain: fired %v, now %v", got, s.Now())
-	}
-}
-
-// Events scheduled during an advance still respect the boundary.
-func TestAdvanceToFiresChainedEventsBeforeBoundary(t *testing.T) {
-	s := New()
-	var got []Time
-	s.At(10, func() {
-		s.After(5, func() { got = append(got, s.Now()) })  // t=15, inside
-		s.After(15, func() { got = append(got, s.Now()) }) // t=25, outside
-	})
-	s.AdvanceTo(20)
-	if len(got) != 1 || got[0] != 15 {
-		t.Fatalf("got %v, want only the chained event at 15", got)
-	}
-}
-
 func TestPeekTime(t *testing.T) {
 	s := New()
 	if _, ok := s.PeekTime(); ok {
