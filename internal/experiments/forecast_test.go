@@ -41,6 +41,25 @@ func TestFigForecastPredictiveWinsColdTail(t *testing.T) {
 	}
 }
 
+// TestFigForecastByteIdenticalAcrossWorkers: the experiment's stdout must
+// not depend on whether its policies run serially or on a worker pool.
+func TestFigForecastByteIdenticalAcrossWorkers(t *testing.T) {
+	var serial, pooled bytes.Buffer
+	if err := FigForecast(&serial, Options{Quick: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := FigForecast(&pooled, Options{Quick: true, Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if serial.Len() == 0 {
+		t.Fatal("empty experiment output")
+	}
+	if !bytes.Equal(serial.Bytes(), pooled.Bytes()) {
+		t.Fatalf("fig-forecast output differs between serial and workers=4:\n--- serial ---\n%s\n--- workers=4 ---\n%s",
+			serial.String(), pooled.String())
+	}
+}
+
 // TestFigForecastPinnedPolicy: Options.AutoscalePolicy restricts the table
 // to one controller and rejects unknown spellings.
 func TestFigForecastPinnedPolicy(t *testing.T) {
