@@ -10,12 +10,12 @@ import (
 	"deepplan/internal/topology"
 )
 
-// runAllocBudget is a whole run's heap allocations: the run state with its
-// embedded Result, the Timings slice and the op records, plus the stream
-// events of a run that transmits. The simnet flows a cold run starts (a copy
-// per loaded layer, a forward per secondary-partition layer, a read per DHA
-// layer) are recycled by the network and cost nothing in steady state.
-const runAllocBudget = 4
+// runAllocBudget is a whole run's heap allocations in steady state. The run
+// state with its Result, Timings, op records and stream events comes off the
+// engine's free list, and the simnet flows a cold run starts (a copy per
+// loaded layer, a forward per secondary-partition layer, a read per DHA
+// layer) off the network's.
+const runAllocBudget = 0
 
 // engineRunAllocs measures, on one long-lived engine, the steady-state
 // allocations of a whole warm PipeSwitch run (pure compute, no flows) and of
@@ -72,9 +72,9 @@ func TestEngineRunAllocationsAreConstant(t *testing.T) {
 	}
 }
 
-// StartTask, the decode loop's per-iteration entry point, costs one
-// allocation: the run state and its op record together.
-func TestStartTaskAllocatesOnce(t *testing.T) {
+// StartTask, the decode loop's per-iteration entry point, allocates nothing
+// in steady state: its run state and op record are reused.
+func TestStartTaskAllocatesNothing(t *testing.T) {
 	f := fix(t, "bert-base")
 	s := sim.New()
 	e := New(Config{Sim: s, Net: simnet.New(s), Topo: topology.P38xlarge(), Cost: f.cost})
@@ -85,8 +85,8 @@ func TestStartTaskAllocatesOnce(t *testing.T) {
 		}
 		s.Run()
 	})
-	if allocs != 1 {
-		t.Fatalf("StartTask allocated %.1f per task; want 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("StartTask allocated %.1f per task; want 0", allocs)
 	}
 }
 
@@ -148,7 +148,7 @@ func TestAbortLeavesNoStaleCompletions(t *testing.T) {
 			var startFresh func(*Result)
 			startFresh = func(r *Result) {
 				if r != nil {
-					fresh = append(fresh, r)
+					fresh = append(fresh, r.Clone())
 				}
 				if len(fresh) < 2 {
 					if err := e.Start(spec(startFresh)); err != nil {
@@ -156,7 +156,7 @@ func TestAbortLeavesNoStaleCompletions(t *testing.T) {
 					}
 				}
 			}
-			if err := e.Start(spec(func(r *Result) { aborted = append(aborted, r) })); err != nil {
+			if err := e.Start(spec(func(r *Result) { aborted = append(aborted, r.Clone()) })); err != nil {
 				t.Fatal(err)
 			}
 			s.At(c.at, func() {
@@ -184,17 +184,10 @@ func TestAbortLeavesNoStaleCompletions(t *testing.T) {
 					t.Fatalf("fresh run latency %v stall %v, want %v %v",
 						got.Latency(), got.TotalStall, ref.Latency(), ref.TotalStall)
 				}
-				shift := sim.Duration(got.Submitted)
-				for i, want := range ref.Timings {
-					want.ExecStart = want.ExecStart.Add(shift)
-					want.ExecDone = want.ExecDone.Add(shift)
-					if want.LoadDone > 0 { // zero load fields mean "not loaded"
-						want.LoadStart = want.LoadStart.Add(shift)
-						want.LoadDone = want.LoadDone.Add(shift)
-						want.AvailAt = want.AvailAt.Add(shift)
-					}
-					if got.Timings[i] != want {
-						t.Fatalf("layer %d timing %+v, want %+v", i, got.Timings[i], want)
+				want := shifted(ref, sim.Duration(got.Submitted))
+				for i := range want.Timings {
+					if got.Timings[i] != want.Timings[i] {
+						t.Fatalf("layer %d timing %+v, want %+v", i, got.Timings[i], want.Timings[i])
 					}
 				}
 			}
@@ -205,12 +198,13 @@ func TestAbortLeavesNoStaleCompletions(t *testing.T) {
 // simnet recycles a Flow once it completes or is aborted, so a pointer kept
 // past that moment would later observe (and could abort) an unrelated flow.
 // Every op record must drop its flow pointer when the flow lands and when
-// the run is aborted mid-flight.
+// the run is aborted mid-flight. The records are checked inside OnDone,
+// before a completed run's state is released and cleared for reuse.
 func TestEngineDropsFlowPointers(t *testing.T) {
 	f := fix(t, "bert-base")
 	pt := f.pl.PlanPTDHA(f.prof, 2)
-	spec := Spec{Model: f.model, Plan: pt, Primary: 0, Secondaries: []int{2}}
-	ref, err := RunOnce(topology.P38xlarge(), f.cost, spec)
+	ref, err := RunOnce(topology.P38xlarge(), f.cost,
+		Spec{Model: f.model, Plan: pt, Primary: 0, Secondaries: []int{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,10 +215,32 @@ func TestEngineDropsFlowPointers(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			s := sim.New()
 			e := New(Config{Sim: s, Net: simnet.New(s), Topo: topology.P38xlarge(), Cost: f.cost})
-			if err := e.Start(spec); err != nil {
+			var rs *runState
+			reported := false
+			onDone := func(r *Result) {
+				reported = true
+				if c.abortAt > 0 != r.Aborted {
+					t.Fatalf("run aborted = %v, want %v", r.Aborted, c.abortAt > 0)
+				}
+				flows := 0
+				for i := range rs.ops {
+					o := &rs.ops[i]
+					if o.kind == opCopy || o.kind == opForward || o.kind == opDHA {
+						flows++
+					}
+					if o.flow != nil {
+						t.Fatalf("op %d (kind %d, layer %d) still holds flow %q", i, o.kind, o.layer, o.flow.Name())
+					}
+				}
+				if flows == 0 {
+					t.Fatal("run started no flows")
+				}
+			}
+			if err := e.Start(Spec{Model: f.model, Plan: pt, Primary: 0, Secondaries: []int{2},
+				OnDone: onDone}); err != nil {
 				t.Fatal(err)
 			}
-			rs := e.active[len(e.active)-1]
+			rs = e.active[len(e.active)-1]
 			if c.abortAt > 0 {
 				s.At(c.abortAt, func() {
 					if e.net.ActiveFlows() == 0 {
@@ -234,21 +250,8 @@ func TestEngineDropsFlowPointers(t *testing.T) {
 				})
 			}
 			s.Run()
-			if c.abortAt > 0 != rs.Aborted {
-				t.Fatalf("run aborted = %v, want %v", rs.Aborted, c.abortAt > 0)
-			}
-			flows := 0
-			for i := range rs.ops {
-				o := &rs.ops[i]
-				if o.kind == opCopy || o.kind == opForward || o.kind == opDHA {
-					flows++
-				}
-				if o.flow != nil {
-					t.Fatalf("op %d (kind %d, layer %d) still holds flow %q", i, o.kind, o.layer, o.flow.Name())
-				}
-			}
-			if flows == 0 {
-				t.Fatal("run started no flows")
+			if !reported {
+				t.Fatal("run never reported")
 			}
 		})
 	}

@@ -14,18 +14,20 @@
 // contends with in-flight copies on the same lane exactly as on real
 // hardware — this is what produces Table 4's interference numbers.
 //
-// Each run allocates a constant number of objects, whatever its layer
-// count. A runState embeds the run's Result and owns slices sized from the
-// plan: Timings, one op record per stream task issued, and one stream event
-// per copy or forward. An op is its own stream.Handler, sim.Handler and
-// simnet.Handler, so it is queued, timed and notified without closures.
-// It holds the pending timer or flow, so FailGPU can abort any run by
-// walking its ops. Fault support therefore needs no opt-in: the active-run
-// registry is always kept.
+// A steady-state run allocates nothing, whatever its layer count. A
+// runState embeds the run's Result and owns slices sized from the plan:
+// Timings, one op record per stream task issued, and one stream event per
+// copy or forward. Completed run states go back to a free list and are
+// reused with their slices, which grow only when a larger plan needs them.
+// An op is its own stream.Handler, sim.Handler and simnet.Handler, so it is
+// queued, timed and notified without closures. It holds the pending timer
+// or flow, so FailGPU can abort any run by walking its ops. Fault support
+// therefore needs no opt-in: the active-run registry is always kept.
 package engine
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"deepplan/internal/costmodel"
@@ -85,6 +87,9 @@ type Engine struct {
 	// so FailGPU can abort the ones using a failed GPU.
 	failed []bool
 	active []*runState
+	// free holds completed run states for reuse, at most len(active)+1 of
+	// them, so an idle engine keeps one.
+	free []*runState
 
 	// names caches per-model diagnostic task names ("dha:encoder0", ...) so
 	// steady-state scheduling concatenates no strings. Keyed by model pointer:
@@ -211,7 +216,9 @@ type Spec struct {
 	// Zero and one both mean "unscaled", exactly — no float round-trip —
 	// so single-shot runs stay byte-identical.
 	ComputeScale float64
-	// OnDone receives the result when the last layer retires.
+	// OnDone receives the result when the last layer retires. The Result
+	// is valid only until OnDone returns: the engine then reuses it for a
+	// later run. Copy what is needed, or keep r.Clone().
 	OnDone func(*Result)
 }
 
@@ -235,7 +242,9 @@ type LayerTiming struct {
 	Stall sim.Duration
 }
 
-// Result summarizes one completed inference.
+// Result summarizes one completed inference. A Result handed to OnDone
+// belongs to the engine and is reused once OnDone returns; RunOnce returns
+// a copy the caller owns.
 type Result struct {
 	Model   string
 	Mode    string
@@ -264,6 +273,14 @@ type Result struct {
 	BytesLoaded, BytesDHA, BytesNVLink float64
 	// LoadWindow bounds all PCIe copy activity of this run.
 	LoadWindowStart, LoadWindowEnd sim.Time
+}
+
+// Clone returns a copy of r that owns its Timings, so it stays valid after
+// the engine reuses r. Secondaries still aliases the spec's slice.
+func (r *Result) Clone() *Result {
+	c := *r
+	c.Timings = slices.Clone(r.Timings)
+	return &c
 }
 
 // Latency is submission-to-finish time.
@@ -362,9 +379,11 @@ func plainCompute(spec *Spec, i int) bool {
 
 // runState is everything one run owns: the Result handed to OnDone
 // (embedded, so it costs no separate allocation), one op record per stream
-// task the run issued, and one stream event per transmission op, both
-// sized exactly from the plan. Nothing in the engine refers to a run once
-// its OnDone has returned.
+// task the run issued, and one stream event per transmission op, sliced
+// exactly from the plan. A completed run's state is released to the
+// engine's free list once its last stream task has returned; an aborted
+// run's never is, because its queued ops may still sit in load and
+// migration streams.
 type runState struct {
 	Result
 	e      *Engine
@@ -460,10 +479,13 @@ func (o *op) Start(done func()) {
 		done()
 		return
 	case opFinish:
-		if !rs.aborted { // else abortRun already finalized and reported it
-			e.complete(rs)
+		if rs.aborted { // abortRun already finalized and reported it
+			done()
+			return
 		}
+		e.complete(rs)
 		done()
+		e.release(rs)
 		return
 	}
 	if rs.aborted {
@@ -542,6 +564,7 @@ func (o *op) Fire() {
 		// finish task queued right behind this one would run.
 		e.complete(rs)
 		o.finish()
+		e.release(rs)
 	}
 }
 
@@ -587,6 +610,40 @@ func (o *op) abort() {
 	e.sim.Cancel(o.timer)
 	o.flow, o.timer = nil, nil
 	o.finish()
+}
+
+// acquire returns a run state from the free list, or a new one.
+func (e *Engine) acquire() *runState {
+	n := len(e.free)
+	if n == 0 {
+		return &runState{e: e, index: -1}
+	}
+	rs := e.free[n-1]
+	e.free[n-1] = nil
+	e.free = e.free[:n-1]
+	return rs
+}
+
+// release parks a completed run state for reuse. The run's last stream task
+// has returned, so no stream, timer or flow still refers to it. Release
+// drops every pointer the state holds except its own slices' storage: the
+// op records are cleared and the Result zeroed. Each reuse overwrites every
+// Timings entry and zeroes its events. The list is trimmed to one more
+// state than there are active runs.
+func (e *Engine) release(rs *runState) {
+	clear(rs.ops)
+	*rs = runState{
+		Result: Result{Timings: rs.Timings[:0]},
+		e:      e,
+		ops:    rs.ops[:0],
+		evs:    rs.evs[:0],
+		index:  -1,
+	}
+	e.free = append(e.free, rs)
+	if keep := len(e.active) + 1; len(e.free) > keep {
+		clear(e.free[keep:])
+		e.free = e.free[:keep]
+	}
 }
 
 // track adds rs to the active-run registry.
@@ -713,7 +770,8 @@ func (e *Engine) schedule(spec Spec, batch int) {
 	primary := e.gpus[spec.Primary]
 	n := m.NumLayers()
 
-	rs := &runState{Result: Result{
+	rs := e.acquire()
+	rs.Result = Result{
 		Model:       m.Name,
 		Mode:        p.Mode,
 		Batch:       batch,
@@ -721,8 +779,9 @@ func (e *Engine) schedule(spec Spec, batch int) {
 		Secondaries: spec.Secondaries,
 		Warm:        spec.Warm,
 		Submitted:   e.sim.Now(),
-		Timings:     make([]LayerTiming, n),
-	}, e: e, m: m, names: names, scale: spec.ComputeScale, onDone: spec.OnDone, index: -1}
+		Timings:     grow(rs.Timings, n),
+	}
+	rs.m, rs.names, rs.scale, rs.onDone = m, names, spec.ComputeScale, spec.OnDone
 	e.track(rs)
 
 	// Size the op records: begin and finish, one or two transmission tasks
@@ -751,10 +810,11 @@ func (e *Engine) schedule(spec Spec, batch int) {
 		}
 		prevPlain = plain
 	}
-	rs.ops = make([]op, 0, nops)
-	if nevs > 0 {
-		rs.evs = make([]stream.Event, nevs)
-	}
+	rs.ops = grow(rs.ops, nops)[:0]
+	// A reused event may have fired in an earlier run; a stream waiting on
+	// it would pass straight through.
+	rs.evs = grow(rs.evs, nevs)
+	clear(rs.evs)
 
 	// Phase 1: schedule transmissions.
 	var lastArrival *stream.Event
@@ -850,6 +910,15 @@ func (e *Engine) schedule(spec Spec, batch int) {
 	primary.exec.SubmitHandler(names.finish, rs.newOp(opFinish, 0))
 }
 
+// grow returns s resliced to length n, allocating only when its capacity
+// is too small. Existing elements are kept, not zeroed.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // finalize derives the aggregate result fields from per-layer timings and
 // the arrival events of the run's op records.
 func (e *Engine) finalize(rs *runState) {
@@ -933,7 +1002,8 @@ func (e *Engine) ExecIdle(gpu int) bool { return e.gpus[gpu].exec.Idle() }
 // behind (and ahead of) ordinary runs on the same stream, so prefills and
 // decode iterations serialize exactly like kernels on one CUDA stream. The
 // task is tracked like a run: FailGPU on its GPU aborts it and onDone fires
-// with Result.Aborted set.
+// with Result.Aborted set. As with Spec.OnDone, the Result is valid only
+// until onDone returns.
 func (e *Engine) StartTask(gpu int, name string, d sim.Duration, onDone func(*Result)) error {
 	if gpu < 0 || gpu >= len(e.gpus) {
 		return fmt.Errorf("engine: task GPU %d out of range", gpu)
@@ -941,15 +1011,12 @@ func (e *Engine) StartTask(gpu int, name string, d sim.Duration, onDone func(*Re
 	if e.failed[gpu] {
 		return fmt.Errorf("engine: task GPU %d is failed", gpu)
 	}
-	// A task's run state and its one op record are one allocation; the op
-	// reports the run itself when its time is up.
-	tr := &struct {
-		runState
-		ops [1]op
-	}{}
-	rs := &tr.runState
-	rs.Result = Result{Model: name, Mode: "task", Primary: gpu, Submitted: e.sim.Now()}
-	rs.e, rs.onDone, rs.ops, rs.index = e, onDone, tr.ops[:0], -1
+	// A task's one op record reports the run itself when its time is up.
+	rs := e.acquire()
+	rs.Result = Result{Model: name, Mode: "task", Primary: gpu, Submitted: e.sim.Now(),
+		Timings: rs.Timings[:0]}
+	rs.onDone = onDone
+	rs.ops = grow(rs.ops, 1)[:0]
 	e.track(rs)
 	task := rs.newOp(opTask, 0)
 	task.d = d
@@ -966,7 +1033,7 @@ func RunOnce(topo *topology.Topology, cost *costmodel.Params, spec Spec) (*Resul
 	var res *Result
 	prev := spec.OnDone
 	spec.OnDone = func(r *Result) {
-		res = r
+		res = r.Clone()
 		if prev != nil {
 			prev(r)
 		}

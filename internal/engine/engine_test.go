@@ -232,20 +232,20 @@ func TestParallelTransmissionInterference(t *testing.T) {
 	s := sim.New()
 	topo := topology.P38xlarge()
 	e := New(Config{Sim: s, Net: simnet.New(s), Topo: topo, Cost: f.cost})
-	var r0, r1 *Result
+	var lat0, lat1 sim.Duration // zero until each run reports
 	if err := e.Start(Spec{Model: f.model, Plan: p, Primary: 0, Secondaries: []int{2},
-		OnDone: func(r *Result) { r0 = r }}); err != nil {
+		OnDone: func(r *Result) { lat0 = r.Latency() }}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Start(Spec{Model: f.model, Plan: p, Primary: 2, Secondaries: []int{0},
-		OnDone: func(r *Result) { r1 = r }}); err != nil {
+		OnDone: func(r *Result) { lat1 = r.Latency() }}); err != nil {
 		t.Fatal(err)
 	}
 	s.Run()
-	if r0 == nil || r1 == nil {
+	if lat0 == 0 || lat1 == 0 {
 		t.Fatal("runs did not complete")
 	}
-	avg := (r0.Latency() + r1.Latency()) / 2
+	avg := (lat0 + lat1) / 2
 	if avg <= solo {
 		t.Errorf("concurrent PT+DHA (%v) not slower than solo (%v): no interference modelled", avg, solo)
 	}

@@ -22,7 +22,7 @@ func TestFailGPUAbortsColdRunMidLoad(t *testing.T) {
 	var res *Result
 	err := e.Start(Spec{
 		Model: f.model, Plan: f.pl.PlanPipeSwitch(f.prof), Primary: 1,
-		OnDone: func(r *Result) { res = r },
+		OnDone: func(r *Result) { res = r.Clone() },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestFailSecondaryAbortsParallelRunAndPrimaryDrains(t *testing.T) {
 	var res *Result
 	err := e.Start(Spec{
 		Model: f.model, Plan: p, Primary: 0, Secondaries: []int{2},
-		OnDone: func(r *Result) { res = r },
+		OnDone: func(r *Result) { res = r.Clone() },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestFailSecondaryAbortsParallelRunAndPrimaryDrains(t *testing.T) {
 	var again *Result
 	if err := e.Start(Spec{
 		Model: f.model, Plan: f.pl.PlanDHA(f.prof), Primary: 0,
-		OnDone: func(r *Result) { again = r },
+		OnDone: func(r *Result) { again = r.Clone() },
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestFailGPUAbortsWarmRun(t *testing.T) {
 	var res *Result
 	if err := e.Start(Spec{
 		Model: f.model, Plan: f.pl.PlanDHA(f.prof), Primary: 3, Warm: true,
-		OnDone: func(r *Result) { res = r },
+		OnDone: func(r *Result) { res = r.Clone() },
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestStartRejectsFailedGPUUntilRecovery(t *testing.T) {
 		t.Fatal("GPU still failed after recovery")
 	}
 	var res *Result
-	spec.OnDone = func(r *Result) { res = r }
+	spec.OnDone = func(r *Result) { res = r.Clone() }
 	if err := e.Start(spec); err != nil {
 		t.Fatalf("Start after recovery: %v", err)
 	}

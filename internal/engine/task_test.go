@@ -57,7 +57,7 @@ func TestStartTaskAbortsOnGPUFailure(t *testing.T) {
 	e := New(Config{Sim: s, Net: simnet.New(s), Topo: topology.P38xlarge(), Cost: f.cost})
 	var res *Result
 	if err := e.StartTask(0, "decode", 50*sim.Millisecond, func(r *Result) {
-		res = r
+		res = r.Clone()
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func tracedRun(t *testing.T, f *fixture, spec Spec) (*Result, *trace.Recorder) {
 	rec.AttachNetwork(net)
 	e := New(Config{Sim: s, Net: net, Topo: topology.P38xlarge(), Cost: f.cost, Trace: rec})
 	var res *Result
-	spec.OnDone = func(r *Result) { res = r }
+	spec.OnDone = func(r *Result) { res = r.Clone() }
 	if err := e.Start(spec); err != nil {
 		t.Fatal(err)
 	}

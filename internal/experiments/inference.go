@@ -165,20 +165,22 @@ func concurrentPTDHA(m *deepplan.Model, p *plan.Plan) (deepplan.Duration, error)
 	s := sim.New()
 	topo := topology.P38xlarge()
 	e := engine.New(engine.Config{Sim: s, Net: simnet.New(s), Topo: topo, Cost: defaultCost()})
-	var r0, r1 *engine.Result
+	// A Result is valid only inside OnDone, so each callback keeps its
+	// latency; zero means the run never reported.
+	var lat0, lat1 deepplan.Duration
 	if err := e.Start(engine.Spec{Model: m, Plan: p, Primary: 0, Secondaries: []int{2},
-		OnDone: func(r *engine.Result) { r0 = r }}); err != nil {
+		OnDone: func(r *engine.Result) { lat0 = r.Latency() }}); err != nil {
 		return 0, err
 	}
 	if err := e.Start(engine.Spec{Model: m, Plan: p, Primary: 2, Secondaries: []int{0},
-		OnDone: func(r *engine.Result) { r1 = r }}); err != nil {
+		OnDone: func(r *engine.Result) { lat1 = r.Latency() }}); err != nil {
 		return 0, err
 	}
 	s.Run()
-	if r0 == nil || r1 == nil {
+	if lat0 == 0 || lat1 == 0 {
 		return 0, fmt.Errorf("experiments: concurrent runs incomplete")
 	}
-	return (r0.Latency() + r1.Latency()) / 2, nil
+	return (lat0 + lat1) / 2, nil
 }
 
 // Figure12 studies throughput while batching 1-8: batch/latency for the
