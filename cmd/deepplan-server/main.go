@@ -237,23 +237,18 @@ func main() {
 			hitRate = float64(rep.HostHits) / float64(lookups)
 		}
 		fmt.Printf("host cache:    %.1f%% hit rate (%d fetches), %d evictions, %.1f GB pinned\n",
-			hitRate*100, rep.HostMisses, rep.HostEvictions, float64(rep.HostPinned)/1e9)
+			hitRate*100, rep.HostFetches, rep.HostEvictions, float64(rep.HostPinned)/1e9)
 	}
 	if *faultSpec != "" {
 		fmt.Printf("faults:        %d GPU failures; %d retried, %d shed, %d completed degraded\n",
 			rep.GPUFailures, rep.Retried, rep.Shed, rep.Degraded)
 	}
 	if llm.Enabled {
-		ls := srv.LLMStats()
-		meanBatch := 0.0
-		if ls.DecodeIters > 0 {
-			meanBatch = float64(ls.DecodeSeqSum) / float64(ls.DecodeIters)
-		}
 		fmt.Printf("llm:           %d tokens over %d decode iterations (mean batch %.2f)\n",
-			ls.TokensGenerated, ls.DecodeIters, meanBatch)
+			rep.TokensGenerated, rep.DecodeIters, rep.MeanDecodeBatch)
 		fmt.Printf("               TTFT p50 / p99: %.1f ms / %.1f ms; kv deferred %d, kv transfers %d\n",
-			ls.TTFT.P50().Seconds()*1e3, ls.TTFT.P99().Seconds()*1e3,
-			ls.KVDeferred, ls.KVTransfers)
+			rep.TTFTP50.Seconds()*1e3, rep.TTFTP99.Seconds()*1e3,
+			rep.KVDeferred, rep.KVTransfers)
 	}
 
 	if *maf {
@@ -459,7 +454,7 @@ func runCluster(nodes int, route string, autoscale bool, autoscalePolicy string,
 			hitRate = float64(rep.HostHits) / float64(lookups)
 		}
 		fmt.Printf("host cache:    %.1f%% hit rate (%d fetches), %d evictions\n",
-			hitRate*100, rep.HostMisses, rep.HostEvictions)
+			hitRate*100, rep.HostFetches, rep.HostEvictions)
 	}
 	if faultSpec != "" {
 		fmt.Printf("faults:        %d GPU failures; %d retried\n",

@@ -259,9 +259,8 @@ func TestLLMFacade(t *testing.T) {
 	if rep.Requests != 120 || rep.Shed != 0 {
 		t.Fatalf("report = %+v", rep)
 	}
-	ls := srv.LLMStats()
-	if ls.TokensGenerated <= 120 {
-		t.Fatalf("decode path not exercised: %d tokens", ls.TokensGenerated)
+	if rep.TokensGenerated <= 120 {
+		t.Fatalf("decode path not exercised: %d tokens", rep.TokensGenerated)
 	}
 	// Static batching is the only other accepted discipline.
 	if _, err := platform.NewServer(deepplan.ServerOptions{

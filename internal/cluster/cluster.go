@@ -1000,44 +1000,22 @@ type Report struct {
 	Route    RoutePolicy
 	Policy   serving.Policy
 	Requests int
-	Shed     int
 
 	P50, P99, Max, Mean sim.Duration
 	ColdP50, ColdP99    sim.Duration
 	WarmP99             sim.Duration
 	Goodput             float64
 
-	ColdStarts  int
-	Evictions   int
-	Relocations int
-	Deferred    int
-	Retried     int
-	GPUFailures int
-	// HostHits / HostMisses / HostEvictions aggregate the nodes' pinned
-	// host-cache tiers: misses are requests that paid a fetch-to-pin,
-	// evictions are entries pushed out of host memory under capacity
-	// pressure. Zero outside model-zoo (cache host policy) runs.
-	HostHits      int
-	HostMisses    int
-	HostEvictions int
-	// Lifecycle actuation totals across all nodes (predictive policy):
-	// sleep demotions, direct-host-access wakes, prewarm actuations, and
-	// swap-in round trips for sleeping copies that lost host residency.
-	Sleeps   int
-	Wakes    int
-	Prewarms int
-	SwapIns  int
+	// Counters sum every node's event counts (serving.Counters documents
+	// each one).
+	serving.Counters
 
 	// Autoregressive-mode aggregates, zero unless Config.LLM was enabled.
 	// In LLM mode the cold/warm percentiles above measure time-to-first-
 	// token per class while P50/P99/Mean/Max cover full generation.
 	TTFTP50, TTFTP99 sim.Duration
-	TokensGenerated  int
 	TokenRate        float64 // generated tokens per simulated second, fleet-wide
-	DecodeIters      int
 	MeanDecodeBatch  float64
-	KVDeferred       int
-	KVTransfers      int
 
 	ScaleUps, ScaleDowns int
 	Replicas             []ReplicaStat
@@ -1066,40 +1044,14 @@ func (c *Cluster) report(requests int) (*Report, error) {
 	}
 	end := c.sim.Now()
 	var all, cold, warm, ttft metrics.Digest
-	var decodeSeqSum int
 	var perNode [][]metrics.TelemetryStat
 	for _, n := range c.nodes {
 		rep, err := n.srv.Finish()
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %d: %w", n.id, err)
 		}
-		na, nc, nw := n.srv.Digests()
-		all.Merge(na)
-		cold.Merge(nc)
-		warm.Merge(nw)
-		r.Shed += rep.Shed
-		r.ColdStarts += rep.ColdStarts
-		r.Evictions += rep.Evictions
-		r.Relocations += rep.Relocations
-		r.Deferred += rep.Deferred
-		r.Retried += rep.Retried
-		r.GPUFailures += rep.GPUFailures
-		r.HostHits += rep.HostHits
-		r.HostMisses += rep.HostMisses
-		r.HostEvictions += rep.HostEvictions
-		r.Sleeps += rep.Sleeps
-		r.Wakes += rep.Wakes
-		r.Prewarms += rep.Prewarms
-		r.SwapIns += rep.SwapIns
-		if c.cfg.LLM.Enabled {
-			ls := n.srv.LLMStats()
-			ttft.Merge(ls.TTFT)
-			r.TokensGenerated += ls.TokensGenerated
-			r.DecodeIters += ls.DecodeIters
-			decodeSeqSum += ls.DecodeSeqSum
-			r.KVDeferred += ls.KVDeferred
-			r.KVTransfers += ls.KVTransfers
-		}
+		n.srv.MergeLatencies(&all, &cold, &warm, &ttft)
+		r.Counters.Add(rep.Counters)
 		r.PerNode = append(r.PerNode, NodeStat{
 			Node:       n.id,
 			Routed:     c.routed[n.id],
@@ -1115,18 +1067,18 @@ func (c *Cluster) report(requests int) (*Report, error) {
 	if c.cfg.Telemetry {
 		r.Telemetry = metrics.MergeTelemetry(perNode...)
 	}
+	// P50 sorts before Mean sums, so the mean is a function of the samples
+	// alone, not of node order.
 	r.P50, r.P99, r.Max, r.Mean = all.P50(), all.P99(), all.Max(), all.Mean()
 	r.ColdP50, r.ColdP99 = cold.P50(), cold.P99()
 	r.WarmP99 = warm.P99()
 	r.Goodput = all.GoodputRate(c.cfg.SLO)
-	if c.cfg.LLM.Enabled {
-		r.TTFTP50, r.TTFTP99 = ttft.P50(), ttft.P99()
-		if secs := end.Sub(0).Seconds(); secs > 0 {
-			r.TokenRate = float64(r.TokensGenerated) / secs
-		}
-		if r.DecodeIters > 0 {
-			r.MeanDecodeBatch = float64(decodeSeqSum) / float64(r.DecodeIters)
-		}
+	r.TTFTP50, r.TTFTP99 = ttft.P50(), ttft.P99()
+	if secs := end.Sub(0).Seconds(); secs > 0 {
+		r.TokenRate = float64(r.TokensGenerated) / secs
+	}
+	if r.DecodeIters > 0 {
+		r.MeanDecodeBatch = float64(r.DecodeSeqSum) / float64(r.DecodeIters)
 	}
 	r.ScaleUps, r.ScaleDowns = c.scaleUps, c.scaleDowns
 	r.Horizon = end.Sub(0)

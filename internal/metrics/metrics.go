@@ -139,13 +139,14 @@ type WindowStat struct {
 	Goodput    float64
 }
 
-// Series buckets request records into fixed windows (the paper uses
-// per-minute buckets over the 3-hour trace in Figure 15).
+// Series stores every latency sample once, keyed by (window, class): the
+// paper uses per-minute buckets over the 3-hour trace in Figure 15, and the
+// cold/warm split is what every serving figure reports. Whole-run digests
+// are views merged from it (MergeClass).
 type Series struct {
-	window  sim.Duration
-	slo     sim.Duration
-	digests []*Digest
-	colds   []int
+	window sim.Duration
+	slo    sim.Duration
+	cells  [][2]Digest // [window][0 = cold-served, 1 = warm-served]
 }
 
 // NewSeries returns a Series with the given bucket width and SLO.
@@ -156,16 +157,29 @@ func NewSeries(window, slo sim.Duration) *Series {
 	return &Series{window: window, slo: slo}
 }
 
+// classOf maps a served-cold flag to its cell index.
+func classOf(cold bool) int {
+	if cold {
+		return 0
+	}
+	return 1
+}
+
 // Record adds one request observation at the given arrival instant.
 func (s *Series) Record(at sim.Time, latency sim.Duration, cold bool) {
 	idx := int(at / sim.Time(s.window))
-	for len(s.digests) <= idx {
-		s.digests = append(s.digests, &Digest{})
-		s.colds = append(s.colds, 0)
+	for len(s.cells) <= idx {
+		s.cells = append(s.cells, [2]Digest{})
 	}
-	s.digests[idx].Add(latency)
-	if cold {
-		s.colds[idx]++
+	s.cells[idx][classOf(cold)].Add(latency)
+}
+
+// MergeClass folds every window's cold-served (cold) or warm-served samples
+// into d.
+func (s *Series) MergeClass(d *Digest, cold bool) {
+	c := classOf(cold)
+	for i := range s.cells {
+		d.Merge(&s.cells[i][c])
 	}
 }
 
@@ -177,7 +191,7 @@ func (s *Series) Record(at sim.Time, latency sim.Duration, cold bool) {
 // zero (or one inside the recorded extent) reports the recorded windows
 // only.
 func (s *Series) Stats(horizon sim.Time) []WindowStat {
-	n := len(s.digests)
+	n := len(s.cells)
 	if hw := windowsCovering(horizon, s.window); hw > n {
 		n = hw
 	}
@@ -187,10 +201,12 @@ func (s *Series) Stats(horizon sim.Time) []WindowStat {
 			Start:   sim.Time(i) * sim.Time(s.window),
 			Goodput: 1, // an empty window misses nothing
 		}
-		if i < len(s.digests) {
-			d := s.digests[i]
+		if i < len(s.cells) {
+			var d Digest
+			d.Merge(&s.cells[i][0])
+			d.Merge(&s.cells[i][1])
 			out[i].Requests = d.Count()
-			out[i].ColdStarts = s.colds[i]
+			out[i].ColdStarts = s.cells[i][0].Count()
 			out[i].P99 = d.P99()
 			out[i].Goodput = d.GoodputRate(s.slo)
 		}
@@ -211,16 +227,26 @@ type Telemetry struct {
 	windows []telemetryWindow
 }
 
+// TelemetryKind indexes the event counts a telemetry window keeps. The zero
+// value is no kind: events without a telemetry column carry it.
+type TelemetryKind int
+
+// The counted telemetry kinds, one per TelemetryStat count column.
+const (
+	TelColdStarts TelemetryKind = iota + 1
+	TelEvictions
+	TelRelocations
+	TelDeferred
+	TelShed
+	TelRetried
+	numTelemetryKinds
+)
+
 type telemetryWindow struct {
-	requests    int
-	coldStarts  int
-	evictions   int
-	relocations int
-	deferred    int
-	shed        int
-	retried     int
-	queueSum    int64
-	busy        sim.Duration
+	requests int
+	counts   [numTelemetryKinds]int
+	queueSum int64
+	busy     sim.Duration
 }
 
 // TelemetryStat is one window of the telemetry snapshot, with derived
@@ -274,23 +300,9 @@ func (t *Telemetry) Arrival(at sim.Time, queueDepth int) {
 	w.queueSum += int64(queueDepth)
 }
 
-// ColdStart records a cold-start launch.
-func (t *Telemetry) ColdStart(at sim.Time) { t.at(at).coldStarts++ }
-
-// Eviction records an instance eviction.
-func (t *Telemetry) Eviction(at sim.Time) { t.at(at).evictions++ }
-
-// Relocation records a warm instance moving to a cooler GPU.
-func (t *Telemetry) Relocation(at sim.Time) { t.at(at).relocations++ }
-
-// Deferred records a request parked on the waitlist for lack of memory.
-func (t *Telemetry) Deferred(at sim.Time) { t.at(at).deferred++ }
-
-// Shed records a request dropped by admission control or a failed retry.
-func (t *Telemetry) Shed(at sim.Time) { t.at(at).shed++ }
-
-// Retried records a request re-dispatched after a GPU failure.
-func (t *Telemetry) Retried(at sim.Time) { t.at(at).retried++ }
+// Count records one event of kind k (a cold-start launch, an eviction, a
+// relocation, a waitlist deferral, a shed or a retry) at the given instant.
+func (t *Telemetry) Count(at sim.Time, k TelemetryKind) { t.at(at).counts[k]++ }
 
 // Busy credits one GPU with busy time over [from, to), split across the
 // windows the interval overlaps.
@@ -331,15 +343,15 @@ func (t *Telemetry) Stats(horizon sim.Time) []TelemetryStat {
 		if i < len(t.windows) {
 			w := &t.windows[i]
 			s.Requests = w.requests
-			s.ColdStarts = w.coldStarts
-			s.Evictions = w.evictions
-			s.Relocations = w.relocations
-			s.Deferred = w.deferred
-			s.Shed = w.shed
-			s.Retried = w.retried
+			s.ColdStarts = w.counts[TelColdStarts]
+			s.Evictions = w.counts[TelEvictions]
+			s.Relocations = w.counts[TelRelocations]
+			s.Deferred = w.counts[TelDeferred]
+			s.Shed = w.counts[TelShed]
+			s.Retried = w.counts[TelRetried]
 			s.BusyFraction = w.busy.Seconds() / capacity
 			if w.requests > 0 {
-				s.ColdRatio = float64(w.coldStarts) / float64(w.requests)
+				s.ColdRatio = float64(s.ColdStarts) / float64(w.requests)
 				s.MeanQueueDepth = float64(w.queueSum) / float64(w.requests)
 			}
 		}

@@ -10,11 +10,11 @@ func TestTelemetryWindows(t *testing.T) {
 	tel := NewTelemetry(10*sim.Second, 4)
 	tel.Arrival(1*sim.Time(sim.Second), 2)
 	tel.Arrival(3*sim.Time(sim.Second), 4)
-	tel.ColdStart(3 * sim.Time(sim.Second))
-	tel.Eviction(3 * sim.Time(sim.Second))
+	tel.Count(3*sim.Time(sim.Second), TelColdStarts)
+	tel.Count(3*sim.Time(sim.Second), TelEvictions)
 	tel.Arrival(15*sim.Time(sim.Second), 0)
-	tel.Relocation(15 * sim.Time(sim.Second))
-	tel.Deferred(16 * sim.Time(sim.Second))
+	tel.Count(15*sim.Time(sim.Second), TelRelocations)
+	tel.Count(16*sim.Time(sim.Second), TelDeferred)
 	tel.Busy(2*sim.Time(sim.Second), 7*sim.Time(sim.Second))
 
 	stats := tel.Stats(20 * sim.Time(sim.Second))
@@ -62,7 +62,7 @@ func TestTelemetryBusySplitsAcrossWindows(t *testing.T) {
 
 func TestTelemetryEmptyWindowRatios(t *testing.T) {
 	tel := NewTelemetry(10*sim.Second, 2)
-	tel.Eviction(5 * sim.Time(sim.Second)) // window exists but has no requests
+	tel.Count(5*sim.Time(sim.Second), TelEvictions) // window exists but has no requests
 	w := tel.Stats(0)[0]
 	if w.ColdRatio != 0 || w.MeanQueueDepth != 0 {
 		t.Fatalf("empty-window ratios = %+v; want zeros", w)
@@ -116,11 +116,11 @@ func TestMergeTelemetry(t *testing.T) {
 	a := NewTelemetry(10*sim.Second, 2)
 	b := NewTelemetry(10*sim.Second, 2)
 	a.Arrival(1*sim.Time(sim.Second), 4)
-	a.ColdStart(1 * sim.Time(sim.Second))
+	a.Count(1*sim.Time(sim.Second), TelColdStarts)
 	a.Busy(0, 5*sim.Time(sim.Second))
 	b.Arrival(2*sim.Time(sim.Second), 2)
 	b.Arrival(12*sim.Time(sim.Second), 0)
-	b.Eviction(12 * sim.Time(sim.Second))
+	b.Count(12*sim.Time(sim.Second), TelEvictions)
 	merged := MergeTelemetry(a.Stats(20*sim.Time(sim.Second)), b.Stats(20*sim.Time(sim.Second)))
 	if len(merged) != 2 {
 		t.Fatalf("merged windows = %d, want 2", len(merged))

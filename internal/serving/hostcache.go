@@ -63,12 +63,6 @@ func (srv *Server) DeployZoo(z *registry.Zoo) error {
 	return nil
 }
 
-// HostStats returns the pinned-cache tier's lookup hits and misses and its
-// eviction count, for cluster-level merging.
-func (srv *Server) HostStats() (hits, misses, evictions int) {
-	return srv.host.Hits(), srv.host.Misses(), srv.host.Evictions()
-}
-
 // HostPinned returns the bytes currently pinned in host memory.
 func (srv *Server) HostPinned() int64 { return srv.host.Pinned() }
 
@@ -95,63 +89,72 @@ func (srv *Server) relieveHostPressure() bool {
 	return true
 }
 
-// startFetch begins the fetch-to-pin for an admitted cold request whose
-// weights are not host-resident: the entry is admitted (evicting per the
-// host policy), locked for the duration, and after FetchEst the normal
-// cold path continues. Arrivals during the fetch coalesced onto fetchWait
-// and re-dispatch when it lands.
-func (srv *Server) startFetch(inst *Instance, p pending, fresh bool) {
-	dep := inst.dep
-	now := srv.sim.Now()
-	var e *hostmem.Entry
+// admitHost admits inst's weights into the host tier. While every resident
+// entry is locked (warm or mid-fetch) it unlocks one by evicting an idle
+// warm instance from its GPU and retries: host pressure must propagate to
+// GPU residency, or a cache full of warm-locked entries would park every
+// fetch forever. It returns ErrCacheBusy once nothing idle is left to
+// evict, and another error when the weights exceed host memory outright.
+func (srv *Server) admitHost(inst *Instance) (*hostmem.Entry, error) {
 	for {
-		var victims []hostmem.Evicted
-		var err error
-		e, victims, err = srv.host.Admit(inst.pinName, dep.Model.TotalParamBytes(),
-			dep.LoadEst, inst.popularity, now)
+		e, victims, err := srv.host.Admit(inst.pinName, inst.dep.Model.TotalParamBytes(),
+			inst.dep.LoadEst, inst.popularity, srv.sim.Now())
 		srv.noteHostEvictions(victims, inst.pinName)
-		if err == nil {
-			break
+		if !errors.Is(err, hostmem.ErrCacheBusy) || !srv.relieveHostPressure() {
+			return e, err
 		}
-		if errors.Is(err, hostmem.ErrCacheBusy) {
-			// Every resident entry is locked (warm or mid-fetch). Unlock one
-			// by evicting an idle warm instance from its GPU — host pressure
-			// must propagate to GPU residency, or a cache full of warm-locked
-			// entries would park every fetch forever.
-			if srv.relieveHostPressure() {
-				continue
-			}
-			// Nothing idle to evict; park until a completion unlocks an entry.
-			srv.park(inst, p, fresh)
-			return
-		}
-		// The model cannot fit in host memory at all.
-		srv.shedRequest(inst, p, "host-capacity")
-		return
 	}
+}
+
+// startFetch begins the fetch-to-pin for an admitted cold request whose
+// weights are not host-resident. A request that cannot be admitted parks
+// until a completion unlocks an entry, or — if the model is larger than
+// host memory — is shed.
+func (srv *Server) startFetch(inst *Instance, p pending, fresh bool) {
+	e, err := srv.admitHost(inst)
+	switch {
+	case errors.Is(err, hostmem.ErrCacheBusy):
+		srv.park(inst, p, fresh)
+	case err != nil:
+		srv.shedRequest(inst, p, "host-capacity")
+	default:
+		srv.fetch(inst, e, true, p, fresh)
+	}
+}
+
+// fetch runs the fetch-to-pin for a just-admitted entry: the entry stays
+// locked for the duration, and after FetchEst the instance is placed and
+// loaded — serving the demand request p (parked, with the entry unlocked,
+// if no GPU has room), or as a background prewarm load when demand is
+// false (which lapses if no GPU has room). Arrivals that coalesced onto
+// the fetch re-dispatch when it lands.
+func (srv *Server) fetch(inst *Instance, e *hostmem.Entry, demand bool, p pending, fresh bool) {
+	dep := inst.dep
 	e.SetLocked(true)
 	inst.fetching = true
-	if srv.rec != nil {
-		srv.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "serving",
-			"host-fetch "+dep.Model.Name, now, map[string]any{
-				"instance": inst.ID,
-				"bytes":    dep.Model.TotalParamBytes(),
-				"fetch_us": float64(dep.FetchEst) / 1e3,
-			})
-	}
-	if srv.ins != nil {
-		srv.ins.hostFetches.Inc()
-		srv.ins.hostPinned.Set(float64(srv.host.Pinned()))
-	}
+	srv.emit(kHostFetch, trace.ServerPID, inst, func() map[string]any {
+		return map[string]any{
+			"instance": inst.ID,
+			"bytes":    dep.Model.TotalParamBytes(),
+			"fetch_us": float64(dep.FetchEst) / 1e3,
+		}
+	})
+	srv.samplePinned()
 	srv.sim.After(dep.FetchEst, func() {
 		inst.fetching = false
 		waiters := inst.fetchWait
 		inst.fetchWait = nil
-		if srv.place(inst) {
+		placed := srv.place(inst)
+		switch {
+		case placed && demand:
 			srv.startCold(inst, p)
-		} else {
-			e.SetLocked(false) // evictable again while parked
-			srv.park(inst, p, fresh)
+		case placed:
+			srv.startPrewarmLoad(inst)
+		default:
+			e.SetLocked(false) // evictable again while parked, or the prewarm lapses
+			if demand {
+				srv.park(inst, p, fresh)
+			}
 		}
 		for _, w := range waiters {
 			if inst.state == Warm {
