@@ -551,3 +551,51 @@ func TestReactiveDrainRespectsFloor(t *testing.T) {
 		t.Fatalf("drained to %d active replicas, want exactly the Min floor of 2", got)
 	}
 }
+
+// TestOversizedZooModelsShed serves a zoo whose largest variants exceed a
+// node's host memory. Requests for those variants can never be fetched to
+// pin, so they must be shed as "host-capacity" rather than parked forever
+// behind evictions that cannot make room; every other request completes.
+func TestOversizedZooModelsShed(t *testing.T) {
+	z, err := registry.New(registry.Spec{N: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := z.Requests(42, 200, 2000)
+	for _, tc := range []struct {
+		hostMem  int64
+		wantShed int
+	}{{1e9, 103}, {2e9, 44}} {
+		c, err := New(Config{
+			Nodes: 1, Policy: serving.PolicyDHA, Pack: serving.PackDense,
+			HostPolicy: hostmem.PolicyCostAware, HostMemory: tc.hostMem,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.DeployZoo(z); err != nil {
+			t.Fatal(err)
+		}
+		c.Warmup()
+		oversized := 0
+		for _, r := range reqs {
+			if z.Variants[r.Instance].Model.TotalParamBytes() > tc.hostMem {
+				oversized++
+			}
+		}
+		if oversized != tc.wantShed {
+			t.Fatalf("host memory %.0e: %d requests target oversized variants, want %d (fixture drifted)",
+				float64(tc.hostMem), oversized, tc.wantShed)
+		}
+		rep, err := c.Run(ZooRequests(z, reqs))
+		if err != nil {
+			t.Fatalf("host memory %.0e: %v", float64(tc.hostMem), err)
+		}
+		if rep.Shed != oversized {
+			t.Errorf("host memory %.0e: shed %d, want the %d oversized requests", float64(tc.hostMem), rep.Shed, oversized)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+	}
+}

@@ -173,11 +173,16 @@ func (c *Cache) Touch(e *Entry, now sim.Time) { e.lastUsed = now }
 // until the newcomer fits. It returns the new entry and the evictions it
 // forced. Under PolicyPinned no eviction happens and overflow is the
 // Store's capacity error; under the cache policies, overflow with every
-// resident locked is ErrCacheBusy, and a request larger than total
-// capacity is an error after the (already performed) evictions.
+// resident locked is ErrCacheBusy. A request larger than total capacity is
+// refused before anything is evicted, with an error that is not
+// ErrCacheBusy: no amount of waiting makes it fit.
 func (c *Cache) Admit(name string, bytes int64, load sim.Duration, popularity float64, now sim.Time) (*Entry, []Evicted, error) {
 	if _, ok := c.entries[name]; ok {
 		return nil, nil, fmt.Errorf("hostmem: region %q already pinned", name)
+	}
+	if bytes > c.store.capacity {
+		return nil, nil, fmt.Errorf("hostmem: cannot admit %q: %d bytes exceed capacity %d",
+			name, bytes, c.store.capacity)
 	}
 	var evicted []Evicted
 	for c.policy != PolicyPinned && bytes > 0 && c.store.pinned+bytes > c.store.capacity {

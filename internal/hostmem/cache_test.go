@@ -105,14 +105,29 @@ func TestLookupCountsHitsAndMisses(t *testing.T) {
 	}
 }
 
-func TestOversizedAdmitFailsAfterEvictions(t *testing.T) {
-	c, _ := NewCache(100, PolicyLRU)
-	c.Admit("a", 50, sim.Millisecond, 0.5, 0)
-	if _, _, err := c.Admit("huge", 200, sim.Millisecond, 0.5, 1); err == nil {
-		t.Fatal("admit larger than capacity accepted")
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
+// An entry larger than the whole cache can never fit: Admit must refuse it
+// before evicting anything, and with an error other than ErrCacheBusy,
+// which callers read as "wait and retry".
+func TestOversizedAdmitEvictsNothing(t *testing.T) {
+	for _, p := range []Policy{PolicyLRU, PolicyCostAware} {
+		c, _ := NewCache(100, p)
+		c.Admit("a", 50, sim.Millisecond, 0.5, 0)
+		_, evicted, err := c.Admit("huge", 200, sim.Millisecond, 0.5, 1)
+		if err == nil {
+			t.Fatalf("%s: admit larger than capacity accepted", p)
+		}
+		if errors.Is(err, ErrCacheBusy) {
+			t.Fatalf("%s: oversized admit reported ErrCacheBusy (%v); retrying can never succeed", p, err)
+		}
+		if len(evicted) != 0 || c.Evictions() != 0 {
+			t.Fatalf("%s: oversized admit evicted %v (%d evictions)", p, evicted, c.Evictions())
+		}
+		if _, ok := c.Peek("a"); !ok {
+			t.Fatalf("%s: resident entry lost to an admit that could never fit", p)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
