@@ -1,18 +1,15 @@
 package deepplan_test
 
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation, plus micro-benchmarks on the simulation substrate's
-// hot paths. The per-figure benchmarks run the same code that
-// cmd/deepplan-bench uses (serving figures in Quick mode to keep
-// `go test -bench=.` tractable); EXPERIMENTS.md records the full-scale runs.
+// Micro-benchmarks on the simulation substrate's hot paths
+// (scripts/bench_set.sh names the set that is snapshotted and gated). The
+// experiments themselves are pinned by their goldens
+// (internal/experiments TestExperimentGoldens), not benchmarked here.
 
 import (
-	"io"
 	"testing"
 
 	"deepplan"
 	"deepplan/internal/dnn"
-	"deepplan/internal/experiments"
 	"deepplan/internal/forecast"
 	"deepplan/internal/forward"
 	"deepplan/internal/hostmem"
@@ -20,46 +17,6 @@ import (
 	"deepplan/internal/sim"
 	"deepplan/internal/simnet"
 )
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	exp, ok := experiments.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := exp.Run(io.Discard, experiments.Options{Quick: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Per-figure/table benchmarks (paper evaluation order).
-
-func BenchmarkFigure2StallDecomposition(b *testing.B)  { benchExperiment(b, "fig2") }
-func BenchmarkFigure5LayerMicro(b *testing.B)          { benchExperiment(b, "fig5") }
-func BenchmarkTable1PCIeEvents(b *testing.B)           { benchExperiment(b, "table1") }
-func BenchmarkFigure6Transmission(b *testing.B)        { benchExperiment(b, "fig6") }
-func BenchmarkTable2PCIeBandwidth(b *testing.B)        { benchExperiment(b, "table2") }
-func BenchmarkFigure11Speedups(b *testing.B)           { benchExperiment(b, "fig11") }
-func BenchmarkTable3PlanExcerpts(b *testing.B)         { benchExperiment(b, "table3") }
-func BenchmarkTable4Interference(b *testing.B)         { benchExperiment(b, "table4") }
-func BenchmarkFigure12Batching(b *testing.B)           { benchExperiment(b, "fig12") }
-func BenchmarkTable5ProfilingCost(b *testing.B)        { benchExperiment(b, "table5") }
-func BenchmarkFigure13ServingSweep(b *testing.B)       { benchExperiment(b, "fig13") }
-func BenchmarkFigure14ServingLargeModels(b *testing.B) { benchExperiment(b, "fig14") }
-func BenchmarkFigure15TraceReplay(b *testing.B)        { benchExperiment(b, "fig15") }
-func BenchmarkFigure16PCIe4(b *testing.B)              { benchExperiment(b, "fig16") }
-
-// Extension (§7 future work) and ablation benchmarks.
-
-func BenchmarkExtLargeModel(b *testing.B)       { benchExperiment(b, "ext-large") }
-func BenchmarkExtMixtureOfExperts(b *testing.B) { benchExperiment(b, "ext-moe") }
-func BenchmarkAblatePruning(b *testing.B)       { benchExperiment(b, "ablate-prune") }
-func BenchmarkAblatePartitions(b *testing.B)    { benchExperiment(b, "ablate-parts") }
-func BenchmarkAblatePCIeGen(b *testing.B)       { benchExperiment(b, "ablate-pcie") }
-func BenchmarkAblateNVLink(b *testing.B)        { benchExperiment(b, "ablate-nvlink") }
 
 // Substrate micro-benchmarks.
 

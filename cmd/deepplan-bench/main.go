@@ -43,13 +43,19 @@ func main() {
 	autoscalePolicy := flag.String("autoscale-policy", "", "fig-forecast: controller (reactive | predictive); empty compares both")
 	flag.Parse()
 
-	if *tracePath != "" && *exp == "all" {
-		fmt.Fprintln(os.Stderr, "deepplan-bench: -trace needs a single experiment (-exp fig13 or -exp fig15)")
-		os.Exit(2)
+	// Check every flag before the first experiment: a flag the experiment
+	// does not read would be silently ignored, and a bad pin fail late.
+	if (*tracePath != "" || *telemetry) && *exp != "fig13" && *exp != "fig15" {
+		usage("-trace and -telemetry need -exp fig13 or -exp fig15")
 	}
-	if *metricsPath != "" && *exp == "all" {
-		fmt.Fprintln(os.Stderr, "deepplan-bench: -metrics needs a single experiment (-exp fig-slo)")
-		os.Exit(2)
+	if *metricsPath != "" && *exp != "fig-slo" {
+		usage("-metrics needs -exp fig-slo")
+	}
+	opts := experiments.Options{Quick: *quick, TracePath: *tracePath, MetricsPath: *metricsPath,
+		Telemetry: *telemetry, ZooN: *zoo, ZooPolicy: *zooPolicy,
+		LLMBatching: *llm, PrefillDecode: *prefillDecode, AutoscalePolicy: *autoscalePolicy}
+	if err := opts.Validate(); err != nil {
+		usage(err.Error())
 	}
 
 	if *list {
@@ -59,9 +65,6 @@ func main() {
 		return
 	}
 
-	opts := experiments.Options{Quick: *quick, TracePath: *tracePath, MetricsPath: *metricsPath,
-		Telemetry: *telemetry, ZooN: *zoo, ZooPolicy: *zooPolicy,
-		LLMBatching: *llm, PrefillDecode: *prefillDecode, AutoscalePolicy: *autoscalePolicy}
 	pool := 1
 	if *parallel {
 		pool = runner.Workers(*workers)
@@ -74,9 +77,7 @@ func main() {
 	} else {
 		e, ok := experiments.ByID(*exp)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "deepplan-bench: unknown experiment %q; known: %v\n",
-				*exp, experiments.IDs())
-			os.Exit(2)
+			usage(fmt.Sprintf("unknown experiment %q; known: %v", *exp, experiments.IDs()))
 		}
 		exps = []experiments.Experiment{e}
 	}
@@ -101,4 +102,10 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "[%d experiment(s) in %s, %d worker(s)]\n",
 		len(units), time.Since(start).Round(time.Millisecond), pool)
+}
+
+// usage reports a command-line error and exits with status 2.
+func usage(msg string) {
+	fmt.Fprintf(os.Stderr, "deepplan-bench: %s\n", msg)
+	os.Exit(2)
 }

@@ -66,11 +66,6 @@ func main() {
 	zooPolicy := flag.String("zoo-policy", "", "host-memory cache policy for -zoo: lru | cost (default lru)")
 	flag.Parse()
 
-	if err := checkFlags(*zoo, *autoscale, *autoscalePolicy); err != nil {
-		fmt.Fprintf(os.Stderr, "deepplan-capacity: %v\n", err)
-		os.Exit(1)
-	}
-
 	spec := capacity.SearchSpec{
 		SLO:           sim.Duration(*slo),
 		GoodputTarget: *goodput,
@@ -94,20 +89,16 @@ func main() {
 
 	space := capacity.DefaultSpace()
 	if *autoscale {
+		// Each autoscaled grid entry is probed once per controller.
 		space.Autoscale = []bool{false, true}
-		// Each autoscaled grid entry is probed once per controller; -autoscale-policy
-		// pins the list to a single algorithm.
 		space.AutoscalePolicies = []cluster.AutoscalePolicy{
 			cluster.AutoscaleReactive, cluster.AutoscalePredictive,
 		}
-		if *autoscalePolicy != "" {
-			pol, err := cluster.ParseAutoscalePolicy(*autoscalePolicy)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "deepplan-capacity: %v\n", err)
-				os.Exit(1)
-			}
-			space.AutoscalePolicies = []cluster.AutoscalePolicy{pol}
-		}
+	}
+	if *autoscalePolicy != "" {
+		// Pin the controller axis to one algorithm; Sweep rejects an unknown
+		// policy, a policy without -autoscale, and -zoo with -autoscale.
+		space.AutoscalePolicies = []cluster.AutoscalePolicy{cluster.AutoscalePolicy(*autoscalePolicy)}
 	}
 
 	pool := 1
@@ -117,14 +108,12 @@ func main() {
 
 	results, err := capacity.Sweep(space, spec, capacity.DefaultPricing(), pool)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "deepplan-capacity: %v\n", err)
-		os.Exit(1)
+		fail("%v", err)
 	}
 	plan := capacity.Analyze(spec, results, *targetRPS, *budget)
 	if *jsonOut {
 		if err := plan.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "deepplan-capacity: %v\n", err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 	} else {
 		plan.WriteTable(os.Stdout)
@@ -145,18 +134,15 @@ func main() {
 			}
 		}
 		if rec == nil {
-			fmt.Fprintln(os.Stderr, "deepplan-capacity: -metrics: no configuration to confirm")
-			os.Exit(1)
+			fail("-metrics: no configuration to confirm")
 		}
 		conf, err := capacity.Confirm(*rec, spec, nil)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "deepplan-capacity: confirm: %v\n", err)
-			os.Exit(1)
+			fail("confirm: %v", err)
 		}
 		f, err := os.Create(*metricsPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "deepplan-capacity: %v\n", err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 		if err := conf.Registry.WriteOpenMetrics(f); err == nil {
 			err = f.Close()
@@ -164,8 +150,7 @@ func main() {
 			f.Close()
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "deepplan-capacity: %v\n", err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 		fmt.Fprintf(os.Stderr, "[confirmation at %d rps: %s; OpenMetrics written to %s]\n",
 			conf.Rate, describeAlerts(conf.Alerts), *metricsPath)
@@ -182,20 +167,7 @@ func describeAlerts(alerts []monitor.Alert) string {
 	return fmt.Sprintf("%d alert(s)", len(alerts))
 }
 
-// checkFlags rejects flag combinations the planner cannot search: a zoo's
-// tenants are fixed identities, so the autoscaled half of the grid would
-// probe configurations that cannot exist, and an autoscale policy pins a
-// controller that must actually be in the grid. Fail fast before the sweep
-// instead of wasting the whole saturation search.
-func checkFlags(zoo int, autoscale bool, autoscalePolicy string) error {
-	if zoo > 0 && autoscale {
-		return fmt.Errorf("-zoo tenants are fixed identities; the autoscaler does not apply (drop -autoscale)")
-	}
-	if _, err := cluster.ParseAutoscalePolicy(autoscalePolicy); err != nil {
-		return err
-	}
-	if autoscalePolicy != "" && !autoscale {
-		return fmt.Errorf("-autoscale-policy %s pins the autoscaled grid entries; it needs -autoscale", autoscalePolicy)
-	}
-	return nil
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "deepplan-capacity: "+format+"\n", args...)
+	os.Exit(1)
 }

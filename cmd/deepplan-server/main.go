@@ -73,7 +73,7 @@ func main() {
 	admit := flag.Float64("admit", 0, "SLO-aware admission: shed cold-starts projected over admit*SLO (0 disables)")
 	metricsPath := flag.String("metrics", "", "write an OpenMetrics snapshot of the run's metrics registry to this file")
 	metricsEvery := flag.Duration("metrics-interval", 0, "cluster mode: also append a registry snapshot every interval of sim time (0 = final snapshot only)")
-	nodes := flag.Int("nodes", 1, "cluster mode: number of serving nodes (>1 enables the multi-node router)")
+	nodes := flag.Int("nodes", 1, "cluster mode: number of serving nodes (any value but 1 runs the multi-node router)")
 	route := flag.String("route", "least-outstanding", "cluster routing policy: round-robin | least-outstanding | affinity")
 	autoscale := flag.Bool("autoscale", false, "cluster mode: per-model replica autoscaling from a 1-replica floor")
 	autoscalePolicy := flag.String("autoscale-policy", "", "with -autoscale: reactive | predictive (forecast-driven prewarm/sleep; default reactive)")
@@ -86,36 +86,62 @@ func main() {
 	tokenBudget := flag.Int("token-budget", 8, "with -llm: decode-batch token budget per iteration")
 	flag.Parse()
 
+	// The library validates every mode and combination of modes; this
+	// command checks only the inputs of its own workload generators.
+	switch {
+	case *rate <= 0:
+		fail("-rate must be positive, got %g", *rate)
+	case *requests <= 0:
+		fail("-requests must be positive, got %d", *requests)
+	case *sloMs <= 0:
+		fail("-slo must be positive, got %d", *sloMs)
+	}
+	clustered := *nodes != 1 || *autoscale || *autoscalePolicy != ""
+	if *maf {
+		// A MAF trace is replayed on one node and carries no tokens.
+		switch {
+		case clustered:
+			fail("cluster mode (-nodes, -autoscale) supports Poisson workloads without -maf")
+		case *zoo > 0:
+			fail("-zoo supports Poisson workloads without -maf")
+		case *llmMode != "":
+			fail("-llm needs token-annotated Poisson workloads; -maf traces carry none")
+		}
+	}
 	if *zoo > 0 && *zooPolicy == "" {
 		*zooPolicy = "lru"
 	}
-	llm, err := llmOptions(*llmMode, *prefillDecode, *tokenBudget)
-	if err != nil {
-		fail("%v", err)
+	llm := deepplan.LLMOptions{
+		Enabled:       *llmMode != "",
+		Batching:      *llmMode,
+		TokenBudget:   *tokenBudget,
+		PrefillDecode: *prefillDecode,
 	}
-	if err := modeConflicts(*zoo, *autoscale, *autoscalePolicy, *maf, llm); err != nil {
-		fail("%v", err)
-	}
-	if *nodes > 1 || *autoscale {
-		runCluster(*nodes, *route, *autoscale, *autoscalePolicy, *policy, *modelName,
-			*instances, *rate, *requests, *sloMs, *maxBatch, *seed, *maf,
-			*faultSpec, *admit, *tracePath, *telemetry,
-			*metricsPath, deepplan.Duration(*metricsEvery), *zoo, *zooPolicy,
-			llm, *promptTokens, *outputTokens)
-		return
-	}
-
 	var rec *deepplan.TraceRecorder
 	if *tracePath != "" {
 		rec = deepplan.NewTraceRecorder()
 	}
 	var sched *deepplan.FaultSchedule
 	if *faultSpec != "" {
+		var err error
 		if sched, err = deepplan.ParseFaults(*faultSpec); err != nil {
 			fail("%v", err)
 		}
-		fmt.Printf("faults armed:  %s\n", sched)
+		where := ""
+		if clustered {
+			where = " (node 0)" // faults strike one machine; the router works around it
+		}
+		fmt.Printf("faults armed:  %s%s\n", sched, where)
 	}
+	if clustered {
+		runCluster(*nodes, *route, *autoscale, *autoscalePolicy, *policy, *modelName,
+			*instances, *rate, *requests, *sloMs, *maxBatch, *seed,
+			sched, *admit, *tracePath, rec, *telemetry,
+			*metricsPath, deepplan.Duration(*metricsEvery), *zoo, *zooPolicy,
+			llm, *promptTokens, *outputTokens)
+		return
+	}
+
 	var reg *deepplan.MetricsRegistry
 	if *metricsPath != "" {
 		reg = deepplan.NewMetricsRegistry()
@@ -146,9 +172,6 @@ func main() {
 	var z *deepplan.ModelZoo
 	var reqs []deepplan.Request
 	if *zoo > 0 {
-		if *maf {
-			fail("-zoo supports Poisson workloads without -maf")
-		}
 		if z, err = deepplan.NewModelZoo(deepplan.ZooSpec{N: *zoo}); err != nil {
 			fail("%v", err)
 		}
@@ -195,12 +218,7 @@ func main() {
 			*instances, m.Name, len(reqs), *rate)
 		if llm.Enabled {
 			reqs = deepplan.AssignTokens(reqs, *seed, *promptTokens, *outputTokens)
-			pd := ""
-			if llm.PrefillDecode {
-				pd = ", prefill/decode disaggregated"
-			}
-			fmt.Printf("llm mode:      %s batching, token budget %d, prompts ~%d -> outputs ~%d tokens%s\n",
-				llm.Batching, llm.TokenBudget, *promptTokens, *outputTokens, pd)
+			printLLMMode(llm, *promptTokens, *outputTokens)
 		}
 	}
 
@@ -232,14 +250,10 @@ func main() {
 			rep.Relocations, rep.PTFallbacks)
 	}
 	if *zoo > 0 {
-		hitRate := 0.0
-		if lookups := rep.HostHits + rep.HostMisses; lookups > 0 {
-			hitRate = float64(rep.HostHits) / float64(lookups)
-		}
 		fmt.Printf("host cache:    %.1f%% hit rate (%d fetches), %d evictions, %.1f GB pinned\n",
-			hitRate*100, rep.HostFetches, rep.HostEvictions, float64(rep.HostPinned)/1e9)
+			hitRate(rep.HostHits, rep.HostMisses)*100, rep.HostFetches, rep.HostEvictions, float64(rep.HostPinned)/1e9)
 	}
-	if *faultSpec != "" {
+	if sched != nil {
 		fmt.Printf("faults:        %d GPU failures; %d retried, %d shed, %d completed degraded\n",
 			rep.GPUFailures, rep.Retried, rep.Shed, rep.Degraded)
 	}
@@ -283,35 +297,29 @@ func main() {
 		}
 	}
 
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fail("%v", err)
-		}
-		werr := deepplan.WriteTrace(f, rec, map[string]string{
+	if rec != nil {
+		writeTrace(*tracePath, rec, map[string]string{
 			"policy": *policy,
 			"seed":   strconv.FormatInt(*seed, 10),
 		})
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fail("writing trace: %v", werr)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d trace events to %s\n", rec.Len(), *tracePath)
 	}
-
-	if *metricsPath != "" {
-		writeMetrics(*metricsPath, reg)
+	if reg != nil {
+		writeMetrics(create(*metricsPath), reg)
 	}
 }
 
-// writeMetrics writes one OpenMetrics exposition of the registry.
-func writeMetrics(path string, reg *deepplan.MetricsRegistry) {
+// create creates (or truncates) an output file.
+func create(path string) *os.File {
 	f, err := os.Create(path)
 	if err != nil {
 		fail("%v", err)
 	}
+	return f
+}
+
+// writeMetrics appends the registry's final OpenMetrics exposition to f and
+// closes it.
+func writeMetrics(f *os.File, reg *deepplan.MetricsRegistry) {
 	werr := reg.WriteOpenMetrics(f)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
@@ -319,7 +327,38 @@ func writeMetrics(path string, reg *deepplan.MetricsRegistry) {
 	if werr != nil {
 		fail("writing metrics: %v", werr)
 	}
-	fmt.Fprintf(os.Stderr, "wrote metrics snapshot to %s\n", path)
+	fmt.Fprintf(os.Stderr, "wrote metrics to %s\n", f.Name())
+}
+
+// writeTrace writes the recorded timeline as Chrome trace-event JSON.
+func writeTrace(path string, rec *deepplan.TraceRecorder, meta map[string]string) {
+	f := create(path)
+	werr := deepplan.WriteTrace(f, rec, meta)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		fail("writing trace: %v", werr)
+	}
+	fmt.Fprintf(os.Stderr, "wrote %d trace events to %s\n", rec.Len(), path)
+}
+
+// printLLMMode reports the autoregressive settings of an -llm run.
+func printLLMMode(llm deepplan.LLMOptions, promptTokens, outputTokens int) {
+	pd := ""
+	if llm.PrefillDecode {
+		pd = ", prefill/decode disaggregated"
+	}
+	fmt.Printf("llm mode:      %s batching, token budget %d, prompts ~%d -> outputs ~%d tokens%s\n",
+		llm.Batching, llm.TokenBudget, promptTokens, outputTokens, pd)
+}
+
+// hitRate is the host cache's lookup hit rate (0 before any lookup).
+func hitRate(hits, misses int) float64 {
+	if hits+misses == 0 {
+		return 0
+	}
+	return float64(hits) / float64(hits+misses)
 }
 
 // runCluster is the multi-node path: N independent simulated servers behind
@@ -328,27 +367,9 @@ func writeMetrics(path string, reg *deepplan.MetricsRegistry) {
 // on one shared virtual clock.
 func runCluster(nodes int, route string, autoscale bool, autoscalePolicy string, policy, modelName string,
 	instances int, rate float64, requests, sloMs, maxBatch int, seed int64,
-	maf bool, faultSpec string, admit float64, tracePath string, telemetry bool,
+	sched *deepplan.FaultSchedule, admit float64, tracePath string, rec *deepplan.TraceRecorder, telemetry bool,
 	metricsPath string, metricsEvery deepplan.Duration, zoo int, zooPolicy string,
 	llm deepplan.LLMOptions, promptTokens, outputTokens int) {
-	if maf {
-		fail("cluster mode (-nodes > 1 / -autoscale) supports Poisson workloads without -maf")
-	}
-	if nodes < 1 {
-		fail("-nodes must be >= 1")
-	}
-	var rec *deepplan.TraceRecorder
-	if tracePath != "" {
-		rec = deepplan.NewTraceRecorder()
-	}
-	var sched *deepplan.FaultSchedule
-	if faultSpec != "" {
-		var err error
-		if sched, err = deepplan.ParseFaults(faultSpec); err != nil {
-			fail("%v", err)
-		}
-		fmt.Printf("faults armed:  %s (node 0)\n", sched)
-	}
 	// -metrics enables the registry and the SLO burn-rate monitor; the file
 	// gets one exposition block per -metrics-interval of sim time (if set)
 	// plus a final snapshot, all byte-identical across reruns.
@@ -358,10 +379,7 @@ func runCluster(nodes int, route string, autoscale bool, autoscalePolicy string,
 	if metricsPath != "" {
 		reg = deepplan.NewMetricsRegistry()
 		alerts = &deepplan.SLOConfig{}
-		var err error
-		if metricsFile, err = os.Create(metricsPath); err != nil {
-			fail("%v", err)
-		}
+		metricsFile = create(metricsPath)
 	}
 	platform := deepplan.NewP38xlarge()
 	copts := deepplan.ClusterOptions{
@@ -421,12 +439,7 @@ func runCluster(nodes int, route string, autoscale bool, autoscalePolicy string,
 		base := deepplan.PoissonWorkload(seed, rate, requests, instances)
 		if llm.Enabled {
 			base = deepplan.AssignTokens(base, seed, promptTokens, outputTokens)
-			pd := ""
-			if llm.PrefillDecode {
-				pd = ", prefill/decode disaggregated"
-			}
-			fmt.Printf("llm mode:      %s batching, token budget %d, prompts ~%d -> outputs ~%d tokens%s\n",
-				llm.Batching, llm.TokenBudget, promptTokens, outputTokens, pd)
+			printLLMMode(llm, promptTokens, outputTokens)
 		}
 		reqs = deepplan.ClusterRequests(m.Name, base)
 		fmt.Printf("%d Poisson requests at %.0f rps\n\n", len(reqs), rate)
@@ -449,14 +462,10 @@ func runCluster(nodes int, route string, autoscale bool, autoscalePolicy string,
 	fmt.Printf("cold starts:   %d, evictions %d, shed %d\n",
 		rep.ColdStarts, rep.Evictions, rep.Shed)
 	if zoo > 0 {
-		hitRate := 0.0
-		if lookups := rep.HostHits + rep.HostMisses; lookups > 0 {
-			hitRate = float64(rep.HostHits) / float64(lookups)
-		}
 		fmt.Printf("host cache:    %.1f%% hit rate (%d fetches), %d evictions\n",
-			hitRate*100, rep.HostFetches, rep.HostEvictions)
+			hitRate(rep.HostHits, rep.HostMisses)*100, rep.HostFetches, rep.HostEvictions)
 	}
-	if faultSpec != "" {
+	if sched != nil {
 		fmt.Printf("faults:        %d GPU failures; %d retried\n",
 			rep.GPUFailures, rep.Retried)
 	}
@@ -505,80 +514,16 @@ func runCluster(nodes int, route string, autoscale bool, autoscalePolicy string,
 		}
 	}
 
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			fail("%v", err)
-		}
-		werr := deepplan.WriteTrace(f, rec, map[string]string{
+	if rec != nil {
+		writeTrace(tracePath, rec, map[string]string{
 			"policy": policy, "route": route,
 			"nodes": strconv.Itoa(nodes),
 			"seed":  strconv.FormatInt(seed, 10),
 		})
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fail("writing trace: %v", werr)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d trace events to %s\n", rec.Len(), tracePath)
 	}
-
 	if metricsFile != nil {
-		werr := reg.WriteOpenMetrics(metricsFile)
-		if cerr := metricsFile.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fail("writing metrics: %v", werr)
-		}
-		fmt.Fprintf(os.Stderr, "wrote metrics snapshots to %s\n", metricsPath)
+		writeMetrics(metricsFile, reg)
 	}
-}
-
-// llmOptions validates the autoregressive-mode flags and folds them into a
-// serving configuration. An empty mode keeps the paper's single-shot regime.
-func llmOptions(mode string, prefillDecode bool, tokenBudget int) (deepplan.LLMOptions, error) {
-	switch mode {
-	case "":
-		if prefillDecode {
-			return deepplan.LLMOptions{}, fmt.Errorf("-prefill-decode requires -llm continuous|static")
-		}
-		return deepplan.LLMOptions{}, nil
-	case deepplan.LLMBatchContinuous, deepplan.LLMBatchStatic:
-		return deepplan.LLMOptions{
-			Enabled:       true,
-			Batching:      mode,
-			TokenBudget:   tokenBudget,
-			PrefillDecode: prefillDecode,
-		}, nil
-	default:
-		return deepplan.LLMOptions{}, fmt.Errorf("-llm %q: want continuous or static", mode)
-	}
-}
-
-// modeConflicts rejects flag combinations whose semantics do not compose,
-// before any deployment work starts: zoo tenants have fixed identities so
-// the autoscaler does not apply, an autoscale policy steers a controller
-// that must actually be on, the MAF trace carries no token annotations, and
-// a zoo mixes vision variants that cannot decode.
-func modeConflicts(zoo int, autoscale bool, autoscalePolicy string, maf bool, llm deepplan.LLMOptions) error {
-	if zoo > 0 && autoscale {
-		return fmt.Errorf("-zoo tenants are fixed identities; the autoscaler does not apply (drop -autoscale)")
-	}
-	if _, err := deepplan.ParseAutoscalePolicy(autoscalePolicy); err != nil {
-		return err
-	}
-	if autoscalePolicy != "" && !autoscale {
-		return fmt.Errorf("-autoscale-policy %s steers the replica controller; it needs -autoscale", autoscalePolicy)
-	}
-	if llm.Enabled && maf {
-		return fmt.Errorf("-llm needs token-annotated Poisson workloads; -maf traces carry none")
-	}
-	if llm.Enabled && zoo > 0 {
-		return fmt.Errorf("-llm serves a single transformer; -zoo variants include models without KV caches")
-	}
-	return nil
 }
 
 type deployment struct {

@@ -367,8 +367,6 @@ type ServerOptions struct {
 	Policy Mode
 	// SLO is the target latency (default 100 ms, as in the paper).
 	SLO Duration
-	// Batch is the serving batch size (default 1).
-	Batch int
 	// MaxBatch enables dynamic batching of warm requests that arrive while
 	// an instance is busy (0/1 disables, the paper's setting).
 	MaxBatch int
@@ -396,9 +394,6 @@ type ServerOptions struct {
 	// no evictions). The cache policies admit on demand with a fetch-to-pin
 	// and evict under capacity pressure; model zoos need one.
 	HostPolicy HostPolicy
-	// HostMemory overrides pinned host-memory capacity in bytes (default
-	// 244 GB, p3.8xlarge).
-	HostMemory int64
 	// Pack selects GPU placement packing (default PackSpread; PackDense
 	// bin-packs fractional zoo instances).
 	Pack PackMode
@@ -423,7 +418,6 @@ func (p *Platform) NewServer(opts ServerOptions) (*Server, error) {
 		Cost:        p.cost,
 		Policy:      policy,
 		SLO:         opts.SLO,
-		Batch:       opts.Batch,
 		MaxBatch:    opts.MaxBatch,
 		Trace:       opts.Trace,
 		Telemetry:   opts.Telemetry,
@@ -431,7 +425,6 @@ func (p *Platform) NewServer(opts ServerOptions) (*Server, error) {
 		AdmitFactor: opts.AdmitFactor,
 		Monitor:     opts.Monitor,
 		HostPolicy:  opts.HostPolicy,
-		HostMemory:  opts.HostMemory,
 		Pack:        opts.Pack,
 		LLM:         opts.LLM,
 	})
@@ -463,12 +456,6 @@ const (
 	// prewarming replicas before predicted spikes and sleeping idle ones.
 	AutoscalePredictive = cluster.AutoscalePredictive
 )
-
-// ParseAutoscalePolicy maps a CLI spelling ("reactive", "predictive"; ""
-// means reactive) to an AutoscalePolicy.
-func ParseAutoscalePolicy(s string) (AutoscalePolicy, error) {
-	return cluster.ParseAutoscalePolicy(s)
-}
 
 // Routing policies for ClusterOptions.Route.
 const (
@@ -523,8 +510,6 @@ type ClusterOptions struct {
 	// HostPolicy selects each node's pinned host-memory tier policy (see
 	// ServerOptions.HostPolicy).
 	HostPolicy HostPolicy
-	// HostMemory overrides each node's pinned host-memory capacity.
-	HostMemory int64
 	// Pack selects each node's GPU placement packing (see
 	// ServerOptions.Pack).
 	Pack PackMode
@@ -559,7 +544,6 @@ func (p *Platform) NewCluster(opts ClusterOptions) (*Cluster, error) {
 		MetricsWriter:   opts.MetricsWriter,
 		MetricsInterval: opts.MetricsInterval,
 		HostPolicy:      opts.HostPolicy,
-		HostMemory:      opts.HostMemory,
 		Pack:            opts.Pack,
 		LLM:             opts.LLM,
 	})

@@ -573,11 +573,28 @@ func Saturate(pt Point, spec SearchSpec, pricing Pricing) (Result, error) {
 // workers computes serially). Points share nothing — each probe builds its
 // own simulator, topologies, and workload — so the result slice is
 // byte-identical for every worker count, the same guarantee the experiment
-// harness makes.
+// harness makes. Before the first probe it rejects autoscaled points in a
+// zoo plan, unknown autoscale policies, and policies with no such point.
 func Sweep(space Space, spec SearchSpec, pricing Pricing, workers int) ([]Result, error) {
 	points := space.Points()
 	if len(points) == 0 {
 		return nil, fmt.Errorf("capacity: empty config space")
+	}
+	autoscaled := false
+	for _, pt := range points {
+		if !pt.Autoscale {
+			continue
+		}
+		autoscaled = true
+		if spec.Zoo > 0 {
+			return nil, fmt.Errorf("capacity: zoo tenants are fixed identities; the autoscaler does not apply (%s)", pt)
+		}
+		if _, err := cluster.ParseAutoscalePolicy(string(pt.AutoscalePolicy)); err != nil {
+			return nil, fmt.Errorf("capacity: %w", err)
+		}
+	}
+	if len(space.AutoscalePolicies) > 0 && !autoscaled {
+		return nil, fmt.Errorf("capacity: autoscale policies %v pin the autoscaled grid entries, but no point autoscales", space.AutoscalePolicies)
 	}
 	results := make([]Result, len(points))
 	err := runner.ForEach(workers, len(points), func(i int) error {

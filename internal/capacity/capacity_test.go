@@ -319,6 +319,56 @@ func TestPointsAutoscalePolicyAxis(t *testing.T) {
 // TestSaturatePredictivePoint is the planner half of the acceptance
 // criterion: a predictive autoscale point must be evaluable end to end, so
 // a grid containing it can surface a predictive recommendation.
+// sweepErr runs Sweep with no prices, so any probe fails at once on the
+// missing price: an error about anything else was raised before the first
+// probe.
+func sweepErr(space Space, spec SearchSpec) error {
+	_, err := Sweep(space, spec, Pricing{}, 1)
+	return err
+}
+
+// A zoo's tenants are fixed identities, so autoscaled points cannot be
+// searched in a zoo plan; Sweep refuses the grid up front.
+func TestSweepRejectsZooAutoscale(t *testing.T) {
+	zoo := testSpec()
+	zoo.Zoo = 50
+	if err := sweepErr(DefaultSpace(), zoo); err == nil || !strings.Contains(err.Error(), "price") {
+		t.Fatalf("plain zoo grid: got %v, want only the missing-price probe error", err)
+	}
+	auto := DefaultSpace()
+	auto.Autoscale = []bool{false, true}
+	if err := sweepErr(auto, testSpec()); err == nil || !strings.Contains(err.Error(), "price") {
+		t.Fatalf("plain autoscaled grid: got %v, want only the missing-price probe error", err)
+	}
+	err := sweepErr(auto, zoo)
+	if err == nil || !strings.Contains(err.Error(), "autoscale") || strings.Contains(err.Error(), "price") {
+		t.Fatalf("zoo with autoscaled points: got %v, want a refusal before any probe", err)
+	}
+}
+
+// Autoscale policies pin an axis that exists only when the grid has
+// autoscaled points, and only known controllers are searchable.
+func TestSweepValidatesAutoscalePolicies(t *testing.T) {
+	auto := DefaultSpace()
+	auto.Autoscale = []bool{false, true}
+	for _, pol := range []cluster.AutoscalePolicy{cluster.AutoscaleReactive, cluster.AutoscalePredictive} {
+		auto.AutoscalePolicies = []cluster.AutoscalePolicy{pol}
+		if err := sweepErr(auto, testSpec()); err == nil || !strings.Contains(err.Error(), "price") {
+			t.Fatalf("autoscaled grid pinned to %s: got %v, want only the missing-price probe error", pol, err)
+		}
+	}
+	auto.AutoscalePolicies = []cluster.AutoscalePolicy{"oracle"}
+	if err := sweepErr(auto, testSpec()); err == nil || !strings.Contains(err.Error(), "oracle") {
+		t.Fatalf("unknown autoscale policy: got %v", err)
+	}
+	plain := DefaultSpace()
+	plain.AutoscalePolicies = []cluster.AutoscalePolicy{cluster.AutoscalePredictive}
+	err := sweepErr(plain, testSpec())
+	if err == nil || !strings.Contains(err.Error(), "no point autoscales") {
+		t.Fatalf("policy without autoscaled points: got %v", err)
+	}
+}
+
 func TestSaturatePredictivePoint(t *testing.T) {
 	pt := Point{Topology: "dual-a5000-pcie4", Nodes: 1, Policy: serving.PolicyDHA,
 		Route: cluster.RouteLeastOutstanding, MaxBatch: 1, Autoscale: true,

@@ -96,8 +96,23 @@ func ParseAutoscalePolicy(s string) (AutoscalePolicy, error) {
 	return "", fmt.Errorf("cluster: unknown autoscale policy %q (want reactive or predictive)", s)
 }
 
+// Fixed thresholds of the replica controller.
+const (
+	// queueHigh scales a model up when the window's mean queue depth per
+	// node (sampled at each arrival) exceeds it. The predictive policy
+	// keeps it as a reactive safety valve for mispredicted load.
+	queueHigh = 2
+	// queueLow and coldHigh scale a model down (reactive policy only): mean
+	// per-node queue depth under queueLow with a cold-start ratio over
+	// coldHigh means traffic is spread thinner than residency can follow, so
+	// consolidating replicas converts cold starts into warm hits.
+	queueLow = 0.5
+	coldHigh = 0.3
+)
+
 // AutoscaleConfig tunes the per-model replica controller. The zero value
-// disables autoscaling (every deployed replica stays active).
+// disables autoscaling (every deployed replica stays active); a Policy
+// without Enabled is an error.
 type AutoscaleConfig struct {
 	// Enabled turns the controller on. Models start at Min active replicas
 	// and scale toward their deployed maximum under load.
@@ -109,17 +124,6 @@ type AutoscaleConfig struct {
 	// Interval is the controller's decision period on the virtual clock.
 	// Default: the cluster's WindowWidth.
 	Interval sim.Duration
-	// QueueHigh scales a model up when the window's mean queue depth per
-	// node (sampled at each arrival) exceeds it. Default 2. The predictive
-	// policy keeps it as a reactive safety valve for mispredicted load.
-	QueueHigh float64
-	// QueueLow and ColdHigh together scale a model down: a window with mean
-	// per-node queue depth under QueueLow and a cold-start ratio over
-	// ColdHigh means traffic is spread thinner than residency can follow,
-	// so consolidating replicas converts cold starts into warm hits.
-	// Defaults 0.5 and 0.3. Reactive policy only.
-	QueueLow float64
-	ColdHigh float64
 	// Horizon is how far ahead the predictive policy forecasts each tick;
 	// replicas are prewarmed for the peak rate predicted inside it.
 	// Default 2x Interval, so a prewarm started at one tick is warm before
@@ -131,7 +135,8 @@ type AutoscaleConfig struct {
 	TargetUtil float64
 }
 
-// Config configures a Cluster.
+// Config configures a Cluster. As in serving.Config, a zero numeric field
+// takes its documented default and New rejects a negative one.
 type Config struct {
 	// Nodes is the node count; each node is an independent serving.Server
 	// with its own freshly built topology. Must be >= 1.
@@ -151,9 +156,6 @@ type Config struct {
 	SLO sim.Duration
 	// WindowWidth buckets per-window series and telemetry. Default 1 minute.
 	WindowWidth sim.Duration
-	// Batch is the per-inference engine batch size on every node. Default 1
-	// (the paper's serving setting).
-	Batch int
 	// MaxBatch enables per-node dynamic batching of warm requests.
 	MaxBatch int
 	// Autoscale configures the reactive replica controller.
@@ -201,10 +203,9 @@ type Config struct {
 	// HostMemory is each node's pinned-memory capacity in bytes; zero keeps
 	// the serving default (244 GB).
 	HostMemory int64
-	// HostFetchBandwidth / HostFetchOverhead parameterize the fetch-to-pin
-	// cost on every node (see serving.Config); zero keeps the defaults.
+	// HostFetchBandwidth is every node's fetch-to-pin bandwidth (see
+	// serving.Config); zero keeps the default.
 	HostFetchBandwidth float64
-	HostFetchOverhead  sim.Duration
 	// Pack selects each node's GPU placement packing (see
 	// serving.Config.Pack). Default spread; zoos use dense.
 	Pack serving.PackMode
@@ -335,38 +336,48 @@ func New(cfg Config) (*Cluster, error) {
 	default:
 		return nil, fmt.Errorf("cluster: unknown routing policy %q", cfg.Route)
 	}
-	if cfg.SLO <= 0 {
+	as := &cfg.Autoscale
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"SLO", float64(cfg.SLO)},
+		{"WindowWidth", float64(cfg.WindowWidth)},
+		{"Autoscale.Min", float64(as.Min)},
+		{"Autoscale.Interval", float64(as.Interval)},
+		{"Autoscale.Horizon", float64(as.Horizon)},
+		{"Autoscale.TargetUtil", as.TargetUtil},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("cluster: %s must not be negative (zero selects the default)", f.name)
+		}
+	}
+	if cfg.SLO == 0 {
 		cfg.SLO = 100 * sim.Millisecond
 	}
-	if cfg.WindowWidth <= 0 {
+	if cfg.WindowWidth == 0 {
 		cfg.WindowWidth = 60 * sim.Second
 	}
-	if cfg.Autoscale.Enabled {
-		policy, err := ParseAutoscalePolicy(string(cfg.Autoscale.Policy))
-		if err != nil {
-			return nil, err
+	policy, err := ParseAutoscalePolicy(string(as.Policy))
+	if err != nil {
+		return nil, err
+	}
+	if as.Policy != "" && !as.Enabled {
+		return nil, fmt.Errorf("cluster: autoscale policy %q steers the replica controller; it needs Autoscale.Enabled", as.Policy)
+	}
+	if as.Enabled {
+		as.Policy = policy
+		if as.Min == 0 {
+			as.Min = 1
 		}
-		cfg.Autoscale.Policy = policy
-		if cfg.Autoscale.Min <= 0 {
-			cfg.Autoscale.Min = 1
+		if as.Interval == 0 {
+			as.Interval = cfg.WindowWidth
 		}
-		if cfg.Autoscale.Interval <= 0 {
-			cfg.Autoscale.Interval = cfg.WindowWidth
+		if as.Horizon == 0 {
+			as.Horizon = 2 * as.Interval
 		}
-		if cfg.Autoscale.QueueHigh <= 0 {
-			cfg.Autoscale.QueueHigh = 2
-		}
-		if cfg.Autoscale.QueueLow <= 0 {
-			cfg.Autoscale.QueueLow = 0.5
-		}
-		if cfg.Autoscale.ColdHigh <= 0 {
-			cfg.Autoscale.ColdHigh = 0.3
-		}
-		if cfg.Autoscale.Horizon <= 0 {
-			cfg.Autoscale.Horizon = 2 * cfg.Autoscale.Interval
-		}
-		if cfg.Autoscale.TargetUtil <= 0 {
-			cfg.Autoscale.TargetUtil = 0.6
+		if as.TargetUtil == 0 {
+			as.TargetUtil = 0.6
 		}
 	}
 	c := &Cluster{
@@ -392,7 +403,6 @@ func New(cfg Config) (*Cluster, error) {
 			Sim:                c.sim,
 			SLO:                cfg.SLO,
 			WindowWidth:        cfg.WindowWidth,
-			Batch:              cfg.Batch,
 			MaxBatch:           cfg.MaxBatch,
 			Faults:             sched,
 			AdmitFactor:        cfg.AdmitFactor,
@@ -402,7 +412,6 @@ func New(cfg Config) (*Cluster, error) {
 			HostPolicy:         cfg.HostPolicy,
 			HostMemory:         cfg.HostMemory,
 			HostFetchBandwidth: cfg.HostFetchBandwidth,
-			HostFetchOverhead:  cfg.HostFetchOverhead,
 			Pack:               cfg.Pack,
 			LLM:                cfg.LLM,
 		})
@@ -482,7 +491,8 @@ func (c *Cluster) Deploy(model *dnn.Model, replicas int) error {
 // distinct tenant addressed by its within-shape ordinal, never remapped
 // to another tenant's weights. Requests for a zoo are built with
 // ZooRequests. Use a cache HostPolicy: under the legacy pinned policy a
-// zoo larger than host memory fails at deploy time.
+// zoo larger than host memory fails at deploy time. Autoscaling and LLM
+// mode are refused before any variant deploys.
 func (c *Cluster) DeployZoo(z *registry.Zoo) error {
 	if c.cfg.Autoscale.Enabled {
 		// Zoo replicas are distinct tenants: consolidating or prewarming
@@ -491,6 +501,9 @@ func (c *Cluster) DeployZoo(z *registry.Zoo) error {
 		// the active-replica count, so the combination is refused outright
 		// rather than silently ignored.
 		return fmt.Errorf("cluster: autoscaling cannot manage a model zoo (replicas are distinct tenants); disable Autoscale to deploy a zoo")
+	}
+	if c.cfg.LLM.Enabled {
+		return fmt.Errorf("cluster: %w", serving.ErrZooLLM)
 	}
 	for i := range z.Variants {
 		v := &z.Variants[i]
@@ -722,10 +735,10 @@ func (c *Cluster) scaleTick() {
 			if m.active > as.Min {
 				m.active--
 			}
-		case perNodeDepth > as.QueueHigh && m.active < m.replicas:
+		case perNodeDepth > queueHigh && m.active < m.replicas:
 			// Queue pressure: spread the model wider.
 			m.active++
-		case perNodeDepth < as.QueueLow && coldRatio > as.ColdHigh && m.active > as.Min:
+		case perNodeDepth < queueLow && coldRatio > coldHigh && m.active > as.Min:
 			// Quiet but cold-heavy: consolidate to restore residency.
 			m.active--
 		}
@@ -787,7 +800,7 @@ func (c *Cluster) predictiveTick(perNodeDepth, coldRatio float64) {
 		// Replicas needed so the predicted peak keeps each at TargetUtil.
 		perReplica := as.TargetUtil / m.execEst.Seconds()
 		target := int(math.Ceil(pred.Peak / perReplica))
-		if perNodeDepth > as.QueueHigh && target <= m.active && m.active < m.replicas {
+		if perNodeDepth > queueHigh && target <= m.active && m.active < m.replicas {
 			target = m.active + 1 // reactive safety valve: the forecast missed live queue pressure
 		}
 		if target < as.Min {
@@ -796,7 +809,7 @@ func (c *Cluster) predictiveTick(perNodeDepth, coldRatio float64) {
 		if target > m.replicas {
 			target = m.replicas
 		}
-		if target < m.active && perNodeDepth >= as.QueueLow {
+		if target < m.active && perNodeDepth >= queueLow {
 			// The arrival forecast says "quiet", but a backlog from the
 			// last burst is still draining; shedding capacity now would
 			// concentrate the queue on the survivors. Hold width until the

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -518,6 +519,75 @@ func TestDeployZooRefusesAutoscale(t *testing.T) {
 		// The refusal must leave the cluster clean: no half-deployed tenants.
 		if len(c.models) != 0 || len(c.order) != 0 {
 			t.Fatalf("policy %q: refused zoo left %d models behind", pol, len(c.models))
+		}
+	}
+}
+
+// The zoo refusal covers LLM mode too, before any variant deploys.
+func TestDeployZooRefusesLLM(t *testing.T) {
+	c, err := New(Config{Nodes: 2, HostPolicy: hostmem.PolicyLRU,
+		LLM: serving.LLMConfig{Enabled: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	z, err := registry.New(registry.Spec{N: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DeployZoo(z); !errors.Is(err, serving.ErrZooLLM) {
+		t.Fatalf("zoo deployed in LLM mode: %v", err)
+	}
+	if len(c.models) != 0 || c.nodes[0].srv.NumInstances() != 0 {
+		t.Fatalf("refused zoo left %d models behind", len(c.models))
+	}
+}
+
+// New parses the autoscale policy whether or not the controller is on: an
+// unknown policy is an error, and so is a policy with no controller to
+// steer.
+func TestAutoscalePolicyValidation(t *testing.T) {
+	for _, pol := range []AutoscalePolicy{"", AutoscaleReactive, AutoscalePredictive} {
+		c, err := New(Config{Nodes: 1, Autoscale: AutoscaleConfig{Enabled: true, Policy: pol}})
+		if err != nil {
+			t.Fatalf("autoscale policy %q rejected: %v", pol, err)
+		}
+		if pol == "" && c.cfg.Autoscale.Policy != AutoscaleReactive {
+			t.Fatalf("empty policy normalized to %q, want reactive", c.cfg.Autoscale.Policy)
+		}
+	}
+	_, err := New(Config{Nodes: 1, Autoscale: AutoscaleConfig{Policy: AutoscalePredictive}})
+	if err == nil || !strings.Contains(err.Error(), "Autoscale.Enabled") {
+		t.Fatalf("policy without the controller: got %v, want an error naming Autoscale.Enabled", err)
+	}
+	for _, enabled := range []bool{false, true} {
+		_, err := New(Config{Nodes: 1, Autoscale: AutoscaleConfig{Enabled: enabled, Policy: "oracle"}})
+		if err == nil || !strings.Contains(err.Error(), "oracle") {
+			t.Fatalf("unknown policy (enabled=%v): got %v", enabled, err)
+		}
+	}
+}
+
+// Zero selects a field's default; a negative value is an error that names
+// the field, including the fields New hands down to every node.
+func TestNegativeConfigRejected(t *testing.T) {
+	for field, set := range map[string]func(*Config){
+		"SLO":                  func(c *Config) { c.SLO = -sim.Millisecond },
+		"WindowWidth":          func(c *Config) { c.WindowWidth = -sim.Second },
+		"Autoscale.Min":        func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, Min: -1} },
+		"Autoscale.Interval":   func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, Interval: -sim.Second} },
+		"Autoscale.Horizon":    func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, Horizon: -sim.Second} },
+		"Autoscale.TargetUtil": func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, TargetUtil: -0.5} },
+		"HostMemory":           func(c *Config) { c.HostMemory = -1 },
+		"HostFetchBandwidth":   func(c *Config) { c.HostFetchBandwidth = -1 },
+		"MaxBatch":             func(c *Config) { c.MaxBatch = -1 },
+		"LLM.TokenBudget":      func(c *Config) { c.LLM = serving.LLMConfig{Enabled: true, TokenBudget: -1} },
+		"LLM.MaxOutput":        func(c *Config) { c.LLM = serving.LLMConfig{Enabled: true, MaxOutput: -1} },
+	} {
+		cfg := Config{Nodes: 1}
+		set(&cfg)
+		_, err := New(cfg)
+		if err == nil || !strings.Contains(err.Error(), field+" ") {
+			t.Errorf("negative %s: got %v, want an error naming the field", field, err)
 		}
 	}
 }

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -60,6 +61,16 @@ type Options struct {
 	// GPUs. Other experiments ignore both fields.
 	LLMBatching   string
 	PrefillDecode bool
+}
+
+// Validate parses the values that pin an experiment's comparison
+// (ZooPolicy, LLMBatching, AutoscalePolicy) with the parsers the
+// experiments use, so a bad value fails before any experiment runs.
+func (o Options) Validate() error {
+	_, zerr := o.zooPolicies()
+	_, lerr := o.llmBatchings()
+	_, aerr := o.autoscalePolicies()
+	return errors.Join(zerr, lerr, aerr)
 }
 
 // Experiment is one reproducible table/figure.

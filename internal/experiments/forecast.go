@@ -11,6 +11,19 @@ import (
 	"deepplan/internal/workload"
 )
 
+// autoscalePolicies is fig-forecast's controller axis: both policies, or
+// the one AutoscalePolicy pins.
+func (o Options) autoscalePolicies() ([]cluster.AutoscalePolicy, error) {
+	if o.AutoscalePolicy == "" {
+		return []cluster.AutoscalePolicy{cluster.AutoscaleReactive, cluster.AutoscalePredictive}, nil
+	}
+	pol, err := cluster.ParseAutoscalePolicy(o.AutoscalePolicy)
+	if err != nil {
+		return nil, err
+	}
+	return []cluster.AutoscalePolicy{pol}, nil
+}
+
 // perReplicaDollarsPerHour prices one always-on BERT-Base replica: the
 // p3.8xlarge's on-demand rate spread over its ~100-instance warm capacity.
 // Only the ratio between the two policies matters for the experiment; the
@@ -136,13 +149,9 @@ func FigForecast(w io.Writer, opts Options) error {
 	fmt.Fprintf(w, "%d nodes, affinity routing, %d replicas, autoscale tick %.1fs, floor 1\n\n",
 		p.nodes, p.replicas, p.interval.Seconds())
 
-	policies := []cluster.AutoscalePolicy{cluster.AutoscaleReactive, cluster.AutoscalePredictive}
-	if opts.AutoscalePolicy != "" {
-		pol, err := cluster.ParseAutoscalePolicy(opts.AutoscalePolicy)
-		if err != nil {
-			return err
-		}
-		policies = []cluster.AutoscalePolicy{pol}
+	policies, err := opts.autoscalePolicies()
+	if err != nil {
+		return err
 	}
 	reports := make([]*cluster.Report, len(policies))
 	err = runner.ForEach(opts.Workers, len(policies), func(i int) error {

@@ -12,6 +12,18 @@ import (
 	"deepplan/internal/workload"
 )
 
+// llmBatchings is fig-llm's batching axis: both disciplines, or the one
+// LLMBatching pins.
+func (o Options) llmBatchings() ([]string, error) {
+	switch o.LLMBatching {
+	case "":
+		return []string{serving.LLMBatchContinuous, serving.LLMBatchStatic}, nil
+	case serving.LLMBatchContinuous, serving.LLMBatchStatic:
+		return []string{o.LLMBatching}, nil
+	}
+	return nil, fmt.Errorf("unknown batching discipline %q (want continuous or static)", o.LLMBatching)
+}
+
 // FigLLM extends the paper's serving evaluation past single-shot inference:
 // GPT-2 served autoregressively, where every request is a prefill followed
 // by a token-by-token decode and the KV cache competes with weights for GPU
@@ -36,13 +48,9 @@ func FigLLM(w io.Writer, opts Options) error {
 		requests = 400
 		rate = 140
 	}
-	batchings := []string{serving.LLMBatchContinuous, serving.LLMBatchStatic}
-	switch opts.LLMBatching {
-	case "":
-	case serving.LLMBatchContinuous, serving.LLMBatchStatic:
-		batchings = []string{opts.LLMBatching}
-	default:
-		return fmt.Errorf("unknown batching discipline %q (want continuous or static)", opts.LLMBatching)
+	batchings, err := opts.llmBatchings()
+	if err != nil {
+		return err
 	}
 	policies := []serving.Policy{serving.PolicyPipeSwitch, serving.PolicyDHA}
 	pd := ""

@@ -12,6 +12,19 @@ import (
 	"deepplan/internal/sim"
 )
 
+// zooPolicies is fig-zoo's host-cache policy axis: both cache policies,
+// or the one ZooPolicy pins.
+func (o Options) zooPolicies() ([]hostmem.Policy, error) {
+	if o.ZooPolicy == "" {
+		return []hostmem.Policy{hostmem.PolicyLRU, hostmem.PolicyCostAware}, nil
+	}
+	zp, err := hostmem.ParsePolicy(o.ZooPolicy)
+	if err != nil {
+		return nil, err
+	}
+	return []hostmem.Policy{zp}, nil
+}
+
 // FigZoo stresses the multi-tenant regime the paper's §5.3 serving
 // experiments point toward but never reach: thousands of model variants
 // behind one host-memory tier, under Zipf-skewed traffic. Host memory is
@@ -38,13 +51,9 @@ func FigZoo(w io.Writer, opts Options) error {
 	if opts.ZooN > 0 {
 		sizes = []int{opts.ZooN}
 	}
-	zooPolicies := []hostmem.Policy{hostmem.PolicyLRU, hostmem.PolicyCostAware}
-	if opts.ZooPolicy != "" {
-		zp, err := hostmem.ParsePolicy(opts.ZooPolicy)
-		if err != nil {
-			return err
-		}
-		zooPolicies = []hostmem.Policy{zp}
+	zooPolicies, err := opts.zooPolicies()
+	if err != nil {
+		return err
 	}
 	policies := []serving.Policy{serving.PolicyPipeSwitch, serving.PolicyDHA}
 	fmt.Fprintf(w, "%d requests at %.0f rps, Zipf skew %.1f, 244 GB host memory per node\n\n",
@@ -64,7 +73,7 @@ func FigZoo(w io.Writer, opts Options) error {
 			}
 		}
 	}
-	err := runner.ForEach(opts.Workers, len(points), func(i int) error {
+	err = runner.ForEach(opts.Workers, len(points), func(i int) error {
 		pt := &points[i]
 		z, err := modelzoo.New(modelzoo.Spec{N: pt.n, Skew: skew})
 		if err != nil {

@@ -52,8 +52,13 @@ func (srv *Server) DeployVariant(model *dnn.Model, popularity float64) (int, err
 // DeployZoo registers every variant of a model zoo, one instance per
 // variant, in popularity order (variant index = instance index). Use a
 // cache host policy: a zoo whose aggregate weights exceed host memory is a
-// deploy-time error under the legacy pinned policy.
+// deploy-time error under the legacy pinned policy. A zoo serves
+// single-shot inference only: LLM mode is refused before any variant
+// deploys.
 func (srv *Server) DeployZoo(z *registry.Zoo) error {
+	if srv.cfg.LLM.Enabled {
+		return ErrZooLLM
+	}
 	for i := range z.Variants {
 		v := &z.Variants[i]
 		if _, err := srv.DeployVariant(v.Model, v.Popularity); err != nil {
@@ -62,6 +67,10 @@ func (srv *Server) DeployZoo(z *registry.Zoo) error {
 	}
 	return nil
 }
+
+// ErrZooLLM refuses a model zoo in LLM mode: no caller combines the two, so
+// the combination is rejected rather than left untested.
+var ErrZooLLM = errors.New("serving: a model zoo serves single-shot inference; disable LLM mode to deploy a zoo")
 
 // HostPinned returns the bytes currently pinned in host memory.
 func (srv *Server) HostPinned() int64 { return srv.host.Pinned() }

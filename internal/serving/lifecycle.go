@@ -179,7 +179,7 @@ func (srv *Server) startPrewarmLoad(inst *Instance) {
 	spec := engine.Spec{
 		Model:   inst.dep.Model,
 		Plan:    coldPlan,
-		Batch:   srv.cfg.Batch,
+		Batch:   servingBatch,
 		Primary: inst.gpu,
 		OnDone: func(res *engine.Result) {
 			inst.loading = false

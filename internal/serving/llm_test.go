@@ -1,11 +1,13 @@
 package serving
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"deepplan/internal/costmodel"
 	"deepplan/internal/dnn"
+	"deepplan/internal/hostmem"
 	"deepplan/internal/sim"
 	"deepplan/internal/topology"
 	"deepplan/internal/workload"
@@ -63,6 +65,38 @@ func TestLLMConfigValidation(t *testing.T) {
 	}
 	if srv.cfg.LLM.Batching != LLMBatchContinuous || srv.cfg.LLM.TokenBudget != 8 || srv.cfg.LLM.MaxOutput != 64 {
 		t.Fatalf("defaults not applied: %+v", srv.cfg.LLM)
+	}
+	cfg = base
+	cfg.LLM = LLMConfig{Enabled: true, Batching: LLMBatchStatic, TokenBudget: 16, MaxOutput: 32, PrefillDecode: true}
+	if srv, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if srv.cfg.LLM != cfg.LLM {
+		t.Fatalf("explicit settings not kept: %+v", srv.cfg.LLM)
+	}
+	// A token budget is not a mode switch: without Enabled, a budget alone
+	// leaves single-shot serving on.
+	cfg = base
+	cfg.LLM = LLMConfig{TokenBudget: 8}
+	if srv, err = New(cfg); err != nil || srv.cfg.LLM.Enabled {
+		t.Fatalf("budget without LLM mode: %+v, %v", srv.cfg.LLM, err)
+	}
+}
+
+// A zoo serves single-shot inference: LLM mode is refused before any
+// variant deploys.
+func TestDeployZooRefusesLLM(t *testing.T) {
+	srv, err := New(Config{Topo: topology.P38xlarge(), Cost: costmodel.Default(),
+		Policy: PolicyDHA, HostPolicy: hostmem.PolicyLRU, LLM: LLMConfig{Enabled: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = srv.DeployZoo(zooFixture(t, 8))
+	if !errors.Is(err, ErrZooLLM) {
+		t.Fatalf("zoo deployed in LLM mode: %v", err)
+	}
+	if srv.NumInstances() != 0 {
+		t.Fatalf("refused zoo left %d instances behind", srv.NumInstances())
 	}
 }
 
@@ -214,12 +248,15 @@ func TestLLMKVAdmissionDefersUnderPressure(t *testing.T) {
 	// at prompt 1024 + output 64), so concurrent sequences must defer.
 	probe := llmServer(t, LLMConfig{Enabled: true}, 1)
 	usable := probe.instances[0].dep.gpuBytes + 200*(1<<20)
+	topo := topology.P38xlarge()
+	for _, g := range topo.GPUs {
+		g.MemoryBytes = usable + reservePerGPU
+	}
 	srv, err := New(Config{
-		Topo:          topology.P38xlarge(),
-		Cost:          costmodel.Default(),
-		Policy:        PolicyDHA,
-		ReservePerGPU: 16*(1<<30) - usable,
-		LLM:           LLMConfig{Enabled: true, TokenBudget: 64, MaxOutput: 64},
+		Topo:   topo,
+		Cost:   costmodel.Default(),
+		Policy: PolicyDHA,
+		LLM:    LLMConfig{Enabled: true, TokenBudget: 64, MaxOutput: 64},
 	})
 	if err != nil {
 		t.Fatal(err)

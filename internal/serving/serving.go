@@ -33,7 +33,21 @@ const (
 	PolicyPTDHA      Policy = "pt+dha"
 )
 
-// Config configures a Server.
+// Fixed serving parameters.
+const (
+	// servingBatch is the engine batch of one request: the paper's serving
+	// experiments do not batch (§5.2); warm requests coalesce via MaxBatch.
+	servingBatch = 1
+	// reservePerGPU is GPU memory withheld from instance packing (runtime,
+	// CUDA context, parallel-transmission staging).
+	reservePerGPU int64 = 1 << 30
+	// hostFetchOverhead is the fixed setup cost of a fetch-to-pin
+	// (allocation, page-locking, registration).
+	hostFetchOverhead = 2 * sim.Millisecond
+)
+
+// Config configures a Server. A zero numeric field takes its default; New
+// rejects a negative one and any combination of modes that does not compose.
 type Config struct {
 	// Topo must be freshly constructed (links carry simulation state).
 	Topo   *topology.Topology
@@ -48,14 +62,8 @@ type Config struct {
 	Sim *sim.Simulator
 	// SLO is the target latency; the paper uses 100 ms.
 	SLO sim.Duration
-	// ReservePerGPU is GPU memory withheld from instance packing (runtime,
-	// CUDA context, parallel-transmission staging). Default 1 GiB.
-	ReservePerGPU int64
 	// HostMemory is pinned-memory capacity. Default 244 GB (p3.8xlarge).
 	HostMemory int64
-	// Batch is the serving batch size. Default 1 (the paper's serving
-	// experiments do not batch; see §5.2 "Batching inference").
-	Batch int
 	// MaxBatch enables dynamic batching: requests arriving for an
 	// instance that is already executing coalesce, and when the running
 	// inference retires they are served together in one batched run of up
@@ -113,9 +121,6 @@ type Config struct {
 	// pinned host memory. Default 10 GB/s. Only paid under the cache
 	// policies.
 	HostFetchBandwidth float64
-	// HostFetchOverhead is the fixed setup cost of a fetch-to-pin
-	// (allocation, page-locking, registration). Default 2 ms.
-	HostFetchOverhead sim.Duration
 	// Pack selects GPU placement packing. PackSpread (default) is the
 	// paper's queue-balancing placement; PackDense bin-packs fractional
 	// instances (footprint ≤ ¼ GPU) onto the fullest GPU that still fits
@@ -319,19 +324,29 @@ func New(cfg Config) (*Server, error) {
 	default:
 		return nil, fmt.Errorf("serving: unknown policy %q", cfg.Policy)
 	}
-	if cfg.SLO <= 0 {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"SLO", float64(cfg.SLO)},
+		{"WindowWidth", float64(cfg.WindowWidth)},
+		{"HostMemory", float64(cfg.HostMemory)},
+		{"HostFetchBandwidth", cfg.HostFetchBandwidth},
+		{"MaxBatch", float64(cfg.MaxBatch)},
+		{"LLM.TokenBudget", float64(cfg.LLM.TokenBudget)},
+		{"LLM.MaxOutput", float64(cfg.LLM.MaxOutput)},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("serving: %s must not be negative (zero selects the default)", f.name)
+		}
+	}
+	if cfg.SLO == 0 {
 		cfg.SLO = 100 * sim.Millisecond
 	}
-	if cfg.ReservePerGPU <= 0 {
-		cfg.ReservePerGPU = 1 << 30
-	}
-	if cfg.HostMemory <= 0 {
+	if cfg.HostMemory == 0 {
 		cfg.HostMemory = 244e9
 	}
-	if cfg.Batch < 1 {
-		cfg.Batch = 1
-	}
-	if cfg.WindowWidth <= 0 {
+	if cfg.WindowWidth == 0 {
 		cfg.WindowWidth = sim.Second * 60
 	}
 	if cfg.AdmitFactor < 0 {
@@ -342,11 +357,8 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serving: %w", err)
 	}
 	cfg.HostPolicy = hostPolicy
-	if cfg.HostFetchBandwidth <= 0 {
+	if cfg.HostFetchBandwidth == 0 {
 		cfg.HostFetchBandwidth = 10e9
-	}
-	if cfg.HostFetchOverhead <= 0 {
-		cfg.HostFetchOverhead = 2 * sim.Millisecond
 	}
 	switch cfg.Pack {
 	case "":
@@ -364,10 +376,10 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serving: unknown LLM batching mode %q (want %s or %s)",
 				cfg.LLM.Batching, LLMBatchContinuous, LLMBatchStatic)
 		}
-		if cfg.LLM.TokenBudget <= 0 {
+		if cfg.LLM.TokenBudget == 0 {
 			cfg.LLM.TokenBudget = 8
 		}
-		if cfg.LLM.MaxOutput <= 0 {
+		if cfg.LLM.MaxOutput == 0 {
 			cfg.LLM.MaxOutput = 64
 		}
 		if cfg.LLM.PrefillDecode && cfg.Topo.NumGPUs() < 2 {
@@ -403,7 +415,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	srv.rec.AttachNetwork(net) // no-op when tracing is off
 	for _, g := range cfg.Topo.GPUs {
-		usable := g.MemoryBytes - cfg.ReservePerGPU
+		usable := g.MemoryBytes - reservePerGPU
 		if usable <= 0 {
 			return nil, fmt.Errorf("serving: GPU %d has no usable memory after reserve", g.ID)
 		}
@@ -505,7 +517,7 @@ func (srv *Server) deployment(model *dnn.Model) (*Deployment, error) {
 		return nil, fmt.Errorf("serving: model %s has no attention layers; autoregressive serving needs a transformer",
 			model.Name)
 	}
-	prof, err := profiler.Run(model, srv.cfg.Cost, srv.cfg.Topo, profiler.Options{Batch: srv.cfg.Batch})
+	prof, err := profiler.Run(model, srv.cfg.Cost, srv.cfg.Topo, profiler.Options{Batch: servingBatch})
 	if err != nil {
 		return nil, err
 	}
@@ -528,12 +540,12 @@ func (srv *Server) deployment(model *dnn.Model) (*Deployment, error) {
 		Profile:   prof,
 		Plan:      p,
 		Fallback:  fb,
-		Footprint: p.ResidentBytes(model) + srv.cfg.Cost.Workspace(model, srv.cfg.Batch),
+		Footprint: p.ResidentBytes(model) + srv.cfg.Cost.Workspace(model, servingBatch),
 		LoadEst: srv.cfg.Cost.ModelLoadTime(model, srv.cfg.Topo.LaneBandwidth(),
 			sim.Duration(srv.cfg.Topo.PerCopyOverheadNanos)),
-		ExecEst: srv.cfg.Cost.ModelExecTime(model, srv.cfg.Batch),
+		ExecEst: srv.cfg.Cost.ModelExecTime(model, servingBatch),
 	}
-	dep.FetchEst = srv.cfg.HostFetchOverhead +
+	dep.FetchEst = hostFetchOverhead +
 		sim.Duration(float64(model.TotalParamBytes())/srv.cfg.HostFetchBandwidth*1e9)
 	dep.gpuBytes = dep.Footprint
 	if srv.cfg.Pack == PackDense {
@@ -1124,7 +1136,7 @@ func (srv *Server) startCold(inst *Instance, p pending) {
 	spec := engine.Spec{
 		Model:        inst.dep.Model,
 		Plan:         coldPlan,
-		Batch:        srv.cfg.Batch,
+		Batch:        servingBatch,
 		Primary:      inst.gpu,
 		Secondaries:  secondaries,
 		ComputeScale: srv.llmScale(inst.dep.Model, []pending{p}),
@@ -1218,7 +1230,7 @@ func (srv *Server) startWarmBatch(inst *Instance, reqs []pending) {
 	spec := engine.Spec{
 		Model:        inst.dep.Model,
 		Plan:         inst.dep.Plan,
-		Batch:        srv.cfg.Batch * len(reqs),
+		Batch:        servingBatch * len(reqs),
 		Primary:      inst.gpu,
 		Warm:         true,
 		ComputeScale: srv.llmScale(inst.dep.Model, reqs),

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"strings"
 	"testing"
 
 	"deepplan/internal/costmodel"
@@ -43,9 +44,42 @@ func TestConfigValidation(t *testing.T) {
 		Policy: "teleport"}); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if _, err := New(Config{Topo: topology.P38xlarge(), Cost: costmodel.Default(),
-		Policy: PolicyDHA, ReservePerGPU: 64 << 30}); err == nil {
-		t.Error("reserve larger than GPU accepted")
+	small := topology.P38xlarge()
+	for _, g := range small.GPUs {
+		g.MemoryBytes = reservePerGPU // nothing left after the reserve
+	}
+	if _, err := New(Config{Topo: small, Cost: costmodel.Default(),
+		Policy: PolicyDHA}); err == nil {
+		t.Error("reserve as large as the GPU accepted")
+	}
+}
+
+// Zero selects a field's default; a negative value is an error that names
+// the field.
+func TestNegativeConfigRejected(t *testing.T) {
+	for field, set := range map[string]func(*Config){
+		"SLO":                func(c *Config) { c.SLO = -5 * sim.Millisecond },
+		"WindowWidth":        func(c *Config) { c.WindowWidth = -sim.Second },
+		"HostMemory":         func(c *Config) { c.HostMemory = -1 },
+		"HostFetchBandwidth": func(c *Config) { c.HostFetchBandwidth = -1e9 },
+		"MaxBatch":           func(c *Config) { c.MaxBatch = -2 },
+		"LLM.TokenBudget":    func(c *Config) { c.LLM = LLMConfig{Enabled: true, TokenBudget: -8} },
+		"LLM.MaxOutput":      func(c *Config) { c.LLM = LLMConfig{Enabled: true, MaxOutput: -1} },
+	} {
+		cfg := Config{Topo: topology.P38xlarge(), Cost: costmodel.Default(), Policy: PolicyDHA}
+		set(&cfg)
+		_, err := New(cfg)
+		if err == nil || !strings.Contains(err.Error(), field+" ") {
+			t.Errorf("negative %s: got %v, want an error naming the field", field, err)
+		}
+	}
+	srv, err := New(Config{Topo: topology.P38xlarge(), Cost: costmodel.Default(), Policy: PolicyDHA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.cfg.SLO != 100*sim.Millisecond || srv.cfg.WindowWidth != 60*sim.Second ||
+		srv.cfg.HostMemory != 244e9 || srv.cfg.HostFetchBandwidth != 10e9 {
+		t.Fatalf("zero fields did not take their defaults: %+v", srv.cfg)
 	}
 }
 
