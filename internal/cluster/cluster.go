@@ -193,7 +193,9 @@ type Config struct {
 	// OpenMetrics exposition block of the registry every interval of sim
 	// time during the run (each block ends `# EOF`; the file is a
 	// concatenation of expositions, newest last). Callers typically append
-	// a final snapshot after Run returns. Write errors surface from Run.
+	// a final snapshot after Run returns. Write errors surface from Run. A
+	// positive MetricsInterval without Monitor and MetricsWriter is an
+	// error.
 	MetricsWriter   io.Writer
 	MetricsInterval sim.Duration
 	// HostPolicy selects each node's pinned host-memory tier policy (see
@@ -343,6 +345,7 @@ func New(cfg Config) (*Cluster, error) {
 	}{
 		{"SLO", float64(cfg.SLO)},
 		{"WindowWidth", float64(cfg.WindowWidth)},
+		{"MetricsInterval", float64(cfg.MetricsInterval)},
 		{"Autoscale.Min", float64(as.Min)},
 		{"Autoscale.Interval", float64(as.Interval)},
 		{"Autoscale.Horizon", float64(as.Horizon)},
@@ -351,6 +354,9 @@ func New(cfg Config) (*Cluster, error) {
 		if f.v < 0 {
 			return nil, fmt.Errorf("cluster: %s must not be negative (zero selects the default)", f.name)
 		}
+	}
+	if cfg.MetricsInterval > 0 && (cfg.Monitor == nil || cfg.MetricsWriter == nil) {
+		return nil, fmt.Errorf("cluster: MetricsInterval exports the Monitor registry to MetricsWriter; it needs both")
 	}
 	if cfg.SLO == 0 {
 		cfg.SLO = 100 * sim.Millisecond
@@ -948,7 +954,7 @@ func (c *Cluster) Run(requests []Request) (*Report, error) {
 			c.sim.At(t.Add(tickSkew), func() { c.slo.Tick(c.sim.Now()) })
 		}
 	}
-	if c.mon != nil && c.cfg.MetricsWriter != nil && c.cfg.MetricsInterval > 0 && horizon > 0 {
+	if c.cfg.MetricsInterval > 0 && horizon > 0 {
 		for t := sim.Time(0).Add(c.cfg.MetricsInterval); t <= horizon; t = t.Add(c.cfg.MetricsInterval) {
 			c.sim.At(t.Add(tickSkew), c.exportTick)
 		}
@@ -959,6 +965,19 @@ func (c *Cluster) Run(requests []Request) (*Report, error) {
 		return nil, firstErr
 	}
 	return c.report(len(requests))
+}
+
+// Windows returns the fleet's per-window latency stats through the end of
+// the last run, every node's samples pooled window by window (the
+// single-node PerWindow of serving.Report, fleet-wide). It is computed on
+// demand rather than in Run's report, which keeps its cost off runs that
+// do not print windows.
+func (c *Cluster) Windows() []metrics.WindowStat {
+	more := make([]*metrics.Series, 0, len(c.nodes)-1)
+	for _, n := range c.nodes[1:] {
+		more = append(more, n.srv.Series())
+	}
+	return c.nodes[0].srv.Series().Stats(c.sim.Now(), more...)
 }
 
 // exportTick appends one OpenMetrics exposition block to the configured
@@ -1022,6 +1041,11 @@ type Report struct {
 	// Counters sum every node's event counts (serving.Counters documents
 	// each one).
 	serving.Counters
+	// HostPinned sums the bytes pinned in every node's host memory at the
+	// end of the run; WarmCapacity sums every node's packing limit (see
+	// serving.Server.WarmCapacity).
+	HostPinned   int64
+	WarmCapacity int
 
 	// Autoregressive-mode aggregates, zero unless Config.LLM was enabled.
 	// In LLM mode the cold/warm percentiles above measure time-to-first-
@@ -1065,6 +1089,8 @@ func (c *Cluster) report(requests int) (*Report, error) {
 		}
 		n.srv.MergeLatencies(&all, &cold, &warm, &ttft)
 		r.Counters.Add(rep.Counters)
+		r.HostPinned += rep.HostPinned
+		r.WarmCapacity += rep.WarmCapacity
 		r.PerNode = append(r.PerNode, NodeStat{
 			Node:       n.id,
 			Routed:     c.routed[n.id],
@@ -1087,7 +1113,7 @@ func (c *Cluster) report(requests int) (*Report, error) {
 	r.WarmP99 = warm.P99()
 	r.Goodput = all.GoodputRate(c.cfg.SLO)
 	r.TTFTP50, r.TTFTP99 = ttft.P50(), ttft.P99()
-	if secs := end.Sub(0).Seconds(); secs > 0 {
+	if secs := end.Seconds(); secs > 0 {
 		r.TokenRate = float64(r.TokensGenerated) / secs
 	}
 	if r.DecodeIters > 0 {

@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
 	"deepplan/internal/costmodel"
 	"deepplan/internal/dnn"
 	"deepplan/internal/hostmem"
+	"deepplan/internal/monitor"
 	"deepplan/internal/registry"
 	"deepplan/internal/serving"
 	"deepplan/internal/sim"
@@ -573,6 +575,7 @@ func TestNegativeConfigRejected(t *testing.T) {
 	for field, set := range map[string]func(*Config){
 		"SLO":                  func(c *Config) { c.SLO = -sim.Millisecond },
 		"WindowWidth":          func(c *Config) { c.WindowWidth = -sim.Second },
+		"MetricsInterval":      func(c *Config) { c.MetricsInterval = -sim.Second },
 		"Autoscale.Min":        func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, Min: -1} },
 		"Autoscale.Interval":   func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, Interval: -sim.Second} },
 		"Autoscale.Horizon":    func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, Horizon: -sim.Second} },
@@ -589,6 +592,22 @@ func TestNegativeConfigRejected(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), field+" ") {
 			t.Errorf("negative %s: got %v, want an error naming the field", field, err)
 		}
+	}
+}
+
+// TestMetricsIntervalNeedsExport checks that an interval export is refused
+// unless it has both a registry to snapshot and a writer to append to.
+func TestMetricsIntervalNeedsExport(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"no monitor": {Nodes: 1, MetricsInterval: sim.Second, MetricsWriter: io.Discard},
+		"no writer":  {Nodes: 1, MetricsInterval: sim.Second, Monitor: monitor.New()},
+	} {
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "MetricsInterval") {
+			t.Errorf("%s: got %v, want an error naming MetricsInterval", name, err)
+		}
+	}
+	if _, err := New(Config{Nodes: 1, MetricsInterval: sim.Second, Monitor: monitor.New(), MetricsWriter: io.Discard}); err != nil {
+		t.Errorf("monitor and writer set: %v", err)
 	}
 }
 

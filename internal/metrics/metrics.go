@@ -189,27 +189,31 @@ func (s *Series) MergeClass(d *Digest, cold bool) {
 // fig15-style per-minute table silently ends at the last arrival and a
 // quiet tail is indistinguishable from a truncated trace. A horizon of
 // zero (or one inside the recorded extent) reports the recorded windows
-// only.
-func (s *Series) Stats(horizon sim.Time) []WindowStat {
-	n := len(s.cells)
-	if hw := windowsCovering(horizon, s.window); hw > n {
-		n = hw
+// only. Series in more (one per cluster node, say) must share s's window
+// width; their samples pool with s's window by window.
+func (s *Series) Stats(horizon sim.Time, more ...*Series) []WindowStat {
+	all := append([]*Series{s}, more...)
+	n := windowsCovering(horizon, s.window)
+	for _, x := range all {
+		if x.window != s.window {
+			panic(fmt.Sprintf("metrics: merging series of widths %v and %v", s.window, x.window))
+		}
+		n = max(n, len(x.cells))
 	}
 	out := make([]WindowStat, n)
 	for i := range out {
-		out[i] = WindowStat{
-			Start:   sim.Time(i) * sim.Time(s.window),
-			Goodput: 1, // an empty window misses nothing
+		var d Digest
+		out[i].Start = sim.Time(i) * sim.Time(s.window)
+		for _, x := range all {
+			if i < len(x.cells) {
+				d.Merge(&x.cells[i][0])
+				d.Merge(&x.cells[i][1])
+				out[i].ColdStarts += x.cells[i][0].Count()
+			}
 		}
-		if i < len(s.cells) {
-			var d Digest
-			d.Merge(&s.cells[i][0])
-			d.Merge(&s.cells[i][1])
-			out[i].Requests = d.Count()
-			out[i].ColdStarts = s.cells[i][0].Count()
-			out[i].P99 = d.P99()
-			out[i].Goodput = d.GoodputRate(s.slo)
-		}
+		out[i].Requests = d.Count()
+		out[i].P99 = d.P99()
+		out[i].Goodput = d.GoodputRate(s.slo) // an empty window misses nothing
 	}
 	return out
 }

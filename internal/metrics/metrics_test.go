@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -218,6 +219,43 @@ func TestSeriesExtendsToHorizon(t *testing.T) {
 	if got := len(s.Stats(sim.Time(30 * sim.Second))); got != 1 {
 		t.Fatalf("short horizon windows = %d, want 1", got)
 	}
+}
+
+// TestSeriesStatsPoolsSeries checks that Stats over several series (one
+// per cluster node) equals Stats of one series holding every sample, out to
+// the longest series and the horizon.
+func TestSeriesStatsPoolsSeries(t *testing.T) {
+	const width, slo = 60 * sim.Second, 100 * sim.Millisecond
+	a, b, all := NewSeries(width, slo), NewSeries(width, slo), NewSeries(width, slo)
+	for i, r := range []struct {
+		at   sim.Duration
+		lat  sim.Duration
+		cold bool
+	}{
+		{10 * sim.Second, 50 * sim.Millisecond, false},
+		{30 * sim.Second, 200 * sim.Millisecond, true},
+		{70 * sim.Second, 80 * sim.Millisecond, false},
+		{130 * sim.Second, 300 * sim.Millisecond, true},
+		{135 * sim.Second, 20 * sim.Millisecond, false},
+	} {
+		node := a
+		if i%2 == 1 {
+			node = b
+		}
+		node.Record(sim.Time(r.at), r.lat, r.cold)
+		all.Record(sim.Time(r.at), r.lat, r.cold)
+	}
+	horizon := sim.Time(270 * sim.Second)
+	got, want := a.Stats(horizon, b), all.Stats(horizon)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pooled stats\n%+v\nwant\n%+v", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("pooling series of different widths did not panic")
+		}
+	}()
+	a.Stats(horizon, NewSeries(width/2, slo))
 }
 
 func TestSeriesBadWindowPanics(t *testing.T) {

@@ -743,6 +743,10 @@ func (srv *Server) WarmInstances(model string) int {
 // cluster autoscaler differences it per window for its cold-ratio signal.
 func (srv *Server) ColdStartCount() int { return srv.n[kColdStart] }
 
+// Series returns the run's per-window latency series, which the cluster
+// layer pools across its nodes (metrics.Series.Stats).
+func (srv *Server) Series() *metrics.Series { return srv.series }
+
 // MergeLatencies folds the run's latency samples into the given digests:
 // cold- and warm-served first responses into cold and warm, and every
 // request's end-to-end latency into all. In LLM mode the first response is
