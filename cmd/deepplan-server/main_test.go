@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"errors"
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -32,7 +34,17 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-nodes", "2", "-zoo", "50", "-llm", "continuous"}, "zoo"},
 		{[]string{"-maf", "-llm", "continuous"}, "-llm"},
 		{[]string{"-maf", "-zoo", "50"}, "-zoo"},
-		{[]string{"-maf", "-nodes", "2"}, "-maf"},
+		{[]string{"-zoo", "-5"}, "-zoo"},
+		{[]string{"-zoo-policy", "bogus"}, "-zoo-policy"},
+		{[]string{"-output-tokens", "-3"}, "-output-tokens"},
+		{[]string{"-prompt-tokens", "-3"}, "-prompt-tokens"},
+		{[]string{"-maf", "-duration", "0"}, "-duration"},
+		{[]string{"-maf", "-mix", "bert-base:4,nosuch:4"}, "-mix"},
+		{[]string{"-mix", "bert-base:4,bert-base:4"}, "-mix"},
+		{[]string{"-mix", "bert-base"}, "-mix"},
+		{[]string{"-metrics-interval", "-1s"}, "MetricsInterval"},
+		{[]string{"-nodes", "2", "-metrics-interval", "-1s"}, "MetricsInterval"},
+		{[]string{"-metrics-interval", "1s"}, "MetricsInterval"},
 	}
 	for _, c := range cases {
 		expectRejected(t, c.args, c.want)
@@ -62,6 +74,23 @@ func TestLLMOptionsValidation(t *testing.T) {
 	}
 	expectRejected(t, []string{"-prefill-decode"}, "PrefillDecode")
 	expectRejected(t, []string{"-llm", "dynamic"}, "LLM batching")
+}
+
+// TestMetricsIntervalOnOneNode checks that -metrics-interval appends
+// intermediate snapshots on a one-node run too: a 10-second run at 2-second
+// intervals writes four interval blocks plus the final one.
+func TestMetricsIntervalOnOneNode(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.prom")
+	if out, err := exec.Command(binary, "-metrics", path, "-metrics-interval", "2s").CombinedOutput(); err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(got, []byte("# EOF\n")); n != 5 {
+		t.Errorf("%d exposition blocks, want 5", n)
+	}
 }
 
 // expectRejected runs the binary with args and requires exit status 1,

@@ -9,18 +9,19 @@
 //
 //	deepplan-server -instances 140 -trace run.json
 //	deepplan-trace run.json
-//	deepplan-server -nodes 4 -trace cluster.json
-//	deepplan-trace -by-node cluster.json
+//	deepplan-server -nodes 4 -trace fleet.json
+//	deepplan-trace -by-node fleet.json
 //
 // The numbers come from the request lifecycle rows the server attaches to
 // every async begin event, so no span pairing is needed; the same file loads
 // unmodified in https://ui.perfetto.dev for visual inspection.
 //
-// -by-node appends a per-node section for cluster traces (deepplan-server
-// -nodes N -trace): each node's request classes and serving events
-// separately, resolved through the trace's process-name metadata — the
-// fastest way to see which node a fault schedule or a routing imbalance
-// actually hit.
+// -by-node appends a per-node section: each node's request classes and
+// serving events separately, resolved through the trace's process-name
+// metadata — the fastest way to see which node a fault schedule or a
+// routing imbalance actually hit. Every deepplan-server trace carries that
+// metadata ("node<i> ..." processes), one-node runs included; a trace
+// without it is refused before anything is printed.
 //
 // Traces from a predictive-autoscaled run (deepplan-server -autoscale
 // -autoscale-policy predictive -trace) additionally get a per-model
@@ -112,6 +113,9 @@ func main() {
 		if node, _, found := strings.Cut(name, " "); found && strings.HasPrefix(node, "node") {
 			pidNode[e.Pid] = node
 		}
+	}
+	if *byNode && len(pidNode) == 0 {
+		fail("%s has no per-node process metadata (-by-node needs a deepplan-server trace)", path)
 	}
 
 	classes := map[string]*breakdown{}
@@ -247,9 +251,6 @@ func main() {
 	}
 
 	if *byNode {
-		if len(nodes) == 0 {
-			fail("%s has no per-node process metadata (-by-node needs a cluster trace from deepplan-server -nodes N -trace)", path)
-		}
 		nodeNames := make([]string, 0, len(nodes))
 		for n := range nodes {
 			nodeNames = append(nodeNames, n)
