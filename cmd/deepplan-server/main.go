@@ -132,20 +132,22 @@ func main() {
 		PrefillDecode: *prefillDecode,
 	}
 	opts := deepplan.ClusterOptions{
-		Nodes:    *nodes,
-		Policy:   deepplan.Mode(*policy),
-		Route:    deepplan.RoutePolicy(*route),
-		SLO:      deepplan.Duration(*sloMs) * sim.Millisecond,
-		MaxBatch: *maxBatch,
+		ServerOptions: deepplan.ServerOptions{
+			Policy:      deepplan.Mode(*policy),
+			SLO:         deepplan.Duration(*sloMs) * sim.Millisecond,
+			MaxBatch:    *maxBatch,
+			Telemetry:   *telemetry,
+			AdmitFactor: *admit,
+			LLM:         llm,
+		},
+		Nodes: *nodes,
+		Route: deepplan.RoutePolicy(*route),
 		Autoscale: deepplan.AutoscaleConfig{
 			Enabled:  *autoscale,
 			Interval: sim.Second,
 			Policy:   deepplan.AutoscalePolicy(*autoscalePolicy),
 		},
-		Telemetry:       *telemetry,
-		AdmitFactor:     *admit,
 		MetricsInterval: deepplan.Duration(*metricsEvery),
-		LLM:             llm,
 	}
 	if *tracePath != "" {
 		opts.Trace = deepplan.NewTraceRecorder()

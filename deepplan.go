@@ -88,6 +88,8 @@ type (
 	TraceRecorder = trace.Recorder
 	// TelemetryStat is one window of the resource telemetry snapshot.
 	TelemetryStat = metrics.TelemetryStat
+	// WindowStat is one window of a run's latency series (see Windows).
+	WindowStat = metrics.WindowStat
 	// FaultSchedule is a deterministic fault-injection schedule for
 	// ServerOptions.Faults. Build one with ParseFaults.
 	FaultSchedule = faults.Schedule
@@ -409,14 +411,10 @@ type Server = serving.Server
 
 // NewServer builds a serving system on this platform.
 func (p *Platform) NewServer(opts ServerOptions) (*Server, error) {
-	policy := serving.Policy(opts.Policy)
-	if opts.Policy == "" {
-		policy = serving.PolicyPTDHA
-	}
 	return serving.New(serving.Config{
 		Topo:        p.build(),
 		Cost:        p.cost,
-		Policy:      policy,
+		Policy:      opts.policy(),
 		SLO:         opts.SLO,
 		MaxBatch:    opts.MaxBatch,
 		Trace:       opts.Trace,
@@ -429,6 +427,19 @@ func (p *Platform) NewServer(opts ServerOptions) (*Server, error) {
 		LLM:         opts.LLM,
 	})
 }
+
+// policy is the serving policy the options select; empty means PT+DHA.
+func (o ServerOptions) policy() serving.Policy {
+	if o.Policy == "" {
+		return serving.PolicyPTDHA
+	}
+	return serving.Policy(o.Policy)
+}
+
+// Windows returns the per-window latency stats (requests, p99, goodput,
+// cold starts) of one or more servers' runs, their samples pooled window
+// by window.
+func Windows(servers ...*Server) []WindowStat { return serving.Windows(servers...) }
 
 // Cluster-layer re-exports: the multi-node serving system (router +
 // autoscaler over N independent servers on one shared virtual clock).
@@ -469,35 +480,20 @@ const (
 
 // ClusterOptions configures NewCluster.
 type ClusterOptions struct {
+	// ServerOptions are the options every node gets. Faults strike node 0
+	// only (failures hit one machine; the router works around it); Trace
+	// records all nodes onto one timeline with per-node Perfetto track
+	// groups; Telemetry pools every node's windows; Monitor collects every
+	// node plus the router and autoscaler into one registry with node
+	// labels.
+	ServerOptions
 	// Nodes is the node count (each an independent simulated server).
 	Nodes int
-	// Policy is each node's cold-start policy (default PT+DHA).
-	Policy Mode
 	// Route is the front-end routing policy (default least-outstanding).
 	Route RoutePolicy
-	// SLO is the target latency (default 100 ms).
-	SLO Duration
-	// MaxBatch enables per-node dynamic batching of warm requests.
-	MaxBatch int
 	// Autoscale configures the per-model replica controller; its Policy
 	// field picks the reactive or predictive control algorithm.
 	Autoscale AutoscaleConfig
-	// Trace, when non-nil, records all nodes onto one timeline with
-	// per-node Perfetto track groups. Export with WriteTrace.
-	Trace *TraceRecorder
-	// Telemetry enables the cluster-aggregated windowed resource snapshot.
-	Telemetry bool
-	// Faults arms a deterministic fault-injection schedule against node 0
-	// (failures strike one machine; the router works around it). Build with
-	// ParseFaults.
-	Faults *FaultSchedule
-	// AdmitFactor enables per-node SLO-aware admission control (see
-	// ServerOptions.AdmitFactor).
-	AdmitFactor float64
-	// Monitor, when non-nil, collects the whole cluster — every node plus
-	// the router and autoscaler — into one metrics registry with node
-	// labels. Export with WriteOpenMetrics.
-	Monitor *MetricsRegistry
 	// Alerts, with Monitor set, runs the SLO burn-rate monitor during the
 	// run; alerts land in ClusterReport.Alerts, the registry, and the
 	// trace. Use &SLOConfig{} for horizon-scaled defaults.
@@ -507,30 +503,17 @@ type ClusterOptions struct {
 	// time during the run.
 	MetricsWriter   io.Writer
 	MetricsInterval Duration
-	// HostPolicy selects each node's pinned host-memory tier policy (see
-	// ServerOptions.HostPolicy).
-	HostPolicy HostPolicy
-	// Pack selects each node's GPU placement packing (see
-	// ServerOptions.Pack).
-	Pack PackMode
-	// LLM enables autoregressive serving on every node (see
-	// ServerOptions.LLM).
-	LLM LLMOptions
 }
 
 // NewCluster builds a multi-node serving system on this platform: every
 // node gets a fresh topology from the platform's factory, and all nodes
 // share one virtual clock.
 func (p *Platform) NewCluster(opts ClusterOptions) (*Cluster, error) {
-	policy := serving.Policy(opts.Policy)
-	if opts.Policy == "" {
-		policy = serving.PolicyPTDHA
-	}
 	return cluster.New(cluster.Config{
 		Nodes:           opts.Nodes,
 		NewTopology:     p.build,
 		Cost:            p.cost,
-		Policy:          policy,
+		Policy:          opts.policy(),
 		Route:           opts.Route,
 		SLO:             opts.SLO,
 		MaxBatch:        opts.MaxBatch,

@@ -270,8 +270,10 @@ func TestLLMFacade(t *testing.T) {
 	}
 	// Prefill/decode disaggregation threads through the cluster facade too.
 	c, err := platform.NewCluster(deepplan.ClusterOptions{
+		ServerOptions: deepplan.ServerOptions{
+			LLM: deepplan.LLMOptions{Enabled: true, PrefillDecode: true},
+		},
 		Nodes: 2,
-		LLM:   deepplan.LLMOptions{Enabled: true, PrefillDecode: true},
 	})
 	if err != nil {
 		t.Fatal(err)

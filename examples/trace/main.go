@@ -52,15 +52,16 @@ func main() {
 
 		fmt.Printf("policy %s: %d requests, p99 %.1f ms, goodput %.1f%%, %d cold-starts\n",
 			policy, rep.Requests, rep.P99.Seconds()*1e3, rep.Goodput*100, rep.ColdStarts)
+		windows := deepplan.Windows(srv)
 		fmt.Printf("  minute:")
-		for i := range rep.PerWindow {
+		for i := range windows {
 			if i%4 != 0 {
 				continue
 			}
 			fmt.Printf(" %3d", i)
 		}
 		fmt.Printf("\n  p99 ms:")
-		for i, ws := range rep.PerWindow {
+		for i, ws := range windows {
 			if i%4 != 0 {
 				continue
 			}

@@ -1,17 +1,16 @@
 // Package cluster is the multi-node serving layer: N independent
 // serving.Server nodes — each with its own topology, network, and engine —
 // driven by one shared virtual clock, behind a front-end router and a
-// reactive autoscaler.
+// replica autoscaler.
 //
 // The single-node serving system reproduces the paper's evaluation on one
-// p3.8xlarge; the ROADMAP's north star ("heavy traffic from millions of
-// users") is a fleet. This package models the cluster-level decisions that
-// dominate such fleets — *which node* eats a cold start, and *how many*
-// replicas of a model should receive traffic — on exactly the same
-// deterministic substrate, so routing policies and scaling rules are
-// byte-reproducible and testable the way the paper's figures are
-// (LLMServingSim and Revati make the same argument for simulator-based
-// cluster serving research).
+// p3.8xlarge. This package models the decisions above the node — *which
+// node* eats a cold start, and *how many* replicas of a model should
+// receive traffic — on exactly the same deterministic substrate, so
+// routing policies and scaling rules are byte-reproducible and testable
+// the way the paper's figures are (LLMServingSim and Revati make the same
+// argument for simulator-based cluster serving research). A one-node
+// cluster is a bare server: its report's serving.Summary is the server's.
 //
 // Routing. Three pluggable policies:
 //
@@ -25,15 +24,20 @@
 //     home node — warm hits — while still spilling when the home node is
 //     measurably busier.
 //
-// Autoscaling. A reactive controller samples windowed cluster telemetry
-// (mean queue depth at arrival, cold-start ratio) on the shared clock and
-// adjusts each model's *active* replica count: queue pressure scales up,
-// cold-heavy quiet windows scale down (consolidating traffic onto fewer
-// replicas restores residency), idle windows drain toward the floor. All
-// replicas are deployed up front (host weights pinned, plans built — the
-// paper's one-time pre-run); scaling changes only how many replicas the
-// router spreads requests across, which is what a serverless platform's
-// instance count controls.
+// Autoscaling. A controller ticks on the shared clock and adjusts each
+// model's *active* replica count; all replicas are deployed up front (host
+// weights pinned, plans built — the paper's one-time pre-run), and scaling
+// changes how many replicas the router spreads requests across, which is
+// what a serverless platform's instance count controls. Two policies:
+//
+//   - reactive: windowed cluster telemetry (mean queue depth at arrival,
+//     cold-start ratio) drives it. Queue pressure scales up, cold-heavy
+//     quiet windows scale down (consolidating traffic onto fewer replicas
+//     restores residency), idle windows drain toward the floor.
+//   - predictive: a per-model arrival forecast sizes each model ahead of
+//     demand. New replicas are prewarmed before a predicted spike, and
+//     replicas leaving the active set are put to sleep (GPU memory freed,
+//     host copy kept) so waking them is one direct-host-access load.
 package cluster
 
 import (
@@ -305,7 +309,7 @@ type Cluster struct {
 	winQueueSum int64
 	winColdBase int
 
-	scaleUps, scaleDowns int
+	scales [2]int // replica-count changes: [0] up, [1] down, like scalesC
 
 	// Monitoring state; all nil/zero when Config.Monitor is nil.
 	mon       *monitor.Registry
@@ -672,11 +676,12 @@ func (c *Cluster) handle(req Request) error {
 	if m == nil {
 		return fmt.Errorf("cluster: request for unknown model %q", req.Model)
 	}
-	key := req.Key
-	if key < 0 {
+	// Fold the key's magnitude unsigned: -math.MinInt overflows int.
+	key := uint(req.Key)
+	if req.Key < 0 {
 		key = -key
 	}
-	replica := key % m.active
+	replica := int(key % uint(m.active))
 
 	// Sample cluster-wide queue depth at arrival for the autoscaler.
 	depth := 0
@@ -748,27 +753,10 @@ func (c *Cluster) scaleTick() {
 			// Quiet but cold-heavy: consolidate to restore residency.
 			m.active--
 		}
-		if m.active != before {
-			if m.active > before {
-				c.scaleUps++
-				c.scalesC[0].Inc()
-			} else {
-				c.scaleDowns++
-				c.scalesC[1].Inc()
-			}
-			m.activeG.Set(float64(m.active))
-			if c.rec != nil {
-				kind := "scale-up "
-				if m.active < before {
-					kind = "scale-down "
-				}
-				c.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "cluster",
-					kind+m.name, c.sim.Now(), map[string]any{
-						"model": m.name, "active": m.active,
-						"queue_per_node": perNodeDepth, "cold_ratio": coldRatio,
-					})
-			}
-		}
+		c.noteScale(m, before, func() map[string]any {
+			return map[string]any{"model": m.name, "active": m.active,
+				"queue_per_node": perNodeDepth, "cold_ratio": coldRatio}
+		})
 		m.winArrivals = 0
 	}
 	c.winArrivals = 0
@@ -846,32 +834,34 @@ func (c *Cluster) predictiveTick(perNodeDepth, coldRatio float64) {
 			}
 		}
 		m.active = target
-		if m.active != before {
-			if m.active > before {
-				c.scaleUps++
-				c.scalesC[0].Inc()
-			} else {
-				c.scaleDowns++
-				c.scalesC[1].Inc()
-			}
-			m.activeG.Set(float64(m.active))
-			if c.rec != nil {
-				kind := "scale-up "
-				if m.active < before {
-					kind = "scale-down "
-				}
-				c.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "cluster",
-					kind+m.name, now, map[string]any{
-						"model": m.name, "active": m.active,
-						"queue_per_node": perNodeDepth, "cold_ratio": coldRatio,
-						"forecast_peak": pred.Peak,
-					})
-			}
-		}
+		c.noteScale(m, before, func() map[string]any {
+			return map[string]any{"model": m.name, "active": m.active,
+				"queue_per_node": perNodeDepth, "cold_ratio": coldRatio, "forecast_peak": pred.Peak}
+		})
 		m.winArrivals = 0
 	}
 	c.winArrivals = 0
 	c.winQueueSum = 0
+}
+
+// noteScale accounts a tick's change of m's active replicas from before:
+// the scale counters, the active-replica gauge and a "scale-up" or
+// "scale-down" instant on the router track. args builds the instant's
+// arguments (the tick's signals) and runs only while tracing.
+func (c *Cluster) noteScale(m *modelState, before int, args func() map[string]any) {
+	if m.active == before {
+		return
+	}
+	dir, verb := 0, "scale-up "
+	if m.active < before {
+		dir, verb = 1, "scale-down "
+	}
+	c.scales[dir]++
+	c.scalesC[dir].Inc()
+	m.activeG.Set(float64(m.active))
+	if c.rec != nil {
+		c.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "cluster", verb+m.name, c.sim.Now(), args())
+	}
 }
 
 // prewarmNode picks the node to prewarm a replica on: the replica's
@@ -964,20 +954,22 @@ func (c *Cluster) Run(requests []Request) (*Report, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	return c.report(len(requests))
+	return c.report()
 }
 
 // Windows returns the fleet's per-window latency stats through the end of
-// the last run, every node's samples pooled window by window (the
-// single-node PerWindow of serving.Report, fleet-wide). It is computed on
-// demand rather than in Run's report, which keeps its cost off runs that
-// do not print windows.
-func (c *Cluster) Windows() []metrics.WindowStat {
-	more := make([]*metrics.Series, 0, len(c.nodes)-1)
-	for _, n := range c.nodes[1:] {
-		more = append(more, n.srv.Series())
+// the last run, every node's samples pooled window by window (see
+// serving.Windows). It is computed on demand rather than in Run's report,
+// which keeps its cost off runs that do not print windows.
+func (c *Cluster) Windows() []metrics.WindowStat { return serving.Windows(c.servers()...) }
+
+// servers returns the nodes' servers in node order.
+func (c *Cluster) servers() []*serving.Server {
+	out := make([]*serving.Server, len(c.nodes))
+	for i, n := range c.nodes {
+		out[i] = n.srv
 	}
-	return c.nodes[0].srv.Series().Stats(c.sim.Now(), more...)
+	return out
 }
 
 // exportTick appends one OpenMetrics exposition block to the configured
@@ -1024,35 +1016,18 @@ type ReplicaStat struct {
 	ActiveSeconds float64
 }
 
-// Report summarizes a cluster run: merged percentile digests (overall and
-// cold/warm split), aggregate serving counters, per-node shares, the
-// autoscaler's trajectory, and the cluster-level telemetry aggregation.
+// Report summarizes a cluster run: the fleet's Summary, per-node shares,
+// and the autoscaler's trajectory.
 type Report struct {
-	Nodes    int
-	Route    RoutePolicy
-	Policy   serving.Policy
-	Requests int
+	Nodes  int
+	Route  RoutePolicy
+	Policy serving.Policy
 
-	P50, P99, Max, Mean sim.Duration
-	ColdP50, ColdP99    sim.Duration
-	WarmP99             sim.Duration
-	Goodput             float64
-
-	// Counters sum every node's event counts (serving.Counters documents
-	// each one).
-	serving.Counters
-	// HostPinned sums the bytes pinned in every node's host memory at the
-	// end of the run; WarmCapacity sums every node's packing limit (see
-	// serving.Server.WarmCapacity).
-	HostPinned   int64
-	WarmCapacity int
-
-	// Autoregressive-mode aggregates, zero unless Config.LLM was enabled.
-	// In LLM mode the cold/warm percentiles above measure time-to-first-
-	// token per class while P50/P99/Mean/Max cover full generation.
-	TTFTP50, TTFTP99 sim.Duration
-	TokenRate        float64 // generated tokens per simulated second, fleet-wide
-	MeanDecodeBatch  float64
+	// Summary pools every node (serving.Summarize): percentiles over all
+	// nodes' samples, summed counts and totals, and telemetry pooled window
+	// by window. In LLM mode the cold/warm percentiles measure time-to-
+	// first-token per class while P50/P99/Mean/Max cover full generation.
+	serving.Summary
 
 	ScaleUps, ScaleDowns int
 	Replicas             []ReplicaStat
@@ -1061,36 +1036,26 @@ type Report struct {
 	Horizon sim.Duration
 
 	PerNode []NodeStat
-	// Telemetry is the cluster-level aggregation of every node's windowed
-	// telemetry; nil unless Config.Telemetry was set.
-	Telemetry []metrics.TelemetryStat
 	// Alerts is the SLO burn-rate monitor's alert log in firing order; nil
 	// unless Config.Monitor and Config.Alerts were both set.
 	Alerts []monitor.Alert
 }
 
-func (c *Cluster) report(requests int) (*Report, error) {
+func (c *Cluster) report() (*Report, error) {
 	if c.exportErr != nil {
 		return nil, c.exportErr
 	}
 	r := &Report{
-		Nodes:    len(c.nodes),
-		Route:    c.cfg.Route,
-		Policy:   c.cfg.Policy,
-		Requests: requests,
+		Nodes:  len(c.nodes),
+		Route:  c.cfg.Route,
+		Policy: c.cfg.Policy,
 	}
 	end := c.sim.Now()
-	var all, cold, warm, ttft metrics.Digest
-	var perNode [][]metrics.TelemetryStat
 	for _, n := range c.nodes {
 		rep, err := n.srv.Finish()
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %d: %w", n.id, err)
 		}
-		n.srv.MergeLatencies(&all, &cold, &warm, &ttft)
-		r.Counters.Add(rep.Counters)
-		r.HostPinned += rep.HostPinned
-		r.WarmCapacity += rep.WarmCapacity
 		r.PerNode = append(r.PerNode, NodeStat{
 			Node:       n.id,
 			Routed:     c.routed[n.id],
@@ -1099,27 +1064,9 @@ func (c *Cluster) report(requests int) (*Report, error) {
 			Shed:       rep.Shed,
 			P99:        rep.P99,
 		})
-		if c.cfg.Telemetry {
-			perNode = append(perNode, rep.Telemetry)
-		}
 	}
-	if c.cfg.Telemetry {
-		r.Telemetry = metrics.MergeTelemetry(perNode...)
-	}
-	// P50 sorts before Mean sums, so the mean is a function of the samples
-	// alone, not of node order.
-	r.P50, r.P99, r.Max, r.Mean = all.P50(), all.P99(), all.Max(), all.Mean()
-	r.ColdP50, r.ColdP99 = cold.P50(), cold.P99()
-	r.WarmP99 = warm.P99()
-	r.Goodput = all.GoodputRate(c.cfg.SLO)
-	r.TTFTP50, r.TTFTP99 = ttft.P50(), ttft.P99()
-	if secs := end.Seconds(); secs > 0 {
-		r.TokenRate = float64(r.TokensGenerated) / secs
-	}
-	if r.DecodeIters > 0 {
-		r.MeanDecodeBatch = float64(r.DecodeSeqSum) / float64(r.DecodeIters)
-	}
-	r.ScaleUps, r.ScaleDowns = c.scaleUps, c.scaleDowns
+	r.Summary = serving.Summarize(c.servers()...)
+	r.ScaleUps, r.ScaleDowns = c.scales[0], c.scales[1]
 	r.Horizon = end.Sub(0)
 	c.simTimeG.Set(r.Horizon.Seconds())
 	if c.slo != nil {

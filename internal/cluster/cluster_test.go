@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -685,6 +686,57 @@ func TestOversizedZooModelsShed(t *testing.T) {
 		}
 		if err := c.CheckInvariants(); err != nil {
 			t.Error(err)
+		}
+	}
+}
+
+// TestMinIntKeyRoutesInsideItsModel sends one request keyed math.MinInt,
+// whose negation overflows int, to a Deploy'd model placed after another
+// model and to a zoo shape. It must cold-start exactly the replica the key's
+// magnitude selects, 2^63 mod active, of its own model.
+func TestMinIntKeyRoutesInsideItsModel(t *testing.T) {
+	gpt2, _ := dnn.ByName("gpt2")
+	bert, _ := dnn.ByName("bert-base")
+	z, err := registry.New(registry.Spec{N: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		deploy func(c *Cluster) error
+		model  string
+	}{
+		{"deployed", Config{Nodes: 1}, func(c *Cluster) error {
+			if err := c.Deploy(gpt2, 7); err != nil {
+				return err
+			}
+			return c.Deploy(bert, 3)
+		}, bert.Name},
+		{"zoo", Config{Nodes: 1, HostPolicy: hostmem.PolicyLRU, Pack: serving.PackDense},
+			func(c *Cluster) error { return c.DeployZoo(z) }, z.Variants[0].Model.Name},
+	} {
+		c, err := New(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.deploy(c); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run([]Request{{Model: tc.model, Key: math.MinInt}}); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		m := c.models[tc.model]
+		replica := int((uint(math.MaxInt) + 1) % uint(m.active))
+		want := m.base + replica
+		if m.zoo {
+			want = m.insts[replica]
+		}
+		for _, inst := range c.nodes[0].srv.Instances() {
+			if warm := inst.State() == serving.Warm; warm != (inst.ID == want) {
+				t.Errorf("%s: instance %d (%s) warm=%v; want only instance %d of %s warm",
+					tc.name, inst.ID, inst.Model(), warm, want, tc.model)
+			}
 		}
 	}
 }

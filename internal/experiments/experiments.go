@@ -2,8 +2,9 @@
 // evaluation (§3 and §5) on the simulated platform. Each experiment writes
 // a plain-text table, including the paper's published values alongside the
 // reproduced ones where the paper reports them, so the shape comparison is
-// immediate. cmd/deepplan-bench exposes the registry on the command line,
-// and EXPERIMENTS.md is generated from exactly these routines.
+// immediate. cmd/deepplan-bench exposes the registry on the command line.
+// EXPERIMENTS.md is written by hand from full-scale runs of these routines;
+// their -quick output is pinned in testdata/golden.
 package experiments
 
 import (

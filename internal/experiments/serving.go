@@ -302,7 +302,7 @@ func Figure15(w io.Writer, opts Options) error {
 		// Worst per-minute p99 across the trace (the latency spikes the
 		// paper notes at minutes 9 and 67).
 		var worst sim.Duration
-		for _, ws := range rep.PerWindow {
+		for _, ws := range serving.Windows(srv) {
 			if ws.Requests > 0 && ws.P99 > worst {
 				worst = ws.P99
 			}

@@ -329,11 +329,20 @@ func (t *Telemetry) Busy(from, to sim.Time) {
 // *partial* window's busy capacity is clamped to the fraction of the window
 // the run actually covered — dividing its busy time by a full window's
 // capacity understates BusyFraction in the last bucket whenever the horizon
-// is not a multiple of the window.
-func (t *Telemetry) Stats(horizon sim.Time) []TelemetryStat {
-	n := len(t.windows)
-	if hw := windowsCovering(horizon, t.window); hw > n {
-		n = hw
+// is not a multiple of the window. Telemetry in more (one per cluster node,
+// say) must share t's window width; their raw windows pool with t's window
+// by window — arrivals, queue depths, counts and busy time sum, and every
+// GPU adds to the busy capacity — before any ratio is taken.
+func (t *Telemetry) Stats(horizon sim.Time, more ...*Telemetry) []TelemetryStat {
+	all := append([]*Telemetry{t}, more...)
+	n := windowsCovering(horizon, t.window)
+	gpus := 0
+	for _, x := range all {
+		if x.window != t.window {
+			panic(fmt.Sprintf("metrics: pooling telemetry of widths %v and %v", t.window, x.window))
+		}
+		n = max(n, len(x.windows))
+		gpus += x.numGPUs
 	}
 	out := make([]TelemetryStat, n)
 	for i := range out {
@@ -342,68 +351,34 @@ func (t *Telemetry) Stats(horizon sim.Time) []TelemetryStat {
 		if horizon > start && horizon < end {
 			end = horizon // final partial window: capacity ends at the horizon
 		}
-		capacity := float64(t.numGPUs) * end.Sub(start).Seconds()
-		s := TelemetryStat{Start: start}
-		if i < len(t.windows) {
-			w := &t.windows[i]
-			s.Requests = w.requests
-			s.ColdStarts = w.counts[TelColdStarts]
-			s.Evictions = w.counts[TelEvictions]
-			s.Relocations = w.counts[TelRelocations]
-			s.Deferred = w.counts[TelDeferred]
-			s.Shed = w.counts[TelShed]
-			s.Retried = w.counts[TelRetried]
-			s.BusyFraction = w.busy.Seconds() / capacity
-			if w.requests > 0 {
-				s.ColdRatio = float64(s.ColdStarts) / float64(w.requests)
-				s.MeanQueueDepth = float64(w.queueSum) / float64(w.requests)
+		var w telemetryWindow
+		for _, x := range all {
+			if i < len(x.windows) {
+				xw := &x.windows[i]
+				w.requests += xw.requests
+				w.queueSum += xw.queueSum
+				w.busy += xw.busy
+				for k, c := range xw.counts {
+					w.counts[k] += c
+				}
 			}
+		}
+		s := TelemetryStat{
+			Start:        start,
+			Requests:     w.requests,
+			ColdStarts:   w.counts[TelColdStarts],
+			Evictions:    w.counts[TelEvictions],
+			Relocations:  w.counts[TelRelocations],
+			Deferred:     w.counts[TelDeferred],
+			Shed:         w.counts[TelShed],
+			Retried:      w.counts[TelRetried],
+			BusyFraction: w.busy.Seconds() / (float64(gpus) * end.Sub(start).Seconds()),
+		}
+		if w.requests > 0 {
+			s.ColdRatio = float64(s.ColdStarts) / float64(w.requests)
+			s.MeanQueueDepth = float64(w.queueSum) / float64(w.requests)
 		}
 		out[i] = s
-	}
-	return out
-}
-
-// MergeTelemetry aggregates per-node telemetry snapshots (as produced by
-// Telemetry.Stats over servers with identical window widths and GPU counts)
-// into one cluster-level series: counts sum, BusyFraction averages across
-// nodes (every node contributes equal capacity per window), and the ratio
-// fields are recomputed from the summed counts.
-func MergeTelemetry(perNode ...[]TelemetryStat) []TelemetryStat {
-	n := 0
-	for _, s := range perNode {
-		if len(s) > n {
-			n = len(s)
-		}
-	}
-	if n == 0 || len(perNode) == 0 {
-		return nil
-	}
-	out := make([]TelemetryStat, n)
-	for i := range out {
-		var busy float64
-		var queueWeighted float64
-		for _, node := range perNode {
-			if i >= len(node) {
-				continue
-			}
-			w := node[i]
-			out[i].Start = w.Start
-			out[i].Requests += w.Requests
-			out[i].ColdStarts += w.ColdStarts
-			out[i].Evictions += w.Evictions
-			out[i].Relocations += w.Relocations
-			out[i].Deferred += w.Deferred
-			out[i].Shed += w.Shed
-			out[i].Retried += w.Retried
-			busy += w.BusyFraction
-			queueWeighted += w.MeanQueueDepth * float64(w.Requests)
-		}
-		out[i].BusyFraction = busy / float64(len(perNode))
-		if out[i].Requests > 0 {
-			out[i].ColdRatio = float64(out[i].ColdStarts) / float64(out[i].Requests)
-			out[i].MeanQueueDepth = queueWeighted / float64(out[i].Requests)
-		}
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"testing"
 
 	"deepplan/internal/sim"
@@ -112,39 +113,55 @@ func TestTelemetryExtendsToHorizon(t *testing.T) {
 	}
 }
 
-func TestMergeTelemetry(t *testing.T) {
+// TestTelemetryStatsPoolsNodes pools two 2-GPU nodes' raw windows: counts
+// and arrivals sum, queue depth averages over every arrival, and busy time
+// divides by both nodes' GPU capacity — exactly the Stats of one 4-GPU node
+// that saw every event.
+func TestTelemetryStatsPoolsNodes(t *testing.T) {
 	a := NewTelemetry(10*sim.Second, 2)
 	b := NewTelemetry(10*sim.Second, 2)
-	a.Arrival(1*sim.Time(sim.Second), 4)
-	a.Count(1*sim.Time(sim.Second), TelColdStarts)
-	a.Busy(0, 5*sim.Time(sim.Second))
-	b.Arrival(2*sim.Time(sim.Second), 2)
-	b.Arrival(12*sim.Time(sim.Second), 0)
-	b.Count(12*sim.Time(sim.Second), TelEvictions)
-	merged := MergeTelemetry(a.Stats(20*sim.Time(sim.Second)), b.Stats(20*sim.Time(sim.Second)))
-	if len(merged) != 2 {
-		t.Fatalf("merged windows = %d, want 2", len(merged))
+	all := NewTelemetry(10*sim.Second, 4)
+	for _, x := range []*Telemetry{a, all} {
+		x.Arrival(1*sim.Time(sim.Second), 4)
+		x.Count(1*sim.Time(sim.Second), TelColdStarts)
+		x.Busy(0, 5*sim.Time(sim.Second))
 	}
-	w0 := merged[0]
+	for _, x := range []*Telemetry{b, all} {
+		x.Arrival(2*sim.Time(sim.Second), 2)
+		x.Arrival(12*sim.Time(sim.Second), 0)
+		x.Count(12*sim.Time(sim.Second), TelEvictions)
+	}
+	horizon := 20 * sim.Time(sim.Second)
+	pooled := a.Stats(horizon, b)
+	if len(pooled) != 2 {
+		t.Fatalf("pooled windows = %d, want 2", len(pooled))
+	}
+	w0 := pooled[0]
 	if w0.Requests != 2 || w0.ColdStarts != 1 {
-		t.Fatalf("merged window 0 = %+v", w0)
+		t.Fatalf("pooled window 0 = %+v", w0)
 	}
 	if w0.ColdRatio != 0.5 {
-		t.Fatalf("merged cold ratio = %v, want 0.5", w0.ColdRatio)
+		t.Fatalf("pooled cold ratio = %v, want 0.5", w0.ColdRatio)
 	}
-	// Node a: 5 s of one GPU over 2x10 s = 0.25; node b idle; mean 0.125.
+	// 5 s of one GPU over 4 GPUs x 10 s.
 	if w0.BusyFraction != 0.125 {
-		t.Fatalf("merged busy fraction = %v, want 0.125", w0.BusyFraction)
+		t.Fatalf("pooled busy fraction = %v, want 0.125", w0.BusyFraction)
 	}
 	if w0.MeanQueueDepth != 3 {
-		t.Fatalf("merged queue depth = %v, want 3", w0.MeanQueueDepth)
+		t.Fatalf("pooled queue depth = %v, want 3", w0.MeanQueueDepth)
 	}
-	if merged[1].Requests != 1 || merged[1].Evictions != 1 {
-		t.Fatalf("merged window 1 = %+v", merged[1])
+	if pooled[1].Requests != 1 || pooled[1].Evictions != 1 {
+		t.Fatalf("pooled window 1 = %+v", pooled[1])
 	}
-	if MergeTelemetry() != nil {
-		t.Fatal("empty merge not nil")
+	if want := all.Stats(horizon); !reflect.DeepEqual(pooled, want) {
+		t.Fatalf("pooled stats\n%+v\nwant one node's\n%+v", pooled, want)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("pooling telemetry of different widths did not panic")
+		}
+	}()
+	a.Stats(horizon, NewTelemetry(5*sim.Second, 2))
 }
 
 func TestTelemetryValidation(t *testing.T) {

@@ -473,18 +473,13 @@ func (srv *Server) samplePinned() {
 	}
 }
 
-// finishSinks closes the sinks' view of the run at the current clock: the
-// telemetry snapshot goes into r, and each GPU's busy fraction into its
-// gauge.
-func (srv *Server) finishSinks(r *Report) {
-	now := srv.sim.Now()
-	if srv.tel != nil {
-		r.Telemetry = srv.tel.Stats(now)
-	}
+// finishSinks closes the monitor's view of the run at the current clock:
+// each GPU's busy fraction goes into its gauge.
+func (srv *Server) finishSinks() {
 	if srv.ins == nil {
 		return
 	}
-	elapsed := now.Seconds()
+	elapsed := srv.sim.Now().Seconds()
 	for g := range srv.gpus {
 		frac := 0.0
 		if elapsed > 0 {
@@ -492,4 +487,17 @@ func (srv *Server) finishSinks(r *Report) {
 		}
 		srv.ins.gpuBusyFrac[g].Set(frac)
 	}
+}
+
+// pooledTelemetry pools the servers' telemetry windows through the current
+// clock (metrics.Telemetry.Stats); nil unless telemetry is on.
+func pooledTelemetry(servers []*Server) []metrics.TelemetryStat {
+	if servers[0].tel == nil {
+		return nil
+	}
+	more := make([]*metrics.Telemetry, 0, len(servers)-1)
+	for _, srv := range servers[1:] {
+		more = append(more, srv.tel)
+	}
+	return servers[0].tel.Stats(servers[0].sim.Now(), more...)
 }

@@ -105,26 +105,7 @@ func (srv *Server) SleepInstance(id int) bool {
 	if !srv.idleWarm(inst) {
 		return false
 	}
-	gs := srv.gpus[inst.gpu]
-	if err := gs.mem.Free(inst.block); err != nil {
-		panic("serving: sleep accounting bug: " + err.Error())
-	}
-	delete(gs.residents, inst)
-	inst.block = nil
-	if inst.pdBlock != nil {
-		pgs := srv.gpus[inst.pdGPU]
-		if err := pgs.mem.Free(inst.pdBlock); err != nil {
-			panic("serving: decode-replica sleep accounting bug: " + err.Error())
-		}
-		inst.pdBlock = nil
-		srv.memCounter(pgs)
-	}
-	if e, ok := srv.host.Peek(inst.pinName); ok {
-		e.SetLocked(false)
-	}
-	srv.setState(inst, Sleeping, "sleep")
-	srv.emit(kSleep, gs.id, inst, nil)
-	srv.memCounter(gs)
+	srv.release(inst, Sleeping, kSleep)
 	return true
 }
 
@@ -185,23 +166,7 @@ func (srv *Server) startPrewarmLoad(inst *Instance) {
 			inst.loading = false
 			srv.busyDown(gs)
 			gs.activeColds--
-			if res.Aborted {
-				// A GPU failure cut the warm-up short: drop residency so a
-				// later demand arrival performs a full cold start, and
-				// re-dispatch anything that coalesced behind the load.
-				if inst.state == Warm {
-					srv.evict(inst)
-				}
-				victims := inst.backlog
-				inst.backlog = nil
-				for _, v := range victims {
-					srv.retryOrShed(inst, v)
-				}
-				srv.drainWaitlist()
-				return
-			}
-			srv.releaseBacklog(inst)
-			srv.drainWaitlist()
+			srv.runDone(inst, nil, res, true)
 		},
 	}
 	if err := srv.eng.Start(spec); err != nil {

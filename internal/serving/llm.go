@@ -308,12 +308,7 @@ func (srv *Server) llmIterDone(inst *Instance, res *engine.Result) {
 		llm.running = false
 		llm.busyGS = nil
 		srv.busyDown(dgs)
-		victims := inst.backlog
-		inst.backlog = nil
-		for _, v := range victims {
-			srv.retryOrShed(inst, v)
-		}
-		srv.drainWaitlist()
+		srv.runDone(inst, nil, res, false)
 		return
 	}
 	srv.count(kDecodeIter, 1)

@@ -699,7 +699,8 @@ func (srv *Server) Finish() (*Report, error) {
 		return nil, fmt.Errorf("serving: %d of %d requests completed (%d shed)",
 			srv.n[kCompletion], srv.n[kArrival], srv.n[kShed])
 	}
-	return srv.report(), nil
+	srv.finishSinks()
+	return &Report{Policy: srv.cfg.Policy, Summary: Summarize(srv)}, nil
 }
 
 // Outstanding returns the number of inference runs currently queued or
@@ -742,28 +743,6 @@ func (srv *Server) WarmInstances(model string) int {
 // ColdStartCount returns the cumulative cold-start count so far; the
 // cluster autoscaler differences it per window for its cold-ratio signal.
 func (srv *Server) ColdStartCount() int { return srv.n[kColdStart] }
-
-// Series returns the run's per-window latency series, which the cluster
-// layer pools across its nodes (metrics.Series.Stats).
-func (srv *Server) Series() *metrics.Series { return srv.series }
-
-// MergeLatencies folds the run's latency samples into the given digests:
-// cold- and warm-served first responses into cold and warm, and every
-// request's end-to-end latency into all. In LLM mode the first response is
-// the first token, so ttft takes every first response and all the full
-// generation latencies; otherwise all takes the first responses and ttft
-// nothing. The cluster layer merges its nodes through this.
-func (srv *Server) MergeLatencies(all, cold, warm, ttft *metrics.Digest) {
-	first := all
-	if srv.cfg.LLM.Enabled {
-		all.Merge(&srv.generated)
-		first = ttft
-	}
-	srv.series.MergeClass(cold, true)
-	srv.series.MergeClass(warm, false)
-	srv.series.MergeClass(first, true)
-	srv.series.MergeClass(first, false)
-}
 
 // handle routes one arrival.
 func (srv *Server) handle(req workload.Request) {
@@ -1077,25 +1056,31 @@ func (srv *Server) lruIdle(gs *gpuState) *Instance {
 	return victim
 }
 
-// evict drops an idle instance's GPU residency. Host weights stay pinned
-// (the entry merely unlocks, making it an eviction candidate for the host
-// cache tier), so GPU eviction is free — metadata only.
+// evict drops an instance's GPU residency: sequences mid-decode die with
+// their KV cache (failLLM re-dispatches them; a no-op outside the
+// autoregressive mode, where eviction candidates are always idle), and the
+// instance goes Cold.
 func (srv *Server) evict(inst *Instance) {
-	// Sequences mid-decode die with their KV cache; failLLM re-dispatches
-	// them (no-op outside the autoregressive mode, where eviction candidates
-	// are always idle).
 	srv.failLLM(inst)
+	srv.release(inst, Cold, kEviction)
+}
+
+// release frees inst's GPU memory — its weights block and any decode
+// replica — moves it to state to and records k (an eviction or a sleep).
+// Host weights stay pinned: the entry merely unlocks, making it an eviction
+// candidate for the host cache tier, so releasing is free (metadata only).
+func (srv *Server) release(inst *Instance, to InstanceState, k kind) {
 	gs := srv.gpus[inst.gpu]
 	if err := gs.mem.Free(inst.block); err != nil {
-		panic("serving: eviction accounting bug: " + err.Error())
+		panic("serving: " + kinds[k].verb + " accounting bug: " + err.Error())
 	}
 	delete(gs.residents, inst)
-	srv.setState(inst, Cold, "evict")
+	srv.setState(inst, to, kinds[k].verb)
 	inst.block = nil
 	if inst.pdBlock != nil {
 		pgs := srv.gpus[inst.pdGPU]
 		if err := pgs.mem.Free(inst.pdBlock); err != nil {
-			panic("serving: decode-replica eviction accounting bug: " + err.Error())
+			panic("serving: decode-replica " + kinds[k].verb + " accounting bug: " + err.Error())
 		}
 		inst.pdBlock = nil
 		srv.memCounter(pgs)
@@ -1103,7 +1088,7 @@ func (srv *Server) evict(inst *Instance) {
 	if e, ok := srv.host.Peek(inst.pinName); ok {
 		e.SetLocked(false)
 	}
-	srv.emit(kEviction, gs.id, inst, nil)
+	srv.emit(k, gs.id, inst, nil)
 	srv.memCounter(gs)
 }
 
@@ -1152,36 +1137,7 @@ func (srv *Server) startCold(inst *Instance, p pending) {
 			if secondary != nil {
 				secondary.secondaryColds--
 			}
-			if res.Aborted {
-				// A GPU failure cut the load short. If the instance still
-				// holds residency (the failed device was the secondary), the
-				// partially loaded weights are useless — evict so the retry
-				// performs a full cold start on a surviving GPU.
-				if inst.state == Warm {
-					srv.evict(inst)
-				}
-				// Warm arrivals that coalesced into the backlog while the
-				// load was in flight must be re-dispatched exactly like the
-				// warm abort path below, or they are stranded forever.
-				victims := append([]pending{p}, inst.backlog...)
-				inst.backlog = nil
-				for _, v := range victims {
-					srv.retryOrShed(inst, v)
-				}
-				srv.drainWaitlist()
-				return
-			}
-			if srv.cfg.LLM.Enabled {
-				srv.llmPrefillDone(inst, []pending{p}, res, true)
-				srv.drainWaitlist()
-				return
-			}
-			srv.respond(p.req, res, true)
-			// With dynamic batching, warm arrivals during the load coalesced
-			// into the backlog; launch them now or they are stranded (the
-			// warm completion path does this via releaseBacklog too).
-			srv.releaseBacklog(inst)
-			srv.drainWaitlist()
+			srv.runDone(inst, []pending{p}, res, true)
 		},
 	}
 	if err := srv.eng.Start(spec); err != nil {
@@ -1241,28 +1197,7 @@ func (srv *Server) startWarmBatch(inst *Instance, reqs []pending) {
 		OnDone: func(res *engine.Result) {
 			inst.inflight--
 			srv.busyDown(gs)
-			if res.Aborted {
-				// The GPU failed under this batch. Re-dispatch the batch and
-				// anything coalesced behind it; the instance itself has
-				// already been evicted by the failure handler.
-				victims := append(reqs, inst.backlog...)
-				inst.backlog = nil
-				for _, v := range victims {
-					srv.retryOrShed(inst, v)
-				}
-				srv.drainWaitlist()
-				return
-			}
-			if srv.cfg.LLM.Enabled {
-				srv.llmPrefillDone(inst, reqs, res, false)
-				srv.drainWaitlist()
-				return
-			}
-			for _, r := range reqs {
-				srv.respond(r.req, res, false)
-			}
-			srv.releaseBacklog(inst)
-			srv.drainWaitlist()
+			srv.runDone(inst, reqs, res, false)
 		},
 	}
 	if err := srv.eng.Start(spec); err != nil {
@@ -1283,6 +1218,46 @@ func (srv *Server) releaseBacklog(inst *Instance) {
 	batch := inst.backlog[:n:n]
 	inst.backlog = inst.backlog[n:]
 	srv.startWarmBatch(inst, batch)
+}
+
+// runDone finishes an engine run on inst after its OnDone has settled the
+// run's own GPU counters. reqs are the requests the run serves (none for a
+// prewarm load); load marks a run that loaded the instance's weights, whose
+// requests count as cold-served. It is the one completion path of every
+// run:
+//
+//   - Aborted by a GPU failure: reqs and everything coalesced in the
+//     backlog are retried once or shed. A load evicts the instance if it
+//     is still warm (the failed device was its secondary), so the retry
+//     performs a full cold start; a warm run's instance was already
+//     evicted by onGPUDown, and a sibling retry may have re-placed it.
+//   - Finished: reqs are answered (or, in LLM mode, handed to decode), and
+//     the backlog that coalesced meanwhile is released as the next batch.
+//
+// Either way, the waitlist drains into whatever capacity the run freed.
+func (srv *Server) runDone(inst *Instance, reqs []pending, res *engine.Result, load bool) {
+	switch {
+	case res.Aborted:
+		if load && inst.state == Warm {
+			srv.evict(inst)
+		}
+		backlog := inst.backlog
+		inst.backlog = nil
+		for _, v := range reqs {
+			srv.retryOrShed(inst, v)
+		}
+		for _, v := range backlog {
+			srv.retryOrShed(inst, v)
+		}
+	case srv.cfg.LLM.Enabled && len(reqs) > 0:
+		srv.llmPrefillDone(inst, reqs, res, load)
+	default:
+		for _, r := range reqs {
+			srv.respond(r.req, res, load)
+		}
+		srv.releaseBacklog(inst)
+	}
+	srv.drainWaitlist()
 }
 
 // pickSecondary chooses the least-busy parallel-transmission partner,
@@ -1472,7 +1447,14 @@ func (srv *Server) CheckInvariants() error {
 
 // Report summarizes a serving run (the quantities in Figures 13–15).
 type Report struct {
-	Policy        Policy
+	Policy Policy
+	Summary
+}
+
+// Summary is what a node's report and a fleet's share: latency percentiles
+// and goodput over pooled samples, event counts, host and packing totals,
+// LLM rates and the windowed telemetry. Summarize fills it.
+type Summary struct {
 	Requests      int
 	P50, P99, Max sim.Duration
 	Mean          sim.Duration
@@ -1484,10 +1466,10 @@ type Report struct {
 	ColdP50, ColdP99 sim.Duration
 	WarmP99          sim.Duration
 	Goodput          float64 // fraction of requests within the SLO
-	ColdStartRate    float64
 	Counters
 	// HostPinned is the bytes pinned in host memory at the end of the run,
-	// against Config.HostMemory.
+	// against Config.HostMemory; WarmCapacity is the packing limit (see
+	// Server.WarmCapacity). Both sum over the summarized servers.
 	HostPinned   int64
 	WarmCapacity int
 	// Autoregressive-mode metrics, zero unless Config.LLM was enabled. In
@@ -1497,41 +1479,59 @@ type Report struct {
 	TTFTP50, TTFTP99 sim.Duration
 	TokenRate        float64 // generated tokens per simulated second
 	MeanDecodeBatch  float64 // average sequences advanced per iteration
-	PerWindow        []metrics.WindowStat
 	// Telemetry is the windowed resource snapshot; nil unless
 	// Config.Telemetry was set.
 	Telemetry []metrics.TelemetryStat
 }
 
-func (srv *Server) report() *Report {
+// Summarize summarizes one or more servers' runs through the current clock:
+// percentiles and goodput over their pooled latency samples, summed counts
+// and totals, and their telemetry windows pooled window by window. The
+// servers share one clock and configuration — a cluster's nodes, or one
+// server alone. In LLM mode each request's first response is its first
+// token, so the TTFT digest takes the first responses and the overall one
+// the full generation latencies.
+func Summarize(servers ...*Server) Summary {
+	var s Summary
 	var all, cold, warm, ttft metrics.Digest
-	srv.MergeLatencies(&all, &cold, &warm, &ttft)
-	n := srv.n[kArrival]
-	r := &Report{
-		Policy:        srv.cfg.Policy,
-		Requests:      n,
-		P50:           all.P50(),
-		P99:           all.P99(),
-		Max:           all.Max(),
-		Mean:          all.Mean(), // after P50 sorted: the sum runs in sorted order
-		ColdP50:       cold.P50(),
-		ColdP99:       cold.P99(),
-		WarmP99:       warm.P99(),
-		Goodput:       all.GoodputRate(srv.cfg.SLO),
-		ColdStartRate: float64(srv.n[kColdStart]) / float64(n),
-		Counters:      srv.counters(),
-		HostPinned:    srv.host.Pinned(),
-		WarmCapacity:  srv.WarmCapacity(),
-		TTFTP50:       ttft.P50(),
-		TTFTP99:       ttft.P99(),
-		PerWindow:     srv.series.Stats(srv.sim.Now()),
+	for _, srv := range servers {
+		first := &all
+		if srv.cfg.LLM.Enabled {
+			all.Merge(&srv.generated)
+			first = &ttft
+		}
+		srv.series.MergeClass(&cold, true)
+		srv.series.MergeClass(&warm, false)
+		srv.series.MergeClass(first, true)
+		srv.series.MergeClass(first, false)
+		s.Requests += srv.n[kArrival]
+		s.Counters.Add(srv.counters())
+		s.HostPinned += srv.host.Pinned()
+		s.WarmCapacity += srv.WarmCapacity()
 	}
-	if secs := srv.sim.Now().Seconds(); secs > 0 {
-		r.TokenRate = float64(r.TokensGenerated) / secs
+	s.P50, s.P99, s.Max = all.P50(), all.P99(), all.Max()
+	s.Mean = all.Mean() // after P50 sorted: the sum runs in sorted order, whatever the server order
+	s.ColdP50, s.ColdP99 = cold.P50(), cold.P99()
+	s.WarmP99 = warm.P99()
+	s.Goodput = all.GoodputRate(servers[0].cfg.SLO)
+	s.TTFTP50, s.TTFTP99 = ttft.P50(), ttft.P99()
+	if secs := servers[0].sim.Now().Seconds(); secs > 0 {
+		s.TokenRate = float64(s.TokensGenerated) / secs
 	}
-	if r.DecodeIters > 0 {
-		r.MeanDecodeBatch = float64(r.DecodeSeqSum) / float64(r.DecodeIters)
+	if s.DecodeIters > 0 {
+		s.MeanDecodeBatch = float64(s.DecodeSeqSum) / float64(s.DecodeIters)
 	}
-	srv.finishSinks(r)
-	return r
+	s.Telemetry = pooledTelemetry(servers)
+	return s
+}
+
+// Windows returns the per-window latency stats of one or more servers' runs
+// through the current clock, their samples pooled window by window (see
+// metrics.Series.Stats).
+func Windows(servers ...*Server) []metrics.WindowStat {
+	more := make([]*metrics.Series, 0, len(servers)-1)
+	for _, srv := range servers[1:] {
+		more = append(more, srv.series)
+	}
+	return servers[0].series.Stats(servers[0].sim.Now(), more...)
 }

@@ -153,8 +153,8 @@ func TestColdStartsAppearBeyondCapacity(t *testing.T) {
 	if rep.Evictions == 0 {
 		t.Fatal("no evictions despite over-capacity deployment")
 	}
-	if rep.ColdStartRate <= 0 || rep.ColdStartRate >= 1 {
-		t.Fatalf("cold start rate = %v", rep.ColdStartRate)
+	if rep.ColdStarts >= rep.Requests {
+		t.Fatalf("%d cold starts for %d requests", rep.ColdStarts, rep.Requests)
 	}
 }
 
@@ -290,15 +290,15 @@ func TestPerWindowSeries(t *testing.T) {
 	}
 	deployBERT(t, srv, 10)
 	srv.Warmup()
-	rep, err := srv.Run(workload.Poisson(4, 50, 2000, 10)) // ~40 s of load
-	if err != nil {
+	if _, err := srv.Run(workload.Poisson(4, 50, 2000, 10)); err != nil { // ~40 s of load
 		t.Fatal(err)
 	}
-	if len(rep.PerWindow) < 3 {
-		t.Fatalf("windows = %d, want several", len(rep.PerWindow))
+	windows := Windows(srv)
+	if len(windows) < 3 {
+		t.Fatalf("windows = %d, want several", len(windows))
 	}
 	total := 0
-	for _, w := range rep.PerWindow {
+	for _, w := range windows {
 		total += w.Requests
 	}
 	if total != 2000 {

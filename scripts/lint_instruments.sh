@@ -9,11 +9,20 @@
 # agreement with the Report. This script fails if any file in
 # internal/serving other than instruments.go references srv.tel or
 # srv.ins.
+#
+# Likewise a fleet report is serving.Summarize over the nodes, the one
+# derivation a node's own report uses. Non-test internal/cluster code that
+# builds a metrics.Digest is re-deriving percentiles or goodput by hand, so
+# the script fails on that too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if grep -nE 'srv\.(tel|ins)\b' internal/serving/*.go | grep -v '^internal/serving/instruments\.go:'; then
   echo "FAIL: telemetry/monitor sinks used outside internal/serving/instruments.go (emit through the spine)" >&2
+  exit 1
+fi
+if grep -nE 'metrics\.Digest\b' internal/cluster/*.go | grep -v '_test\.go:'; then
+  echo "FAIL: internal/cluster derives latency figures itself (use serving.Summarize)" >&2
   exit 1
 fi
 echo "instruments lint: ok"
