@@ -6,6 +6,7 @@ package deepplan_test
 // (internal/experiments TestExperimentGoldens), not benchmarked here.
 
 import (
+	"strconv"
 	"testing"
 
 	"deepplan"
@@ -301,31 +302,67 @@ func TestDisabledTracingAddsNoAllocations(t *testing.T) {
 	}
 }
 
-// BenchmarkZooPinnedCacheLookup measures the host-cache tier's hot path: a
-// Lookup hit on a resident entry plus the recency Touch that follows it on
-// every cold dispatch. Steady state must stay at 0 allocs/op — the entry
-// handle is resolved once and hit/miss accounting is plain integer
-// arithmetic (gated by scripts/bench_compare.sh).
-func BenchmarkZooPinnedCacheLookup(b *testing.B) {
-	c, err := hostmem.NewCache(1<<30, hostmem.PolicyLRU)
-	if err != nil {
-		b.Fatal(err)
-	}
-	names := make([]string, 64)
-	for i := range names {
-		names[i] = "model-" + string(rune('a'+i%26)) + string(rune('a'+i/26))
-		if _, _, err := c.Admit(names[i], 1<<20, sim.Millisecond, 0.5, sim.Time(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
+// BenchmarkZooCacheEvictingAdmit measures the host-cache tier's churn
+// path: an LRU admission into a full cache of cacheResident entries, which
+// scans them for the least recently used and evicts it (zoo-churn evicts
+// about 0.58 host entries per request). One op is a batch of cacheBatch
+// admissions, so that the two-iteration snapshots of scripts/bench.sh still
+// time hundreds of them; ns/admit is the per-admission figure. Each admit
+// allocates its entry and nothing else.
+func BenchmarkZooCacheEvictingAdmit(b *testing.B) {
+	admit := fullCache(b)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e, ok := c.Lookup(names[i%len(names)])
-		if !ok {
-			b.Fatal("miss on resident entry")
+	for n := 0; n < b.N; n++ {
+		for i := 0; i < cacheBatch; i++ {
+			admit()
 		}
-		c.Touch(e, sim.Time(i))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cacheBatch), "ns/admit")
+}
+
+// cacheResident is the entry count of BenchmarkZooCacheEvictingAdmit's
+// full cache, and cacheBatch the number of admissions in one op.
+const (
+	cacheResident = 1024
+	cacheBatch    = 256
+)
+
+// fullCache fills an LRU cache of cacheResident 1 MiB entries and returns
+// a function that admits one more, evicting the least recently used. Owners
+// cycle over twice the resident count, so names stay unique among
+// residents.
+func fullCache(tb testing.TB) func() {
+	c, err := hostmem.NewCache(cacheResident<<20, hostmem.PolicyLRU, func(int) bool { return false })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	names := make([]string, 2*cacheResident)
+	for i := range names {
+		names[i] = "model-" + strconv.Itoa(i)
+	}
+	next := 0
+	admit := func() {
+		owner := next % len(names)
+		next++
+		if _, _, err := c.Admit(owner, names[owner], 1<<20, sim.Millisecond, 0.5, sim.Time(next)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < cacheResident; i++ {
+		admit()
+	}
+	return admit
+}
+
+// TestZooCacheEvictingAdmitAllocatesOneEntry pins the allocation contract
+// the benchmark above measures, so it fails fast under plain `go test`
+// instead of only under the bench gate: one allocation, the entry, per
+// evicting admit.
+func TestZooCacheEvictingAdmitAllocatesOneEntry(t *testing.T) {
+	admit := fullCache(t)
+	if allocs := testing.AllocsPerRun(100, admit); allocs != 1 {
+		t.Fatalf("evicting admit allocated %.1f per run; want 1 (the entry)", allocs)
 	}
 }
 
@@ -355,31 +392,5 @@ func TestForecastObserveAddsNoAllocations(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("forecast.Observe allocated %.1f per run; want 0", allocs)
-	}
-}
-
-// TestZooCacheLookupAddsNoAllocations pins the allocation-free contract the
-// benchmark above measures, so it fails fast under plain `go test` instead
-// of only under the bench gate.
-func TestZooCacheLookupAddsNoAllocations(t *testing.T) {
-	c, err := hostmem.NewCache(1<<30, hostmem.PolicyCostAware)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Admit("m", 1<<20, sim.Millisecond, 0.5, 0); err != nil {
-		t.Fatal(err)
-	}
-	now := sim.Time(0)
-	allocs := testing.AllocsPerRun(100, func() {
-		now++
-		e, ok := c.Lookup("m")
-		if !ok {
-			t.Fatal("miss on resident entry")
-		}
-		c.Touch(e, now)
-		c.Peek("m")
-	})
-	if allocs != 0 {
-		t.Fatalf("cache lookup allocated %.1f per run; want 0", allocs)
 	}
 }

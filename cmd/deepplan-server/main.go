@@ -53,6 +53,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -96,8 +97,8 @@ func main() {
 	// The library validates every mode and combination of modes; this
 	// command checks only the inputs of its own workload generators.
 	switch {
-	case *rate <= 0:
-		fail("-rate must be positive, got %g", *rate)
+	case !(*rate > 0) || math.IsInf(*rate, 1):
+		fail("-rate must be positive and finite, got %g", *rate)
 	case *requests <= 0:
 		fail("-requests must be positive, got %d", *requests)
 	case *sloMs <= 0:
@@ -179,8 +180,8 @@ func main() {
 		fail("%v", err)
 	}
 
-	// Deploy and generate the workload before printing anything, so a bad
-	// deployment or generator input leaves stdout empty.
+	// Deploy, generate the workload and run it before printing anything, so
+	// a bad deployment, generator input or arrival time leaves stdout empty.
 	var header []string
 	var reqs []deepplan.ClusterRequest
 	perNode := 0 // instances deployed on every node
@@ -231,13 +232,6 @@ func main() {
 		}
 		reqs = clusterRequests(deps, raw)
 	}
-	if opts.Faults != nil {
-		fmt.Printf("faults armed:  %s (node 0)\n", opts.Faults)
-	}
-	for _, line := range header {
-		fmt.Println(line)
-	}
-
 	warm := c.Warmup()
 	start := time.Now()
 	rep, err := c.Run(reqs)
@@ -247,6 +241,12 @@ func main() {
 	// Wall-clock timing goes to stderr so stdout stays a pure function of
 	// the flags (diffable across runs).
 	fmt.Fprintf(os.Stderr, "wall clock: %s\n", time.Since(start).Round(time.Millisecond))
+	if opts.Faults != nil {
+		fmt.Printf("faults armed:  %s (node 0)\n", opts.Faults)
+	}
+	for _, line := range header {
+		fmt.Println(line)
+	}
 	fmt.Printf("warmed up %d of %d instances (capacity %d)\n\n", warm, perNode*rep.Nodes, rep.WarmCapacity)
 	fmt.Printf("policy:        %s, %d nodes, %s routing\n", rep.Policy, rep.Nodes, rep.Route)
 	fmt.Printf("requests:      %d (simulated)\n", rep.Requests)

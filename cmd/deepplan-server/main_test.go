@@ -21,6 +21,15 @@ func TestRejectsBadFlags(t *testing.T) {
 	}{
 		{[]string{"-rate", "0"}, "-rate"},
 		{[]string{"-rate", "-5"}, "-rate"},
+		{[]string{"-rate", "NaN"}, "-rate"},
+		{[]string{"-rate", "Inf"}, "-rate"},
+		{[]string{"-requests", "200", "-rate", "1e-300"}, "negative time"},
+		{[]string{"-requests", "200", "-admit", "NaN"}, "AdmitFactor"},
+		{[]string{"-requests", "200", "-admit", "Inf", "-instances", "200"}, "AdmitFactor"},
+		{[]string{"-requests", "200", "-faults", "gpu=1@9223372036s+1s"}, "overflows"},
+		{[]string{"-faults", "link=gpu0-lane*NaN@1s+1s"}, "link fraction"},
+		{[]string{"-faults", "straggler=copy/NaN@1s+1s"}, "straggler factor"},
+		{[]string{"-faults", "mem=NaN@1s+1s"}, "mem fraction"},
 		{[]string{"-requests", "0"}, "-requests"},
 		{[]string{"-slo", "0"}, "-slo"},
 		{[]string{"-slo", "-5"}, "-slo"},

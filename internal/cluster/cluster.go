@@ -355,8 +355,8 @@ func New(cfg Config) (*Cluster, error) {
 		{"Autoscale.Horizon", float64(as.Horizon)},
 		{"Autoscale.TargetUtil", as.TargetUtil},
 	} {
-		if f.v < 0 {
-			return nil, fmt.Errorf("cluster: %s must not be negative (zero selects the default)", f.name)
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return nil, fmt.Errorf("cluster: %s must be finite and not negative (zero selects the default)", f.name)
 		}
 	}
 	if cfg.MetricsInterval > 0 && (cfg.Monitor == nil || cfg.MetricsWriter == nil) {
@@ -897,9 +897,12 @@ func (c *Cluster) prewarmNode(m *modelState, replica int) *node {
 // returns the cluster report. Requests must be sorted by arrival time
 // (workload generators produce sorted sequences).
 func (c *Cluster) Run(requests []Request) (*Report, error) {
-	for _, r := range requests {
+	for i, r := range requests {
 		if _, ok := c.models[r.Model]; !ok {
 			return nil, fmt.Errorf("cluster: request for unknown model %q", r.Model)
+		}
+		if r.At < 0 {
+			return nil, fmt.Errorf("cluster: request %d arrives at negative time %v", i, r.At)
 		}
 	}
 	var firstErr error

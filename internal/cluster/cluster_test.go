@@ -570,28 +570,36 @@ func TestAutoscalePolicyValidation(t *testing.T) {
 	}
 }
 
-// Zero selects a field's default; a negative value is an error that names
-// the field, including the fields New hands down to every node.
+// Zero selects a field's default; a negative or non-finite value is an
+// error that names the field, including the fields New hands down to every
+// node.
 func TestNegativeConfigRejected(t *testing.T) {
-	for field, set := range map[string]func(*Config){
-		"SLO":                  func(c *Config) { c.SLO = -sim.Millisecond },
-		"WindowWidth":          func(c *Config) { c.WindowWidth = -sim.Second },
-		"MetricsInterval":      func(c *Config) { c.MetricsInterval = -sim.Second },
-		"Autoscale.Min":        func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, Min: -1} },
-		"Autoscale.Interval":   func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, Interval: -sim.Second} },
-		"Autoscale.Horizon":    func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, Horizon: -sim.Second} },
-		"Autoscale.TargetUtil": func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, TargetUtil: -0.5} },
-		"HostMemory":           func(c *Config) { c.HostMemory = -1 },
-		"HostFetchBandwidth":   func(c *Config) { c.HostFetchBandwidth = -1 },
-		"MaxBatch":             func(c *Config) { c.MaxBatch = -1 },
-		"LLM.TokenBudget":      func(c *Config) { c.LLM = serving.LLMConfig{Enabled: true, TokenBudget: -1} },
-		"LLM.MaxOutput":        func(c *Config) { c.LLM = serving.LLMConfig{Enabled: true, MaxOutput: -1} },
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"SLO", func(c *Config) { c.SLO = -sim.Millisecond }},
+		{"WindowWidth", func(c *Config) { c.WindowWidth = -sim.Second }},
+		{"MetricsInterval", func(c *Config) { c.MetricsInterval = -sim.Second }},
+		{"Autoscale.Min", func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, Min: -1} }},
+		{"Autoscale.Interval", func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, Interval: -sim.Second} }},
+		{"Autoscale.Horizon", func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, Horizon: -sim.Second} }},
+		{"Autoscale.TargetUtil", func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, TargetUtil: -0.5} }},
+		{"Autoscale.TargetUtil", func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, TargetUtil: math.NaN()} }},
+		{"Autoscale.TargetUtil", func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, TargetUtil: math.Inf(1)} }},
+		{"HostMemory", func(c *Config) { c.HostMemory = -1 }},
+		{"HostFetchBandwidth", func(c *Config) { c.HostFetchBandwidth = -1 }},
+		{"HostFetchBandwidth", func(c *Config) { c.HostFetchBandwidth = math.NaN() }},
+		{"AdmitFactor", func(c *Config) { c.AdmitFactor = math.Inf(1) }},
+		{"MaxBatch", func(c *Config) { c.MaxBatch = -1 }},
+		{"LLM.TokenBudget", func(c *Config) { c.LLM = serving.LLMConfig{Enabled: true, TokenBudget: -1} }},
+		{"LLM.MaxOutput", func(c *Config) { c.LLM = serving.LLMConfig{Enabled: true, MaxOutput: -1} }},
 	} {
 		cfg := Config{Nodes: 1}
-		set(&cfg)
+		tc.set(&cfg)
 		_, err := New(cfg)
-		if err == nil || !strings.Contains(err.Error(), field+" ") {
-			t.Errorf("negative %s: got %v, want an error naming the field", field, err)
+		if err == nil || !strings.Contains(err.Error(), tc.field+" ") {
+			t.Errorf("bad %s: got %v, want an error naming the field", tc.field, err)
 		}
 	}
 }

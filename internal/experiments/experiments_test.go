@@ -43,16 +43,17 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// Smoke-run every experiment in quick mode and sanity-check the output.
+// Every experiment's quick-mode output must be substantial and free of
+// NaN/Inf.
 func TestAllExperimentsProduceOutput(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := e.Run(&buf, Options{Quick: true}); err != nil {
-				t.Fatal(err)
+			r := runQuick(e)
+			if r.serialErr != nil {
+				t.Fatal(r.serialErr)
 			}
-			out := buf.String()
+			out := r.serial.String()
 			if len(out) < 100 {
 				t.Fatalf("%s produced only %d bytes", e.ID, len(out))
 			}

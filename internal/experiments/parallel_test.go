@@ -8,10 +8,36 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"deepplan/internal/experiments/runner"
 )
+
+// quickRun is one experiment's -quick output, serial and on a two-worker
+// pool.
+type quickRun struct {
+	serial, pooled       bytes.Buffer
+	serialErr, pooledErr error
+}
+
+// quickRuns memoizes runQuick, so the registry runs once per test binary
+// however many tests inspect it.
+var quickRuns sync.Map // experiment ID → *quickRun
+
+// runQuick runs e in -quick mode serially and on a two-worker pool, once.
+// TestExperimentGoldens, TestParallelOutputMatchesSerial and
+// TestAllExperimentsProduceOutput each check one property of these runs.
+func runQuick(e Experiment) *quickRun {
+	if r, ok := quickRuns.Load(e.ID); ok {
+		return r.(*quickRun)
+	}
+	r := &quickRun{}
+	r.serialErr = e.Run(&r.serial, Options{Quick: true})
+	r.pooledErr = e.Run(&r.pooled, Options{Quick: true, Workers: 2})
+	quickRuns.Store(e.ID, r)
+	return r
+}
 
 // Every experiment must produce byte-identical output whether its sweep
 // points are computed serially or on a worker pool: parallelism exists only
@@ -20,16 +46,13 @@ func TestParallelOutputMatchesSerial(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			var serial, parallel bytes.Buffer
-			if err := e.Run(&serial, Options{Quick: true}); err != nil {
-				t.Fatalf("serial: %v", err)
+			r := runQuick(e)
+			if r.serialErr != nil || r.pooledErr != nil {
+				t.Fatalf("serial: %v; workers=2: %v", r.serialErr, r.pooledErr)
 			}
-			if err := e.Run(&parallel, Options{Quick: true, Workers: 4}); err != nil {
-				t.Fatalf("parallel: %v", err)
-			}
-			if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-				t.Fatalf("parallel output differs from serial\n--- serial ---\n%s\n--- parallel ---\n%s",
-					serial.String(), parallel.String())
+			if !bytes.Equal(r.serial.Bytes(), r.pooled.Bytes()) {
+				t.Fatalf("workers=2 output differs from serial\n--- serial ---\n%s\n--- workers=2 ---\n%s",
+					r.serial.String(), r.pooled.String())
 			}
 		})
 	}
@@ -42,25 +65,17 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from the serial
 
 // TestExperimentGoldens compares every experiment's serial -quick output
 // byte for byte against the committed golden testdata/golden/<id>.txt, so
-// any change to a simulated answer fails here, then requires a run on a
-// two-worker pool to reproduce it. Regenerate with -update only for a
-// deliberate change of modelled behaviour.
+// any change to a simulated answer fails here. Regenerate with -update only
+// for a deliberate change of modelled behaviour.
 func TestExperimentGoldens(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			var serial, pooled bytes.Buffer
-			if err := e.Run(&serial, Options{Quick: true}); err != nil {
-				t.Fatalf("serial: %v", err)
+			r := runQuick(e)
+			if r.serialErr != nil {
+				t.Fatalf("serial: %v", r.serialErr)
 			}
-			checkGolden(t, e.ID, serial.Bytes())
-			if err := e.Run(&pooled, Options{Quick: true, Workers: 2}); err != nil {
-				t.Fatalf("workers=2: %v", err)
-			}
-			if !bytes.Equal(serial.Bytes(), pooled.Bytes()) {
-				t.Fatalf("workers=2 output differs from serial\n--- serial ---\n%s\n--- workers=2 ---\n%s",
-					serial.String(), pooled.String())
-			}
+			checkGolden(t, e.ID, r.serial.Bytes())
 		})
 	}
 }

@@ -33,6 +33,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -137,6 +138,9 @@ func (e Event) validate() error {
 	if e.For < 0 {
 		return fmt.Errorf("faults: %s event with negative duration %v", e.Kind, e.For)
 	}
+	if e.At > sim.MaxTime-sim.Time(e.For) {
+		return fmt.Errorf("faults: %s event window %v+%v overflows the clock", e.Kind, e.At, e.For)
+	}
 	switch e.Kind {
 	case GPUFail:
 		if e.GPU < 0 {
@@ -146,21 +150,21 @@ func (e Event) validate() error {
 		if e.Link == "" {
 			return fmt.Errorf("faults: link event without a link name")
 		}
-		if e.Fraction <= 0 || e.Fraction >= 1 {
+		if !(e.Fraction > 0 && e.Fraction < 1) {
 			return fmt.Errorf("faults: link fraction %g outside (0, 1)", e.Fraction)
 		}
 		if e.For == 0 {
 			return fmt.Errorf("faults: link event needs a +duration window")
 		}
 	case Straggler:
-		if e.Factor <= 1 {
-			return fmt.Errorf("faults: straggler factor %g must exceed 1", e.Factor)
+		if !(e.Factor > 1) || math.IsInf(e.Factor, 1) {
+			return fmt.Errorf("faults: straggler factor %g must be finite and exceed 1", e.Factor)
 		}
 		if e.For == 0 {
 			return fmt.Errorf("faults: straggler event needs a +duration window")
 		}
 	case MemPressure:
-		if e.Fraction <= 0 || e.Fraction >= 1 {
+		if !(e.Fraction > 0 && e.Fraction < 1) {
 			return fmt.Errorf("faults: mem fraction %g outside (0, 1)", e.Fraction)
 		}
 		if e.For == 0 {

@@ -41,16 +41,21 @@ func TestParseFullGrammar(t *testing.T) {
 func TestParseRejectsMalformedSpecs(t *testing.T) {
 	bad := []string{
 		"",
-		"gpu=1",                  // no window
-		"gpu=x@1s",               // bad id
-		"link=lane@1s+1s",        // missing fraction
-		"link=lane*1.5@1s+1s",    // fraction out of range
-		"link=lane*0.5@1s",       // no duration
-		"straggler=copy/1@1s+1s", // factor must exceed 1
-		"mem=0@1s+1s",            // fraction out of range
-		"bogus=1@1s",             // unknown kind
-		"gpu=1@-1s+1s",           // negative start
-		"rand=7/0@60s",           // zero count
+		"gpu=1",                    // no window
+		"gpu=x@1s",                 // bad id
+		"link=lane@1s+1s",          // missing fraction
+		"link=lane*1.5@1s+1s",      // fraction out of range
+		"link=lane*0.5@1s",         // no duration
+		"straggler=copy/1@1s+1s",   // factor must exceed 1
+		"mem=0@1s+1s",              // fraction out of range
+		"bogus=1@1s",               // unknown kind
+		"gpu=1@-1s+1s",             // negative start
+		"rand=7/0@60s",             // zero count
+		"link=lane*NaN@1s+1s",      // NaN fraction
+		"straggler=copy/NaN@1s+1s", // NaN factor
+		"straggler=copy/Inf@1s+1s", // infinite factor
+		"mem=NaN@1s+1s",            // NaN fraction
+		"gpu=1@9223372036s+1s",     // window end overflows the clock
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {

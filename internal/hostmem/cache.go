@@ -47,39 +47,26 @@ func ParsePolicy(s string) (Policy, error) {
 // some instance quiesces.
 var ErrCacheBusy = errors.New("hostmem: every evictable entry is locked")
 
-// Entry is one cached pinned registration plus the metadata the eviction
-// policies rank it by.
+// Entry is one pinned registration: its owner, its size, and the metadata
+// the eviction policies rank it by.
 type Entry struct {
-	region     *Region
+	owner      int
+	name       string
+	bytes      int64
 	loadTime   sim.Duration
 	popularity float64
 	lastUsed   sim.Time
-	locked     bool
+	slot       int // index in Cache.entries; -1 once evicted
 }
 
-// Name returns the registration label.
-func (e *Entry) Name() string { return e.region.name }
+// Owner returns the ID the entry was admitted for.
+func (e *Entry) Owner() int { return e.owner }
 
 // Bytes returns the pinned size.
-func (e *Entry) Bytes() int64 { return e.region.bytes }
+func (e *Entry) Bytes() int64 { return e.bytes }
 
-// LoadTime returns the estimated cost of re-materialising the entry
-// (profiled cold-load estimate), the first factor of the cost-aware score.
-func (e *Entry) LoadTime() sim.Duration { return e.loadTime }
-
-// Popularity returns the entry's request-probability weight, the second
-// factor of the cost-aware score.
-func (e *Entry) Popularity() float64 { return e.popularity }
-
-// LastUsed returns the virtual time of the entry's last Touch.
-func (e *Entry) LastUsed() sim.Time { return e.lastUsed }
-
-// Locked reports whether the entry is pinned against eviction.
-func (e *Entry) Locked() bool { return e.locked }
-
-// SetLocked marks the entry un-evictable (true) while its instance is warm
-// on a GPU or a fetch is in flight, or releases it (false).
-func (e *Entry) SetLocked(v bool) { e.locked = v }
+// Resident reports whether the entry is still pinned (not yet evicted).
+func (e *Entry) Resident() bool { return e.slot >= 0 }
 
 // score is the cost-aware keep-value: what eviction would cost, weighted by
 // how likely the cost is to be paid. Strictly monotone in both factors, so
@@ -87,164 +74,98 @@ func (e *Entry) SetLocked(v bool) { e.locked = v }
 // always scores strictly higher — the dominated entry is evicted first.
 func (e *Entry) score() float64 { return e.loadTime.Seconds() * e.popularity }
 
-// Evicted describes one eviction performed by Admit, for trace and
-// monitoring hooks.
-type Evicted struct {
-	// Name is the evicted registration's label.
-	Name string
-	// Bytes is the evicted registration's size.
-	Bytes int64
-}
-
-// Cache is the pinned-cache tier: a capacity-bounded Store whose residents
-// are admitted and evicted under a Policy. It is the accounting model for
-// host DRAM at model-zoo scale, where aggregate weight bytes exceed
-// capacity and pinned memory itself behaves as a cache.
+// Cache is the host-memory ledger: the pinned bytes, bounded by a capacity,
+// held as entries admitted and evicted under a Policy. At model-zoo scale,
+// where aggregate weight bytes exceed capacity, pinned memory itself
+// behaves as a cache.
 type Cache struct {
-	store   *Store
-	policy  Policy
-	entries map[string]*Entry
-
-	hits      int
-	misses    int
-	evictions int
+	capacity int64
+	pinned   int64
+	policy   Policy
+	locked   func(owner int) bool
+	entries  []*Entry
+	evicted  []*Entry // Admit's victims, reused by the next Admit
 }
 
 // NewCache returns a cache over capacity bytes of pinnable host memory
-// under the given policy ("" means PolicyPinned).
-func NewCache(capacity int64, policy Policy) (*Cache, error) {
+// under the given policy ("" means PolicyPinned). locked reports whether an
+// owner's entry must stay resident; locked entries are never victims. A
+// non-positive capacity is a bug and panics.
+func NewCache(capacity int64, policy Policy, locked func(owner int) bool) (*Cache, error) {
+	if capacity <= 0 {
+		panic(fmt.Sprintf("hostmem: capacity must be positive, got %d", capacity))
+	}
 	p, err := ParsePolicy(string(policy))
 	if err != nil {
 		return nil, err
 	}
-	return &Cache{
-		store:   NewStore(capacity),
-		policy:  p,
-		entries: make(map[string]*Entry),
-	}, nil
+	return &Cache{capacity: capacity, policy: p, locked: locked}, nil
 }
-
-// Policy returns the active eviction policy.
-func (c *Cache) Policy() Policy { return c.policy }
-
-// Capacity returns the configured host memory capacity.
-func (c *Cache) Capacity() int64 { return c.store.Capacity() }
 
 // Pinned returns the total bytes currently pinned.
-func (c *Cache) Pinned() int64 { return c.store.Pinned() }
-
-// Len returns the number of resident entries.
-func (c *Cache) Len() int { return len(c.entries) }
-
-// Hits returns the number of Lookup calls that found their entry resident.
-func (c *Cache) Hits() int { return c.hits }
-
-// Misses returns the number of Lookup calls that missed.
-func (c *Cache) Misses() int { return c.misses }
-
-// Evictions returns the number of entries evicted by Admit.
-func (c *Cache) Evictions() int { return c.evictions }
-
-// Lookup returns the entry pinned under name and records a hit or miss.
-// This is the serving hot path — one map probe and a counter bump, no
-// allocation (BenchmarkZooPinnedCacheLookup pins this).
-func (c *Cache) Lookup(name string) (*Entry, bool) {
-	e, ok := c.entries[name]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return e, ok
-}
-
-// Peek returns the entry pinned under name without touching the hit/miss
-// counters (for invariant checks and admission-control estimates).
-func (c *Cache) Peek(name string) (*Entry, bool) {
-	e, ok := c.entries[name]
-	return e, ok
-}
+func (c *Cache) Pinned() int64 { return c.pinned }
 
 // Touch records a use of the entry at the given virtual time; LRU ranks
 // victims by this.
 func (c *Cache) Touch(e *Entry, now sim.Time) { e.lastUsed = now }
 
-// Admit pins bytes under name, evicting unlocked residents per the policy
-// until the newcomer fits. It returns the new entry and the evictions it
-// forced. Under PolicyPinned no eviction happens and overflow is the
-// Store's capacity error; under the cache policies, overflow with every
-// resident locked is ErrCacheBusy. A request larger than total capacity is
-// refused before anything is evicted, with an error that is not
-// ErrCacheBusy: no amount of waiting makes it fit.
-func (c *Cache) Admit(name string, bytes int64, load sim.Duration, popularity float64, now sim.Time) (*Entry, []Evicted, error) {
-	if _, ok := c.entries[name]; ok {
-		return nil, nil, fmt.Errorf("hostmem: region %q already pinned", name)
+// Admit pins bytes for owner under name, evicting unlocked residents per
+// the policy until the newcomer fits. Names break eviction ties, so they
+// must be unique among residents. It returns the new entry and the entries
+// it evicted; the evicted slice is reused by the next Admit. Under
+// PolicyPinned no eviction happens and overflow is an error; under the
+// cache policies, overflow with every resident locked is ErrCacheBusy. A
+// request larger than total capacity is refused before anything is
+// evicted, with an error that is not ErrCacheBusy: no amount of waiting
+// makes it fit.
+func (c *Cache) Admit(owner int, name string, bytes int64, load sim.Duration, popularity float64, now sim.Time) (*Entry, []*Entry, error) {
+	if bytes <= 0 {
+		return nil, nil, fmt.Errorf("hostmem: invalid pin size %d for %q", bytes, name)
 	}
-	if bytes > c.store.capacity {
+	if bytes > c.capacity {
 		return nil, nil, fmt.Errorf("hostmem: cannot admit %q: %d bytes exceed capacity %d",
-			name, bytes, c.store.capacity)
+			name, bytes, c.capacity)
 	}
-	var evicted []Evicted
-	for c.policy != PolicyPinned && bytes > 0 && c.store.pinned+bytes > c.store.capacity {
+	c.evicted = c.evicted[:0]
+	for c.policy != PolicyPinned && c.pinned+bytes > c.capacity {
 		v := c.victim()
 		if v == nil {
-			return nil, evicted, fmt.Errorf("%w: cannot admit %q (%d bytes, %d pinned of %d)",
-				ErrCacheBusy, name, bytes, c.store.pinned, c.store.capacity)
+			return nil, c.evicted, fmt.Errorf("%w: cannot admit %q (%d bytes, %d pinned of %d)",
+				ErrCacheBusy, name, bytes, c.pinned, c.capacity)
 		}
-		ev := Evicted{Name: v.region.name, Bytes: v.region.bytes}
-		if err := c.Remove(v); err != nil {
-			return nil, evicted, err
-		}
-		evicted = append(evicted, ev)
+		c.remove(v)
+		c.evicted = append(c.evicted, v)
 	}
-	r, err := c.store.Pin(name, bytes)
-	if err != nil {
-		return nil, evicted, err
+	if c.pinned+bytes > c.capacity {
+		return nil, c.evicted, fmt.Errorf("hostmem: pinning %q (%d bytes) exceeds capacity (%d pinned of %d)",
+			name, bytes, c.pinned, c.capacity)
 	}
-	e := &Entry{region: r, loadTime: load, popularity: popularity, lastUsed: now}
-	c.entries[name] = e
-	return e, evicted, nil
+	e := &Entry{owner: owner, name: name, bytes: bytes, loadTime: load, popularity: popularity,
+		lastUsed: now, slot: len(c.entries)}
+	c.entries = append(c.entries, e)
+	c.pinned += bytes
+	return e, c.evicted, nil
 }
 
-// TryAdmit pins bytes under name only if they fit without any eviction;
-// it reports whether the entry was admitted. Deploy-time eager pinning
-// uses this so a zoo's popularity head starts resident while the tail
-// stays cold, without deploy order forcing evictions.
-func (c *Cache) TryAdmit(name string, bytes int64, load sim.Duration, popularity float64, now sim.Time) (*Entry, bool) {
-	if _, ok := c.entries[name]; ok {
-		return nil, false
-	}
-	if bytes <= 0 || c.store.pinned+bytes > c.store.capacity {
-		return nil, false
-	}
-	e, _, err := c.Admit(name, bytes, load, popularity, now)
-	return e, err == nil
-}
-
-// Remove unpins an entry and counts the eviction.
-func (c *Cache) Remove(e *Entry) error {
-	if e == nil {
-		return errors.New("hostmem: remove of nil entry")
-	}
-	if c.entries[e.region.name] != e {
-		return fmt.Errorf("hostmem: entry %q not resident in this cache", e.region.name)
-	}
-	if err := c.store.Unpin(e.region); err != nil {
-		return err
-	}
-	delete(c.entries, e.region.name)
-	c.evictions++
-	return nil
+// remove unpins a resident entry, moving the last entry into its slot.
+func (c *Cache) remove(e *Entry) {
+	last := len(c.entries) - 1
+	c.entries[e.slot] = c.entries[last]
+	c.entries[e.slot].slot = e.slot
+	c.entries[last] = nil
+	c.entries = c.entries[:last]
+	e.slot = -1
+	c.pinned -= e.bytes
 }
 
 // victim picks the next eviction candidate, or nil if every resident is
 // locked.
 func (c *Cache) victim() *Entry {
 	var v *Entry
-	// deterministic: min-by-(score, lastUsed, name) reduction over the map —
-	// the total order makes the pick independent of map iteration order.
+	// deterministic: min-by-(score, lastUsed, name) reduction — the total
+	// order makes the pick independent of slot order, which removals permute.
 	for _, e := range c.entries {
-		if e.locked {
+		if c.locked(e.owner) {
 			continue
 		}
 		if v == nil || c.less(e, v) {
@@ -256,7 +177,7 @@ func (c *Cache) victim() *Entry {
 
 // less orders eviction candidates: lower is evicted first. Cost-aware
 // compares keep-values before falling through to the LRU order; both end
-// at the unique region name, making the order total.
+// at the unique name, making the order total.
 func (c *Cache) less(a, b *Entry) bool {
 	if c.policy == PolicyCostAware {
 		if sa, sb := a.score(), b.score(); sa != sb {
@@ -266,32 +187,26 @@ func (c *Cache) less(a, b *Entry) bool {
 	if a.lastUsed != b.lastUsed {
 		return a.lastUsed < b.lastUsed
 	}
-	return a.region.name < b.region.name
+	return a.name < b.name
 }
 
-// CheckInvariants validates cache/store consistency; tests call it after
-// randomized operation sequences.
+// CheckInvariants validates the ledger: every entry sits in its own slot,
+// the entries sum to the pinned bytes, and those fit the capacity. Tests
+// call it after randomized operation sequences.
 func (c *Cache) CheckInvariants() error {
 	var total int64
-	// deterministic: order-independent reduction (sum + per-entry checks);
-	// the first error wins only among violations that are themselves bugs.
-	for name, e := range c.entries {
-		if e.region.name != name {
-			return fmt.Errorf("hostmem: entry keyed %q wraps region %q", name, e.region.name)
+	// deterministic: a sum and per-slot checks in slot order.
+	for i, e := range c.entries {
+		if e.slot != i {
+			return fmt.Errorf("hostmem: entry %q in slot %d records slot %d", e.name, i, e.slot)
 		}
-		if _, ok := c.store.Lookup(name); !ok {
-			return fmt.Errorf("hostmem: entry %q has no backing region", name)
-		}
-		total += e.region.bytes
+		total += e.bytes
 	}
-	if total != c.store.Pinned() {
-		return fmt.Errorf("hostmem: entries sum to %d bytes but store has %d pinned", total, c.store.Pinned())
+	if total != c.pinned {
+		return fmt.Errorf("hostmem: entries sum to %d bytes but %d are pinned", total, c.pinned)
 	}
-	if c.store.Pinned() > c.store.Capacity() {
-		return fmt.Errorf("hostmem: pinned %d exceeds capacity %d", c.store.Pinned(), c.store.Capacity())
-	}
-	if len(c.entries) != len(c.store.regions) {
-		return fmt.Errorf("hostmem: %d entries vs %d regions", len(c.entries), len(c.store.regions))
+	if c.pinned > c.capacity {
+		return fmt.Errorf("hostmem: pinned %d exceeds capacity %d", c.pinned, c.capacity)
 	}
 	return nil
 }

@@ -75,6 +75,24 @@ var ErrZooLLM = errors.New("serving: a model zoo serves single-shot inference; d
 // HostPinned returns the bytes currently pinned in host memory.
 func (srv *Server) HostPinned() int64 { return srv.host.Pinned() }
 
+// hostLocked is the host cache's lock (docs/ZOO.md §3): an instance's
+// pinned weights must stay resident while it is warm on a GPU, because
+// direct-host-access reads them, or while a fetch-to-pin is filling them.
+func (srv *Server) hostLocked(id int) bool {
+	inst := srv.instances[id]
+	return inst.state == Warm || inst.fetching
+}
+
+// pinHost admits inst's weights into the host cache and records the entry
+// on the instance. It returns the entries evicted to make room (valid until
+// the next admission).
+func (srv *Server) pinHost(inst *Instance) ([]*hostmem.Entry, error) {
+	e, victims, err := srv.host.Admit(inst.ID, inst.pinName, inst.dep.Model.TotalParamBytes(),
+		inst.dep.LoadEst, inst.popularity, srv.sim.Now())
+	inst.host = e
+	return victims, err
+}
+
 // relieveHostPressure evicts the least-recently-used idle warm instance
 // across all GPUs so its host entry unlocks and becomes an eviction
 // candidate for the cache tier. It reports whether any instance was
@@ -104,13 +122,12 @@ func (srv *Server) relieveHostPressure() bool {
 // GPU residency, or a cache full of warm-locked entries would park every
 // fetch forever. It returns ErrCacheBusy once nothing idle is left to
 // evict, and another error when the weights exceed host memory outright.
-func (srv *Server) admitHost(inst *Instance) (*hostmem.Entry, error) {
+func (srv *Server) admitHost(inst *Instance) error {
 	for {
-		e, victims, err := srv.host.Admit(inst.pinName, inst.dep.Model.TotalParamBytes(),
-			inst.dep.LoadEst, inst.popularity, srv.sim.Now())
+		victims, err := srv.pinHost(inst)
 		srv.noteHostEvictions(victims, inst.pinName)
 		if !errors.Is(err, hostmem.ErrCacheBusy) || !srv.relieveHostPressure() {
-			return e, err
+			return err
 		}
 	}
 }
@@ -120,26 +137,25 @@ func (srv *Server) admitHost(inst *Instance) (*hostmem.Entry, error) {
 // until a completion unlocks an entry, or — if the model is larger than
 // host memory — is shed.
 func (srv *Server) startFetch(inst *Instance, p pending, fresh bool) {
-	e, err := srv.admitHost(inst)
+	err := srv.admitHost(inst)
 	switch {
 	case errors.Is(err, hostmem.ErrCacheBusy):
 		srv.park(inst, p, fresh)
 	case err != nil:
 		srv.shedRequest(inst, p, "host-capacity")
 	default:
-		srv.fetch(inst, e, true, p, fresh)
+		srv.fetch(inst, true, p, fresh)
 	}
 }
 
 // fetch runs the fetch-to-pin for a just-admitted entry: the entry stays
-// locked for the duration, and after FetchEst the instance is placed and
-// loaded — serving the demand request p (parked, with the entry unlocked,
-// if no GPU has room), or as a background prewarm load when demand is
-// false (which lapses if no GPU has room). Arrivals that coalesced onto
-// the fetch re-dispatch when it lands.
-func (srv *Server) fetch(inst *Instance, e *hostmem.Entry, demand bool, p pending, fresh bool) {
+// locked for the duration (fetching), and after FetchEst the instance is
+// placed and loaded — serving the demand request p (parked, with the entry
+// unlocked, if no GPU has room), or as a background prewarm load when
+// demand is false (which lapses if no GPU has room). Arrivals that
+// coalesced onto the fetch re-dispatch when it lands.
+func (srv *Server) fetch(inst *Instance, demand bool, p pending, fresh bool) {
 	dep := inst.dep
-	e.SetLocked(true)
 	inst.fetching = true
 	srv.emit(kHostFetch, trace.ServerPID, inst, func() map[string]any {
 		return map[string]any{
@@ -159,8 +175,7 @@ func (srv *Server) fetch(inst *Instance, e *hostmem.Entry, demand bool, p pendin
 			srv.startCold(inst, p)
 		case placed:
 			srv.startPrewarmLoad(inst)
-		default:
-			e.SetLocked(false) // evictable again while parked, or the prewarm lapses
+		default: // evictable again while parked, or the prewarm lapses
 			if demand {
 				srv.park(inst, p, fresh)
 			}

@@ -39,6 +39,8 @@ const (
 	kPrewarm
 	kSwapIn
 	kSwapOut
+	kHostHit  // a cold dispatch found its weights host-resident
+	kHostMiss // a cold dispatch found them not resident
 	kHostFetch
 	kHostEviction
 	kShed
@@ -96,7 +98,9 @@ var kinds = [numKinds]kindRow{
 	kSwapIn: {report: "SwapIns", verb: "swap-in",
 		metric: "deepplan_swap_ins",
 		help:   "Swapped-out instances promoted back to warm (host fetch + load)."},
-	kSwapOut: {report: "SwapOuts", verb: "swap-out"},
+	kSwapOut:  {report: "SwapOuts", verb: "swap-out"},
+	kHostHit:  {report: "HostHits"},
+	kHostMiss: {report: "HostMisses"},
 	kHostFetch: {report: "HostFetches", verb: "host-fetch",
 		metric: "deepplan_host_fetches",
 		help:   "Fetch-to-pin operations for weights that were not host-resident."},
@@ -123,9 +127,9 @@ var kinds = [numKinds]kindRow{
 	kKVTransfer: {report: "KVTransfers"},
 }
 
-// Counters are a run's event counts: one field per counted kind, plus the
-// host cache's own lookup tallies. serving.Report and cluster.Report both
-// embed them, and a cluster's are the sum of its nodes' (Add).
+// Counters are a run's event counts: one field per counted kind.
+// serving.Report and cluster.Report both embed them, and a cluster's are
+// the sum of its nodes' (Add).
 type Counters struct {
 	ColdStarts int
 	// PTFallbacks counts cold-starts that degraded to the single-GPU plan
@@ -150,13 +154,13 @@ type Counters struct {
 	Prewarms int
 	SwapIns  int
 	SwapOuts int
-	// HostHits / HostMisses count pinned-cache lookups on the cold path. A
+	// HostHits / HostMisses count host-residency checks on the cold path. A
 	// request parked on the waitlist looks up again each time it is
 	// re-driven, so misses can far exceed fetches. HostFetches counts the
 	// fetch-to-pin operations actually started, by demand or by prewarm.
 	// HostEvictions counts entries the cache policy pushed out of host
 	// memory under capacity pressure. Misses, fetches and evictions are zero
-	// under the legacy pinned host policy (every lookup hits).
+	// under the legacy pinned host policy (every check hits).
 	HostHits      int
 	HostMisses    int
 	HostFetches   int
@@ -193,7 +197,7 @@ func (c *Counters) Add(o Counters) {
 
 // counters returns the run's counts so far.
 func (srv *Server) counters() Counters {
-	c := Counters{HostHits: srv.host.Hits(), HostMisses: srv.host.Misses()}
+	var c Counters
 	v := reflect.ValueOf(&c).Elem()
 	for k, row := range kinds {
 		if row.report != "" {

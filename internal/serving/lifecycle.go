@@ -55,19 +55,22 @@ func (srv *Server) notePromotion(inst *Instance, prev InstanceState) {
 	}
 }
 
-// noteHostEvictions records cache-tier victims (trace + monitor) and
-// demotes any Sleeping instance whose pinned copy was just pushed out to
-// Swapped — from here on, activating it costs a full fetch-to-pin again.
-func (srv *Server) noteHostEvictions(victims []hostmem.Evicted, forName string) {
+// noteHostEvictions records cache-tier victims (trace + monitor), drops
+// each from its owner, and demotes any Sleeping owner whose pinned copy was
+// just pushed out to Swapped — from here on, activating it costs a full
+// fetch-to-pin again.
+func (srv *Server) noteHostEvictions(victims []*hostmem.Entry, forName string) {
 	now := srv.sim.Now()
 	for _, v := range victims {
+		inst := srv.instances[v.Owner()]
+		inst.host = nil
 		if srv.rec != nil {
 			srv.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "serving",
-				"host-evict "+v.Name, now,
-				map[string]any{"bytes": v.Bytes, "for": forName})
+				"host-evict "+inst.pinName, now,
+				map[string]any{"bytes": v.Bytes(), "for": forName})
 		}
 		srv.emit(kHostEviction, trace.ServerPID, nil, nil)
-		if inst, ok := srv.byPin[v.Name]; ok && inst.state == Sleeping {
+		if inst.state == Sleeping {
 			srv.emit(kSwapOut, trace.ServerPID, inst, nil)
 			srv.setState(inst, Swapped, "host-evict")
 		}
@@ -125,7 +128,7 @@ func (srv *Server) PrewarmInstance(id int) bool {
 	if inst.state == Warm || inst.fetching {
 		return false
 	}
-	if e, resident := srv.host.Peek(inst.pinName); resident {
+	if e := inst.host; e != nil {
 		srv.host.Touch(e, srv.sim.Now())
 		if !srv.place(inst) {
 			return false
@@ -179,12 +182,11 @@ func (srv *Server) startPrewarmLoad(inst *Instance) {
 // request: if host memory cannot be freed right now the prewarm is simply
 // abandoned (returns false) instead of parking anything.
 func (srv *Server) prewarmFetch(inst *Instance) bool {
-	e, err := srv.admitHost(inst)
-	if err != nil {
+	if err := srv.admitHost(inst); err != nil {
 		return false // cannot make room; the spike will pay on demand
 	}
 	srv.notePrewarm(inst)
-	srv.fetch(inst, e, false, pending{}, false)
+	srv.fetch(inst, false, pending{}, false)
 	return true
 }
 

@@ -24,11 +24,10 @@ func TestSleepReleasesGPUAndKeepsHostCopy(t *testing.T) {
 	if inst.block != nil {
 		t.Fatal("sleeping instance still holds a GPU memory block")
 	}
-	e, resident := srv.host.Peek(inst.pinName)
-	if !resident {
+	if inst.host == nil || !inst.host.Resident() {
 		t.Fatal("sleeping instance lost its pinned host copy")
 	}
-	if e.Locked() {
+	if srv.hostLocked(inst.ID) {
 		t.Fatal("sleeping instance's host entry still locked (would never be evictable)")
 	}
 	if srv.n[kSleep] != 1 {
@@ -157,6 +156,22 @@ func newSwapServer(t *testing.T) *Server {
 	return srv
 }
 
+// TestColdPathCountsHostHitsAndMisses: each cold dispatch counts one host
+// hit (weights resident) or one miss (a fetch-to-pin first).
+func TestColdPathCountsHostHitsAndMisses(t *testing.T) {
+	srv := newSwapServer(t) // instances 0 and 1 resident, 2 not
+	rep, err := srv.Run([]workload.Request{{At: 0, Instance: 0}, {At: sim.Time(sim.Second), Instance: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.HostHits != 1 || rep.HostMisses != 1 || rep.HostFetches != 1 {
+		t.Fatalf("hits=%d misses=%d fetches=%d, want 1/1/1", rep.HostHits, rep.HostMisses, rep.HostFetches)
+	}
+	if err := srv.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestHostEvictionSwapsOutSleepingInstance: once an instance is asleep its
 // host entry is fair game for the cache tier; losing it demotes the
 // instance to Swapped, where reactivation pays the full fetch-to-pin.
@@ -178,7 +193,7 @@ func TestHostEvictionSwapsOutSleepingInstance(t *testing.T) {
 	if rep.SwapOuts != 1 {
 		t.Fatalf("swap-outs = %d, want 1", rep.SwapOuts)
 	}
-	if _, resident := srv.host.Peek(srv.Instances()[0].pinName); resident {
+	if srv.Instances()[0].host != nil {
 		t.Fatal("swapped instance still host-resident")
 	}
 	if err := srv.CheckInvariants(); err != nil {

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"deepplan/internal/costmodel"
@@ -179,8 +180,10 @@ type Instance struct {
 	lastUsed sim.Time
 	// backlog holds requests coalescing for the next dynamic batch.
 	backlog []pending
-	// pinName keys the instance's weights in the host pinned-cache tier.
+	// pinName names the instance's weights in the host cache; host is
+	// their entry there, nil while they are not host-resident.
 	pinName string
+	host    *hostmem.Entry
 	// popularity is the instance's request probability (zoo variants);
 	// the cost-aware host eviction policy ranks entries by it.
 	popularity float64
@@ -292,9 +295,6 @@ type Server struct {
 	gpus        []*gpuState
 	deployments map[string]*Deployment
 	instances   []*Instance
-	// byPin maps host-cache entry names back to instances, so host-tier
-	// evictions can demote a Sleeping instance to Swapped.
-	byPin map[string]*Instance
 
 	// The instrumentation spine (instruments.go): per-kind event counts and
 	// the sinks emit feeds.
@@ -332,12 +332,13 @@ func New(cfg Config) (*Server, error) {
 		{"WindowWidth", float64(cfg.WindowWidth)},
 		{"HostMemory", float64(cfg.HostMemory)},
 		{"HostFetchBandwidth", cfg.HostFetchBandwidth},
+		{"AdmitFactor", cfg.AdmitFactor},
 		{"MaxBatch", float64(cfg.MaxBatch)},
 		{"LLM.TokenBudget", float64(cfg.LLM.TokenBudget)},
 		{"LLM.MaxOutput", float64(cfg.LLM.MaxOutput)},
 	} {
-		if f.v < 0 {
-			return nil, fmt.Errorf("serving: %s must not be negative (zero selects the default)", f.name)
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return nil, fmt.Errorf("serving: %s must be finite and not negative (zero selects the default)", f.name)
 		}
 	}
 	if cfg.SLO == 0 {
@@ -348,9 +349,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.WindowWidth == 0 {
 		cfg.WindowWidth = sim.Second * 60
-	}
-	if cfg.AdmitFactor < 0 {
-		return nil, fmt.Errorf("serving: AdmitFactor must be non-negative, got %g", cfg.AdmitFactor)
 	}
 	hostPolicy, err := hostmem.ParsePolicy(string(cfg.HostPolicy))
 	if err != nil {
@@ -389,10 +387,6 @@ func New(cfg Config) (*Server, error) {
 	} else if cfg.LLM.PrefillDecode {
 		return nil, fmt.Errorf("serving: PrefillDecode requires LLM mode")
 	}
-	host, err := hostmem.NewCache(cfg.HostMemory, hostPolicy)
-	if err != nil {
-		return nil, fmt.Errorf("serving: %w", err)
-	}
 	s := cfg.Sim
 	if s == nil {
 		s = sim.New()
@@ -407,11 +401,12 @@ func New(cfg Config) (*Server, error) {
 			Monitor: cfg.Monitor,
 		}),
 		pl:          planner.New(cfg.Topo),
-		host:        host,
 		deployments: map[string]*Deployment{},
-		byPin:       map[string]*Instance{},
 		series:      metrics.NewSeries(cfg.WindowWidth, cfg.SLO),
 		rec:         cfg.Trace,
+	}
+	if srv.host, err = hostmem.NewCache(cfg.HostMemory, hostPolicy, srv.hostLocked); err != nil {
+		return nil, fmt.Errorf("serving: %w", err)
 	}
 	srv.rec.AttachNetwork(net) // no-op when tracing is off
 	for _, g := range cfg.Topo.GPUs {
@@ -565,21 +560,17 @@ func (srv *Server) deployment(model *dnn.Model) (*Deployment, error) {
 // cold, and deploy order never forces evictions.
 func (srv *Server) addInstance(dep *Deployment, popularity float64) (int, error) {
 	id := len(srv.instances)
-	name := fmt.Sprintf("%s/instance-%d", dep.Model.Name, id)
-	bytes := dep.Model.TotalParamBytes()
-	now := srv.sim.Now()
-	if srv.cfg.HostPolicy == hostmem.PolicyPinned {
-		if _, _, err := srv.host.Admit(name, bytes, dep.LoadEst, popularity, now); err != nil {
+	inst := &Instance{
+		ID: id, dep: dep, state: Cold, popularity: popularity,
+		pinName: fmt.Sprintf("%s/instance-%d", dep.Model.Name, id),
+	}
+	if srv.cfg.HostPolicy == hostmem.PolicyPinned ||
+		srv.host.Pinned()+dep.Model.TotalParamBytes() <= srv.cfg.HostMemory {
+		if _, err := srv.pinHost(inst); err != nil {
 			return 0, fmt.Errorf("serving: %w", err)
 		}
-	} else {
-		srv.host.TryAdmit(name, bytes, dep.LoadEst, popularity, now)
-	}
-	inst := &Instance{
-		ID: id, dep: dep, state: Cold, pinName: name, popularity: popularity,
 	}
 	srv.instances = append(srv.instances, inst)
-	srv.byPin[name] = inst
 	return id, nil
 }
 
@@ -596,8 +587,7 @@ func (srv *Server) Warmup() int {
 	warm := 0
 	g := 0
 	for _, inst := range srv.instances {
-		e, resident := srv.host.Peek(inst.pinName)
-		if !resident {
+		if inst.host == nil {
 			continue // zoo tail: not host-resident, warming it would skip the fetch path
 		}
 		placed := false
@@ -620,7 +610,6 @@ func (srv *Server) Warmup() int {
 				inst.gpu = gs.id
 				inst.block = blk
 				gs.residents[inst] = true
-				e.SetLocked(true)
 				placed = true
 				g = (g + try + 1) % len(srv.gpus)
 				break
@@ -668,9 +657,12 @@ func (srv *Server) WarmCapacity() int {
 // Servers on a shared external clock (Config.Sim) are driven with Submit
 // and Finish instead.
 func (srv *Server) Run(requests []workload.Request) (*Report, error) {
-	for _, r := range requests {
+	for i, r := range requests {
 		if r.Instance < 0 || r.Instance >= len(srv.instances) {
 			return nil, fmt.Errorf("serving: request for unknown instance %d", r.Instance)
+		}
+		if r.At < 0 {
+			return nil, fmt.Errorf("serving: request %d arrives at negative time %v", i, r.At)
 		}
 		req := r
 		srv.sim.At(req.At, func() { srv.handle(req) })
@@ -787,7 +779,8 @@ func (srv *Server) dispatch(p pending) {
 // straight to placement, unpinned weights first pay the fetch-to-pin cost.
 // fresh marks a first deferral (drainWaitlist retries re-park silently).
 func (srv *Server) startColdPath(inst *Instance, p pending, fresh bool) {
-	if e, ok := srv.host.Lookup(inst.pinName); ok {
+	if e := inst.host; e != nil {
+		srv.count(kHostHit, 1)
 		srv.host.Touch(e, srv.sim.Now())
 		if !srv.place(inst) {
 			// No memory can be freed right now (every resident instance is
@@ -798,6 +791,7 @@ func (srv *Server) startColdPath(inst *Instance, p pending, fresh bool) {
 		srv.startCold(inst, p)
 		return
 	}
+	srv.count(kHostMiss, 1)
 	srv.startFetch(inst, p, fresh)
 }
 
@@ -826,7 +820,7 @@ func (srv *Server) admit(inst *Instance, p pending) bool {
 	budget := sim.Duration(srv.cfg.AdmitFactor * float64(srv.cfg.SLO))
 	projected := inst.dep.LoadEst + inst.dep.ExecEst +
 		sim.Duration(srv.minQueuedAlive())*inst.dep.ExecEst
-	if _, resident := srv.host.Peek(inst.pinName); !resident {
+	if inst.host == nil {
 		projected += inst.dep.FetchEst // unpinned weights fetch before loading
 	}
 	if projected <= budget {
@@ -980,9 +974,6 @@ func (srv *Server) place(inst *Instance) bool {
 			inst.gpu = gs.id
 			inst.block = blk
 			gs.residents[inst] = true
-			if e, ok := srv.host.Peek(inst.pinName); ok {
-				e.SetLocked(true) // warm weights must stay host-resident (DHA reads them)
-			}
 			srv.notePromotion(inst, prev)
 			srv.memCounter(gs)
 			return true
@@ -1084,9 +1075,6 @@ func (srv *Server) release(inst *Instance, to InstanceState, k kind) {
 		}
 		inst.pdBlock = nil
 		srv.memCounter(pgs)
-	}
-	if e, ok := srv.host.Peek(inst.pinName); ok {
-		e.SetLocked(false)
 	}
 	srv.emit(k, gs.id, inst, nil)
 	srv.memCounter(gs)
@@ -1309,13 +1297,18 @@ func (srv *Server) drainWaitlist() {
 
 // CheckInvariants validates the server's internal consistency; tests call
 // it after runs. It verifies residency/allocator agreement, quiesced
-// counters, and host-memory accounting.
+// counters, and host-memory accounting: every held host entry is resident
+// and owned by its holder, and the held bytes are all the cache has pinned.
 func (srv *Server) CheckInvariants() error {
 	var pinned int64
 	for _, inst := range srv.instances {
-		e, resident := srv.host.Peek(inst.pinName)
+		resident := inst.host != nil
 		if resident {
-			pinned += inst.dep.Model.TotalParamBytes()
+			if !inst.host.Resident() || inst.host.Owner() != inst.ID {
+				return fmt.Errorf("serving: instance %d holds host entry of %d (resident %v)",
+					inst.ID, inst.host.Owner(), inst.host.Resident())
+			}
+			pinned += inst.host.Bytes()
 		}
 		switch inst.state {
 		case Warm:
@@ -1335,9 +1328,6 @@ func (srv *Server) CheckInvariants() error {
 			if !resident {
 				return fmt.Errorf("serving: warm instance %d has no host-resident weights", inst.ID)
 			}
-			if !e.Locked() {
-				return fmt.Errorf("serving: warm instance %d host entry is evictable", inst.ID)
-			}
 		case Cold, Swapped:
 			if inst.block != nil {
 				return fmt.Errorf("serving: %v instance %d holds a block", inst.state, inst.ID)
@@ -1350,9 +1340,6 @@ func (srv *Server) CheckInvariants() error {
 			}
 			if inst.fetching && !resident {
 				return fmt.Errorf("serving: instance %d fetching without a host entry", inst.ID)
-			}
-			if resident && e.Locked() && !inst.fetching {
-				return fmt.Errorf("serving: %v idle instance %d holds a host lock", inst.state, inst.ID)
 			}
 		case Sleeping:
 			// Sleeping means exactly: no device residency, host copy intact
@@ -1367,13 +1354,10 @@ func (srv *Server) CheckInvariants() error {
 			if !resident {
 				return fmt.Errorf("serving: sleeping instance %d lost its host copy without demotion", inst.ID)
 			}
-			if e.Locked() {
-				return fmt.Errorf("serving: sleeping instance %d holds a host lock", inst.ID)
-			}
 		}
 	}
 	if pinned != srv.host.Pinned() {
-		return fmt.Errorf("serving: host store pinned %d != resident instance total %d",
+		return fmt.Errorf("serving: host cache pinned %d != held entry total %d",
 			srv.host.Pinned(), pinned)
 	}
 	if err := srv.host.CheckInvariants(); err != nil {

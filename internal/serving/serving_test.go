@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -54,23 +55,31 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// Zero selects a field's default; a negative value is an error that names
-// the field.
+// Zero selects a field's default; a negative or non-finite value is an
+// error that names the field.
 func TestNegativeConfigRejected(t *testing.T) {
-	for field, set := range map[string]func(*Config){
-		"SLO":                func(c *Config) { c.SLO = -5 * sim.Millisecond },
-		"WindowWidth":        func(c *Config) { c.WindowWidth = -sim.Second },
-		"HostMemory":         func(c *Config) { c.HostMemory = -1 },
-		"HostFetchBandwidth": func(c *Config) { c.HostFetchBandwidth = -1e9 },
-		"MaxBatch":           func(c *Config) { c.MaxBatch = -2 },
-		"LLM.TokenBudget":    func(c *Config) { c.LLM = LLMConfig{Enabled: true, TokenBudget: -8} },
-		"LLM.MaxOutput":      func(c *Config) { c.LLM = LLMConfig{Enabled: true, MaxOutput: -1} },
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"SLO", func(c *Config) { c.SLO = -5 * sim.Millisecond }},
+		{"WindowWidth", func(c *Config) { c.WindowWidth = -sim.Second }},
+		{"HostMemory", func(c *Config) { c.HostMemory = -1 }},
+		{"HostFetchBandwidth", func(c *Config) { c.HostFetchBandwidth = -1e9 }},
+		{"HostFetchBandwidth", func(c *Config) { c.HostFetchBandwidth = math.NaN() }},
+		{"HostFetchBandwidth", func(c *Config) { c.HostFetchBandwidth = math.Inf(1) }},
+		{"AdmitFactor", func(c *Config) { c.AdmitFactor = -1 }},
+		{"AdmitFactor", func(c *Config) { c.AdmitFactor = math.NaN() }},
+		{"AdmitFactor", func(c *Config) { c.AdmitFactor = math.Inf(1) }},
+		{"MaxBatch", func(c *Config) { c.MaxBatch = -2 }},
+		{"LLM.TokenBudget", func(c *Config) { c.LLM = LLMConfig{Enabled: true, TokenBudget: -8} }},
+		{"LLM.MaxOutput", func(c *Config) { c.LLM = LLMConfig{Enabled: true, MaxOutput: -1} }},
 	} {
 		cfg := Config{Topo: topology.P38xlarge(), Cost: costmodel.Default(), Policy: PolicyDHA}
-		set(&cfg)
+		tc.set(&cfg)
 		_, err := New(cfg)
-		if err == nil || !strings.Contains(err.Error(), field+" ") {
-			t.Errorf("negative %s: got %v, want an error naming the field", field, err)
+		if err == nil || !strings.Contains(err.Error(), tc.field+" ") {
+			t.Errorf("bad %s: got %v, want an error naming the field", tc.field, err)
 		}
 	}
 	srv, err := New(Config{Topo: topology.P38xlarge(), Cost: costmodel.Default(), Policy: PolicyDHA})
@@ -80,6 +89,17 @@ func TestNegativeConfigRejected(t *testing.T) {
 	if srv.cfg.SLO != 100*sim.Millisecond || srv.cfg.WindowWidth != 60*sim.Second ||
 		srv.cfg.HostMemory != 244e9 || srv.cfg.HostFetchBandwidth != 10e9 {
 		t.Fatalf("zero fields did not take their defaults: %+v", srv.cfg)
+	}
+}
+
+// A request at a negative instant (an overflowed arrival time) is refused
+// with an error naming it, instead of panicking in the scheduler.
+func TestRunRejectsNegativeArrival(t *testing.T) {
+	srv := newServer(t, PolicyDHA)
+	deployBERT(t, srv, 2)
+	_, err := srv.Run([]workload.Request{{At: 0, Instance: 0}, {At: math.MinInt64, Instance: 1}})
+	if err == nil || !strings.Contains(err.Error(), "request 1 ") {
+		t.Fatalf("got %v, want an error naming request 1", err)
 	}
 }
 

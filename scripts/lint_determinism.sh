@@ -51,11 +51,12 @@ if [ -n "$viol" ]; then
   fail=1
 fi
 
-# 4. Goroutine launches in simulation packages. Concurrency is allowed only
-#    under the conservative-lookahead protocol (DESIGN.md §10); every `go`
-#    statement must carry a "// deterministic:" note explaining how the
-#    goroutine's effects are ordered (barriers, channel happens-before) so
-#    output stays a pure function of (code, seed, flags).
+# 4. Goroutine launches in simulation packages. Every simulation runs on
+#    one clock in one goroutine (DESIGN.md §10); concurrency belongs between
+#    independent simulator instances (experiments/runner worker pools). A
+#    `go` statement here must carry a "// deterministic:" note explaining
+#    how the goroutine's effects are ordered (channel happens-before,
+#    joins) so output stays a pure function of (code, seed, flags).
 viol=$(awk '
   /\/\/ deterministic:/ { ok = 1; next }
   /^[ \t]*\/\// { next } # comment continuation keeps a pending note alive
