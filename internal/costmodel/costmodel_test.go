@@ -251,3 +251,19 @@ func TestDHAExecNominalPCIeBound(t *testing.T) {
 		t.Errorf("PCIe-bound DHA exec = %gs, want ~%gs", got, want)
 	}
 }
+
+// Default prices every layer kind's launch, and a copied Params owns its
+// kernel-overhead table: changing the copy leaves the original alone.
+func TestKernelOverheadTable(t *testing.T) {
+	p := Default()
+	for k := dnn.Kind(0); k < dnn.NumKinds; k++ {
+		if p.KernelOverhead[k] <= 0 {
+			t.Errorf("%v has kernel overhead %v", k, p.KernelOverhead[k])
+		}
+	}
+	c := *p
+	c.KernelOverhead[dnn.Linear] = 0
+	if p.KernelOverhead[dnn.Linear] == 0 {
+		t.Fatal("a copied Params shares its kernel-overhead table")
+	}
+}

@@ -41,9 +41,12 @@ const (
 	// Attention is the parameterless score/softmax/value portion of
 	// self-attention (the projections around it are Linear layers).
 	Attention
+
+	// NumKinds is the number of kinds, for tables indexed by Kind.
+	NumKinds
 )
 
-var kindNames = [...]string{
+var kindNames = [NumKinds]string{
 	Embedding: "Emb", Linear: "FC", Conv2D: "Conv", BatchNorm: "BN",
 	LayerNorm: "LN", Activation: "Act", Pooling: "Pool", Residual: "Res",
 	Attention: "Attn",

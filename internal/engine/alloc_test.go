@@ -12,9 +12,10 @@ import (
 
 // runAllocBudget is a whole run's heap allocations in steady state. The run
 // state with its Result, Timings, op records and stream events comes off the
-// engine's free list, and the simnet flows a cold run starts (a copy per
-// loaded layer, a forward per secondary-partition layer, a read per DHA
-// layer) off the network's.
+// engine's free list, the simnet flows a cold run starts (a copy per loaded
+// layer, a forward per secondary-partition layer, a read per DHA layer) off
+// the network's, and the layer costs from the model's run template, whose
+// cost table at the run's batch the first (warm-up) run built.
 const runAllocBudget = 0
 
 // engineRunAllocs measures, on one long-lived engine, the steady-state

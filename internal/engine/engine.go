@@ -14,6 +14,16 @@
 // contends with in-flight copies on the same lane exactly as on real
 // hardware — this is what produces Table 4's interference numbers.
 //
+// Like the paper's engine, which replays a fixed per-layer plan, a run does
+// not re-derive the cost model. Each model the engine serves has one run
+// template: its stream-task names and one immutable cost table per batch
+// size it has run at, giving each layer's unscaled compute time and DHA
+// bytes. Templates are bounded by the distinct models served, and each
+// one's tables by the distinct batch sizes (a short slice scanned
+// linearly). A run applies its ComputeScale to each layer's entry before
+// summing a segment, so prefill pricing is exactly what the cost model
+// gives. The cost Params must not change after New.
+//
 // A steady-state run allocates nothing, whatever its layer count. A
 // runState embeds the run's Result and owns slices sized from the plan:
 // Timings, one op record per stream task issued, and one stream event per
@@ -91,11 +101,12 @@ type Engine struct {
 	// them, so an idle engine keeps one.
 	free []*runState
 
-	// names caches per-model diagnostic task names ("dha:encoder0", ...) so
-	// steady-state scheduling concatenates no strings. Keyed by model pointer:
-	// models are constructed once and shared across runs, so the cache stays
-	// bounded by the number of distinct models the engine ever serves.
-	names map[*dnn.Model]*modelNames
+	// templates holds what each served model's runs share (task names and
+	// per-batch cost tables), so steady-state scheduling concatenates no
+	// strings and prices no layer. Keyed by model pointer: models are
+	// constructed once and shared across runs, so the map stays bounded by
+	// the number of distinct models the engine ever serves.
+	templates map[*dnn.Model]*modelTemplate
 
 	// mon holds per-GPU monitoring instruments; nil when monitoring is off.
 	mon *engInstruments
@@ -112,36 +123,71 @@ type layerNames struct {
 	exec, dha, cp, seg string
 }
 
-// modelNames holds the pre-built task names for one model.
-type modelNames struct {
+// modelTemplate is the run template of one model: its pre-built task names
+// and one immutable cost table per batch size the engine has run it at.
+// The tables are a short slice scanned linearly, so a huge batch costs one
+// table rather than a slot per smaller batch; serving runs a model at a
+// handful of batch sizes (up to its MaxBatch).
+type modelTemplate struct {
 	begin, finish string
 	layers        []layerNames
+	costs         []batchCosts
 }
 
-// namesFor returns m's cached task names, building them on first use.
-func (e *Engine) namesFor(m *dnn.Model) *modelNames {
-	if n, ok := e.names[m]; ok {
-		return n
+// batchCosts is one model's cost table at one batch size.
+type batchCosts struct {
+	batch  int
+	layers []layerCost
+}
+
+// layerCost is one layer's unscaled in-memory compute time and its
+// direct-host-access read traffic at a batch size.
+type layerCost struct {
+	compute sim.Duration
+	dha     float64
+}
+
+// templateFor returns m's run template, building its names on first use.
+func (e *Engine) templateFor(m *dnn.Model) *modelTemplate {
+	if t, ok := e.templates[m]; ok {
+		return t
 	}
-	n := &modelNames{
+	t := &modelTemplate{
 		begin:  "begin:" + m.Name,
 		finish: "finish:" + m.Name,
 		layers: make([]layerNames, m.NumLayers()),
 	}
-	for i := range n.layers {
+	for i := range t.layers {
 		ln := m.Layers[i].Name
-		n.layers[i] = layerNames{
+		t.layers[i] = layerNames{
 			exec: "exec:" + ln,
 			dha:  "dha:" + ln,
 			cp:   "copy:" + ln,
 			seg:  "exec-seg:" + ln,
 		}
 	}
-	if e.names == nil {
-		e.names = make(map[*dnn.Model]*modelNames)
+	if e.templates == nil {
+		e.templates = make(map[*dnn.Model]*modelTemplate)
 	}
-	e.names[m] = n
-	return n
+	e.templates[m] = t
+	return t
+}
+
+// costsAt returns m's cost table at batch, deriving it from the cost model
+// on first use. The engine's Params must not change after New.
+func (t *modelTemplate) costsAt(m *dnn.Model, cost *costmodel.Params, batch int) []layerCost {
+	for i := range t.costs {
+		if t.costs[i].batch == batch {
+			return t.costs[i].layers
+		}
+	}
+	lc := make([]layerCost, len(m.Layers))
+	for i := range m.Layers {
+		l := &m.Layers[i]
+		lc[i] = layerCost{compute: cost.ComputeTime(l, batch), dha: cost.DHABytes(l, batch)}
+	}
+	t.costs = append(t.costs, batchCosts{batch: batch, layers: lc})
+	return lc
 }
 
 // New returns an Engine over the given substrate.
@@ -214,7 +260,8 @@ type Spec struct {
 	// prompt shorter than the model's calibrated sequence length. Copy and
 	// DHA traffic are unscaled (weight movement is token-independent).
 	// Zero and one both mean "unscaled", exactly — no float round-trip —
-	// so single-shot runs stay byte-identical.
+	// so single-shot runs stay byte-identical. Start rejects NaN and values
+	// outside [0,1].
 	ComputeScale float64
 	// OnDone receives the result when the last layer retires. The Result
 	// is valid only until OnDone returns: the engine then reuses it for a
@@ -336,6 +383,9 @@ func (e *Engine) Start(spec Spec) error {
 		return fmt.Errorf("engine: resident mask has %d entries for %d layers",
 			len(spec.ResidentMask), spec.Model.NumLayers())
 	}
+	if s := spec.ComputeScale; !(s >= 0 && s <= 1) {
+		return fmt.Errorf("engine: compute scale %v outside [0,1]", s)
+	}
 	batch := spec.Batch
 	if batch < 1 {
 		batch = spec.Plan.Batch
@@ -387,9 +437,9 @@ func plainCompute(spec *Spec, i int) bool {
 type runState struct {
 	Result
 	e      *Engine
-	m      *dnn.Model
-	names  *modelNames // nil for StartTask runs, which emit no trace
-	scale  float64     // Spec.ComputeScale
+	tmpl   *modelTemplate // nil for StartTask runs, which emit no trace
+	costs  []layerCost    // tmpl's cost table at this run's batch
+	scale  float64        // Spec.ComputeScale
 	onDone func(*Result)
 	ops    []op
 	// evs[o.ev] is recorded on a copy or forward op's stream right after
@@ -516,7 +566,7 @@ func (o *op) Start(done func()) {
 		t.ExecStart = now
 		t.Stall = now.Sub(rs.prevDone)
 		o.pending = 2
-		o.flow = e.net.StartFlowHandler(rs.names.layers[o.layer].dha, e.hostPath[rs.Primary], o.bytes, o)
+		o.flow = e.net.StartFlowHandler(rs.tmpl.layers[o.layer].dha, e.hostPath[rs.Primary], o.bytes, o)
 		o.timer = e.sim.AfterHandler(o.d, o)
 	case opTask:
 		rs.ExecBegin = now
@@ -532,7 +582,7 @@ func (o *op) Fire() {
 	now := e.sim.Now()
 	switch o.kind {
 	case opCopy:
-		o.flow = e.net.StartFlowHandler(rs.names.layers[o.layer].cp, e.hostPath[o.gpu], o.bytes, o)
+		o.flow = e.net.StartFlowHandler(rs.tmpl.layers[o.layer].cp, e.hostPath[o.gpu], o.bytes, o)
 	case opForward:
 		o.flow = e.net.StartFlowHandler("forward", e.nvPath[o.gpu][rs.Primary], o.bytes, o)
 	case opSegment:
@@ -542,7 +592,7 @@ func (o *op) Fire() {
 		for k := o.layer; k < o.hi; k++ {
 			tk := &rs.Timings[k]
 			tk.ExecStart = at
-			at = at.Add(scaleDur(e.cost.ComputeTime(&rs.m.Layers[k], rs.Batch), rs.scale))
+			at = at.Add(scaleDur(rs.costs[k].compute, rs.scale))
 			tk.ExecDone = at
 		}
 		rs.prevDone = now
@@ -755,7 +805,7 @@ func (e *Engine) complete(rs *runState) {
 	e.untrack(rs)
 	rs.Finish = e.sim.Now()
 	e.finalize(rs)
-	if e.trace != nil && rs.names != nil {
+	if e.trace != nil && rs.tmpl != nil {
 		rs.EmitTrace(e.trace)
 	}
 	if rs.onDone != nil {
@@ -766,7 +816,8 @@ func (e *Engine) complete(rs *runState) {
 func (e *Engine) schedule(spec Spec, batch int) {
 	m := spec.Model
 	p := spec.Plan
-	names := e.namesFor(m)
+	tmpl := e.templateFor(m)
+	costs := tmpl.costsAt(m, e.cost, batch)
 	primary := e.gpus[spec.Primary]
 	n := m.NumLayers()
 
@@ -781,21 +832,23 @@ func (e *Engine) schedule(spec Spec, batch int) {
 		Submitted:   e.sim.Now(),
 		Timings:     grow(rs.Timings, n),
 	}
-	rs.m, rs.names, rs.scale, rs.onDone = m, names, spec.ComputeScale, spec.OnDone
+	rs.tmpl, rs.costs, rs.scale, rs.onDone = tmpl, costs, spec.ComputeScale, spec.OnDone
 	e.track(rs)
 
-	// Size the op records: begin and finish, one or two transmission tasks
-	// per transmitted layer (a secondary partition's copy is forwarded),
-	// and one exec task per layer or coalesced plain-compute run.
+	// Reset the timings and stamp each layer's identity field by field (one
+	// clear, not a composite-literal copy per layer). Alongside, size the op
+	// records: begin and finish, one or two transmission tasks per
+	// transmitted layer (a secondary partition's copy is forwarded), and one
+	// exec task per layer or coalesced plain-compute run.
 	nops, nevs := 2, 0
 	prevPlain := false
+	clear(rs.Timings)
 	for i := range rs.Timings {
-		rs.Timings[i] = LayerTiming{
-			Index:     i,
-			Name:      m.Layers[i].Name,
-			Method:    p.Layers[i].Method,
-			Partition: p.Layers[i].Partition,
-		}
+		t := &rs.Timings[i]
+		t.Index = i
+		t.Name = m.Layers[i].Name
+		t.Method = p.Layers[i].Method
+		t.Partition = p.Layers[i].Partition
 		if transmits(&spec, i) {
 			nops++
 			nevs++
@@ -836,7 +889,7 @@ func (e *Engine) schedule(spec Spec, batch int) {
 		if part == 0 {
 			cp.gpu = int32(spec.Primary)
 			cp.arrival = true
-			primary.load.SubmitHandler(names.layers[i].cp, cp)
+			primary.load.SubmitHandler(tmpl.layers[i].cp, cp)
 			lastArrival = &rs.evs[cp.ev]
 			primary.load.Record(lastArrival)
 			continue
@@ -846,7 +899,7 @@ func (e *Engine) schedule(spec Spec, batch int) {
 		secID := spec.Secondaries[part-1]
 		sec := e.gpus[secID]
 		cp.gpu = int32(secID)
-		sec.load.SubmitHandler(names.layers[i].cp, cp)
+		sec.load.SubmitHandler(tmpl.layers[i].cp, cp)
 		sec.load.Record(&rs.evs[cp.ev])
 		rs.BytesNVLink += bytes
 		if spec.PCM != nil {
@@ -864,22 +917,21 @@ func (e *Engine) schedule(spec Spec, batch int) {
 	// Phase 2: schedule execution on the primary GPU. Arrival ops were
 	// appended in layer order, so a cursor pairs each transmitted layer
 	// with its arrival event.
-	primary.exec.SubmitHandler(names.begin, rs.newOp(opBegin, 0))
+	primary.exec.SubmitHandler(tmpl.begin, rs.newOp(opBegin, 0))
 	next := 0
 	for i := 0; i < n; {
 		if plainCompute(&spec, i) {
 			o := rs.newOp(opSegment, i)
 			j := i
 			for j < n && plainCompute(&spec, j) {
-				o.d += scaleDur(e.cost.ComputeTime(&m.Layers[j], batch), spec.ComputeScale)
+				o.d += scaleDur(costs[j].compute, spec.ComputeScale)
 				j++
 			}
 			o.hi = int32(j)
-			primary.exec.SubmitHandler(names.layers[i].seg, o)
+			primary.exec.SubmitHandler(tmpl.layers[i].seg, o)
 			i = j
 			continue
 		}
-		l := &m.Layers[i]
 		if transmits(&spec, i) {
 			for !rs.ops[next].arrival {
 				next++
@@ -893,21 +945,21 @@ func (e *Engine) schedule(spec Spec, batch int) {
 		}
 		if p.Layers[i].Method == plan.DHA {
 			o := rs.newOp(opDHA, i)
-			o.bytes = e.cost.DHABytes(l, batch)
+			o.bytes = costs[i].dha
 			rs.BytesDHA += o.bytes
 			if spec.PCM != nil {
 				spec.PCM.AddDHA(o.bytes)
 			}
-			o.d = scaleDur(e.cost.ComputeTime(l, batch), spec.ComputeScale)
-			primary.exec.SubmitHandler(names.layers[i].dha, o)
+			o.d = scaleDur(costs[i].compute, spec.ComputeScale)
+			primary.exec.SubmitHandler(tmpl.layers[i].dha, o)
 		} else {
 			o := rs.newOp(opExec, i)
-			o.d = scaleDur(e.cost.ComputeTime(l, batch), spec.ComputeScale)
-			primary.exec.SubmitHandler(names.layers[i].exec, o)
+			o.d = scaleDur(costs[i].compute, spec.ComputeScale)
+			primary.exec.SubmitHandler(tmpl.layers[i].exec, o)
 		}
 		i++
 	}
-	primary.exec.SubmitHandler(names.finish, rs.newOp(opFinish, 0))
+	primary.exec.SubmitHandler(tmpl.finish, rs.newOp(opFinish, 0))
 }
 
 // grow returns s resliced to length n, allocating only when its capacity
@@ -1010,6 +1062,9 @@ func (e *Engine) StartTask(gpu int, name string, d sim.Duration, onDone func(*Re
 	}
 	if e.failed[gpu] {
 		return fmt.Errorf("engine: task GPU %d is failed", gpu)
+	}
+	if d < 0 {
+		return fmt.Errorf("engine: task %q has negative duration %v", name, d)
 	}
 	// A task's one op record reports the run itself when its time is up.
 	rs := e.acquire()

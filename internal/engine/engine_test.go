@@ -325,6 +325,21 @@ func TestSpecValidation(t *testing.T) {
 	if err := e.Start(Spec{Model: other, Plan: ps, Primary: 0}); err == nil {
 		t.Error("plan/model mismatch accepted")
 	}
+	// A compute scale outside [0,1] would schedule layer timers in the
+	// simulator's past (negative) or stretch the run (above one).
+	for _, scale := range []float64{-0.5, math.NaN(), math.Inf(1), math.Inf(-1), 2} {
+		if err := e.Start(Spec{Model: f.model, Plan: ps, Primary: 0, Warm: true, ComputeScale: scale}); err == nil {
+			t.Errorf("compute scale %v accepted", scale)
+		}
+	}
+	for _, scale := range []float64{0, 0.37, 1} {
+		if err := e.Start(Spec{Model: f.model, Plan: ps, Primary: 0, Warm: true, ComputeScale: scale}); err != nil {
+			t.Errorf("compute scale %v rejected: %v", scale, err)
+		}
+	}
+	if s.Run(); len(e.active) != 0 {
+		t.Fatal("accepted runs did not complete")
+	}
 }
 
 func TestIncompleteConfigPanics(t *testing.T) {

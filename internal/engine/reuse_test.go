@@ -37,12 +37,20 @@ func shifted(r *Result, d sim.Duration) *Result {
 // fresh engine. One engine runs, one after another, a BERT-Large PT+DHA cold
 // start (sizing the state's slices), a BERT-Base warm run and a decode task
 // (leaving the first run's fired events behind the slices' lengths), and a
-// BERT-Base PT+DHA cold start, which reuses those events. Each result, copied
-// inside OnDone, must equal its fresh-engine reference shifted in time.
+// BERT-Base PT+DHA cold start, which reuses those events. It then runs that
+// cold start at batch 4, 1 and 4 again, so the model's template serves a
+// new cost table, an existing one and the new one reused. Each result,
+// copied inside OnDone, must equal its fresh-engine reference shifted in
+// time.
 func TestReusedRunStateMatchesFreshEngine(t *testing.T) {
 	large, base := fix(t, "bert-large"), fix(t, "bert-base")
 	cold := func(f *fixture) Spec {
 		return Spec{Model: f.model, Plan: f.pl.PlanPTDHA(f.prof, 2), Primary: 0, Secondaries: []int{2}}
+	}
+	batched := func(b int) Spec {
+		spec := cold(base)
+		spec.Batch = b
+		return spec
 	}
 	warm := Spec{Model: base.model, Plan: base.pl.PlanPipeSwitch(base.prof), Primary: 0, Warm: true}
 	const task = 3 * sim.Millisecond
@@ -52,7 +60,7 @@ func TestReusedRunStateMatchesFreshEngine(t *testing.T) {
 	var got *Result
 	var first *runState
 	keep := func(r *Result) { got = r.Clone() }
-	for i, spec := range []Spec{cold(large), warm, {}, cold(base)} {
+	for i, spec := range []Spec{cold(large), warm, {}, cold(base), batched(4), batched(1), batched(4)} {
 		var want *Result
 		got = nil
 		if spec.Model == nil {
@@ -152,8 +160,8 @@ func TestFreeListBoundedAfterBurst(t *testing.T) {
 		t.Fatalf("%d run states parked on an idle engine; want at most 1", len(e.free))
 	}
 	for _, rs := range e.free {
-		if rs.onDone != nil || rs.Secondaries != nil || rs.m != nil || rs.names != nil {
-			t.Fatal("parked run state keeps its callback, secondaries or model")
+		if rs.onDone != nil || rs.Secondaries != nil || rs.tmpl != nil || rs.costs != nil {
+			t.Fatal("parked run state keeps its callback, secondaries, template or cost table")
 		}
 		for i, o := range rs.ops[:cap(rs.ops)] {
 			if o.rs != nil || o.done != nil || o.timer != nil || o.flow != nil {

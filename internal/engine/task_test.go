@@ -47,6 +47,13 @@ func TestStartTaskValidation(t *testing.T) {
 	if err := e.StartTask(99, "decode", sim.Millisecond, nil); err == nil {
 		t.Error("out-of-range GPU accepted")
 	}
+	if err := e.StartTask(0, "decode", -sim.Millisecond, nil); err == nil {
+		t.Error("negative duration accepted")
+	}
+	if err := e.StartTask(0, "decode", 0, nil); err != nil {
+		t.Errorf("zero duration rejected: %v", err)
+	}
+	s.Run()
 }
 
 // FailGPU aborts an in-flight task (Aborted result, delivered at failure
