@@ -10,13 +10,16 @@ import (
 	"testing"
 
 	"deepplan"
+	"deepplan/internal/costmodel"
 	"deepplan/internal/dnn"
 	"deepplan/internal/forecast"
 	"deepplan/internal/forward"
 	"deepplan/internal/hostmem"
 	"deepplan/internal/monitor"
+	"deepplan/internal/serving"
 	"deepplan/internal/sim"
 	"deepplan/internal/simnet"
+	"deepplan/internal/topology"
 )
 
 // Substrate micro-benchmarks.
@@ -198,9 +201,11 @@ func BenchmarkServingThousandRequestsMonitored(b *testing.B) {
 	benchServingThousand(b, false, true)
 }
 
+// benchServingThousand times one bare node, serving.Server, the reference
+// driver a one-node cluster must match.
 func benchServingThousand(b *testing.B, traced, monitored bool) {
 	b.Helper()
-	platform := deepplan.NewP38xlarge()
+	cost := costmodel.Default()
 	m, err := deepplan.LoadModel("bert-base")
 	if err != nil {
 		b.Fatal(err)
@@ -209,15 +214,15 @@ func benchServingThousand(b *testing.B, traced, monitored bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opts := deepplan.ServerOptions{Policy: deepplan.ModePTDHA}
+		cfg := serving.Config{Topo: topology.P38xlarge(), Cost: cost, Policy: serving.PolicyPTDHA}
 		if traced {
-			opts.Trace = deepplan.NewTraceRecorder()
-			opts.Telemetry = true
+			cfg.Trace = deepplan.NewTraceRecorder()
+			cfg.Telemetry = true
 		}
 		if monitored {
-			opts.Monitor = deepplan.NewMetricsRegistry()
+			cfg.Monitor = deepplan.NewMetricsRegistry()
 		}
-		srv, err := platform.NewServer(opts)
+		srv, err := serving.New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -240,11 +245,7 @@ func benchCluster(b *testing.B, nodes int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	reqs := deepplan.ClusterRequests("BERT-Base",
-		deepplan.PoissonWorkload(7, 25*float64(nodes), 2000, nodes))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	deployed := func() *deepplan.Cluster {
 		c, err := platform.NewCluster(deepplan.ClusterOptions{
 			Nodes: nodes,
 			Route: deepplan.RouteLeastOutstanding,
@@ -255,6 +256,16 @@ func benchCluster(b *testing.B, nodes int) {
 		if err := c.Deploy(m, nodes); err != nil {
 			b.Fatal(err)
 		}
+		return c
+	}
+	reqs, err := deployed().Requests(deepplan.PoissonWorkload(7, 25*float64(nodes), 2000, nodes))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := deployed()
 		c.Warmup()
 		if _, err := c.Run(reqs); err != nil {
 			b.Fatal(err)

@@ -51,6 +51,14 @@ func main() {
 	if *metricsPath != "" && *exp != "fig-slo" {
 		usage("-metrics needs -exp fig-slo")
 	}
+	if *workers < 0 {
+		usage(fmt.Sprintf("-workers must not be negative, got %d", *workers))
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "workers" && !*parallel {
+			usage("-workers needs -parallel")
+		}
+	})
 	opts := experiments.Options{Quick: *quick, TracePath: *tracePath, MetricsPath: *metricsPath,
 		Telemetry: *telemetry, ZooN: *zoo, ZooPolicy: *zooPolicy,
 		LLMBatching: *llm, PrefillDecode: *prefillDecode, AutoscalePolicy: *autoscalePolicy}

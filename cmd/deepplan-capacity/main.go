@@ -65,6 +65,14 @@ func main() {
 	zoo := flag.Int("zoo", 0, "plan for an N-variant model zoo instead of -model/-replicas (dense packing + host cache)")
 	zooPolicy := flag.String("zoo-policy", "", "host-memory cache policy for -zoo: lru | cost (default lru)")
 	flag.Parse()
+	if *workers < 0 {
+		fail("-workers must not be negative, got %d", *workers)
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "workers" && !*parallel {
+			fail("-workers needs -parallel")
+		}
+	})
 
 	spec := capacity.SearchSpec{
 		SLO:           sim.Duration(*slo),

@@ -230,7 +230,9 @@ func main() {
 			}
 			header = append(header, fmt.Sprintf("%d Poisson requests at %.0f rps", len(raw), *rate))
 		}
-		reqs = clusterRequests(deps, raw)
+		if reqs, err = c.Requests(raw); err != nil {
+			fail("%v", err)
+		}
 	}
 	warm := c.Warmup()
 	start := time.Now()
@@ -413,24 +415,6 @@ func parseMix(mix, fallbackModel string, fallbackCount int) ([]deployment, error
 		out = append(out, deployment{m, n})
 	}
 	return out, nil
-}
-
-// clusterRequests addresses each arrival, generated over the instances of
-// every deployment numbered in deploy order, to the deployment whose block
-// holds its instance; the routing key is the instance's offset in that
-// block.
-func clusterRequests(deps []deployment, raw []deepplan.Request) []deepplan.ClusterRequest {
-	out := make([]deepplan.ClusterRequest, len(raw))
-	for i, r := range raw {
-		key, d := r.Instance, 0
-		for key >= deps[d].count {
-			key -= deps[d].count
-			d++
-		}
-		out[i] = deepplan.ClusterRequest{At: r.At, Model: deps[d].model.Name, Key: key,
-			PromptTokens: r.PromptTokens, OutputTokens: r.OutputTokens}
-	}
-	return out
 }
 
 func fail(format string, args ...any) {

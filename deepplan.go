@@ -73,8 +73,6 @@ type (
 	Topology = topology.Topology
 	// Request is one workload arrival.
 	Request = workload.Request
-	// Report summarizes a serving run.
-	Report = serving.Report
 	// Time is a virtual-time instant (nanoseconds).
 	Time = sim.Time
 	// Duration is a span of virtual time.
@@ -88,7 +86,8 @@ type (
 	TraceRecorder = trace.Recorder
 	// TelemetryStat is one window of the resource telemetry snapshot.
 	TelemetryStat = metrics.TelemetryStat
-	// WindowStat is one window of a run's latency series (see Windows).
+	// WindowStat is one window of a run's latency series (see
+	// Cluster.Windows).
 	WindowStat = metrics.WindowStat
 	// FaultSchedule is a deterministic fault-injection schedule for
 	// ServerOptions.Faults. Build one with ParseFaults.
@@ -171,8 +170,8 @@ const (
 // over the profiled base architectures at several parameter scales, with
 // Zipf(spec.Skew) popularity. Variants sharing a shape share one profile
 // and plan, so a 100k-variant zoo costs no more planning than its shape
-// grid. Deploy with Server.DeployZoo or Cluster.DeployZoo, and generate
-// traffic with the zoo's Requests method.
+// grid. Deploy with Cluster.DeployZoo, and generate traffic with the
+// zoo's Requests method (addressed with ZooClusterRequests).
 func NewModelZoo(spec ZooSpec) (*ModelZoo, error) { return registry.New(spec) }
 
 // ZooClusterRequests maps a zoo arrival sequence (from ModelZoo.Requests)
@@ -362,7 +361,8 @@ func (p *Platform) Execute(m *Model, pln *Plan, opts ExecuteOptions) (*RunResult
 	})
 }
 
-// ServerOptions configures NewServer.
+// ServerOptions are the options of one serving node; ClusterOptions
+// embeds them as the options every node gets.
 type ServerOptions struct {
 	// Policy is the serving-time execution mode (PipeSwitch, DHA, PT+DHA,
 	// or Baseline; plain PT is not a serving policy in the paper).
@@ -406,28 +406,6 @@ type ServerOptions struct {
 	LLM LLMOptions
 }
 
-// Server is a simulated multi-GPU inference server.
-type Server = serving.Server
-
-// NewServer builds a serving system on this platform.
-func (p *Platform) NewServer(opts ServerOptions) (*Server, error) {
-	return serving.New(serving.Config{
-		Topo:        p.build(),
-		Cost:        p.cost,
-		Policy:      opts.policy(),
-		SLO:         opts.SLO,
-		MaxBatch:    opts.MaxBatch,
-		Trace:       opts.Trace,
-		Telemetry:   opts.Telemetry,
-		Faults:      opts.Faults,
-		AdmitFactor: opts.AdmitFactor,
-		Monitor:     opts.Monitor,
-		HostPolicy:  opts.HostPolicy,
-		Pack:        opts.Pack,
-		LLM:         opts.LLM,
-	})
-}
-
 // policy is the serving policy the options select; empty means PT+DHA.
 func (o ServerOptions) policy() serving.Policy {
 	if o.Policy == "" {
@@ -436,17 +414,13 @@ func (o ServerOptions) policy() serving.Policy {
 	return serving.Policy(o.Policy)
 }
 
-// Windows returns the per-window latency stats (requests, p99, goodput,
-// cold starts) of one or more servers' runs, their samples pooled window
-// by window.
-func Windows(servers ...*Server) []WindowStat { return serving.Windows(servers...) }
-
 // Cluster-layer re-exports: the multi-node serving system (router +
 // autoscaler over N independent servers on one shared virtual clock).
 type (
-	// Cluster is a simulated multi-node serving system.
+	// Cluster is a simulated serving system of one or more nodes.
 	Cluster = cluster.Cluster
 	// ClusterRequest is one cluster-level arrival (model + routing key).
+	// Cluster.Requests and ZooClusterRequests build them from a workload.
 	ClusterRequest = cluster.Request
 	// ClusterReport summarizes a cluster run.
 	ClusterReport = cluster.Report
@@ -505,9 +479,10 @@ type ClusterOptions struct {
 	MetricsInterval Duration
 }
 
-// NewCluster builds a multi-node serving system on this platform: every
-// node gets a fresh topology from the platform's factory, and all nodes
-// share one virtual clock.
+// NewCluster builds a serving system of opts.Nodes nodes on this platform
+// (one node is the paper's single server): every node gets a fresh
+// topology from the platform's factory, and all nodes share one virtual
+// clock.
 func (p *Platform) NewCluster(opts ClusterOptions) (*Cluster, error) {
 	return cluster.New(cluster.Config{
 		Nodes:           opts.Nodes,
@@ -530,17 +505,6 @@ func (p *Platform) NewCluster(opts ClusterOptions) (*Cluster, error) {
 		Pack:            opts.Pack,
 		LLM:             opts.LLM,
 	})
-}
-
-// ClusterRequests maps a single-server workload onto cluster arrivals for
-// the named model: each request's instance index becomes its routing key.
-func ClusterRequests(model string, reqs []Request) []ClusterRequest {
-	out := make([]ClusterRequest, len(reqs))
-	for i, r := range reqs {
-		out[i] = ClusterRequest{At: r.At, Model: model, Key: r.Instance,
-			PromptTokens: r.PromptTokens, OutputTokens: r.OutputTokens}
-	}
-	return out
 }
 
 // PoissonWorkload generates an open-loop Poisson arrival sequence

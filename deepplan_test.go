@@ -129,29 +129,46 @@ func TestPlatformAccessors(t *testing.T) {
 	}
 }
 
+// oneNode builds a one-node cluster, the facade's serving system for the
+// paper's single server.
+func oneNode(platform *deepplan.Platform, opts deepplan.ServerOptions) (*deepplan.Cluster, error) {
+	return platform.NewCluster(deepplan.ClusterOptions{ServerOptions: opts, Nodes: 1})
+}
+
 func TestServerFacade(t *testing.T) {
 	platform := deepplan.NewP38xlarge()
-	srv, err := platform.NewServer(deepplan.ServerOptions{Policy: deepplan.ModeDHA})
+	c, err := oneNode(platform, deepplan.ServerOptions{Policy: deepplan.ModeDHA})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m, _ := deepplan.LoadModel("bert-base")
-	if err := srv.Deploy(m, 12); err != nil {
+	if err := c.Deploy(m, 12); err != nil {
 		t.Fatal(err)
 	}
-	srv.Warmup()
-	rep, err := srv.Run(deepplan.PoissonWorkload(1, 40, 200, 12))
+	c.Warmup()
+	reqs, err := c.Requests(deepplan.PoissonWorkload(1, 40, 200, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Requests != 200 || rep.Goodput <= 0 {
+	rep, err := c.Run(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Requests != 200 || rep.Goodput <= 0 || string(rep.Policy) != string(deepplan.ModeDHA) {
 		t.Fatalf("report = %+v", rep)
 	}
 	// Default policy when empty is PT+DHA; plain PT is not a serving policy.
-	if _, err := platform.NewServer(deepplan.ServerOptions{}); err != nil {
+	c, err = oneNode(platform, deepplan.ServerOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := platform.NewServer(deepplan.ServerOptions{Policy: deepplan.ModePT}); err == nil {
+	if err := c.Deploy(m, 12); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := c.Run(reqs); err != nil || string(rep.Policy) != string(deepplan.ModePTDHA) {
+		t.Fatalf("empty policy: report %+v, err %v; want policy %s", rep, err, deepplan.ModePTDHA)
+	}
+	if _, err := oneNode(platform, deepplan.ServerOptions{Policy: deepplan.ModePT}); err == nil {
 		t.Fatal("plain PT accepted as serving policy")
 	}
 }
@@ -231,7 +248,7 @@ func TestPlanJSONThroughFacade(t *testing.T) {
 
 func TestLLMFacade(t *testing.T) {
 	platform := deepplan.NewP38xlarge()
-	srv, err := platform.NewServer(deepplan.ServerOptions{
+	c, err := oneNode(platform, deepplan.ServerOptions{
 		Policy: deepplan.ModeDHA,
 		LLM:    deepplan.LLMOptions{Enabled: true, Batching: deepplan.LLMBatchContinuous},
 	})
@@ -242,17 +259,21 @@ func TestLLMFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Deploy(m, 4); err != nil {
+	if err := c.Deploy(m, 4); err != nil {
 		t.Fatal(err)
 	}
-	srv.Warmup()
+	c.Warmup()
 	reqs := deepplan.AssignTokens(deepplan.PoissonWorkload(7, 60, 120, 4), 7, 128, 16)
 	for _, r := range reqs {
 		if r.PromptTokens < 1 || r.OutputTokens < 1 {
 			t.Fatalf("AssignTokens left a request without tokens: %+v", r)
 		}
 	}
-	rep, err := srv.Run(reqs)
+	creqs, err := c.Requests(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Run(creqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,13 +284,14 @@ func TestLLMFacade(t *testing.T) {
 		t.Fatalf("decode path not exercised: %d tokens", rep.TokensGenerated)
 	}
 	// Static batching is the only other accepted discipline.
-	if _, err := platform.NewServer(deepplan.ServerOptions{
+	if _, err := oneNode(platform, deepplan.ServerOptions{
 		LLM: deepplan.LLMOptions{Enabled: true, Batching: "bogus"},
 	}); err == nil {
 		t.Fatal("unknown batching discipline accepted")
 	}
-	// Prefill/decode disaggregation threads through the cluster facade too.
-	c, err := platform.NewCluster(deepplan.ClusterOptions{
+	// Prefill/decode disaggregation threads through a multi-node cluster
+	// too, and the cluster's addressing keeps the token annotations.
+	c, err = platform.NewCluster(deepplan.ClusterOptions{
 		ServerOptions: deepplan.ServerOptions{
 			LLM: deepplan.LLMOptions{Enabled: true, PrefillDecode: true},
 		},
@@ -282,10 +304,15 @@ func TestLLMFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Warmup()
-	creqs := deepplan.ClusterRequests("GPT-2", reqs)
+	creqs, err = c.Requests(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, cr := range creqs {
-		if cr.PromptTokens != reqs[i].PromptTokens || cr.OutputTokens != reqs[i].OutputTokens {
-			t.Fatal("ClusterRequests dropped token annotations")
+		r := reqs[i]
+		if cr.Model != "GPT-2" || cr.Key != r.Instance || cr.At != r.At ||
+			cr.PromptTokens != r.PromptTokens || cr.OutputTokens != r.OutputTokens {
+			t.Fatalf("Cluster.Requests mapped %+v to %+v", r, cr)
 		}
 	}
 	crep, err := c.Run(creqs)

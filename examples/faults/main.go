@@ -1,5 +1,5 @@
-// Faults example: serving through a GPU failure. A four-GPU server runs a
-// steady BERT-Base workload while GPU 1 dies for 1.5 seconds and a PCIe lane
+// Faults example: serving through a GPU failure. A four-GPU server (a
+// one-node cluster) runs a steady BERT-Base workload while GPU 1 dies for 1.5 seconds and a PCIe lane
 // degrades; SLO-aware admission control sheds the cold-starts that can no
 // longer make their deadline. Compare how each policy rides out the same
 // deterministic failure schedule — and note that every number here is
@@ -38,20 +38,27 @@ func main() {
 	for _, policy := range []deepplan.Mode{
 		deepplan.ModePipeSwitch, deepplan.ModeDHA, deepplan.ModePTDHA,
 	} {
-		srv, err := platform.NewServer(deepplan.ServerOptions{
-			Policy:      policy,
-			SLO:         deepplan.Duration(sloMs) * 1e6,
-			Faults:      sched,
-			AdmitFactor: 1.5,
+		c, err := platform.NewCluster(deepplan.ClusterOptions{
+			ServerOptions: deepplan.ServerOptions{
+				Policy:      policy,
+				SLO:         deepplan.Duration(sloMs) * 1e6,
+				Faults:      sched,
+				AdmitFactor: 1.5,
+			},
+			Nodes: 1,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := srv.Deploy(model, instances); err != nil {
+		if err := c.Deploy(model, instances); err != nil {
 			log.Fatal(err)
 		}
-		srv.Warmup()
-		rep, err := srv.Run(deepplan.PoissonWorkload(42, rate, requests, instances))
+		c.Warmup()
+		reqs, err := c.Requests(deepplan.PoissonWorkload(42, rate, requests, instances))
+		if err != nil {
+			log.Fatal(err)
+		}
+		rep, err := c.Run(reqs)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,7 +1,8 @@
 // Serving example: the paper's Figure 13 scenario in miniature. A four-GPU
-// server packs more BERT-Base instances than fit in GPU memory and serves an
-// open-loop Poisson workload; compare how each cold-start policy holds up as
-// the instance count crosses the memory limit.
+// server — a one-node cluster — packs more BERT-Base instances than fit in
+// GPU memory and serves an open-loop Poisson workload; compare how each
+// cold-start policy holds up as the instance count crosses the memory
+// limit.
 package main
 
 import (
@@ -30,19 +31,25 @@ func main() {
 		deepplan.ModePipeSwitch, deepplan.ModeDHA, deepplan.ModePTDHA,
 	} {
 		for _, instances := range []int{100, 140, 180} {
-			srv, err := platform.NewServer(deepplan.ServerOptions{
-				Policy: policy,
-				SLO:    deepplan.Duration(sloMs) * 1e6,
+			c, err := platform.NewCluster(deepplan.ClusterOptions{
+				ServerOptions: deepplan.ServerOptions{
+					Policy: policy,
+					SLO:    deepplan.Duration(sloMs) * 1e6,
+				},
+				Nodes: 1,
 			})
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := srv.Deploy(model, instances); err != nil {
+			if err := c.Deploy(model, instances); err != nil {
 				log.Fatal(err)
 			}
-			srv.Warmup()
-			reqs := deepplan.PoissonWorkload(42, rate, requests, instances)
-			rep, err := srv.Run(reqs)
+			c.Warmup()
+			reqs, err := c.Requests(deepplan.PoissonWorkload(42, rate, requests, instances))
+			if err != nil {
+				log.Fatal(err)
+			}
+			rep, err := c.Run(reqs)
 			if err != nil {
 				log.Fatal(err)
 			}

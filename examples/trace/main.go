@@ -1,7 +1,8 @@
 // Trace example: a scaled-down version of the paper's Figure 15 — replay a
 // Microsoft-Azure-Functions-like trace (sustained + fluctuating + spiky
 // arrival classes) against a mixed deployment of BERT-Base, RoBERTa-Base,
-// and GPT-2 at the paper's 4:4:1 ratio, and watch the per-minute tail.
+// and GPT-2 at the paper's 4:4:1 ratio on one server (a one-node cluster),
+// and watch the per-minute tail.
 package main
 
 import (
@@ -25,7 +26,10 @@ func main() {
 	}
 
 	for _, policy := range []deepplan.Mode{deepplan.ModePipeSwitch, deepplan.ModePTDHA} {
-		srv, err := platform.NewServer(deepplan.ServerOptions{Policy: policy})
+		c, err := platform.NewCluster(deepplan.ClusterOptions{
+			ServerOptions: deepplan.ServerOptions{Policy: policy},
+			Nodes:         1,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -35,24 +39,30 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := srv.Deploy(m, d.count); err != nil {
+			if err := c.Deploy(m, d.count); err != nil {
 				log.Fatal(err)
 			}
 			total += d.count
 		}
-		reqs, err := deepplan.MAFWorkload(7, minutes*60*1e9, rate, total)
+		arrivals, err := deepplan.MAFWorkload(7, minutes*60*1e9, rate, total)
 		if err != nil {
 			log.Fatal(err)
 		}
-		srv.Warmup()
-		rep, err := srv.Run(reqs)
+		// The trace numbers instances in deploy order; the cluster maps
+		// each arrival to its model and a key within that model.
+		reqs, err := c.Requests(arrivals)
+		if err != nil {
+			log.Fatal(err)
+		}
+		c.Warmup()
+		rep, err := c.Run(reqs)
 		if err != nil {
 			log.Fatal(err)
 		}
 
 		fmt.Printf("policy %s: %d requests, p99 %.1f ms, goodput %.1f%%, %d cold-starts\n",
 			policy, rep.Requests, rep.P99.Seconds()*1e3, rep.Goodput*100, rep.ColdStarts)
-		windows := deepplan.Windows(srv)
+		windows := c.Windows()
 		fmt.Printf("  minute:")
 		for i := range windows {
 			if i%4 != 0 {

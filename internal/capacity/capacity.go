@@ -277,10 +277,10 @@ func (s SearchSpec) zoo() (*registry.Zoo, error) {
 	return registry.New(registry.Spec{N: s.Zoo, Skew: s.Skew})
 }
 
-// requests generates the arrival sequence offered at the probed rate. The
-// sequence is a pure function of (spec, rate): the oracle never shares
-// state between probes.
-func (s SearchSpec) requests(rate int) ([]cluster.Request, error) {
+// requests generates the arrival sequence offered at the probed rate,
+// addressed through c's deployment. The sequence is a pure function of
+// (spec, rate): the oracle never shares state between probes.
+func (s SearchSpec) requests(c *cluster.Cluster, rate int) ([]cluster.Request, error) {
 	if s.Zoo > 0 {
 		if s.Workload != WorkloadPoisson {
 			return nil, fmt.Errorf("capacity: zoo mode supports the poisson workload only, got %q", s.Workload)
@@ -311,15 +311,7 @@ func (s SearchSpec) requests(rate int) ([]cluster.Request, error) {
 	default:
 		return nil, fmt.Errorf("capacity: unknown workload %q", s.Workload)
 	}
-	model, err := dnn.ByName(s.Model)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]cluster.Request, len(raw))
-	for i, r := range raw {
-		out[i] = cluster.Request{At: r.At, Model: model.Name, Key: r.Instance}
-	}
-	return out, nil
+	return c.Requests(raw)
 }
 
 // probe is one oracle evaluation: the cluster's behaviour at a single
@@ -394,7 +386,7 @@ func evaluateMonitored(pt Point, spec SearchSpec, rate int, reg *monitor.Registr
 		}
 	}
 	c.Warmup()
-	reqs, err := spec.requests(rate)
+	reqs, err := spec.requests(c, rate)
 	if err != nil {
 		return probe{}, nil, err
 	}

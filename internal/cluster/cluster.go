@@ -441,9 +441,6 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// NumNodes returns the cluster's node count.
-func (c *Cluster) NumNodes() int { return len(c.nodes) }
-
 // Deploy registers replicas instances of a model on every node (weights
 // pinned in each node's host memory, profiled and planned once per node —
 // the paper's one-time pre-run, fleet-wide). replicas is the model's scale
@@ -562,6 +559,52 @@ func ZooRequests(z *registry.Zoo, reqs []workload.Request) []Request {
 		out[i] = Request{At: r.At, Model: v.Model.Name, Key: v.Ordinal}
 	}
 	return out
+}
+
+// Requests maps a workload addressed by node-local instance index onto
+// cluster arrivals. Deploy numbers every node's instances the same way:
+// each model a contiguous block, in deploy order. An arrival goes to the
+// model whose block holds its instance, keyed by the instance's offset in
+// that block, with its token counts copied. An instance outside every
+// block, or one that belongs to a zoo shape (zoo traffic is addressed by
+// variant through ZooRequests), is an error naming the arrival.
+func (c *Cluster) Requests(reqs []workload.Request) ([]Request, error) {
+	var blocks []*modelState
+	for _, name := range c.order {
+		if m := c.models[name]; !m.zoo {
+			blocks = append(blocks, m)
+		}
+	}
+	out := make([]Request, len(reqs))
+	for i, r := range reqs {
+		var m *modelState
+		for _, b := range blocks {
+			if r.Instance >= b.base && r.Instance < b.base+b.replicas {
+				m = b
+				break
+			}
+		}
+		if m == nil {
+			return nil, fmt.Errorf("cluster: arrival %d (instance %d at %v): %s", i, r.Instance, r.At, c.unaddressable(r.Instance))
+		}
+		out[i] = Request{At: r.At, Model: m.name, Key: r.Instance - m.base,
+			PromptTokens: r.PromptTokens, OutputTokens: r.OutputTokens}
+	}
+	return out, nil
+}
+
+// unaddressable says why Requests cannot address instance: it is a zoo
+// tenant, or no instance has that index.
+func (c *Cluster) unaddressable(instance int) string {
+	for _, name := range c.order {
+		m := c.models[name]
+		for r, id := range m.insts {
+			if id == instance {
+				return fmt.Sprintf("zoo shape %s replica %d is addressed by variant (ZooRequests)", m.name, r)
+			}
+		}
+	}
+	return fmt.Sprintf("out of range: %d instances deployed per node", c.nodes[0].srv.NumInstances())
 }
 
 // Warmup pre-places instances on every node, mirroring the single-node

@@ -5,22 +5,10 @@ import (
 	"io"
 
 	"deepplan/internal/cluster"
-	"deepplan/internal/dnn"
 	"deepplan/internal/experiments/runner"
 	"deepplan/internal/sim"
 	"deepplan/internal/workload"
 )
-
-// clusterWorkload maps a single-server Poisson workload onto cluster
-// arrivals: the instance index becomes the routing key, so every sweep
-// point replays the identical arrival sequence.
-func clusterWorkload(model string, reqs []workload.Request) []cluster.Request {
-	out := make([]cluster.Request, len(reqs))
-	for i, r := range reqs {
-		out[i] = cluster.Request{At: r.At, Model: model, Key: r.Instance}
-	}
-	return out
-}
 
 // FigCluster extends the paper's single-server evaluation (§5.3, one
 // p3.8xlarge) to a small fleet: the same BERT-Base deployment, replicated
@@ -46,8 +34,7 @@ func FigCluster(w io.Writer, opts Options) error {
 	routes := []cluster.RoutePolicy{
 		cluster.RouteRoundRobin, cluster.RouteLeastOutstanding, cluster.RouteAffinity,
 	}
-	raw := workload.Poisson(42, rate, requests, replicas)
-	reqs := clusterWorkload("BERT-Base", raw)
+	reqs := workload.Poisson(42, rate, requests, replicas)
 	fmt.Fprintf(w, "%d replicas per node (above warm capacity), %d requests at %.0f rps\n\n",
 		replicas, requests, rate)
 
@@ -62,34 +49,19 @@ func FigCluster(w io.Writer, opts Options) error {
 			points = append(points, point{nodes: n, route: r})
 		}
 	}
-	run := func(nodes int, route cluster.RoutePolicy, reqs []cluster.Request, as cluster.AutoscaleConfig) (*cluster.Report, error) {
-		c, err := cluster.New(cluster.Config{
+	run := func(nodes int, route cluster.RoutePolicy, reqs []workload.Request, as cluster.AutoscaleConfig) (*cluster.Report, error) {
+		_, rep, err := serve(cluster.Config{
 			Nodes:     nodes,
 			Route:     route,
 			SLO:       100 * sim.Millisecond,
 			Autoscale: as,
-		})
-		if err != nil {
-			return nil, err
-		}
-		m, err := dnn.ByName("bert-base")
-		if err != nil {
-			return nil, err
-		}
-		if err := c.Deploy(m, replicas); err != nil {
-			return nil, err
-		}
-		c.Warmup()
-		return c.Run(reqs)
+		}, []deployment{{"bert-base", replicas}}, reqs, true)
+		return rep, err
 	}
-	err := runner.ForEach(opts.Workers, len(points), func(i int) error {
+	err := runner.ForEach(opts.Workers, len(points), func(i int) (err error) {
 		p := &points[i]
-		rep, err := run(p.nodes, p.route, reqs, cluster.AutoscaleConfig{})
-		if err != nil {
-			return err
-		}
-		p.rep = rep
-		return nil
+		p.rep, err = run(p.nodes, p.route, reqs, cluster.AutoscaleConfig{})
+		return err
 	})
 	if err != nil {
 		return err
@@ -107,8 +79,7 @@ func FigCluster(w io.Writer, opts Options) error {
 	// replica's service rate) against a two-node cluster whose router starts
 	// at a one-replica floor; the controller must widen the model as the
 	// windowed queue depth crosses the threshold.
-	asReqs := clusterWorkload("BERT-Base", workload.Poisson(43, 400, requests, replicas))
-	asRep, err := run(2, cluster.RouteLeastOutstanding, asReqs, cluster.AutoscaleConfig{
+	asRep, err := run(2, cluster.RouteLeastOutstanding, workload.Poisson(43, 400, requests, replicas), cluster.AutoscaleConfig{
 		Enabled:  true,
 		Interval: sim.Second,
 	})

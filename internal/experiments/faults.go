@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"io"
 
-	"deepplan/internal/costmodel"
-	"deepplan/internal/dnn"
+	"deepplan/internal/cluster"
 	"deepplan/internal/experiments/runner"
 	"deepplan/internal/faults"
 	"deepplan/internal/serving"
 	"deepplan/internal/sim"
-	"deepplan/internal/topology"
 	"deepplan/internal/workload"
 )
 
@@ -40,39 +38,22 @@ func FigFaults(w io.Writer, opts Options) error {
 
 	type point struct {
 		pol serving.Policy
-		rep *serving.Report
+		rep *cluster.Report
 	}
 	points := make([]point, len(servingPolicies))
 	for i, pol := range servingPolicies {
 		points[i] = point{pol: pol}
 	}
-	err = runner.ForEach(opts.Workers, len(points), func(i int) error {
+	err = runner.ForEach(opts.Workers, len(points), func(i int) (err error) {
 		p := &points[i]
-		srv, err := serving.New(serving.Config{
-			Topo:        topology.P38xlarge(),
-			Cost:        costmodel.Default(),
+		_, p.rep, err = serve(cluster.Config{
+			Nodes:       1,
 			Policy:      p.pol,
 			SLO:         100 * sim.Millisecond,
 			Faults:      sched,
 			AdmitFactor: 1.5,
-		})
-		if err != nil {
-			return err
-		}
-		m, err := dnn.ByName("bert-base")
-		if err != nil {
-			return err
-		}
-		if err := srv.Deploy(m, concurrency); err != nil {
-			return err
-		}
-		srv.Warmup()
-		rep, err := srv.Run(workload.Poisson(42, 100, requests, concurrency))
-		if err != nil {
-			return err
-		}
-		p.rep = rep
-		return nil
+		}, []deployment{{"bert-base", concurrency}}, workload.Poisson(42, 100, requests, concurrency), true)
+		return err
 	})
 	if err != nil {
 		return err

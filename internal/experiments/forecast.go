@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"deepplan/internal/cluster"
-	"deepplan/internal/dnn"
 	"deepplan/internal/experiments/runner"
 	"deepplan/internal/sim"
 	"deepplan/internal/workload"
@@ -62,10 +61,10 @@ func defaultForecastParams(quick bool) forecastParams {
 	return p
 }
 
-// forecastWorkload generates the controlled spiky trace: every function is
-// Spiky and every burst is phase-aligned, so "when is the next spike" has
-// one true answer the forecaster can be graded against.
-func (p forecastParams) workload() ([]cluster.Request, error) {
+// workload generates the controlled spiky trace: every function is Spiky
+// and every burst is phase-aligned, so "when is the next spike" has one
+// true answer the forecaster can be graded against.
+func (p forecastParams) workload() ([]workload.Request, error) {
 	tr, err := workload.MAFLike(workload.TraceSpec{
 		Seed:         77,
 		Duration:     p.duration,
@@ -78,17 +77,16 @@ func (p forecastParams) workload() ([]cluster.Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	name, err := dnn.ByName(p.model)
-	if err != nil {
-		return nil, err
-	}
-	return clusterWorkload(name.Name, tr.Requests), nil
+	return tr.Requests, nil
 }
 
-// runForecastPolicy replays the trace under one controller policy.
+// runForecastPolicy replays the trace under one controller policy. No
+// warm-up: every replica starts cold, as in a serverless fleet. The
+// reactive controller therefore activates *cold* replicas mid-burst, while
+// the predictive one prewarms them before arrivals land.
 func runForecastPolicy(p forecastParams, policy cluster.AutoscalePolicy,
-	reqs []cluster.Request) (*cluster.Report, error) {
-	c, err := cluster.New(cluster.Config{
+	reqs []workload.Request) (*cluster.Report, error) {
+	_, rep, err := serve(cluster.Config{
 		Nodes: p.nodes,
 		Route: cluster.RouteAffinity,
 		SLO:   100 * sim.Millisecond,
@@ -102,21 +100,8 @@ func runForecastPolicy(p forecastParams, policy cluster.AutoscalePolicy,
 			Horizon:    2 * sim.Second,
 			TargetUtil: 0.5,
 		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	m, err := dnn.ByName(p.model)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Deploy(m, p.replicas); err != nil {
-		return nil, err
-	}
-	// No warm-up: every replica starts cold, as in a serverless fleet. The
-	// reactive controller therefore activates *cold* replicas mid-burst,
-	// while the predictive one prewarms them before arrivals land.
-	return c.Run(reqs)
+	}, []deployment{{p.model, p.replicas}}, reqs, false)
+	return rep, err
 }
 
 // replicaSeconds sums the billed active-replica integral across models.
@@ -154,13 +139,9 @@ func FigForecast(w io.Writer, opts Options) error {
 		return err
 	}
 	reports := make([]*cluster.Report, len(policies))
-	err = runner.ForEach(opts.Workers, len(policies), func(i int) error {
-		rep, err := runForecastPolicy(p, policies[i], reqs)
-		if err != nil {
-			return err
-		}
-		reports[i] = rep
-		return nil
+	err = runner.ForEach(opts.Workers, len(policies), func(i int) (err error) {
+		reports[i], err = runForecastPolicy(p, policies[i], reqs)
+		return err
 	})
 	if err != nil {
 		return err

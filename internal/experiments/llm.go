@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"deepplan/internal/cluster"
-	"deepplan/internal/dnn"
 	"deepplan/internal/experiments/runner"
 	"deepplan/internal/serving"
 	"deepplan/internal/sim"
@@ -60,10 +59,6 @@ func FigLLM(w io.Writer, opts Options) error {
 	fmt.Fprintf(w, "%d requests at %.0f rps, Zipf skew %.1f, prompts ~%d -> outputs ~%d tokens, token budget %d%s\n\n",
 		requests, rate, skew, promptMean, outputMean, budget, pd)
 
-	m, err := dnn.ByName("gpt2")
-	if err != nil {
-		return err
-	}
 	type point struct {
 		policy   serving.Policy
 		batching string
@@ -75,9 +70,12 @@ func FigLLM(w io.Writer, opts Options) error {
 			points = append(points, point{policy: p, batching: b})
 		}
 	}
-	err = runner.ForEach(opts.Workers, len(points), func(i int) error {
+	reqs := workload.WithTokens(
+		workload.PoissonZipf(42, rate, requests, instances, skew),
+		42, promptMean, outputMean)
+	err = runner.ForEach(opts.Workers, len(points), func(i int) (err error) {
 		pt := &points[i]
-		c, err := cluster.New(cluster.Config{
+		_, pt.rep, err = serve(cluster.Config{
 			Nodes:  2,
 			Route:  cluster.RouteAffinity,
 			Policy: pt.policy,
@@ -88,28 +86,8 @@ func FigLLM(w io.Writer, opts Options) error {
 				TokenBudget:   budget,
 				PrefillDecode: opts.PrefillDecode,
 			},
-		})
-		if err != nil {
-			return err
-		}
-		if err := c.Deploy(m, instances); err != nil {
-			return err
-		}
-		c.Warmup()
-		base := workload.WithTokens(
-			workload.PoissonZipf(42, rate, requests, instances, skew),
-			42, promptMean, outputMean)
-		reqs := make([]cluster.Request, len(base))
-		for j, r := range base {
-			reqs[j] = cluster.Request{At: r.At, Model: m.Name, Key: r.Instance,
-				PromptTokens: r.PromptTokens, OutputTokens: r.OutputTokens}
-		}
-		rep, err := c.Run(reqs)
-		if err != nil {
-			return err
-		}
-		pt.rep = rep
-		return nil
+		}, []deployment{{"gpt2", instances}}, reqs, true)
+		return err
 	})
 	if err != nil {
 		return err

@@ -5,13 +5,12 @@ import (
 	"io"
 	"os"
 
-	"deepplan/internal/costmodel"
+	"deepplan/internal/cluster"
 	"deepplan/internal/dnn"
 	"deepplan/internal/experiments/runner"
 	"deepplan/internal/metrics"
 	"deepplan/internal/serving"
 	"deepplan/internal/sim"
-	"deepplan/internal/topology"
 	"deepplan/internal/trace"
 	"deepplan/internal/workload"
 )
@@ -21,30 +20,53 @@ var servingPolicies = []serving.Policy{
 	serving.PolicyPipeSwitch, serving.PolicyDHA, serving.PolicyPTDHA,
 }
 
-// runServing deploys count instances of one model, warms up, and replays
-// the request sequence. rec and telemetry attach observation-only
-// instrumentation to this one run (both off for plain sweep points).
-func runServing(policy serving.Policy, modelName string, count int, reqs []workload.Request, slo sim.Duration, rec *trace.Recorder, telemetry bool) (*serving.Report, error) {
-	srv, err := serving.New(serving.Config{
-		Topo:      topology.P38xlarge(),
-		Cost:      costmodel.Default(),
+// deployment is one model and the instances of it on every node.
+type deployment struct {
+	model string
+	count int
+}
+
+// serve builds a cluster from cfg, deploys each model in order, warms it
+// up when warm is set, and replays reqs. The arrivals address instances in
+// deploy order; the cluster maps each to its model and key.
+func serve(cfg cluster.Config, deps []deployment, reqs []workload.Request, warm bool) (*cluster.Cluster, *cluster.Report, error) {
+	c, err := cluster.New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, d := range deps {
+		m, err := dnn.ByName(d.model)
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := c.Deploy(m, d.count); err != nil {
+			return nil, nil, err
+		}
+	}
+	if warm {
+		c.Warmup()
+	}
+	creqs, err := c.Requests(reqs)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep, err := c.Run(creqs)
+	return c, rep, err
+}
+
+// runServing deploys count instances of one model on one node, warms up,
+// and replays the request sequence. rec and telemetry attach
+// observation-only instrumentation to this one run (both off for plain
+// sweep points).
+func runServing(policy serving.Policy, modelName string, count int, reqs []workload.Request, slo sim.Duration, rec *trace.Recorder, telemetry bool) (*cluster.Report, error) {
+	_, rep, err := serve(cluster.Config{
+		Nodes:     1,
 		Policy:    policy,
 		SLO:       slo,
 		Trace:     rec,
 		Telemetry: telemetry,
-	})
-	if err != nil {
-		return nil, err
-	}
-	m, err := dnn.ByName(modelName)
-	if err != nil {
-		return nil, err
-	}
-	if err := srv.Deploy(m, count); err != nil {
-		return nil, err
-	}
-	srv.Warmup()
-	return srv.Run(reqs)
+	}, []deployment{{modelName, count}}, reqs, true)
+	return rep, err
 }
 
 // writeTraceFile exports a recorder as Chrome trace JSON at path.
@@ -89,7 +111,7 @@ func Figure13(w io.Writer, opts Options) error {
 	type point struct {
 		pol  serving.Policy
 		conc int
-		rep  *serving.Report
+		rep  *cluster.Report
 	}
 	points := make([]point, 0, len(servingPolicies)*len(concurrencies))
 	for _, pol := range servingPolicies {
@@ -114,20 +136,16 @@ func Figure13(w io.Writer, opts Options) error {
 			rec = trace.New()
 		}
 	}
-	err := runner.ForEach(opts.Workers, len(points), func(i int) error {
+	err := runner.ForEach(opts.Workers, len(points), func(i int) (err error) {
 		p := &points[i]
 		var pr *trace.Recorder
 		if i == tracedIdx {
 			pr = rec
 		}
 		reqs := workload.Poisson(42, 100, requests, p.conc)
-		rep, err := runServing(p.pol, "bert-base", p.conc, reqs, 100*sim.Millisecond,
+		p.rep, err = runServing(p.pol, "bert-base", p.conc, reqs, 100*sim.Millisecond,
 			pr, i == tracedIdx && opts.Telemetry)
-		if err != nil {
-			return err
-		}
-		p.rep = rep
-		return nil
+		return err
 	})
 	if err != nil {
 		return err
@@ -185,7 +203,7 @@ func Figure14(w io.Writer, opts Options) error {
 		rate  float64
 		pol   serving.Policy
 		conc  int
-		rep   *serving.Report
+		rep   *cluster.Report
 	}
 	var points []point
 	for _, c := range cases {
@@ -199,15 +217,11 @@ func Figure14(w io.Writer, opts Options) error {
 			}
 		}
 	}
-	err := runner.ForEach(opts.Workers, len(points), func(i int) error {
+	err := runner.ForEach(opts.Workers, len(points), func(i int) (err error) {
 		p := &points[i]
 		reqs := workload.Poisson(7, p.rate, requests, p.conc)
-		rep, err := runServing(p.pol, p.model, p.conc, reqs, 100*sim.Millisecond, nil, false)
-		if err != nil {
-			return err
-		}
-		p.rep = rep
-		return nil
+		p.rep, err = runServing(p.pol, p.model, p.conc, reqs, 100*sim.Millisecond, nil, false)
+		return err
 	})
 	if err != nil {
 		return err
@@ -274,35 +288,21 @@ func Figure15(w io.Writer, opts Options) error {
 			pr = trace.New()
 			rec = pr
 		}
-		srv, err := serving.New(serving.Config{
-			Topo:      topology.P38xlarge(),
-			Cost:      costmodel.Default(),
+		c, rep, err := serve(cluster.Config{
+			Nodes:     1,
 			Policy:    pol,
 			SLO:       100 * sim.Millisecond,
 			Trace:     pr,
 			Telemetry: instrument && opts.Telemetry,
-		})
-		if err != nil {
-			return err
-		}
-		for i, name := range []string{"bert-base", "roberta-base", "gpt2"} {
-			m, err := dnn.ByName(name)
-			if err != nil {
-				return err
-			}
-			if err := srv.Deploy(m, inst[i]); err != nil {
-				return err
-			}
-		}
-		srv.Warmup()
-		rep, err := srv.Run(tr.Requests)
+		}, []deployment{{"bert-base", inst[0]}, {"roberta-base", inst[1]}, {"gpt2", inst[2]}},
+			tr.Requests, true)
 		if err != nil {
 			return err
 		}
 		// Worst per-minute p99 across the trace (the latency spikes the
 		// paper notes at minutes 9 and 67).
 		var worst sim.Duration
-		for _, ws := range serving.Windows(srv) {
+		for _, ws := range c.Windows() {
 			if ws.Requests > 0 && ws.P99 > worst {
 				worst = ws.P99
 			}

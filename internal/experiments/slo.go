@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"deepplan/internal/cluster"
-	"deepplan/internal/dnn"
 	"deepplan/internal/experiments/runner"
 	"deepplan/internal/faults"
 	"deepplan/internal/monitor"
@@ -41,7 +40,7 @@ func FigSLO(w io.Writer, opts Options) error {
 	if err != nil {
 		return err
 	}
-	reqs := clusterWorkload("BERT-Base", workload.Poisson(42, rate, requests, replicas))
+	reqs := workload.Poisson(42, rate, requests, replicas)
 	fmt.Fprintf(w, "schedule: %s (node 0)\n", sched)
 	fmt.Fprintf(w, "%d nodes, %d replicas, %d requests at %.0f rps, least-outstanding routing\n\n",
 		nodes, replicas, requests, rate)
@@ -59,14 +58,14 @@ func FigSLO(w io.Writer, opts Options) error {
 			points = append(points, point{pol: pol, faulted: f})
 		}
 	}
-	err = runner.ForEach(opts.Workers, len(points), func(i int) error {
+	err = runner.ForEach(opts.Workers, len(points), func(i int) (err error) {
 		p := &points[i]
 		var fs *faults.Schedule
 		if p.faulted {
 			fs = sched
 		}
 		p.reg = monitor.New()
-		c, err := cluster.New(cluster.Config{
+		_, p.rep, err = serve(cluster.Config{
 			Nodes:   nodes,
 			Policy:  p.pol,
 			SLO:     100 * sim.Millisecond,
@@ -83,24 +82,8 @@ func FigSLO(w io.Writer, opts Options) error {
 				AlertLatency: 100 * sim.Millisecond,
 				LongWindow:   sim.Second,
 			},
-		})
-		if err != nil {
-			return err
-		}
-		m, err := dnn.ByName("bert-base")
-		if err != nil {
-			return err
-		}
-		if err := c.Deploy(m, replicas); err != nil {
-			return err
-		}
-		c.Warmup()
-		rep, err := c.Run(reqs)
-		if err != nil {
-			return err
-		}
-		p.rep = rep
-		return nil
+		}, []deployment{{"bert-base", replicas}}, reqs, true)
+		return err
 	})
 	if err != nil {
 		return err

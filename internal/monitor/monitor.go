@@ -77,7 +77,6 @@ type series struct {
 // handles, and WriteOpenMetrics writes an empty (but valid) exposition.
 type Registry struct {
 	families map[string]*family
-	order    []string    // family creation order (export re-sorts; kept for debugging)
 	base     []labelPair // labels baked into every series (node views)
 	views    []*Registry // root only: per-node views in creation order
 }
@@ -168,7 +167,6 @@ func (r *Registry) seriesFor(name, help string, k kind, b *Buckets, kv []string)
 	if !ok {
 		fam = &family{name: name, help: help, kind: k, buckets: b, index: make(map[string]*series)}
 		r.families[name] = fam
-		r.order = append(r.order, name)
 	}
 	if fam.kind != k {
 		panic(fmt.Sprintf("monitor: %q registered as %s and %s", name, fam.kind, k))

@@ -23,18 +23,6 @@ const (
 	PackDense PackMode = "dense"
 )
 
-// ParsePack maps a CLI spelling ("spread", "dense"; "" means spread) to a
-// PackMode.
-func ParsePack(s string) (PackMode, error) {
-	switch PackMode(s) {
-	case "", PackSpread:
-		return PackSpread, nil
-	case PackDense:
-		return PackDense, nil
-	}
-	return "", fmt.Errorf("serving: unknown pack mode %q (want spread or dense)", s)
-}
-
 // DeployVariant registers a single instance of a model with an explicit
 // popularity weight — the model-zoo deploy path. Variants sharing an
 // architectural shape share one profile/plan; each variant pins (or, under

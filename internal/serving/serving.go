@@ -720,18 +720,6 @@ func (srv *Server) DownGPUs() int {
 // NumGPUs returns the node's GPU count.
 func (srv *Server) NumGPUs() int { return len(srv.gpus) }
 
-// WarmInstances returns how many deployed instances of the named model are
-// currently GPU-resident — the router's locality signal.
-func (srv *Server) WarmInstances(model string) int {
-	n := 0
-	for _, inst := range srv.instances {
-		if inst.state == Warm && inst.dep.Model.Name == model {
-			n++
-		}
-	}
-	return n
-}
-
 // ColdStartCount returns the cumulative cold-start count so far; the
 // cluster autoscaler differences it per window for its cold-ratio signal.
 func (srv *Server) ColdStartCount() int { return srv.n[kColdStart] }

@@ -21,10 +21,6 @@ func zooServer(t *testing.T, hostPolicy, pack string, hostMem int64) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm, err := ParsePack(pack)
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv, err := New(Config{
 		Topo:       topology.P38xlarge(),
 		Cost:       costmodel.Default(),
@@ -32,7 +28,7 @@ func zooServer(t *testing.T, hostPolicy, pack string, hostMem int64) *Server {
 		SLO:        100 * sim.Millisecond,
 		HostMemory: hostMem,
 		HostPolicy: hp,
-		Pack:       pm,
+		Pack:       PackMode(pack),
 	})
 	if err != nil {
 		t.Fatal(err)

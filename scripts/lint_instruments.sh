@@ -14,6 +14,14 @@
 # derivation a node's own report uses. Non-test internal/cluster code that
 # builds a metrics.Digest is re-deriving percentiles or goodput by hand, so
 # the script fails on that too.
+#
+# Outside the node there is one serving path: every serving point is a
+# cluster (cluster.New, one node for the paper's single server), and only
+# the cluster maps a workload onto (model, key) arrivals, with
+# Cluster.Requests or ZooRequests. So non-test Go outside internal/serving,
+# internal/cluster and benchmark/ may not call serving.New, and non-test Go
+# outside internal/cluster and benchmark/ may not build a cluster.Request
+# (or facade ClusterRequest) literal.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,6 +31,15 @@ if grep -nE 'srv\.(tel|ins)\b' internal/serving/*.go | grep -v '^internal/servin
 fi
 if grep -nE 'metrics\.Digest\b' internal/cluster/*.go | grep -v '_test\.go:'; then
   echo "FAIL: internal/cluster derives latency figures itself (use serving.Summarize)" >&2
+  exit 1
+fi
+SRC=$(find . -path ./benchmark -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print)
+if grep -nE 'serving\.New\(' $SRC | grep -vE '^\./internal/(serving|cluster)/'; then
+  echo "FAIL: serving.New outside internal/serving and internal/cluster (run the point as a cluster)" >&2
+  exit 1
+fi
+if grep -nE '(cluster\.Request|ClusterRequest)\{' $SRC | grep -vE '^\./internal/cluster/'; then
+  echo "FAIL: arrivals addressed outside internal/cluster (use Cluster.Requests or ZooRequests)" >&2
   exit 1
 fi
 echo "instruments lint: ok"
