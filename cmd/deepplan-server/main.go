@@ -331,16 +331,8 @@ func main() {
 	}
 
 	if *telemetry {
-		fmt.Printf("\nper-window telemetry (all nodes):\n%-8s %9s %7s %7s %7s %7s %7s\n",
-			"minute", "requests", "cold%", "queue", "busy%", "evict", "reloc")
-		for _, w := range rep.Telemetry {
-			if w.Requests == 0 && w.Evictions == 0 {
-				continue
-			}
-			fmt.Printf("%-8.0f %9d %6.1f%% %7.2f %6.1f%% %7d %7d\n",
-				w.Start.Seconds()/60, w.Requests, w.ColdRatio*100,
-				w.MeanQueueDepth, w.BusyFraction*100, w.Evictions, w.Relocations)
-		}
+		fmt.Print("\nper-window telemetry (all nodes):\n")
+		deepplan.WriteTelemetry(os.Stdout, rep.Telemetry)
 	}
 
 	if opts.Trace != nil {

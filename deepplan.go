@@ -77,7 +77,9 @@ type (
 	Time = sim.Time
 	// Duration is a span of virtual time.
 	Duration = sim.Duration
-	// ProfileOptions configures Profile.
+	// ProfileOptions configures Profile: the batch size to profile at.
+	// Each layer is measured once, since the cost model is noise-free;
+	// Profile.Cost still charges the paper's ten iterations (Table 5).
 	ProfileOptions = profiler.Options
 	// CostParams is the calibrated platform cost model.
 	CostParams = costmodel.Params
@@ -99,9 +101,10 @@ type (
 	// NewMetricsRegistry; nil disables monitoring at zero cost.
 	MetricsRegistry = monitor.Registry
 	// SLOConfig parameterizes the cluster's SLO burn-rate monitor
-	// (ClusterOptions.Alerts): error budgets per SLI and the multi-window
-	// page/ticket burn thresholds. The zero value takes defaults scaled to
-	// the run horizon.
+	// (ClusterOptions.Alerts): the GPU-availability budget, the internal
+	// latency objective and the long window. The request budgets, the
+	// other windows and the page/ticket burn thresholds are fixed. The
+	// zero value takes defaults scaled to the run horizon.
 	SLOConfig = monitor.SLOConfig
 	// Alert is one burn-rate alert from a monitored cluster run
 	// (ClusterReport.Alerts).
@@ -201,6 +204,10 @@ func NewTraceRecorder() *TraceRecorder { return trace.New() }
 func WriteTrace(w io.Writer, r *TraceRecorder, meta map[string]string) error {
 	return trace.WriteChrome(w, r, meta)
 }
+
+// WriteTelemetry prints a telemetry snapshot (ClusterReport.Telemetry) as
+// a per-window table, one row per window that saw a request or an eviction.
+func WriteTelemetry(w io.Writer, stats []TelemetryStat) { metrics.WriteTelemetry(w, stats) }
 
 // Mode selects an execution strategy, matching the paper's five legends.
 type Mode string

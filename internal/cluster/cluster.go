@@ -112,21 +112,22 @@ const (
 	// consolidating replicas converts cold starts into warm hits.
 	queueLow = 0.5
 	coldHigh = 0.3
+	// minReplicas is the per-model active-replica floor: the controllers
+	// never drain a model below it.
+	minReplicas = 1
 )
 
 // AutoscaleConfig tunes the per-model replica controller. The zero value
 // disables autoscaling (every deployed replica stays active); a Policy
 // without Enabled is an error.
 type AutoscaleConfig struct {
-	// Enabled turns the controller on. Models start at Min active replicas
+	// Enabled turns the controller on. Models start at one active replica
 	// and scale toward their deployed maximum under load.
 	Enabled bool
 	// Policy selects the control algorithm; default AutoscaleReactive.
 	Policy AutoscalePolicy
-	// Min is the per-model active-replica floor. Default 1.
-	Min int
 	// Interval is the controller's decision period on the virtual clock.
-	// Default: the cluster's WindowWidth.
+	// Default serving.WindowWidth (one minute).
 	Interval sim.Duration
 	// Horizon is how far ahead the predictive policy forecasts each tick;
 	// replicas are prewarmed for the peak rate predicted inside it.
@@ -158,8 +159,6 @@ type Config struct {
 	Route RoutePolicy
 	// SLO is the latency target. Default 100 ms.
 	SLO sim.Duration
-	// WindowWidth buckets per-window series and telemetry. Default 1 minute.
-	WindowWidth sim.Duration
 	// MaxBatch enables per-node dynamic batching of warm requests.
 	MaxBatch int
 	// Autoscale configures the reactive replica controller.
@@ -300,9 +299,8 @@ type Cluster struct {
 	models map[string]*modelState
 	order  []string // deployment order, for deterministic iteration
 
-	rr        int // round-robin cursor
-	submitted int
-	routed    []int // per-node routed request counts
+	rr     int   // round-robin cursor
+	routed []int // per-node routed request counts
 
 	// Windowed autoscaler signals, reset each tick.
 	winArrivals int
@@ -348,9 +346,7 @@ func New(cfg Config) (*Cluster, error) {
 		v    float64
 	}{
 		{"SLO", float64(cfg.SLO)},
-		{"WindowWidth", float64(cfg.WindowWidth)},
 		{"MetricsInterval", float64(cfg.MetricsInterval)},
-		{"Autoscale.Min", float64(as.Min)},
 		{"Autoscale.Interval", float64(as.Interval)},
 		{"Autoscale.Horizon", float64(as.Horizon)},
 		{"Autoscale.TargetUtil", as.TargetUtil},
@@ -365,9 +361,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.SLO == 0 {
 		cfg.SLO = 100 * sim.Millisecond
 	}
-	if cfg.WindowWidth == 0 {
-		cfg.WindowWidth = 60 * sim.Second
-	}
 	policy, err := ParseAutoscalePolicy(string(as.Policy))
 	if err != nil {
 		return nil, err
@@ -377,11 +370,8 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if as.Enabled {
 		as.Policy = policy
-		if as.Min == 0 {
-			as.Min = 1
-		}
 		if as.Interval == 0 {
-			as.Interval = cfg.WindowWidth
+			as.Interval = serving.WindowWidth
 		}
 		if as.Horizon == 0 {
 			as.Horizon = 2 * as.Interval
@@ -412,7 +402,6 @@ func New(cfg Config) (*Cluster, error) {
 			Policy:             cfg.Policy,
 			Sim:                c.sim,
 			SLO:                cfg.SLO,
-			WindowWidth:        cfg.WindowWidth,
 			MaxBatch:           cfg.MaxBatch,
 			Faults:             sched,
 			AdmitFactor:        cfg.AdmitFactor,
@@ -444,8 +433,8 @@ func New(cfg Config) (*Cluster, error) {
 // Deploy registers replicas instances of a model on every node (weights
 // pinned in each node's host memory, profiled and planned once per node —
 // the paper's one-time pre-run, fleet-wide). replicas is the model's scale
-// ceiling; with autoscaling enabled the router starts at the configured
-// floor and the controller moves the active count inside [Min, replicas].
+// ceiling; with autoscaling enabled the router starts at the floor of one
+// replica and the controller moves the active count inside [1, replicas].
 func (c *Cluster) Deploy(model *dnn.Model, replicas int) error {
 	if replicas <= 0 {
 		return fmt.Errorf("cluster: replica count must be positive")
@@ -461,7 +450,7 @@ func (c *Cluster) Deploy(model *dnn.Model, replicas int) error {
 	}
 	active := replicas
 	if c.cfg.Autoscale.Enabled {
-		active = c.cfg.Autoscale.Min
+		active = minReplicas
 		if active > replicas {
 			active = replicas
 		}
@@ -744,7 +733,6 @@ func (c *Cluster) handle(req Request) error {
 	}
 	c.routed[n.id]++
 	c.routedC[n.id].Inc()
-	c.submitted++
 	instance := m.base + replica
 	if m.zoo {
 		instance = m.insts[replica] // tenant identity: never remap across variants
@@ -771,7 +759,6 @@ func (c *Cluster) scaleTick() {
 		c.predictiveTick(perNodeDepth, coldRatio)
 		return
 	}
-	as := c.cfg.Autoscale
 	for _, name := range c.order {
 		m := c.models[name]
 		m.accrue(c.sim.Now())
@@ -786,13 +773,13 @@ func (c *Cluster) scaleTick() {
 		switch {
 		case m.winArrivals == 0:
 			// Idle window: drain toward the floor.
-			if m.active > as.Min {
+			if m.active > minReplicas {
 				m.active--
 			}
 		case perNodeDepth > queueHigh && m.active < m.replicas:
 			// Queue pressure: spread the model wider.
 			m.active++
-		case perNodeDepth < queueLow && coldRatio > coldHigh && m.active > as.Min:
+		case perNodeDepth < queueLow && coldRatio > coldHigh && m.active > minReplicas:
 			// Quiet but cold-heavy: consolidate to restore residency.
 			m.active--
 		}
@@ -840,8 +827,8 @@ func (c *Cluster) predictiveTick(perNodeDepth, coldRatio float64) {
 		if perNodeDepth > queueHigh && target <= m.active && m.active < m.replicas {
 			target = m.active + 1 // reactive safety valve: the forecast missed live queue pressure
 		}
-		if target < as.Min {
-			target = as.Min
+		if target < minReplicas {
+			target = minReplicas
 		}
 		if target > m.replicas {
 			target = m.replicas
@@ -946,6 +933,10 @@ func (c *Cluster) Run(requests []Request) (*Report, error) {
 		}
 		if r.At < 0 {
 			return nil, fmt.Errorf("cluster: request %d arrives at negative time %v", i, r.At)
+		}
+		if i > 0 && r.At < requests[i-1].At {
+			return nil, fmt.Errorf("cluster: request %d arrives at %v, before request %d at %v (arrivals must be sorted)",
+				i, r.At, i-1, requests[i-1].At)
 		}
 	}
 	var firstErr error

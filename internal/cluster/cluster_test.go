@@ -204,8 +204,7 @@ func TestLeastOutstandingBeatsRoundRobinColdP99(t *testing.T) {
 
 func TestAutoscalerScalesUpUnderLoad(t *testing.T) {
 	c, err := New(Config{
-		Nodes:       2,
-		WindowWidth: 10 * sim.Second,
+		Nodes: 2,
 		Autoscale: AutoscaleConfig{
 			Enabled:  true,
 			Interval: sim.Second,
@@ -245,7 +244,6 @@ func TestAutoscalerDrainsWhenIdle(t *testing.T) {
 		Nodes: 2,
 		Autoscale: AutoscaleConfig{
 			Enabled:  true,
-			Min:      1,
 			Interval: sim.Second,
 		},
 	})
@@ -293,9 +291,8 @@ func TestReplicaSecondsWithoutAutoscale(t *testing.T) {
 
 func TestReplicaSecondsProratedUnderAutoscale(t *testing.T) {
 	c, err := New(Config{
-		Nodes:       2,
-		WindowWidth: 10 * sim.Second,
-		Autoscale:   AutoscaleConfig{Enabled: true, Interval: sim.Second},
+		Nodes:     2,
+		Autoscale: AutoscaleConfig{Enabled: true, Interval: sim.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -434,8 +431,7 @@ func burstTrain(model string, bursts, n int, every, width sim.Duration, keys int
 // exercising every lifecycle actuation from the controller side.
 func TestPredictivePrewarmsBeforeBursts(t *testing.T) {
 	c, err := New(Config{
-		Nodes:       2,
-		WindowWidth: 10 * sim.Second,
+		Nodes: 2,
 		Autoscale: AutoscaleConfig{
 			Enabled:  true,
 			Interval: sim.Second,
@@ -579,9 +575,7 @@ func TestNegativeConfigRejected(t *testing.T) {
 		set   func(*Config)
 	}{
 		{"SLO", func(c *Config) { c.SLO = -sim.Millisecond }},
-		{"WindowWidth", func(c *Config) { c.WindowWidth = -sim.Second }},
 		{"MetricsInterval", func(c *Config) { c.MetricsInterval = -sim.Second }},
-		{"Autoscale.Min", func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, Min: -1} }},
 		{"Autoscale.Interval", func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, Interval: -sim.Second} }},
 		{"Autoscale.Horizon", func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, Horizon: -sim.Second} }},
 		{"Autoscale.TargetUtil", func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, TargetUtil: -0.5} }},
@@ -604,6 +598,30 @@ func TestNegativeConfigRejected(t *testing.T) {
 	}
 }
 
+// Run refuses an arrival it cannot replay faithfully, naming it: an
+// unknown model, a negative instant, or an instant earlier than the one
+// before it. The tick horizon is the last arrival, so an unsorted slice
+// would silently end the autoscaler, SLO and export ticks early.
+func TestRunRejectsBadArrivals(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		reqs []Request
+		want string
+	}{
+		{"unknown model", []Request{{Model: "BERT-Base"}, {At: sim.Time(sim.Second), Model: "GPT-9"}}, `"GPT-9"`},
+		{"negative time", []Request{{Model: "BERT-Base"}, {At: math.MinInt64, Model: "BERT-Base"}}, "request 1 "},
+		{"out of order", []Request{
+			{At: sim.Time(2 * sim.Second), Model: "BERT-Base"},
+			{At: sim.Time(sim.Second), Model: "BERT-Base", Key: 1},
+		}, "request 1 arrives at 1s, before request 0"},
+	} {
+		c := newBERTCluster(t, Config{Nodes: 1}, 2)
+		if _, err := c.Run(tc.reqs); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestMetricsIntervalNeedsExport checks that an interval export is refused
 // unless it has both a registry to snapshot and a writer to append to.
 func TestMetricsIntervalNeedsExport(t *testing.T) {
@@ -620,13 +638,13 @@ func TestMetricsIntervalNeedsExport(t *testing.T) {
 	}
 }
 
-// TestReactiveDrainRespectsFloor is the idle-drain edge: with a raised
-// floor, consolidation must stop exactly at Min even across a long idle
+// TestReactiveDrainRespectsFloor is the idle-drain edge: consolidation
+// must stop exactly at the floor of one replica even across a long idle
 // tail, never draining the model to zero.
 func TestReactiveDrainRespectsFloor(t *testing.T) {
 	c, err := New(Config{
 		Nodes:     2,
-		Autoscale: AutoscaleConfig{Enabled: true, Min: 2, Interval: sim.Second},
+		Autoscale: AutoscaleConfig{Enabled: true, Interval: sim.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -645,8 +663,8 @@ func TestReactiveDrainRespectsFloor(t *testing.T) {
 	if rep.ScaleDowns == 0 {
 		t.Fatal("idle tail should consolidate replicas")
 	}
-	if got := rep.Replicas[0].Active; got != 2 {
-		t.Fatalf("drained to %d active replicas, want exactly the Min floor of 2", got)
+	if got := rep.Replicas[0].Active; got != 1 {
+		t.Fatalf("drained to %d active replicas, want exactly the floor of 1", got)
 	}
 }
 

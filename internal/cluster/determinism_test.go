@@ -112,10 +112,9 @@ func TestClusterRerunIdentical(t *testing.T) {
 		// The run TestPredictivePrewarmsBeforeBursts pins: it prewarms,
 		// sleeps and wakes replicas between bursts.
 		cfg := Config{
-			Nodes:       2,
-			WindowWidth: 10 * sim.Second,
-			Telemetry:   true,
-			Autoscale:   AutoscaleConfig{Enabled: true, Interval: sim.Second, Policy: AutoscalePredictive},
+			Nodes:     2,
+			Telemetry: true,
+			Autoscale: AutoscaleConfig{Enabled: true, Interval: sim.Second, Policy: AutoscalePredictive},
 		}
 		rep, tr := runTraced(t, cfg, "bert-base", 16, func(*Cluster) []Request {
 			return burstTrain("BERT-Base", 6, 300, 5*sim.Second, 500*sim.Millisecond, 16)
@@ -132,10 +131,9 @@ func TestClusterRerunIdentical(t *testing.T) {
 		{"single-node", false, bertRun(Config{Nodes: 1}, 24, 400, 120)},
 		{"batching-2", false, bertRun(Config{Nodes: 2, MaxBatch: 4}, 24, 400, 120)},
 		{"autoscale-4", false, bertRun(Config{
-			Nodes:       4,
-			WindowWidth: 10 * sim.Second,
-			Autoscale:   AutoscaleConfig{Enabled: true, Interval: sim.Second},
-			Telemetry:   true,
+			Nodes:     4,
+			Autoscale: AutoscaleConfig{Enabled: true, Interval: sim.Second},
+			Telemetry: true,
 		}, 24, 400, 120)},
 		{"pipeswitch-2", false, bertRun(Config{Nodes: 2, Policy: serving.PolicyPipeSwitch}, 24, 400, 120)},
 		{"predictive-2", false, predictive},

@@ -117,7 +117,7 @@ func TestReportMatchesExports(t *testing.T) {
 		},
 		{
 			name: "predictive-gpt2-cost-cache",
-			cfg: Config{Nodes: 2, MaxBatch: 4, WindowWidth: 10 * sim.Second,
+			cfg: Config{Nodes: 2, MaxBatch: 4,
 				HostPolicy: hostmem.PolicyCostAware, HostMemory: 4e9,
 				Autoscale: AutoscaleConfig{Enabled: true, Interval: sim.Second, Policy: AutoscalePredictive}},
 			deploy: deployGPT2(24),

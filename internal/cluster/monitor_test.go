@@ -81,9 +81,8 @@ func TestMonitoringIsObservationFree(t *testing.T) {
 		{"plain-4", Config{Nodes: 4}},
 		{"faulted-4", Config{Nodes: 4, Faults: sched}},
 		{"autoscale-2", Config{
-			Nodes:       2,
-			WindowWidth: 10 * sim.Second,
-			Autoscale:   AutoscaleConfig{Enabled: true, Interval: sim.Second},
+			Nodes:     2,
+			Autoscale: AutoscaleConfig{Enabled: true, Interval: sim.Second},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -82,20 +82,6 @@ func writeTraceFile(path string, rec *trace.Recorder, meta map[string]string) er
 	return werr
 }
 
-// printTelemetry renders a telemetry snapshot as a per-window table.
-func printTelemetry(w io.Writer, stats []metrics.TelemetryStat) {
-	fmt.Fprintf(w, "%-8s %9s %7s %7s %7s %7s %7s\n",
-		"minute", "requests", "cold%", "queue", "busy%", "evict", "reloc")
-	for _, s := range stats {
-		if s.Requests == 0 && s.Evictions == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "%-8.0f %9d %6.1f%% %7.2f %6.1f%% %7d %7d\n",
-			s.Start.Seconds()/60, s.Requests, s.ColdRatio*100,
-			s.MeanQueueDepth, s.BusyFraction*100, s.Evictions, s.Relocations)
-	}
-}
-
 // Figure13 sweeps the number of BERT-Base instances at 100 requests/second
 // and reports p99 latency, goodput (SLO 100 ms), and cold-start counts.
 func Figure13(w io.Writer, opts Options) error {
@@ -166,7 +152,7 @@ func Figure13(w io.Writer, opts Options) error {
 		p := &points[tracedIdx]
 		if opts.Telemetry {
 			fmt.Fprintf(w, "\nper-window telemetry (pt+dha, %d instances):\n", p.conc)
-			printTelemetry(w, p.rep.Telemetry)
+			metrics.WriteTelemetry(w, p.rep.Telemetry)
 		}
 		if opts.TracePath != "" {
 			if err := writeTraceFile(opts.TracePath, rec, map[string]string{
@@ -317,7 +303,7 @@ func Figure15(w io.Writer, opts Options) error {
 	fmt.Fprintln(w, "81-98%, with occasional non-persistent latency spikes in individual minutes")
 	if opts.Telemetry {
 		fmt.Fprintln(w, "\nper-window telemetry (pt+dha):")
-		printTelemetry(w, telStats)
+		metrics.WriteTelemetry(w, telStats)
 	}
 	if opts.TracePath != "" {
 		if err := writeTraceFile(opts.TracePath, rec, map[string]string{

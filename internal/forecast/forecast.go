@@ -23,39 +23,26 @@ import (
 	"deepplan/internal/sim"
 )
 
-// Config tunes a Forecaster. The zero value is usable: every field has a
-// default chosen for the cluster autoscaler's cadence.
+// Config tunes a Forecaster. The zero value is usable.
 type Config struct {
 	// Window is the width of one counting bucket. Rate estimates and
 	// period detection are quantized to this granularity. Default 10s.
 	Window sim.Duration
-	// Buckets is the ring length — how much history the forecaster keeps
-	// (Window × Buckets of it). Default 512.
-	Buckets int
-	// Recent is how many completed buckets the sliding-window rate
-	// estimate averages over. Default 3.
-	Recent int
-	// MinScore is the autocorrelation score a candidate period must reach
-	// to be reported; below it the forecaster treats the stream as
-	// aperiodic and forecasts the recent rate. Default 0.5.
-	MinScore float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = 10 * sim.Second
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = 512
-	}
-	if c.Recent <= 0 {
-		c.Recent = 3
-	}
-	if c.MinScore <= 0 {
-		c.MinScore = 0.5
-	}
-	return c
-}
+// Fixed forecaster shape, chosen for the cluster autoscaler's cadence.
+const (
+	// buckets is the ring length: the forecaster keeps Window × buckets
+	// of history.
+	buckets = 512
+	// recent is how many completed buckets the sliding-window rate
+	// estimate averages over.
+	recent = 3
+	// minScore is the autocorrelation score a candidate period must reach
+	// to be reported; below it the forecaster treats the stream as
+	// aperiodic and forecasts the recent rate.
+	minScore = 0.5
+)
 
 // Prediction is one forecast: the current smoothed rate, the peak rate
 // expected within the requested horizon, and the detected periodicity
@@ -68,10 +55,10 @@ type Prediction struct {
 	// otherwise just Rate.
 	Peak float64
 	// Period is the detected dominant periodicity, quantized to Window;
-	// zero when no period clears Config.MinScore.
+	// zero when no period clears minScore.
 	Period sim.Duration
 	// Score is the autocorrelation coefficient of the detected period in
-	// (MinScore, 1], or zero when Period is zero.
+	// [minScore, 1], or zero when Period is zero.
 	Score float64
 }
 
@@ -79,17 +66,19 @@ type Prediction struct {
 // for concurrent use; in the cluster it lives on the router, which runs
 // on the shared simulation clock.
 type Forecaster struct {
-	cfg    Config
+	window sim.Duration
 	counts []uint32
 	cur    int64 // absolute index of the bucket currently being filled
-	filled int64 // number of completed buckets ever (min(cur, Buckets) usable)
+	filled int64 // number of completed buckets ever (min(cur, buckets) usable)
 	total  uint64
 }
 
-// New builds a Forecaster; zero-valued Config fields take defaults.
+// New builds a Forecaster; a zero Window takes its default.
 func New(cfg Config) *Forecaster {
-	cfg = cfg.withDefaults()
-	return &Forecaster{cfg: cfg, counts: make([]uint32, cfg.Buckets)}
+	if cfg.Window <= 0 {
+		cfg.Window = 10 * sim.Second
+	}
+	return &Forecaster{window: cfg.Window, counts: make([]uint32, buckets)}
 }
 
 // Observe records one arrival at instant t. Amortized O(1) and 0
@@ -105,7 +94,7 @@ func (f *Forecaster) Observe(t sim.Time) {
 func (f *Forecaster) Total() uint64 { return f.total }
 
 func (f *Forecaster) bucket(t sim.Time) int64 {
-	return int64(t) / int64(f.cfg.Window)
+	return int64(t) / int64(f.window)
 }
 
 // advance rotates the ring forward to bucket b, zeroing any buckets that
@@ -155,8 +144,8 @@ func (f *Forecaster) completed() int64 {
 }
 
 // Rate returns the sliding-window arrival rate (requests/second) as of
-// now: the mean over the last Config.Recent completed buckets. Before the
-// first bucket completes it falls back to total arrivals over elapsed
+// now: the mean over the last three (recent) completed buckets. Before
+// the first bucket completes it falls back to total arrivals over elapsed
 // time, so early ticks see a sane estimate instead of zero.
 func (f *Forecaster) Rate(now sim.Time) float64 {
 	f.advance(f.bucket(now))
@@ -168,7 +157,7 @@ func (f *Forecaster) Rate(now sim.Time) float64 {
 		}
 		return float64(f.total) / el
 	}
-	k := int64(f.cfg.Recent)
+	k := int64(recent)
 	if k > n {
 		k = n
 	}
@@ -176,12 +165,12 @@ func (f *Forecaster) Rate(now sim.Time) float64 {
 	for i := int64(1); i <= k; i++ {
 		sum += float64(f.at(i))
 	}
-	return sum / (float64(k) * f.cfg.Window.Seconds())
+	return sum / (float64(k) * f.window.Seconds())
 }
 
 // Period scans the completed history for its dominant periodicity via
 // autocorrelation and returns it (quantized to Window) with its score.
-// Returns (0, 0) when nothing clears Config.MinScore or fewer than two
+// Returns (0, 0) when nothing clears minScore or fewer than two
 // full cycles of history exist for every candidate lag.
 func (f *Forecaster) Period(now sim.Time) (sim.Duration, float64) {
 	f.advance(f.bucket(now))
@@ -218,10 +207,10 @@ func (f *Forecaster) Period(now sim.Time) (sim.Duration, float64) {
 			bestLag, bestScore = lag, score
 		}
 	}
-	if bestScore < f.cfg.MinScore {
+	if bestScore < minScore {
 		return 0, 0
 	}
-	return sim.Duration(bestLag) * f.cfg.Window, bestScore
+	return sim.Duration(bestLag) * f.window, bestScore
 }
 
 // Forecast predicts the arrival rate over [now, now+horizon]. With a
@@ -237,13 +226,13 @@ func (f *Forecaster) Forecast(now sim.Time, horizon sim.Duration) Prediction {
 	if period == 0 {
 		return p
 	}
-	lag := int64(period / f.cfg.Window)
-	span := int64((horizon + f.cfg.Window - 1) / f.cfg.Window)
+	lag := int64(period / f.window)
+	span := int64((horizon + f.window - 1) / f.window)
 	if span < 1 {
 		span = 1
 	}
 	n := f.completed()
-	sec := f.cfg.Window.Seconds()
+	sec := f.window.Seconds()
 	// Buckets [cur-lag, cur-lag+span) hold last cycle's view of the
 	// horizon we are about to enter.
 	for i := int64(0); i < span; i++ {
@@ -261,5 +250,5 @@ func (f *Forecaster) Forecast(now sim.Time, horizon sim.Duration) Prediction {
 // String summarizes the forecaster state for debugging.
 func (f *Forecaster) String() string {
 	return fmt.Sprintf("forecast{window=%s buckets=%d observed=%d}",
-		f.cfg.Window, len(f.counts), f.total)
+		f.window, len(f.counts), f.total)
 }

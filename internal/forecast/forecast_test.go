@@ -31,7 +31,7 @@ func feedPeriodic(f *Forecaster, window sim.Duration, periodBuckets, burstBucket
 }
 
 func TestRateSlidingWindow(t *testing.T) {
-	f := New(Config{Window: sim.Second, Recent: 4})
+	f := New(Config{Window: sim.Second})
 	// 10 arrivals/s for 20 seconds.
 	for i := 0; i < 200; i++ {
 		f.Observe(sim.Time(int64(i) * int64(100*sim.Millisecond)))
@@ -54,7 +54,7 @@ func TestRateBeforeFirstBucketCompletes(t *testing.T) {
 }
 
 func TestRateDecaysAfterIdle(t *testing.T) {
-	f := New(Config{Window: sim.Second, Recent: 3})
+	f := New(Config{Window: sim.Second})
 	for i := 0; i < 100; i++ {
 		f.Observe(sim.Time(int64(i) * int64(100*sim.Millisecond)))
 	}
@@ -133,11 +133,12 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestAdvanceAcrossLongGap(t *testing.T) {
-	f := New(Config{Window: sim.Second, Buckets: 16})
+	f := New(Config{Window: sim.Second})
 	for i := 0; i < 50; i++ {
 		f.Observe(sim.Time(int64(i) * int64(200*sim.Millisecond)))
 	}
-	// Jump far beyond the ring: everything must be forgotten, no panic.
+	// Jump far beyond the 512-bucket ring: everything must be forgotten,
+	// no panic.
 	far := sim.Time(int64(1000) * int64(sim.Second))
 	f.Observe(far)
 	if got := f.Rate(far.Add(2 * sim.Second)); got > 1 {
@@ -163,9 +164,9 @@ func TestObserveZeroAlloc(t *testing.T) {
 func TestDefaultsApplied(t *testing.T) {
 	f := New(Config{})
 	if len(f.counts) != 512 {
-		t.Fatalf("default Buckets = %d, want 512", len(f.counts))
+		t.Fatalf("ring length = %d, want 512", len(f.counts))
 	}
-	if f.cfg.Window != 10*sim.Second {
-		t.Fatalf("default Window = %s, want 10s", f.cfg.Window)
+	if f.window != 10*sim.Second {
+		t.Fatalf("default Window = %s, want 10s", f.window)
 	}
 }

@@ -5,6 +5,7 @@ package metrics
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sort"
 
@@ -274,6 +275,22 @@ type TelemetryStat struct {
 	MeanQueueDepth float64
 	// BusyFraction is summed GPU busy time over numGPUs*window capacity.
 	BusyFraction float64
+}
+
+// WriteTelemetry prints a telemetry snapshot as a per-window table, one
+// row per window that saw a request or an eviction, labelled by the
+// window's start minute.
+func WriteTelemetry(w io.Writer, stats []TelemetryStat) {
+	fmt.Fprintf(w, "%-8s %9s %7s %7s %7s %7s %7s\n",
+		"minute", "requests", "cold%", "queue", "busy%", "evict", "reloc")
+	for _, s := range stats {
+		if s.Requests == 0 && s.Evictions == 0 {
+			continue
+		}
+		fmt.Fprintf(w, "%-8.0f %9d %6.1f%% %7.2f %6.1f%% %7d %7d\n",
+			s.Start.Seconds()/60, s.Requests, s.ColdRatio*100,
+			s.MeanQueueDepth, s.BusyFraction*100, s.Evictions, s.Relocations)
+	}
 }
 
 // NewTelemetry returns a Telemetry with the given bucket width over a

@@ -48,21 +48,22 @@ const numBudgets = len(budgetNames)
 //
 // A budget is the allowed bad-event ratio; the burn rate is the observed
 // ratio divided by the budget, so burn 1.0 consumes the budget exactly at
-// the sustainable pace. Rules follow the multi-window form of the SRE
+// the sustainable pace. The request budgets are fixed (goodput 5%,
+// cold-p99 and warm-p99 2% each, shed 0.5%); only the GPU-availability
+// budget is a setting. Rules follow the multi-window form of the SRE
 // workbook, scaled from wall-clock ops windows (5m+1h fast, 6h+3d slow)
 // down to simulation horizons:
 //
-//	page   (fast burn): burn ≥ FastBurn over ShortWindow AND LongWindow
-//	ticket (slow burn): burn ≥ SlowBurn over LongWindow AND SlowWindow
+//	page   (fast burn): burn ≥ 14.4 over the short AND the long window
+//	ticket (slow burn): burn ≥ 1 over the long AND the slow window
 //
-// Zero fields take defaults from withDefaults; set a budget negative to
-// disable that SLI.
+// The long window is LongWindow; the short window is a twelfth of it (the
+// 5m:1h ratio), the slow window six times it capped at the horizon, and
+// the monitor samples every half short window.
 type SLOConfig struct {
-	GoodputBudget float64 // default 0.05
-	ColdBudget    float64 // default 0.02
-	WarmBudget    float64 // default 0.02
-	ShedBudget    float64 // default 0.005
-	AvailBudget   float64 // default 0.001 (99.9% GPU availability)
+	// AvailBudget is the GPU-availability budget; zero means 0.001 (99.9%
+	// availability) and a negative value disables that SLI.
+	AvailBudget float64
 
 	// AlertLatency, when positive, is the internal latency objective the
 	// cold-p99 and warm-p99 SLIs are measured against (via histogram mass
@@ -71,62 +72,16 @@ type SLOConfig struct {
 	// this to 80% of its SLO.
 	AlertLatency sim.Duration
 
-	ShortWindow sim.Duration // default LongWindow/12 (the 5m:1h ratio)
-	LongWindow  sim.Duration // default horizon/4
-	SlowWindow  sim.Duration // default min(6×LongWindow, horizon)
-	Tick        sim.Duration // sampling period; default ShortWindow/2
-
-	FastBurn float64 // default 14.4 (2% of budget in 1/72 of the window)
-	SlowBurn float64 // default 1.0
+	// LongWindow is the window both rules share; zero means horizon/4.
+	LongWindow sim.Duration
 }
 
-func (c SLOConfig) withDefaults(horizon sim.Duration) SLOConfig {
-	def := func(v *float64, d float64) {
-		if *v == 0 {
-			*v = d
-		}
-	}
-	def(&c.GoodputBudget, 0.05)
-	def(&c.ColdBudget, 0.02)
-	def(&c.WarmBudget, 0.02)
-	def(&c.ShedBudget, 0.005)
-	def(&c.AvailBudget, 0.001)
-	def(&c.FastBurn, 14.4)
-	def(&c.SlowBurn, 1.0)
-	if c.LongWindow <= 0 {
-		c.LongWindow = horizon / 4
-	}
-	if c.ShortWindow <= 0 {
-		c.ShortWindow = c.LongWindow / 12
-	}
-	if c.SlowWindow <= 0 {
-		if c.SlowWindow = 6 * c.LongWindow; c.SlowWindow > horizon {
-			c.SlowWindow = horizon
-		}
-	}
-	if c.Tick <= 0 {
-		c.Tick = c.ShortWindow / 2
-	}
-	if c.Tick <= 0 {
-		c.Tick = sim.Duration(1e6) // degenerate horizons: 1ms
-	}
-	return c
-}
-
-func (c SLOConfig) budget(i int) float64 {
-	switch i {
-	case 0:
-		return c.GoodputBudget
-	case 1:
-		return c.ColdBudget
-	case 2:
-		return c.WarmBudget
-	case 3:
-		return c.ShedBudget
-	default:
-		return c.AvailBudget
-	}
-}
+// The page and ticket burn thresholds. 14.4 spends 2% of a budget in 1/72
+// of its window.
+const (
+	fastBurn = 14.4
+	slowBurn = 1.0
+)
 
 // Alert is one firing of a burn-rate rule.
 type Alert struct {
@@ -164,6 +119,9 @@ type sample struct {
 // instants are deterministic.
 type SLOMonitor struct {
 	cfg     SLOConfig
+	budgets [numBudgets]float64
+	windows [3]sim.Duration // short, long, slow
+	tick    sim.Duration
 	reg     *Registry
 	rec     *trace.Recorder
 	samples []sample
@@ -185,8 +143,24 @@ func NewSLO(reg *Registry, rec *trace.Recorder, cfg SLOConfig, horizon sim.Durat
 	if reg == nil {
 		return nil
 	}
-	m := &SLOMonitor{cfg: cfg.withDefaults(horizon), reg: reg, rec: rec,
-		active: make(map[string]*Alert)}
+	m := &SLOMonitor{cfg: cfg, reg: reg, rec: rec, active: make(map[string]*Alert)}
+	avail := cfg.AvailBudget
+	if avail == 0 {
+		avail = 0.001
+	}
+	m.budgets = [numBudgets]float64{0.05, 0.02, 0.02, 0.005, avail} // budgetNames order
+	long := cfg.LongWindow
+	if long <= 0 {
+		long = horizon / 4
+	}
+	slow := 6 * long
+	if slow > horizon {
+		slow = horizon
+	}
+	m.windows = [3]sim.Duration{long / 12, long, slow}
+	if m.tick = m.windows[0] / 2; m.tick <= 0 {
+		m.tick = sim.Millisecond // degenerate horizons
+	}
 	m.samples = append(m.samples, sample{}) // implicit zero state at t=0
 	for i, b := range budgetNames {
 		for j, sev := range [...]string{"page", "ticket"} {
@@ -208,7 +182,7 @@ func (m *SLOMonitor) Interval() sim.Duration {
 	if m == nil {
 		return 0
 	}
-	return m.cfg.Tick
+	return m.tick
 }
 
 // Tick takes a snapshot of the cluster-wide SLI counters at the given
@@ -238,19 +212,18 @@ func (m *SLOMonitor) Tick(now sim.Time) {
 	s.total = [numBudgets]float64{cold + warm, cold, warm, m.reg.Total(MetricArrivals), m.availTotal}
 	m.samples = append(m.samples, s)
 
-	windows := [3]sim.Duration{m.cfg.ShortWindow, m.cfg.LongWindow, m.cfg.SlowWindow}
 	for i, name := range budgetNames {
-		budget := m.cfg.budget(i)
+		budget := m.budgets[i]
 		if budget <= 0 {
 			continue
 		}
 		var burn [3]float64
-		for j, w := range windows {
+		for j, w := range m.windows {
 			burn[j] = m.ratio(s, i, w) / budget
 			m.burnG[i][j].Set(burn[j])
 		}
-		m.rule(now, name, i, 0, "page", burn[0] >= m.cfg.FastBurn && burn[1] >= m.cfg.FastBurn, burn[1])
-		m.rule(now, name, i, 1, "ticket", burn[1] >= m.cfg.SlowBurn && burn[2] >= m.cfg.SlowBurn, burn[2])
+		m.rule(now, name, i, 0, "page", burn[0] >= fastBurn && burn[1] >= fastBurn, burn[1])
+		m.rule(now, name, i, 1, "ticket", burn[1] >= slowBurn && burn[2] >= slowBurn, burn[2])
 	}
 }
 

@@ -16,12 +16,11 @@ func TestSLOMonitorMultiWindowPage(t *testing.T) {
 	arrivals := reg.Counter(MetricArrivals, "")
 	cold := reg.Counter(MetricRequests, "", "class", "cold")
 	coldBad := reg.Counter(MetricViolations, "", "class", "cold")
-	// Explicit windows: short 100ms, long 1.2s, slow 6s, tick 50ms.
-	cfg := SLOConfig{
-		ColdBudget: 0.05, GoodputBudget: -1, WarmBudget: -1, ShedBudget: -1,
-		ShortWindow: 100 * 1e6, LongWindow: 1200 * 1e6, SlowWindow: 6000 * 1e6,
-		Tick: 50 * 1e6,
-	}
+	// A GPU that is down throughout: the availability SLI would page if
+	// its budget were not disabled.
+	reg.Gauge(MetricGPUUp, "", "gpu", "0").Set(0)
+	// A 1.2s long window derives short 100ms, slow 7.2s and tick 50ms.
+	cfg := SLOConfig{AvailBudget: -1, LongWindow: 1200 * 1e6}
 	m := NewSLO(reg, nil, cfg, 8*1e9)
 	if m.Interval() != 50*1e6 {
 		t.Fatalf("Interval = %v", m.Interval())
@@ -45,10 +44,10 @@ func TestSLOMonitorMultiWindowPage(t *testing.T) {
 	if len(m.Finalize(now)) != 0 {
 		t.Fatalf("alerts fired on clean traffic: %v", m.Finalize(now))
 	}
-	// Phase B: 2s of 100% cold violations (burn = 1/0.05 = 20 ≥ 14.4).
+	// Phase B: 2s of 100% cold violations (burn = 1/0.02 = 50 ≥ 14.4).
 	// The short window saturates almost immediately; the long (1.2s)
-	// window crosses 14.4 × 0.05 = 0.72 bad ratio only after ~0.87s of
-	// outage, so the page must fire in (2.8s, 3.0s].
+	// window crosses 14.4 × 0.02 = 0.288 bad ratio only after ~0.35s of
+	// outage, so the page must fire in (2.3s, 2.4s].
 	for i := 0; i < 40; i++ {
 		step(true)
 	}
@@ -70,8 +69,8 @@ func TestSLOMonitorMultiWindowPage(t *testing.T) {
 	if page == nil {
 		t.Fatalf("no cold-p99 page in %v", alerts)
 	}
-	if page.At <= sim.Time(2800*1e6) || page.At > sim.Time(3000*1e6) {
-		t.Fatalf("page at %v, want within (2.8s, 3.0s]", sim.Duration(page.At))
+	if page.At <= sim.Time(2300*1e6) || page.At > sim.Time(2400*1e6) {
+		t.Fatalf("page at %v, want within (2.3s, 2.4s]", sim.Duration(page.At))
 	}
 	if page.ResolvedAt <= sim.Time(4000*1e6) || page.ResolvedAt > sim.Time(4300*1e6) {
 		t.Fatalf("page resolved at %v, want within (4s, 4.3s]", sim.Duration(page.ResolvedAt))
@@ -87,9 +86,9 @@ func TestSLOMonitorMultiWindowPage(t *testing.T) {
 	if got := reg.Total("deepplan_alerts", "budget", "cold-p99", "severity", "ticket"); got < 1 {
 		t.Fatalf("ticket counter = %g, want ≥ 1", got)
 	}
-	// Disabled budgets must never alert.
-	if got := reg.Total("deepplan_alerts", "budget", "goodput"); got != 0 {
-		t.Fatalf("disabled goodput budget alerted %g times", got)
+	// A disabled budget must never alert.
+	if got := reg.Total("deepplan_alerts", "budget", "gpu-avail"); got != 0 {
+		t.Fatalf("disabled gpu-avail budget alerted %g times", got)
 	}
 }
 
@@ -100,12 +99,7 @@ func TestSLOMonitorIgnoresShortSpike(t *testing.T) {
 	arrivals := reg.Counter(MetricArrivals, "")
 	cold := reg.Counter(MetricRequests, "", "class", "cold")
 	coldBad := reg.Counter(MetricViolations, "", "class", "cold")
-	cfg := SLOConfig{
-		ColdBudget: 0.05, GoodputBudget: -1, WarmBudget: -1, ShedBudget: -1,
-		ShortWindow: 100 * 1e6, LongWindow: 1200 * 1e6, SlowWindow: 6000 * 1e6,
-		Tick: 50 * 1e6,
-	}
-	m := NewSLO(reg, nil, cfg, 8*1e9)
+	m := NewSLO(reg, nil, SLOConfig{LongWindow: 1200 * 1e6}, 8*1e9)
 	var now sim.Time
 	for i := 0; i < 80; i++ {
 		now += sim.Time(50 * 1e6)
@@ -129,12 +123,7 @@ func TestSLOMonitorEmitsTraceInstants(t *testing.T) {
 	rec := trace.New()
 	cold := reg.Counter(MetricRequests, "", "class", "cold")
 	coldBad := reg.Counter(MetricViolations, "", "class", "cold")
-	cfg := SLOConfig{
-		ColdBudget: 0.01, GoodputBudget: -1, WarmBudget: -1, ShedBudget: -1,
-		ShortWindow: 100 * 1e6, LongWindow: 200 * 1e6, SlowWindow: 400 * 1e6,
-		Tick: 50 * 1e6,
-	}
-	m := NewSLO(reg, rec, cfg, 1e9)
+	m := NewSLO(reg, rec, SLOConfig{LongWindow: 200 * 1e6}, 1e9)
 	var now sim.Time
 	for i := 0; i < 20; i++ {
 		now += sim.Time(50 * 1e6)

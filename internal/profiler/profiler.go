@@ -1,20 +1,20 @@
 // Package profiler implements DeepPlan's performance-profiling pre-run
 // (paper §4.3.1): for a given model on a given server it measures, per
 // layer, the load time, the in-GPU-memory execution time, and the
-// direct-host-access execution time, averaged over several iterations.
+// direct-host-access execution time.
 //
 // On the simulated platform "measuring" means evaluating the calibrated
 // cost model against the topology's uncontended link bandwidths — exactly
-// the condition the paper profiles under (an otherwise idle server) — with
-// optional multiplicative measurement noise so that averaging over
-// iterations is meaningful and the planner is exercised with realistic,
-// imperfect inputs. The profiler also accounts the virtual time the pre-run
-// itself would take, reproducing Table 5's profiling-cost accounting.
+// the condition the paper profiles under (an otherwise idle server). The
+// model has no measurement noise, so each layer is measured once: the
+// paper's average over repeated runs of the same deterministic value is
+// that value. The profiler also accounts the virtual time the pre-run
+// itself would take, charging the paper's ten iterations per measurement
+// to reproduce Table 5's profiling-cost accounting.
 package profiler
 
 import (
 	"fmt"
-	"math/rand"
 
 	"deepplan/internal/costmodel"
 	"deepplan/internal/dnn"
@@ -68,22 +68,16 @@ type Profile struct {
 type Options struct {
 	// Batch is the inference batch size; 0 means 1.
 	Batch int
-	// Iterations is the number of measurement repetitions; 0 means 10,
-	// matching the paper's Table 5 setup.
-	Iterations int
-	// Noise is the relative standard deviation of per-measurement
-	// multiplicative noise (e.g. 0.02 for 2%). Zero disables noise.
-	Noise float64
-	// Seed seeds the noise generator; runs are deterministic for a seed.
-	Seed int64
 }
 
 // Per-measurement fixed overheads of the profiling harness itself
 // (synchronization, Python dispatch), calibrated so total profiling cost
-// lands in Table 5's ranges.
+// lands in Table 5's ranges, and the measurement repetitions Table 5
+// charges for.
 const (
 	perMeasureOverhead      = 2 * sim.Millisecond
 	perMeasureInMemOverhead = 300 * sim.Microsecond
+	iterations              = 10
 )
 
 // Run profiles a model for the given topology. GPU 0's lane bandwidth is
@@ -99,30 +93,8 @@ func Run(m *dnn.Model, cm *costmodel.Params, topo *topology.Topology, opts Optio
 	if batch < 1 {
 		batch = 1
 	}
-	iters := opts.Iterations
-	if iters < 1 {
-		iters = 10
-	}
 	laneBW := topo.LaneBandwidth()
 	overhead := sim.Duration(topo.PerCopyOverheadNanos)
-	rng := rand.New(rand.NewSource(opts.Seed))
-	noisy := func(d sim.Duration) sim.Duration {
-		if opts.Noise <= 0 || d == 0 {
-			return d
-		}
-		f := 1 + rng.NormFloat64()*opts.Noise
-		if f < 0.5 {
-			f = 0.5
-		}
-		return sim.Duration(float64(d) * f)
-	}
-	avg := func(measure func() sim.Duration) sim.Duration {
-		var total sim.Duration
-		for i := 0; i < iters; i++ {
-			total += noisy(measure())
-		}
-		return total / sim.Duration(iters)
-	}
 
 	p := &Profile{ModelName: m.Name, Topology: topo.Name, Batch: batch}
 	for i := range m.Layers {
@@ -134,26 +106,26 @@ func Run(m *dnn.Model, cm *costmodel.Params, topo *topology.Topology, opts Optio
 			ParamBytes: l.ParamBytes,
 			DHABytes:   cm.DHABytes(l, batch),
 		}
-		lp.ExecInMem = avg(func() sim.Duration { return cm.ComputeTime(l, batch) })
+		lp.ExecInMem = cm.ComputeTime(l, batch)
 		if l.HasParams() {
-			lp.LoadTime = avg(func() sim.Duration { return cm.LoadTime(l, laneBW, overhead) })
-			lp.ExecDHA = avg(func() sim.Duration { return cm.DHAExecNominal(l, batch, laneBW) })
+			lp.LoadTime = cm.LoadTime(l, laneBW, overhead)
+			lp.ExecDHA = cm.DHAExecNominal(l, batch, laneBW)
 		} else {
 			lp.ExecDHA = lp.ExecInMem
 		}
 		p.Layers = append(p.Layers, lp)
 
 		// Profiling-cost accounting (Table 5): every layer is measured
-		// iters times per method, each measurement paying the layer's own
-		// runtime plus harness overhead.
-		it := sim.Duration(iters)
+		// iterations times per method, each measurement paying the layer's
+		// own runtime plus harness overhead.
+		const it = sim.Duration(iterations)
 		p.Cost.InMem += it * (lp.ExecInMem + perMeasureInMemOverhead)
 		if l.HasParams() {
 			p.Cost.DHA += it * (lp.ExecDHA + perMeasureOverhead)
 			p.Cost.Load += it * (lp.LoadTime + perMeasureOverhead)
 		}
 	}
-	p.Cost.Iterations = iters
+	p.Cost.Iterations = iterations
 	return p, nil
 }
 

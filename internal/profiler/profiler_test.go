@@ -86,35 +86,41 @@ func TestPerfDiffSigns(t *testing.T) {
 	}
 }
 
-func TestDeterministicWithSeed(t *testing.T) {
-	a := run(t, "resnet50", Options{Noise: 0.05, Seed: 3})
-	b := run(t, "resnet50", Options{Noise: 0.05, Seed: 3})
-	for i := range a.Layers {
-		if a.Layers[i].ExecDHA != b.Layers[i].ExecDHA || a.Layers[i].LoadTime != b.Layers[i].LoadTime {
-			t.Fatalf("layer %d differs across identical seeds", i)
+// Each measurement is a single cost-model evaluation: the model is
+// noise-free, so an average over repeated measurements is that one value.
+// Cost still charges Table 5's ten iterations per measurement, each paying
+// the measured value plus the harness overhead.
+func TestMeasurementsAreSingleCostModelEvaluations(t *testing.T) {
+	cm := costmodel.Default()
+	topo := topology.P38xlarge()
+	bw, copyOverhead := topo.LaneBandwidth(), sim.Duration(topo.PerCopyOverheadNanos)
+	for _, m := range dnn.EvaluationOrder() {
+		for _, batch := range []int{1, 4} {
+			p, err := Run(m, cm, topo, Options{Batch: batch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := Cost{Iterations: 10}
+			for i := range m.Layers {
+				l, lp := &m.Layers[i], &p.Layers[i]
+				inMem := cm.ComputeTime(l, batch)
+				load, dha := sim.Duration(0), inMem
+				if l.HasParams() {
+					load = cm.LoadTime(l, bw, copyOverhead)
+					dha = cm.DHAExecNominal(l, batch, bw)
+					want.DHA += 10 * (dha + 2*sim.Millisecond)
+					want.Load += 10 * (load + 2*sim.Millisecond)
+				}
+				want.InMem += 10 * (inMem + 300*sim.Microsecond)
+				if lp.ExecInMem != inMem || lp.LoadTime != load || lp.ExecDHA != dha {
+					t.Fatalf("%s batch %d layer %s: measured (%v, %v, %v), cost model (%v, %v, %v)",
+						m.Name, batch, lp.Name, lp.ExecInMem, lp.LoadTime, lp.ExecDHA, inMem, load, dha)
+				}
+			}
+			if p.Cost != want {
+				t.Fatalf("%s batch %d: Cost = %+v, want %+v", m.Name, batch, p.Cost, want)
+			}
 		}
-	}
-	c := run(t, "resnet50", Options{Noise: 0.05, Seed: 4})
-	same := true
-	for i := range a.Layers {
-		if a.Layers[i].ExecDHA != c.Layers[i].ExecDHA {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical noisy profiles")
-	}
-}
-
-func TestNoiseAveragesOut(t *testing.T) {
-	clean := run(t, "bert-base", Options{})
-	noisy := run(t, "bert-base", Options{Noise: 0.05, Seed: 1, Iterations: 50})
-	// Totals should agree within a few percent after averaging.
-	c := clean.TotalExecInMem().Seconds()
-	n := noisy.TotalExecInMem().Seconds()
-	if n < c*0.93 || n > c*1.07 {
-		t.Errorf("noisy total %g vs clean %g: averaging failed", n, c)
 	}
 }
 

@@ -279,7 +279,7 @@ type depInstruments struct {
 // windows and the monitor registry.
 func (srv *Server) attachSinks() {
 	if srv.cfg.Telemetry {
-		srv.tel = metrics.NewTelemetry(srv.cfg.WindowWidth, len(srv.gpus))
+		srv.tel = metrics.NewTelemetry(WindowWidth, len(srv.gpus))
 	}
 	reg := srv.cfg.Monitor
 	if reg == nil {

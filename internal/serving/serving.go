@@ -47,6 +47,10 @@ const (
 	hostFetchOverhead = 2 * sim.Millisecond
 )
 
+// WindowWidth buckets the per-window latency series and the telemetry
+// snapshot: one minute, the paper's Figure 15 granularity.
+const WindowWidth = 60 * sim.Second
+
 // Config configures a Server. A zero numeric field takes its default; New
 // rejects a negative one and any combination of modes that does not compose.
 type Config struct {
@@ -72,8 +76,6 @@ type Config struct {
 	// batching delays latency-critical cold-starts, §5.2). Applies to warm
 	// inferences only.
 	MaxBatch int
-	// WindowWidth buckets the per-window series. Default 1 minute.
-	WindowWidth sim.Duration
 	// Trace, when non-nil, records the full request lifecycle (arrive →
 	// queue → cold-load/warm-hit → batch → execute → complete), instant
 	// events for evictions/relocations/waitlist drains, per-GPU memory
@@ -329,7 +331,6 @@ func New(cfg Config) (*Server, error) {
 		v    float64
 	}{
 		{"SLO", float64(cfg.SLO)},
-		{"WindowWidth", float64(cfg.WindowWidth)},
 		{"HostMemory", float64(cfg.HostMemory)},
 		{"HostFetchBandwidth", cfg.HostFetchBandwidth},
 		{"AdmitFactor", cfg.AdmitFactor},
@@ -346,9 +347,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.HostMemory == 0 {
 		cfg.HostMemory = 244e9
-	}
-	if cfg.WindowWidth == 0 {
-		cfg.WindowWidth = sim.Second * 60
 	}
 	hostPolicy, err := hostmem.ParsePolicy(string(cfg.HostPolicy))
 	if err != nil {
@@ -402,7 +400,7 @@ func New(cfg Config) (*Server, error) {
 		}),
 		pl:          planner.New(cfg.Topo),
 		deployments: map[string]*Deployment{},
-		series:      metrics.NewSeries(cfg.WindowWidth, cfg.SLO),
+		series:      metrics.NewSeries(WindowWidth, cfg.SLO),
 		rec:         cfg.Trace,
 	}
 	if srv.host, err = hostmem.NewCache(cfg.HostMemory, hostPolicy, srv.hostLocked); err != nil {

@@ -166,19 +166,19 @@ func TestTelemetrySnapshot(t *testing.T) {
 	srv, err := New(Config{
 		Topo: topology.P38xlarge(), Cost: costmodel.Default(),
 		Policy: PolicyPipeSwitch, SLO: 100 * sim.Millisecond,
-		WindowWidth: 10 * sim.Second, Trace: rec, Telemetry: true,
+		Trace: rec, Telemetry: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	deployBERT(t, srv, 140)
 	srv.Warmup()
-	rep, err := srv.Run(workload.Poisson(2, 100, 1000, 140))
+	rep, err := srv.Run(workload.Poisson(2, 12, 1000, 140)) // ~83 s of load
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Telemetry) < 2 {
-		t.Fatalf("telemetry windows = %d; want several", len(rep.Telemetry))
+		t.Fatalf("telemetry windows = %d; want at least two 60 s windows", len(rep.Telemetry))
 	}
 	var reqs, colds, evicts int
 	for _, w := range rep.Telemetry {
