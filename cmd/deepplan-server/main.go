@@ -133,16 +133,14 @@ func main() {
 		PrefillDecode: *prefillDecode,
 	}
 	opts := deepplan.ClusterOptions{
-		ServerOptions: deepplan.ServerOptions{
-			Policy:      deepplan.Mode(*policy),
-			SLO:         deepplan.Duration(*sloMs) * sim.Millisecond,
-			MaxBatch:    *maxBatch,
-			Telemetry:   *telemetry,
-			AdmitFactor: *admit,
-			LLM:         llm,
-		},
-		Nodes: *nodes,
-		Route: deepplan.RoutePolicy(*route),
+		Policy:      deepplan.Mode(*policy),
+		SLO:         deepplan.Duration(*sloMs) * sim.Millisecond,
+		MaxBatch:    *maxBatch,
+		Telemetry:   *telemetry,
+		AdmitFactor: *admit,
+		LLM:         llm,
+		Nodes:       *nodes,
+		Route:       deepplan.RoutePolicy(*route),
 		Autoscale: deepplan.AutoscaleConfig{
 			Enabled:  *autoscale,
 			Interval: sim.Second,

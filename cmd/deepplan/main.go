@@ -60,6 +60,13 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
+	// Every flag is checked before anything is printed or written.
+	var lo, hi int
+	if *showLayers != "" {
+		if lo, hi, err = parseRange(*showLayers, m.NumLayers()); err != nil {
+			fail("-show-layers: %v", err)
+		}
+	}
 	prof, err := platform.Profile(m, deepplan.ProfileOptions{})
 	if err != nil {
 		fail("%v", err)
@@ -108,10 +115,6 @@ func main() {
 	}
 
 	if *showLayers != "" {
-		lo, hi, err := parseRange(*showLayers, m.NumLayers())
-		if err != nil {
-			fail("%v", err)
-		}
 		fmt.Printf("\n%-6s %-34s %-6s %10s %-8s %5s\n",
 			"index", "layer", "kind", "bytes", "method", "part")
 		for i := lo; i < hi; i++ {

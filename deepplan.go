@@ -92,13 +92,13 @@ type (
 	// Cluster.Windows).
 	WindowStat = metrics.WindowStat
 	// FaultSchedule is a deterministic fault-injection schedule for
-	// ServerOptions.Faults. Build one with ParseFaults.
+	// ClusterOptions.Faults. Build one with ParseFaults.
 	FaultSchedule = faults.Schedule
 	// MetricsRegistry is the dimensional metrics registry for
-	// ServerOptions.Monitor / ClusterOptions.Monitor: counters, gauges, and
-	// log-bucketed histograms keyed by labels, exportable as OpenMetrics
-	// text via its WriteOpenMetrics method. Build one with
-	// NewMetricsRegistry; nil disables monitoring at zero cost.
+	// ClusterOptions.Monitor: counters, gauges, and log-bucketed histograms
+	// keyed by labels, exportable as OpenMetrics text via its
+	// WriteOpenMetrics method. Build one with NewMetricsRegistry; nil
+	// disables monitoring at zero cost.
 	MetricsRegistry = monitor.Registry
 	// SLOConfig parameterizes the cluster's SLO burn-rate monitor
 	// (ClusterOptions.Alerts): the GPU-availability budget, the internal
@@ -118,15 +118,14 @@ type (
 	// ZooVariant is one tenant of a ModelZoo.
 	ZooVariant = registry.Variant
 	// HostPolicy selects the pinned host-memory tier's admission/eviction
-	// policy (ServerOptions.HostPolicy / ClusterOptions.HostPolicy).
+	// policy (ClusterOptions.HostPolicy).
 	HostPolicy = hostmem.Policy
-	// PackMode selects GPU placement packing (ServerOptions.Pack /
-	// ClusterOptions.Pack).
+	// PackMode selects GPU placement packing (ClusterOptions.Pack).
 	PackMode = serving.PackMode
 	// LLMOptions configures the autoregressive serving mode
-	// (ServerOptions.LLM / ClusterOptions.LLM): iteration-level batching
-	// discipline, per-iteration token budget, output cap, and optional
-	// prefill/decode disaggregation. The zero value disables the mode.
+	// (ClusterOptions.LLM): iteration-level batching discipline,
+	// per-iteration token budget, output cap, and optional prefill/decode
+	// disaggregation. The zero value disables the mode.
 	LLMOptions = serving.LLMConfig
 )
 
@@ -148,7 +147,7 @@ func AssignTokens(reqs []Request, seed int64, promptMean, outputMean int) []Requ
 	return workload.WithTokens(reqs, seed, promptMean, outputMean)
 }
 
-// Host-memory tier policies for ServerOptions.HostPolicy.
+// Host-memory tier policies for ClusterOptions.HostPolicy.
 const (
 	// HostPolicyPinned pins every deployed model's weights up front and
 	// never evicts — the paper's setting; deploys beyond host memory fail.
@@ -161,7 +160,7 @@ const (
 	HostPolicyCostAware = hostmem.PolicyCostAware
 )
 
-// GPU packing modes for ServerOptions.Pack.
+// GPU packing modes for ClusterOptions.Pack.
 const (
 	// PackSpread load-balances cold placements (the paper's placement).
 	PackSpread = serving.PackSpread
@@ -190,11 +189,11 @@ func NewMetricsRegistry() *MetricsRegistry { return monitor.New() }
 
 // ParseFaults parses a fault-injection spec like
 // "gpu=1@2s+5s; link=gpu0-lane*0.3@1s+10s; straggler=copy/4@0s+20s;
-// mem=0.5@5s+5s; rand=7/3@60s" into a schedule for ServerOptions.Faults.
+// mem=0.5@5s+5s; rand=7/3@60s" into a schedule for ClusterOptions.Faults.
 // See the faults package documentation for the full grammar.
 func ParseFaults(spec string) (*FaultSchedule, error) { return faults.Parse(spec) }
 
-// NewTraceRecorder returns an enabled trace recorder for ServerOptions.Trace.
+// NewTraceRecorder returns an enabled trace recorder for ClusterOptions.Trace.
 // A nil *TraceRecorder disables tracing at zero cost.
 func NewTraceRecorder() *TraceRecorder { return trace.New() }
 
@@ -210,21 +209,23 @@ func WriteTrace(w io.Writer, r *TraceRecorder, meta map[string]string) error {
 func WriteTelemetry(w io.Writer, stats []TelemetryStat) { metrics.WriteTelemetry(w, stats) }
 
 // Mode selects an execution strategy, matching the paper's five legends.
-type Mode string
+// It is also the serving policy (ClusterOptions.Policy), where plain PT is
+// not allowed.
+type Mode = plan.Mode
 
 // Execution modes.
 const (
 	// ModeBaseline loads the whole model, then executes (no pipelining).
-	ModeBaseline Mode = "baseline"
+	ModeBaseline = plan.ModeBaseline
 	// ModePipeSwitch pipelines per-layer loading with execution
 	// (Bai et al., OSDI 2020) — the paper's state-of-the-art comparison.
-	ModePipeSwitch Mode = "pipeswitch"
+	ModePipeSwitch = plan.ModePipeSwitch
 	// ModeDHA is DeepPlan with direct-host-access only (single GPU).
-	ModeDHA Mode = "dha"
+	ModeDHA = plan.ModeDHA
 	// ModePT is DeepPlan with parallel transmission only (multi GPU).
-	ModePT Mode = "pt"
+	ModePT = plan.ModePT
 	// ModePTDHA combines parallel transmission and direct-host-access.
-	ModePTDHA Mode = "pt+dha"
+	ModePTDHA = plan.ModePTDHA
 )
 
 // Modes lists all execution modes in the paper's presentation order.
@@ -292,21 +293,7 @@ func (p *Platform) Profile(m *Model, opts ProfileOptions) (*Profile, error) {
 // Plan generates an execution plan for the given mode. Multi-GPU modes use
 // as many partitions as the topology's PCIe-switch layout allows.
 func (p *Platform) Plan(prof *Profile, mode Mode) (*Plan, error) {
-	pl := planner.New(p.build())
-	switch mode {
-	case ModeBaseline:
-		return pl.PlanBaseline(prof), nil
-	case ModePipeSwitch:
-		return pl.PlanPipeSwitch(prof), nil
-	case ModeDHA:
-		return pl.PlanDHA(prof), nil
-	case ModePT:
-		return pl.PlanPT(prof, pl.MaxPartitions()), nil
-	case ModePTDHA:
-		return pl.PlanPTDHA(prof, pl.MaxPartitions()), nil
-	default:
-		return nil, fmt.Errorf("deepplan: unknown mode %q", mode)
-	}
+	return planner.New(p.build()).Plan(prof, mode)
 }
 
 // PlanLargeModel plans a model whose parameters exceed paramBudget bytes of
@@ -368,59 +355,6 @@ func (p *Platform) Execute(m *Model, pln *Plan, opts ExecuteOptions) (*RunResult
 	})
 }
 
-// ServerOptions are the options of one serving node; ClusterOptions
-// embeds them as the options every node gets.
-type ServerOptions struct {
-	// Policy is the serving-time execution mode (PipeSwitch, DHA, PT+DHA,
-	// or Baseline; plain PT is not a serving policy in the paper).
-	Policy Mode
-	// SLO is the target latency (default 100 ms, as in the paper).
-	SLO Duration
-	// MaxBatch enables dynamic batching of warm requests that arrive while
-	// an instance is busy (0/1 disables, the paper's setting).
-	MaxBatch int
-	// Trace, when non-nil, records the serving timeline (observation-only;
-	// results are identical with tracing on or off). Export with WriteTrace.
-	Trace *TraceRecorder
-	// Telemetry enables the windowed resource snapshot in Report.Telemetry.
-	Telemetry bool
-	// Faults, when non-nil, arms a deterministic fault-injection schedule:
-	// GPU failures abort in-flight runs (affected requests are retried once
-	// on a surviving GPU), placements avoid down GPUs, and link, straggler,
-	// and memory-pressure events degrade the simulated fabric. Build with
-	// ParseFaults. Nil runs exactly as before faults existed.
-	Faults *FaultSchedule
-	// AdmitFactor, when positive, sheds cold-start requests whose projected
-	// latency exceeds AdmitFactor×SLO (SLO-aware admission control). Zero
-	// disables admission control, the paper's setting.
-	AdmitFactor float64
-	// Monitor, when non-nil, streams serving metrics (request latency
-	// histograms by class, queue depth, GPU busy time, cold starts, sheds,
-	// fault state) into the registry. Observation-only, like Trace.
-	Monitor *MetricsRegistry
-	// HostPolicy selects the pinned host-memory tier's policy (default
-	// HostPolicyPinned, the paper's setting — every model pinned up front,
-	// no evictions). The cache policies admit on demand with a fetch-to-pin
-	// and evict under capacity pressure; model zoos need one.
-	HostPolicy HostPolicy
-	// Pack selects GPU placement packing (default PackSpread; PackDense
-	// bin-packs fractional zoo instances).
-	Pack PackMode
-	// LLM enables the autoregressive serving mode: per-token decode with
-	// iteration-level continuous batching, KV-cache admission against GPU
-	// memory, and optional prefill/decode disaggregation. The zero value
-	// keeps the paper's single-shot regime byte-identical.
-	LLM LLMOptions
-}
-
-// policy is the serving policy the options select; empty means PT+DHA.
-func (o ServerOptions) policy() serving.Policy {
-	if o.Policy == "" {
-		return serving.PolicyPTDHA
-	}
-	return serving.Policy(o.Policy)
-}
-
 // Cluster-layer re-exports: the multi-node serving system (router +
 // autoscaler over N independent servers on one shared virtual clock).
 type (
@@ -431,6 +365,10 @@ type (
 	ClusterRequest = cluster.Request
 	// ClusterReport summarizes a cluster run.
 	ClusterReport = cluster.Report
+	// ClusterOptions configures Platform.NewCluster: the node count, the
+	// serving policy (default PT+DHA) and every node's serving options.
+	// NewTopology and Cost come from the platform and must be left unset.
+	ClusterOptions = cluster.Config
 	// RoutePolicy selects the front-end routing policy.
 	RoutePolicy = cluster.RoutePolicy
 	// AutoscaleConfig tunes the per-model replica controller.
@@ -459,59 +397,20 @@ const (
 	RouteAffinity = cluster.RouteAffinity
 )
 
-// ClusterOptions configures NewCluster.
-type ClusterOptions struct {
-	// ServerOptions are the options every node gets. Faults strike node 0
-	// only (failures hit one machine; the router works around it); Trace
-	// records all nodes onto one timeline with per-node Perfetto track
-	// groups; Telemetry pools every node's windows; Monitor collects every
-	// node plus the router and autoscaler into one registry with node
-	// labels.
-	ServerOptions
-	// Nodes is the node count (each an independent simulated server).
-	Nodes int
-	// Route is the front-end routing policy (default least-outstanding).
-	Route RoutePolicy
-	// Autoscale configures the per-model replica controller; its Policy
-	// field picks the reactive or predictive control algorithm.
-	Autoscale AutoscaleConfig
-	// Alerts, with Monitor set, runs the SLO burn-rate monitor during the
-	// run; alerts land in ClusterReport.Alerts, the registry, and the
-	// trace. Use &SLOConfig{} for horizon-scaled defaults.
-	Alerts *SLOConfig
-	// MetricsWriter, with MetricsInterval > 0 and Monitor set, appends an
-	// OpenMetrics exposition block of the registry every interval of sim
-	// time during the run.
-	MetricsWriter   io.Writer
-	MetricsInterval Duration
-}
-
 // NewCluster builds a serving system of opts.Nodes nodes on this platform
 // (one node is the paper's single server): every node gets a fresh
-// topology from the platform's factory, and all nodes share one virtual
-// clock.
+// topology from the platform's factory and the platform's cost model, and
+// all nodes share one virtual clock. The platform owns NewTopology and
+// Cost, so setting either in opts is an error.
 func (p *Platform) NewCluster(opts ClusterOptions) (*Cluster, error) {
-	return cluster.New(cluster.Config{
-		Nodes:           opts.Nodes,
-		NewTopology:     p.build,
-		Cost:            p.cost,
-		Policy:          opts.policy(),
-		Route:           opts.Route,
-		SLO:             opts.SLO,
-		MaxBatch:        opts.MaxBatch,
-		Autoscale:       opts.Autoscale,
-		Trace:           opts.Trace,
-		Telemetry:       opts.Telemetry,
-		Faults:          opts.Faults,
-		AdmitFactor:     opts.AdmitFactor,
-		Monitor:         opts.Monitor,
-		Alerts:          opts.Alerts,
-		MetricsWriter:   opts.MetricsWriter,
-		MetricsInterval: opts.MetricsInterval,
-		HostPolicy:      opts.HostPolicy,
-		Pack:            opts.Pack,
-		LLM:             opts.LLM,
-	})
+	if opts.NewTopology != nil {
+		return nil, fmt.Errorf("deepplan: ClusterOptions.NewTopology is set by the platform")
+	}
+	if opts.Cost != nil {
+		return nil, fmt.Errorf("deepplan: ClusterOptions.Cost is set by the platform")
+	}
+	opts.NewTopology, opts.Cost = p.build, p.cost
+	return cluster.New(opts)
 }
 
 // PoissonWorkload generates an open-loop Poisson arrival sequence

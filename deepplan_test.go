@@ -131,13 +131,14 @@ func TestPlatformAccessors(t *testing.T) {
 
 // oneNode builds a one-node cluster, the facade's serving system for the
 // paper's single server.
-func oneNode(platform *deepplan.Platform, opts deepplan.ServerOptions) (*deepplan.Cluster, error) {
-	return platform.NewCluster(deepplan.ClusterOptions{ServerOptions: opts, Nodes: 1})
+func oneNode(platform *deepplan.Platform, opts deepplan.ClusterOptions) (*deepplan.Cluster, error) {
+	opts.Nodes = 1
+	return platform.NewCluster(opts)
 }
 
 func TestServerFacade(t *testing.T) {
 	platform := deepplan.NewP38xlarge()
-	c, err := oneNode(platform, deepplan.ServerOptions{Policy: deepplan.ModeDHA})
+	c, err := oneNode(platform, deepplan.ClusterOptions{Policy: deepplan.ModeDHA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,22 +155,41 @@ func TestServerFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Requests != 200 || rep.Goodput <= 0 || string(rep.Policy) != string(deepplan.ModeDHA) {
+	if rep.Requests != 200 || rep.Goodput <= 0 || rep.Policy != deepplan.ModeDHA {
 		t.Fatalf("report = %+v", rep)
 	}
 	// Default policy when empty is PT+DHA; plain PT is not a serving policy.
-	c, err = oneNode(platform, deepplan.ServerOptions{})
+	c, err = oneNode(platform, deepplan.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Deploy(m, 12); err != nil {
 		t.Fatal(err)
 	}
-	if rep, err := c.Run(reqs); err != nil || string(rep.Policy) != string(deepplan.ModePTDHA) {
+	if rep, err := c.Run(reqs); err != nil || rep.Policy != deepplan.ModePTDHA {
 		t.Fatalf("empty policy: report %+v, err %v; want policy %s", rep, err, deepplan.ModePTDHA)
 	}
-	if _, err := oneNode(platform, deepplan.ServerOptions{Policy: deepplan.ModePT}); err == nil {
+	if _, err := oneNode(platform, deepplan.ClusterOptions{Policy: deepplan.ModePT}); err == nil {
 		t.Fatal("plain PT accepted as serving policy")
+	}
+}
+
+// TestNewClusterRejectsPlatformFields checks that the platform owns the
+// topology factory and the cost model: a caller-set one is an error that
+// names the field, not silently replaced.
+func TestNewClusterRejectsPlatformFields(t *testing.T) {
+	platform := deepplan.NewP38xlarge()
+	for _, c := range []struct {
+		field string
+		opts  deepplan.ClusterOptions
+	}{
+		{"NewTopology", deepplan.ClusterOptions{NewTopology: platform.Topology}},
+		{"Cost", deepplan.ClusterOptions{Cost: platform.Cost()}},
+	} {
+		_, err := oneNode(platform, c.opts)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s set: err %v, want an error naming %s", c.field, err, c.field)
+		}
 	}
 }
 
@@ -248,7 +268,7 @@ func TestPlanJSONThroughFacade(t *testing.T) {
 
 func TestLLMFacade(t *testing.T) {
 	platform := deepplan.NewP38xlarge()
-	c, err := oneNode(platform, deepplan.ServerOptions{
+	c, err := oneNode(platform, deepplan.ClusterOptions{
 		Policy: deepplan.ModeDHA,
 		LLM:    deepplan.LLMOptions{Enabled: true, Batching: deepplan.LLMBatchContinuous},
 	})
@@ -284,7 +304,7 @@ func TestLLMFacade(t *testing.T) {
 		t.Fatalf("decode path not exercised: %d tokens", rep.TokensGenerated)
 	}
 	// Static batching is the only other accepted discipline.
-	if _, err := oneNode(platform, deepplan.ServerOptions{
+	if _, err := oneNode(platform, deepplan.ClusterOptions{
 		LLM: deepplan.LLMOptions{Enabled: true, Batching: "bogus"},
 	}); err == nil {
 		t.Fatal("unknown batching discipline accepted")
@@ -292,9 +312,7 @@ func TestLLMFacade(t *testing.T) {
 	// Prefill/decode disaggregation threads through a multi-node cluster
 	// too, and the cluster's addressing keeps the token annotations.
 	c, err = platform.NewCluster(deepplan.ClusterOptions{
-		ServerOptions: deepplan.ServerOptions{
-			LLM: deepplan.LLMOptions{Enabled: true, PrefillDecode: true},
-		},
+		LLM:   deepplan.LLMOptions{Enabled: true, PrefillDecode: true},
 		Nodes: 2,
 	})
 	if err != nil {

@@ -39,13 +39,11 @@ func main() {
 		deepplan.ModePipeSwitch, deepplan.ModeDHA, deepplan.ModePTDHA,
 	} {
 		c, err := platform.NewCluster(deepplan.ClusterOptions{
-			ServerOptions: deepplan.ServerOptions{
-				Policy:      policy,
-				SLO:         deepplan.Duration(sloMs) * 1e6,
-				Faults:      sched,
-				AdmitFactor: 1.5,
-			},
-			Nodes: 1,
+			Policy:      policy,
+			SLO:         deepplan.Duration(sloMs) * 1e6,
+			Faults:      sched,
+			AdmitFactor: 1.5,
+			Nodes:       1,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -32,11 +32,9 @@ func main() {
 	} {
 		for _, instances := range []int{100, 140, 180} {
 			c, err := platform.NewCluster(deepplan.ClusterOptions{
-				ServerOptions: deepplan.ServerOptions{
-					Policy: policy,
-					SLO:    deepplan.Duration(sloMs) * 1e6,
-				},
-				Nodes: 1,
+				Policy: policy,
+				SLO:    deepplan.Duration(sloMs) * 1e6,
+				Nodes:  1,
 			})
 			if err != nil {
 				log.Fatal(err)

@@ -26,10 +26,7 @@ func main() {
 	}
 
 	for _, policy := range []deepplan.Mode{deepplan.ModePipeSwitch, deepplan.ModePTDHA} {
-		c, err := platform.NewCluster(deepplan.ClusterOptions{
-			ServerOptions: deepplan.ServerOptions{Policy: policy},
-			Nodes:         1,
-		})
+		c, err := platform.NewCluster(deepplan.ClusterOptions{Policy: policy, Nodes: 1})
 		if err != nil {
 			log.Fatal(err)
 		}

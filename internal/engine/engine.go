@@ -824,7 +824,7 @@ func (e *Engine) schedule(spec Spec, batch int) {
 	rs := e.acquire()
 	rs.Result = Result{
 		Model:       m.Name,
-		Mode:        p.Mode,
+		Mode:        string(p.Mode),
 		Batch:       batch,
 		Primary:     spec.Primary,
 		Secondaries: spec.Secondaries,
@@ -938,7 +938,7 @@ func (e *Engine) schedule(spec Spec, batch int) {
 			}
 			arrival := &rs.evs[rs.ops[next].ev]
 			next++
-			if p.Mode == "baseline" {
+			if p.Mode == plan.ModeBaseline {
 				arrival = lastArrival // the baseline waits for the whole model
 			}
 			primary.exec.Wait(arrival)

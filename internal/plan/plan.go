@@ -55,6 +55,26 @@ func (m *Method) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// Mode is the execution strategy a plan realizes: one of the paper's five
+// cold-start legends (§4.3, Figure 11) below, or the name of a specialized
+// planner output ("initial-dha", "dha-large", "streaming").
+type Mode string
+
+// The paper's execution modes.
+const (
+	// ModeBaseline loads the whole model, then executes (no pipelining).
+	ModeBaseline Mode = "baseline"
+	// ModePipeSwitch pipelines per-layer loading with execution
+	// (Bai et al., OSDI 2020) — the paper's state-of-the-art comparison.
+	ModePipeSwitch Mode = "pipeswitch"
+	// ModeDHA is DeepPlan with direct-host-access only (single GPU).
+	ModeDHA Mode = "dha"
+	// ModePT is DeepPlan with parallel transmission only (multi GPU).
+	ModePT Mode = "pt"
+	// ModePTDHA combines parallel transmission and direct-host-access.
+	ModePTDHA Mode = "pt+dha"
+)
+
 // LayerPlan is the planner's decision for one layer.
 type LayerPlan struct {
 	Index     int    `json:"index"`
@@ -68,7 +88,7 @@ type Plan struct {
 	ModelName string      `json:"model"`
 	Topology  string      `json:"topology"`
 	Batch     int         `json:"batch"`
-	Mode      string      `json:"mode"` // baseline | pipeswitch | dha | pt | pt+dha
+	Mode      Mode        `json:"mode"` // the strategy the plan realizes; see Mode
 	NumParts  int         `json:"partitions"`
 	Layers    []LayerPlan `json:"layers"`
 }
@@ -154,7 +174,7 @@ func (p *Plan) PartitionLayers(k int) []int {
 
 // AllLoad returns a single-partition plan that loads every loadable layer —
 // the Baseline and PipeSwitch configuration.
-func AllLoad(m *dnn.Model, mode string, batch int) *Plan {
+func AllLoad(m *dnn.Model, mode Mode, batch int) *Plan {
 	p := &Plan{ModelName: m.Name, Batch: batch, Mode: mode, NumParts: 1}
 	for i := range m.Layers {
 		p.Layers = append(p.Layers, LayerPlan{

@@ -74,18 +74,38 @@ func (pl *Planner) MaxPartitions() int {
 	return best
 }
 
+// Plan plans prof in one of the paper's five execution modes. The
+// parallel-transmission modes use as many partitions as the topology allows
+// (MaxPartitions). It is the one mapping from a mode to a planning method.
+func (pl *Planner) Plan(prof *profiler.Profile, mode plan.Mode) (*plan.Plan, error) {
+	switch mode {
+	case plan.ModeBaseline:
+		return pl.PlanBaseline(prof), nil
+	case plan.ModePipeSwitch:
+		return pl.PlanPipeSwitch(prof), nil
+	case plan.ModeDHA:
+		return pl.PlanDHA(prof), nil
+	case plan.ModePT:
+		return pl.PlanPT(prof, pl.MaxPartitions()), nil
+	case plan.ModePTDHA:
+		return pl.PlanPTDHA(prof, pl.MaxPartitions()), nil
+	default:
+		return nil, fmt.Errorf("planner: unknown mode %q", mode)
+	}
+}
+
 // PlanBaseline returns the non-pipelined load-everything plan.
 func (pl *Planner) PlanBaseline(prof *profiler.Profile) *plan.Plan {
-	return pl.allLoad(prof, "baseline")
+	return pl.allLoad(prof, plan.ModeBaseline)
 }
 
 // PlanPipeSwitch returns the pipelined load-everything plan (the paper's
 // PipeSwitch comparison point).
 func (pl *Planner) PlanPipeSwitch(prof *profiler.Profile) *plan.Plan {
-	return pl.allLoad(prof, "pipeswitch")
+	return pl.allLoad(prof, plan.ModePipeSwitch)
 }
 
-func (pl *Planner) allLoad(prof *profiler.Profile, mode string) *plan.Plan {
+func (pl *Planner) allLoad(prof *profiler.Profile, mode plan.Mode) *plan.Plan {
 	p := &plan.Plan{
 		ModelName: prof.ModelName, Topology: pl.topo.Name,
 		Batch: prof.Batch, Mode: mode, NumParts: 1,
@@ -124,7 +144,7 @@ func (pl *Planner) PlanDHA(prof *profiler.Profile) *plan.Plan {
 	methods := loadMethods(prof)
 	parts := make([]int, len(prof.Layers))
 	pl.runAlgorithm1(prof, methods, parts, 1)
-	p := pl.allLoad(prof, "dha")
+	p := pl.allLoad(prof, plan.ModeDHA)
 	for i, m := range methods {
 		p.Layers[i].Method = m
 	}
@@ -137,7 +157,7 @@ func (pl *Planner) PlanDHA(prof *profiler.Profile) *plan.Plan {
 // first are transmitted via secondary GPUs and forwarded over NVLink.
 func (pl *Planner) PlanPT(prof *profiler.Profile, partitions int) *plan.Plan {
 	parts, numParts := pl.partition(prof, partitions)
-	p := pl.allLoad(prof, "pt")
+	p := pl.allLoad(prof, plan.ModePT)
 	p.NumParts = numParts
 	for i := range p.Layers {
 		p.Layers[i].Partition = parts[i]
@@ -154,7 +174,7 @@ func (pl *Planner) PlanPTDHA(prof *profiler.Profile, partitions int) *plan.Plan 
 	parts, numParts := pl.partition(prof, partitions)
 	methods := loadMethods(prof)
 	pl.runAlgorithm1(prof, methods, parts, numParts)
-	p := pl.allLoad(prof, "pt+dha")
+	p := pl.allLoad(prof, plan.ModePTDHA)
 	p.NumParts = numParts
 	for i := range p.Layers {
 		p.Layers[i].Partition = parts[i]
@@ -259,7 +279,7 @@ func (pl *Planner) Predict(prof *profiler.Profile, p *plan.Plan) *Timeline {
 		methods[i] = p.Layers[i].Method
 		parts[i] = p.Layers[i].Partition
 	}
-	if p.Mode == "baseline" {
+	if p.Mode == plan.ModeBaseline {
 		// Non-pipelined: execution begins only after the full copy.
 		return baselineTimeline(prof)
 	}

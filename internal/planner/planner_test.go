@@ -1,6 +1,8 @@
 package planner
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"deepplan/internal/costmodel"
@@ -38,6 +40,38 @@ func TestPlansValidateForAllModels(t *testing.T) {
 			if err := p.Validate(m); err != nil {
 				t.Errorf("%s/%s: %v", name, p.Mode, err)
 			}
+		}
+	}
+}
+
+// TestPlanDispatchesEveryMode checks the one mode → planner-method switch:
+// each of the paper's five modes yields a plan tagged with it, the
+// parallel-transmission modes at MaxPartitions, and any other mode is an
+// error that names it.
+func TestPlanDispatchesEveryMode(t *testing.T) {
+	pl := New(topology.P38xlarge())
+	_, prof := profile(t, "bert-base")
+	for _, c := range []struct {
+		mode  plan.Mode
+		parts int
+	}{
+		{plan.ModeBaseline, 1},
+		{plan.ModePipeSwitch, 1},
+		{plan.ModeDHA, 1},
+		{plan.ModePT, pl.MaxPartitions()},
+		{plan.ModePTDHA, pl.MaxPartitions()},
+	} {
+		p, err := pl.Plan(prof, c.mode)
+		if err != nil {
+			t.Fatalf("%s: %v", c.mode, err)
+		}
+		if p.Mode != c.mode || p.NumParts != c.parts {
+			t.Errorf("%s: plan mode %s with %d partitions, want %d", c.mode, p.Mode, p.NumParts, c.parts)
+		}
+	}
+	for _, mode := range []plan.Mode{"warp-drive", "streaming", ""} {
+		if _, err := pl.Plan(prof, mode); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", mode)) {
+			t.Errorf("mode %q: got %v, want an error naming it", mode, err)
 		}
 	}
 }

@@ -23,15 +23,17 @@ import (
 	"deepplan/internal/workload"
 )
 
-// Policy selects how instances are planned and cold-started.
-type Policy string
+// Policy selects how instances are planned and cold-started: the plan
+// mode every deployment is planned in.
+type Policy = plan.Mode
 
-// Available serving policies (the paper's evaluation legends).
+// Available serving policies (the paper's evaluation legends). Plain PT is
+// a planning mode, not a serving policy.
 const (
-	PolicyBaseline   Policy = "baseline"
-	PolicyPipeSwitch Policy = "pipeswitch"
-	PolicyDHA        Policy = "dha"
-	PolicyPTDHA      Policy = "pt+dha"
+	PolicyBaseline   = plan.ModeBaseline
+	PolicyPipeSwitch = plan.ModePipeSwitch
+	PolicyDHA        = plan.ModeDHA
+	PolicyPTDHA      = plan.ModePTDHA
 )
 
 // Fixed serving parameters.
@@ -323,6 +325,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	switch cfg.Policy {
 	case PolicyBaseline, PolicyPipeSwitch, PolicyDHA, PolicyPTDHA:
+	case plan.ModePT:
+		return nil, fmt.Errorf("serving: policy %q: plain PT is a planning mode, not a serving policy", cfg.Policy)
 	default:
 		return nil, fmt.Errorf("serving: unknown policy %q", cfg.Policy)
 	}
@@ -514,19 +518,13 @@ func (srv *Server) deployment(model *dnn.Model) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	var p, fb *plan.Plan
-	switch srv.cfg.Policy {
-	case PolicyBaseline:
-		p = srv.pl.PlanBaseline(prof)
-	case PolicyPipeSwitch:
-		p = srv.pl.PlanPipeSwitch(prof)
-	case PolicyDHA:
-		p = srv.pl.PlanDHA(prof)
-	case PolicyPTDHA:
-		p = srv.pl.PlanPTDHA(prof, srv.pl.MaxPartitions())
-		if p.NumParts > 1 {
-			fb = p.SingleGPU()
-		}
+	p, err := srv.pl.Plan(prof, srv.cfg.Policy)
+	if err != nil {
+		return nil, err
+	}
+	var fb *plan.Plan
+	if p.NumParts > 1 {
+		fb = p.SingleGPU()
 	}
 	dep := &Deployment{
 		Model:     model,

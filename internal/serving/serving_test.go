@@ -7,6 +7,7 @@ import (
 
 	"deepplan/internal/costmodel"
 	"deepplan/internal/dnn"
+	"deepplan/internal/plan"
 	"deepplan/internal/sim"
 	"deepplan/internal/topology"
 	"deepplan/internal/workload"
@@ -41,9 +42,17 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("empty config accepted")
 	}
-	if _, err := New(Config{Topo: topology.P38xlarge(), Cost: costmodel.Default(),
-		Policy: "teleport"}); err == nil {
-		t.Error("unknown policy accepted")
+	for _, c := range []struct {
+		policy Policy
+		want   string
+	}{
+		{"teleport", `unknown policy "teleport"`},
+		{plan.ModePT, "plain PT is a planning mode"},
+	} {
+		_, err := New(Config{Topo: topology.P38xlarge(), Cost: costmodel.Default(), Policy: c.policy})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("policy %q: got %v, want an error containing %q", c.policy, err, c.want)
+		}
 	}
 	small := topology.P38xlarge()
 	for _, g := range small.GPUs {

@@ -22,6 +22,13 @@
 # internal/cluster and benchmark/ may not call serving.New, and non-test Go
 # outside internal/cluster and benchmark/ may not build a cluster.Request
 # (or facade ClusterRequest) literal.
+#
+# An execution mode has one definition: plan.Mode and its constants in
+# internal/plan, which serving.Policy and deepplan.Mode alias. Code that
+# compares a mode or policy field to a spelled-out name ("baseline") keeps
+# a second, untyped copy the compiler cannot check, so non-test Go outside
+# internal/plan and benchmark/ may not compare a .Mode or .Policy field to
+# a non-empty string literal (use the plan.Mode* constants).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,6 +47,10 @@ if grep -nE 'serving\.New\(' $SRC | grep -vE '^\./internal/(serving|cluster)/'; 
 fi
 if grep -nE '(cluster\.Request|ClusterRequest)\{' $SRC | grep -vE '^\./internal/cluster/'; then
   echo "FAIL: arrivals addressed outside internal/cluster (use Cluster.Requests or ZooRequests)" >&2
+  exit 1
+fi
+if grep -nE '\.(Mode|Policy) *[!=]= *"[^"]' $SRC | grep -vE '^\./internal/plan/'; then
+  echo "FAIL: mode or policy compared to a string literal (use the plan.Mode constants)" >&2
   exit 1
 fi
 echo "instruments lint: ok"
