@@ -61,6 +61,10 @@ func TestServerGoldens(t *testing.T) {
 			"-faults", ciFaults, "-metrics"}, file: ".prom"},
 		{name: "autoscale-predictive", args: []string{"-nodes", "2", "-autoscale", "-autoscale-policy", "predictive"}},
 		{name: "trace", args: []string{"-instances", "140", "-requests", "4", "-rate", "400", "-trace"}, file: ".json"},
+		// Two nodes tie at t=0, and the SLO monitor's router alerts land
+		// after the run's trace merge, at node 0's last instant.
+		{name: "trace-nodes2-faults", args: []string{"-nodes", "2", "-instances", "140", "-requests", "4", "-rate", "400",
+			"-faults", "gpu=1@2ms+3s", "-metrics", os.DevNull, "-trace"}, file: ".json"},
 		{name: "poisson", args: nil},
 		{name: "maf-mix-telemetry", args: []string{"-maf", "-duration", "20m", "-rate", "50",
 			"-mix", "bert-base:48,roberta-base:48,gpt2:12", "-telemetry"}},
