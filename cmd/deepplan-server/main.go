@@ -105,8 +105,6 @@ func main() {
 		fail("-slo must be positive, got %d", *sloMs)
 	case *zoo < 0:
 		fail("-zoo must not be negative, got %d", *zoo)
-	case *zooPolicy != "" && *zoo == 0:
-		fail("-zoo-policy applies only to a -zoo deployment")
 	case *promptTokens <= 0:
 		fail("-prompt-tokens must be positive, got %d", *promptTokens)
 	case *outputTokens <= 0:
@@ -121,6 +119,27 @@ func main() {
 			fail("-zoo supports Poisson workloads without -maf")
 		case *llmMode != "":
 			fail("-llm needs token-annotated Poisson workloads; -maf traces carry none")
+		}
+	}
+	// A workload flag the run would ignore is an error, not a silent no-op.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, r := range []struct {
+		flag, when string
+		ignored    bool
+	}{
+		{"model", "with -zoo or -mix", *zoo > 0 || *mix != ""},
+		{"instances", "with -zoo or -mix", *zoo > 0 || *mix != ""},
+		{"mix", "with -zoo", *zoo > 0},
+		{"zoo-policy", "without -zoo", *zoo == 0},
+		{"requests", "with -maf", *maf},
+		{"duration", "without -maf", !*maf},
+		{"prompt-tokens", "without -llm", *llmMode == ""},
+		{"output-tokens", "without -llm", *llmMode == ""},
+		{"token-budget", "without -llm", *llmMode == ""},
+	} {
+		if r.ignored && set[r.flag] {
+			fail("-%s has no effect %s", r.flag, r.when)
 		}
 	}
 	if *zoo > 0 && *zooPolicy == "" {

@@ -54,6 +54,16 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-metrics-interval", "-1s"}, "MetricsInterval"},
 		{[]string{"-nodes", "2", "-metrics-interval", "-1s"}, "MetricsInterval"},
 		{[]string{"-metrics-interval", "1s"}, "MetricsInterval"},
+		{[]string{"-zoo", "5", "-model", "gpt2"}, "-model"},
+		{[]string{"-zoo", "5", "-instances", "8"}, "-instances"},
+		{[]string{"-mix", "bert-base:2", "-model", "gpt2"}, "-model"},
+		{[]string{"-mix", "bert-base:2", "-instances", "8"}, "-instances"},
+		{[]string{"-zoo", "5", "-mix", "bert-base:2"}, "-mix"},
+		{[]string{"-maf", "-requests", "50"}, "-requests"},
+		{[]string{"-duration", "1m"}, "-duration"},
+		{[]string{"-prompt-tokens", "64"}, "-prompt-tokens"},
+		{[]string{"-output-tokens", "16"}, "-output-tokens"},
+		{[]string{"-token-budget", "4"}, "-token-budget"},
 	}
 	for _, c := range cases {
 		expectRejected(t, c.args, c.want)

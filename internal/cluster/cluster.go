@@ -987,7 +987,7 @@ func (c *Cluster) Run(requests []Request) (*Report, error) {
 		}
 	}
 	c.sim.Run()
-	c.rec.MergeViews() // fold per-node trace buffers into one deterministic timeline
+	c.rec.MergeViews() // order the nodes' events into one deterministic timeline
 	if firstErr != nil {
 		return nil, firstErr
 	}

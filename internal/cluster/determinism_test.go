@@ -106,7 +106,7 @@ func bertRun(cfg Config, replicas, requests int, rate float64) func(*testing.T) 
 // TestClusterRerunIdentical extends the determinism contract to the trace
 // and to every routing policy, batching, telemetry, both autoscaling
 // controllers, and a 16-node cluster, where MergeViews interleaves the most
-// per-node trace buffers.
+// nodes' events.
 func TestClusterRerunIdentical(t *testing.T) {
 	predictive := func(t *testing.T) (*Report, []byte) {
 		// The run TestPredictivePrewarmsBeforeBursts pins: it prewarms,

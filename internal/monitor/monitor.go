@@ -15,9 +15,8 @@
 //
 // Like the trace recorder, a registry is single-goroutine. A cluster gives
 // each node a view (Node) that labels its series node="<n>" and writes into
-// its own storage, and the exporter folds root plus views with a full
-// deterministic sort, so reruns of the same workload export byte-identical
-// text.
+// the root's one family table, and the exporter sorts families and series
+// fully, so reruns of the same workload export byte-identical text.
 package monitor
 
 import (
@@ -76,9 +75,8 @@ type series struct {
 // disabled mode: Node returns nil, instrument constructors return nil
 // handles, and WriteOpenMetrics writes an empty (but valid) exposition.
 type Registry struct {
-	families map[string]*family
-	base     []labelPair // labels baked into every series (node views)
-	views    []*Registry // root only: per-node views in creation order
+	families map[string]*family // shared by a root and its node views
+	base     []labelPair        // labels baked into every series (node views)
 }
 
 // New returns an empty enabled registry.
@@ -86,20 +84,18 @@ func New() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// Node returns a view of the registry for node n: a child registry whose
-// every series carries a node="<n>" label and whose storage is private.
-// The view is folded into exports and cross-registry sums of the root.
-// Mirrors trace.Recorder.Node. Returns nil on a nil registry.
+// Node returns a view of the registry for node n: a handle on the same
+// family table whose every series carries a node="<n>" label. Everything
+// else — exports, sums, one kind per family name — is the root's. Mirrors
+// trace.Recorder.Node. Returns nil on a nil registry.
 func (r *Registry) Node(n int) *Registry {
 	if r == nil {
 		return nil
 	}
-	v := &Registry{
-		families: make(map[string]*family),
+	return &Registry{
+		families: r.families,
 		base:     append(append([]labelPair{}, r.base...), labelPair{"node", strconv.Itoa(n)}),
 	}
-	r.views = append(r.views, v)
-	return v
 }
 
 // Counter registers (or finds) the counter series for name+labels and
@@ -218,21 +214,16 @@ func escapeLabel(v string) string {
 }
 
 // Total sums the current value of every series in the named counter or
-// gauge family across the registry and all of its node views, keeping only
-// series that carry every key=value pair in the filter. Sums run in
-// view-creation then series-creation order, so the float result is
-// reproducible. Used by the SLO monitor for cluster-wide ratios; returns 0
-// on a nil registry or unknown family.
+// gauge family, node views' series included, keeping only series that
+// carry every key=value pair in the filter. Sums run in series-creation
+// order, so the float result is reproducible. Used by the SLO monitor for
+// cluster-wide ratios; returns 0 on a nil registry or unknown family.
 func (r *Registry) Total(name string, filter ...string) float64 {
 	if r == nil {
 		return 0
 	}
 	var sum float64
-	for _, reg := range r.self() {
-		fam, ok := reg.families[name]
-		if !ok {
-			continue
-		}
+	if fam, ok := r.families[name]; ok {
 		for _, s := range fam.series {
 			if matches(s.labels, filter) {
 				sum += s.value
@@ -242,50 +233,44 @@ func (r *Registry) Total(name string, filter ...string) float64 {
 	return sum
 }
 
-// TotalAbove sums, across the registry and its views, the observations of
-// the named histogram family recorded in buckets lying entirely above
-// threshold, for series matching the filter (see Total). Observations
-// sharing the threshold's own bucket are not counted, so the result
-// undercounts by at most one bucket width (~9% in value with the default
-// layouts) — a deterministic, resolution-bounded approximation of
-// "observations greater than threshold". Nil receiver returns 0.
+// TotalAbove sums the observations of the named histogram family recorded
+// in buckets lying entirely above threshold, for series matching the
+// filter (see Total). Observations sharing the threshold's own bucket are
+// not counted, so the result undercounts by at most one bucket width (~9%
+// in value with the default layouts) — a deterministic, resolution-bounded
+// approximation of "observations greater than threshold". Nil receiver
+// returns 0.
 func (r *Registry) TotalAbove(name string, threshold float64, filter ...string) float64 {
 	if r == nil {
 		return 0
 	}
+	fam, ok := r.families[name]
+	if !ok || fam.kind != kindHistogram {
+		return 0
+	}
 	var sum float64
-	for _, reg := range r.self() {
-		fam, ok := reg.families[name]
-		if !ok || fam.kind != kindHistogram {
+	first := fam.buckets.Index(threshold) + 1
+	for _, s := range fam.series {
+		if !matches(s.labels, filter) {
 			continue
 		}
-		first := fam.buckets.Index(threshold) + 1
-		for _, s := range fam.series {
-			if !matches(s.labels, filter) {
-				continue
-			}
-			for i := first; i < len(s.counts); i++ {
-				sum += float64(s.counts[i])
-			}
+		for i := first; i < len(s.counts); i++ {
+			sum += float64(s.counts[i])
 		}
 	}
 	return sum
 }
 
-// NumSeries counts the series of the named family across the registry and
-// its views that match the filter (see Total). The SLO monitor uses it to
-// size denominators — e.g. the GPU population behind the gpu_up gauges.
-// Returns 0 on a nil registry or unknown family.
+// NumSeries counts the series of the named family that match the filter
+// (see Total). The SLO monitor uses it to size denominators — e.g. the GPU
+// population behind the gpu_up gauges. Returns 0 on a nil registry or
+// unknown family.
 func (r *Registry) NumSeries(name string, filter ...string) int {
 	if r == nil {
 		return 0
 	}
 	var n int
-	for _, reg := range r.self() {
-		fam, ok := reg.families[name]
-		if !ok {
-			continue
-		}
+	if fam, ok := r.families[name]; ok {
 		for _, s := range fam.series {
 			if matches(s.labels, filter) {
 				n++
@@ -293,13 +278,6 @@ func (r *Registry) NumSeries(name string, filter ...string) int {
 		}
 	}
 	return n
-}
-
-// self returns the registry followed by its views, the canonical fold order.
-func (r *Registry) self() []*Registry {
-	regs := make([]*Registry, 0, 1+len(r.views))
-	regs = append(regs, r)
-	return append(regs, r.views...)
 }
 
 func matches(labels []labelPair, filter []string) bool {

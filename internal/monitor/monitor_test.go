@@ -122,8 +122,39 @@ func TestTotalSumsAcrossViews(t *testing.T) {
 	}
 }
 
-// Export must not depend on registration order or on which view a series
-// lives in: two registries built in different orders yield identical bytes.
+// Node views write into the root's family table: a name keeps one kind
+// across the root and its views, as within one registry, and two views of
+// the same node hand out the same series.
+func TestNodeViewsShareRootFamilies(t *testing.T) {
+	reg := New()
+	reg.Counter("deepplan_x", "")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("gauge on Node(0) of the root's counter family: expected panic")
+			}
+		}()
+		reg.Node(0).Gauge("deepplan_x", "")
+	}()
+
+	a := reg.Node(0).Counter("deepplan_y", "", "model", "bert")
+	b := reg.Node(0).Counter("deepplan_y", "", "model", "bert")
+	if a.s != b.s {
+		t.Fatal("two Node(0) views hand out distinct series for one label set")
+	}
+	a.Inc()
+	b.Inc()
+	var out strings.Builder
+	if err := reg.WriteOpenMetrics(&out); err != nil {
+		t.Fatal(err)
+	}
+	if want := `deepplan_y_total{model="bert",node="0"} 2` + "\n"; !strings.Contains(out.String(), want) {
+		t.Fatalf("export missing %q:\n%s", want, out.String())
+	}
+}
+
+// Export must not depend on registration order: two registries built in
+// different orders yield identical bytes.
 func TestExportIsOrderIndependent(t *testing.T) {
 	build := func(flip bool) *Registry {
 		reg := New()

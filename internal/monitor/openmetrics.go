@@ -9,19 +9,18 @@ import (
 )
 
 // WriteOpenMetrics writes one OpenMetrics exposition of the registry —
-// root and every node view folded together — ending with the mandatory
-// `# EOF` line. The output is a pure function of the recorded values:
-// families are sorted by name and series by their canonical label
-// signature, so the byte stream does not depend on registration order or
-// view merge order (the analogue of trace.MergeViews' stable sort).
-// Histogram series emit only non-empty finite buckets plus the mandatory
-// cumulative +Inf bucket, keeping files small under wide layouts.
+// every node view's series included — ending with the mandatory `# EOF`
+// line. The output is a pure function of the recorded values: families are
+// sorted by name and series by their canonical label signature, so the
+// byte stream does not depend on registration order. Histogram series emit
+// only non-empty finite buckets plus the mandatory cumulative +Inf bucket,
+// keeping files small under wide layouts.
 //
 // A nil registry writes an empty-but-valid exposition (just `# EOF`).
 func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 	var b strings.Builder
 	if r != nil {
-		for _, fam := range r.fold() {
+		for _, fam := range r.sorted() {
 			writeFamily(&b, fam)
 		}
 	}
@@ -30,46 +29,18 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 	return err
 }
 
-// fold merges the root registry and its views into sorted export families.
-func (r *Registry) fold() []*family {
-	merged := make(map[string]*family)
-	var names []string
-	for _, reg := range r.self() {
-		for name, fam := range reg.families {
-			out, ok := merged[name]
-			if !ok {
-				out = &family{name: name, help: fam.help, kind: fam.kind,
-					buckets: fam.buckets, index: make(map[string]*series)}
-				merged[name] = out
-				names = append(names, name)
-			}
-			for _, s := range fam.series {
-				dst, ok := out.index[s.sig]
-				if !ok {
-					out.index[s.sig] = s
-					out.series = append(out.series, s)
-					continue
-				}
-				// Same signature in two views cannot happen through the
-				// node-label bases; fold by summation as a safe fallback.
-				dst.value += s.value
-				dst.sum += s.sum
-				dst.count += s.count
-				for i := range dst.counts {
-					if i < len(s.counts) {
-						dst.counts[i] += s.counts[i]
-					}
-				}
-			}
-		}
+// sorted returns copies of the registry's families in name order, each
+// with its series in signature order. The live series slices stay in
+// creation order, the order Total sums in.
+func (r *Registry) sorted() []*family {
+	fams := make([]*family, 0, len(r.families))
+	for _, fam := range r.families {
+		f := *fam
+		f.series = append([]*series(nil), fam.series...)
+		sort.Slice(f.series, func(a, b int) bool { return f.series[a].sig < f.series[b].sig })
+		fams = append(fams, &f)
 	}
-	sort.Strings(names)
-	fams := make([]*family, len(names))
-	for i, name := range names {
-		fam := merged[name]
-		sort.Slice(fam.series, func(a, b int) bool { return fam.series[a].sig < fam.series[b].sig })
-		fams[i] = fam
-	}
+	sort.Slice(fams, func(a, b int) bool { return fams[a].name < fams[b].name })
 	return fams
 }
 

@@ -221,15 +221,6 @@ func (s *Simulator) RunUntil(t Time) {
 	}
 }
 
-// PeekTime returns the timestamp of the earliest pending event. ok is false
-// when no events are pending.
-func (s *Simulator) PeekTime() (t Time, ok bool) {
-	if len(s.events) == 0 {
-		return 0, false
-	}
-	return s.events[0].at, true
-}
-
 // The pending events form a 4-ary min-heap on (at, seq): the children of
 // slot i are 4i+1 … 4i+4. A 4-ary heap is half as deep as a binary one, and
 // the four siblings it compares on the way down sit next to each other in

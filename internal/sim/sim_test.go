@@ -251,19 +251,3 @@ func TestPropertyCancelSubset(t *testing.T) {
 		}
 	}
 }
-
-func TestPeekTime(t *testing.T) {
-	s := New()
-	if _, ok := s.PeekTime(); ok {
-		t.Fatal("PeekTime on empty simulator must report !ok")
-	}
-	s.At(40, func() {})
-	s.At(10, func() {})
-	if at, ok := s.PeekTime(); !ok || at != 10 {
-		t.Fatalf("PeekTime = %v,%v, want 10,true", at, ok)
-	}
-	s.Run()
-	if _, ok := s.PeekTime(); ok {
-		t.Fatal("PeekTime after drain must report !ok")
-	}
-}

@@ -29,7 +29,7 @@ func WriteChrome(w io.Writer, r *Recorder, meta map[string]string) error {
 	if r == nil {
 		return fmt.Errorf("trace: nil recorder")
 	}
-	r.sink().MergeViews() // fold in any still-buffered node-view events
+	r.sink().MergeViews() // a cluster's stream in (timestamp, source) order
 	events := r.Events()
 
 	// Stable sort by timestamp without disturbing the recorder.

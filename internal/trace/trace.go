@@ -63,6 +63,7 @@ const (
 // pairs, Args for everything optional.
 type Event struct {
 	Phase Phase
+	src   int32 // recorder that added it: 0 the root, node+1 a node view
 	PID   int
 	TID   int
 	TS    sim.Time
@@ -78,24 +79,22 @@ type Event struct {
 // *Recorder is the disabled state and accepts (and drops) every call.
 //
 // A Recorder may also be a node view (see Node): a lightweight handle that
-// remaps PIDs into a per-node range and buffers its node's events until
-// MergeViews folds every view into the root recorder's stream. Node views
-// let N independent serving nodes share one timeline: each node's GPUs,
-// fabric, and server become distinct Perfetto processes instead of
-// colliding on GPU ids.
+// remaps PIDs into a per-node range and appends to the root recorder's
+// one stream, tagging each event with its node. Node views let N
+// independent serving nodes share one timeline: each node's GPUs, fabric,
+// and server become distinct Perfetto processes instead of colliding on
+// GPU ids.
 type Recorder struct {
 	events  []Event
 	asyncID int64
 	// pidNames carries display names for remapped process ids (registered
 	// by Node); the Chrome exporter consults it before its default naming.
 	pidNames map[int]string
-	// views lists the node views handed out by Node, in creation order;
-	// root recorders only.
-	views []*Recorder
+	viewed   bool // root only: Node has handed out a view
 
 	// Node-view fields; zero for a root recorder.
 	root    *Recorder // non-nil marks this recorder as a view into root
-	node    int
+	src     int32     // node+1, the tag add puts on the view's events
 	pidBase int
 	numGPUs int
 }
@@ -130,13 +129,14 @@ func (r *Recorder) mapPID(pid int) int {
 	}
 }
 
-// add maps the event's PID through the view and appends it to the view's
-// own buffer (root recorders append to the final stream directly). Buffered
-// view events become visible in the root stream only after MergeViews.
-// Callers have already nil-checked r.
+// add maps the event's PID through the view, tags it with the view's
+// source and appends it to the root's stream. Callers have already
+// nil-checked r.
 func (r *Recorder) add(e Event) {
 	e.PID = r.mapPID(e.PID)
-	r.events = append(r.events, e)
+	e.src = r.src
+	s := r.sink()
+	s.events = append(s.events, e)
 }
 
 // Node returns a view of r for cluster node n of servers with numGPUs GPUs
@@ -151,8 +151,8 @@ func (r *Recorder) Node(n, numGPUs int) *Recorder {
 	}
 	root := r.sink()
 	stride := numGPUs + 2 // GPUs plus per-node fabric and server processes
-	v := &Recorder{root: root, node: n, pidBase: n * stride, numGPUs: numGPUs}
-	root.views = append(root.views, v)
+	v := &Recorder{root: root, src: int32(n + 1), pidBase: n * stride, numGPUs: numGPUs}
+	root.viewed = true
 	if root.pidNames == nil {
 		root.pidNames = make(map[int]string)
 	}
@@ -183,8 +183,7 @@ func (r *Recorder) NamePID(pid int, name string) {
 func (r *Recorder) Enabled() bool { return r != nil }
 
 // Len returns the number of recorded events. For a node view this counts
-// the root's merged stream; call MergeViews on the root first to fold in
-// still-buffered view events.
+// the root's whole stream, every view's events included.
 func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
@@ -192,9 +191,8 @@ func (r *Recorder) Len() int {
 	return len(r.sink().events)
 }
 
-// Events exposes the recorded events in insertion order (read-only use).
-// For a node view this is the root's full stream; view-buffered events
-// appear only after MergeViews.
+// Events exposes the recorded events (read-only use): in recording order
+// until MergeViews sorts them. For a node view this is the root's stream.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
@@ -202,46 +200,29 @@ func (r *Recorder) Events() []Event {
 	return r.sink().events
 }
 
-// MergeViews folds every node view's buffered events into the root stream
-// and empties the view buffers. The merge is deterministic: events are
-// ordered by timestamp, with the root's own events first among equals and
-// node views following in node order; events from the same source keep
-// their recording order. This (timestamp, source) order defines the byte
-// order of every cluster trace: it depends only on what each node recorded.
-// Safe to call repeatedly; a nil or view recorder is a no-op.
+// MergeViews puts the stream of a recorder that has handed out node views
+// into its deterministic order: events are ordered by timestamp, with the
+// root's own events first among equals and node views following in node
+// order; events from the same source keep their recording order. This
+// (timestamp, source) order defines the byte order of every cluster trace:
+// it depends only on what each node recorded. The merge then counts every
+// event as the root's, so an event recorded later sorts after all of them
+// at its instant. Safe to call repeatedly; a nil or view recorder, or a
+// root that never handed out a view, is a no-op.
 func (r *Recorder) MergeViews() {
-	if r == nil || r.root != nil || len(r.views) == 0 {
+	if r == nil || r.root != nil || !r.viewed {
 		return
 	}
-	type tagged struct {
-		src int // -1 for root events, view index otherwise
-		e   Event
-	}
-	n := len(r.events)
-	for _, v := range r.views {
-		n += len(v.events)
-	}
-	all := make([]tagged, 0, n)
-	for _, e := range r.events {
-		all = append(all, tagged{src: -1, e: e})
-	}
-	for i, v := range r.views {
-		for _, e := range v.events {
-			all = append(all, tagged{src: i, e: e})
+	ev := r.events
+	sort.SliceStable(ev, func(a, b int) bool {
+		if ev[a].TS != ev[b].TS {
+			return ev[a].TS < ev[b].TS
 		}
-		v.events = nil
-	}
-	sort.SliceStable(all, func(a, b int) bool {
-		if all[a].e.TS != all[b].e.TS {
-			return all[a].e.TS < all[b].e.TS
-		}
-		return all[a].src < all[b].src
+		return ev[a].src < ev[b].src
 	})
-	merged := make([]Event, len(all))
-	for i := range all {
-		merged[i] = all[i].e
+	for i := range ev {
+		ev[i].src = 0
 	}
-	r.events = merged
 }
 
 // NextID hands out a fresh async-span ID, unique across all views of the

@@ -44,6 +44,7 @@ func TestRecorderOrderAndIDs(t *testing.T) {
 	r.Span(1, TIDExec, "exec", "a", 100, 200)
 	r.Instant(2, TIDLifecycle, "serving", "b", 50)
 	r.Counter(FabricPID, "lane", 150, 3.25)
+	r.MergeViews() // a no-op: r handed out no node view
 	ev := r.Events()
 	if len(ev) != 3 || r.Len() != 3 {
 		t.Fatalf("recorded %d events; want 3", len(ev))
@@ -144,9 +145,9 @@ func TestAttachNetworkChangeOnly(t *testing.T) {
 	}
 }
 
-// Node views remap PIDs into disjoint per-node ranges, buffer their events
-// until MergeViews folds them into the root's stream, and hand out async
-// IDs unique across the whole cluster.
+// Node views remap PIDs into disjoint per-node ranges, record straight into
+// the root's stream, and hand out async IDs unique across the whole
+// cluster.
 func TestNodeViewsShareRootWithDisjointPIDs(t *testing.T) {
 	root := New()
 	n0 := root.Node(0, 4)
@@ -157,8 +158,8 @@ func TestNodeViewsShareRootWithDisjointPIDs(t *testing.T) {
 	n0.Counter(FabricPID, "bw", 3, 1.5)
 	n1.Instant(ServerPID, TIDLifecycle, "serving", "c", 4)
 
-	if root.Len() != 0 {
-		t.Fatalf("root.Len() = %d before MergeViews, want 0 (views buffer)", root.Len())
+	if root.Len() != 4 {
+		t.Fatalf("root.Len() = %d right after recording, want 4", root.Len())
 	}
 	root.MergeViews()
 	if root.Len() != 4 || n0.Len() != 4 || n1.Len() != 4 {
@@ -180,6 +181,40 @@ func TestNodeViewsShareRootWithDisjointPIDs(t *testing.T) {
 	var nilRec *Recorder
 	if nilRec.Node(0, 4) != nil {
 		t.Fatal("nil recorder's node view must stay nil (disabled)")
+	}
+}
+
+// MergeViews orders the stream by (timestamp, source): the root's events
+// first among equals, then node 0's, then node 1's, each source in its
+// recording order. A merge makes every event so far the root's, so a
+// second merge puts a late view event after every other event at its
+// instant, even a root event recorded after it.
+func TestMergeViewsOrdersByTimestampThenSource(t *testing.T) {
+	root := New()
+	n0 := root.Node(0, 2)
+	n1 := root.Node(1, 2)
+	n1.Instant(0, TIDLifecycle, "serving", "n1-a", 5)
+	n1.Instant(0, TIDLifecycle, "serving", "n1-b", 5)
+	root.Instant(ServerPID, TIDLifecycle, "router", "root-a", 5)
+	n0.Instant(0, TIDLifecycle, "serving", "n0-a", 5)
+	n1.Instant(0, TIDLifecycle, "serving", "n1-early", 3)
+	root.MergeViews()
+	checkNames(t, root, "n1-early", "root-a", "n0-a", "n1-a", "n1-b")
+
+	n0.Instant(0, TIDLifecycle, "serving", "n0-late", 5)
+	root.Instant(ServerPID, TIDLifecycle, "router", "root-late", 5)
+	root.MergeViews()
+	checkNames(t, root, "n1-early", "root-a", "n0-a", "n1-a", "n1-b", "root-late", "n0-late")
+}
+
+func checkNames(t *testing.T, r *Recorder, want ...string) {
+	t.Helper()
+	var got []string
+	for _, e := range r.Events() {
+		got = append(got, e.Name)
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("merged order %q, want %q", got, want)
 	}
 }
 
