@@ -7,11 +7,16 @@
 // in submission order, which makes every simulation in this repository fully
 // deterministic and therefore testable.
 //
-// Pending events sit in a hand-written 4-ary min-heap ordered by (instant,
-// submission sequence), compared directly rather than through
-// container/heap's interface, and fired events are recycled through a
-// bounded free list, so scheduling, firing and cancelling allocate nothing
-// in steady state.
+// Pending events sit in one of two sources that share one total order on
+// (instant, submission sequence). An event scheduled outside any callback,
+// at or after the last event already in the lane, joins the lane: a FIFO
+// that is sorted by construction, which is where a whole arrival trace
+// queued up front lands. Every other event goes into a hand-written 4-ary
+// min-heap, compared directly rather than through container/heap's
+// interface, so the events that callbacks schedule pay for the depth of
+// what is in flight, not of the trace. Step fires the earlier of the two
+// heads. Fired events are recycled through a bounded free list, so
+// scheduling, firing and cancelling allocate nothing in steady state.
 package sim
 
 import (
@@ -66,14 +71,25 @@ func (t Time) String() string { return Duration(t).String() }
 // immediately after cancelling it — exactly what every caller in this
 // repository already does. Recycling is what keeps million-event serving
 // traces from churning the garbage collector. The free list is bounded
-// (maxFree), so a burst of pre-scheduled events — a whole arrival trace
-// queued up front — is not kept alive for the rest of the run once it fires.
+// (maxFree), and a drained lane gives up a backing array longer than that,
+// so a whole arrival trace queued up front is not kept alive for the rest of
+// the run once it fires.
+//
+// Cancelling a heap event takes it out of the heap and recycles it at once.
+// Cancelling a lane event cannot take it out of the middle of the FIFO, so
+// it leaves a tombstone: the handler is dropped, Scheduled reports false and
+// Pending stops counting it at once, and Step recycles the object when it
+// reaches it. Either way a second Cancel is a no-op.
 type Event struct {
 	at    Time
 	seq   uint64
-	h     Handler
-	index int // heap index, -1 when not queued
+	h     Handler // nil once fired or cancelled
+	index int     // heap slot, inLane in the lane, -1 when not queued
 }
+
+// inLane is the index of an event that waits in the lane rather than the
+// heap. It is non-negative, so Scheduled needs no second test.
+const inLane = math.MaxInt
 
 // Handler is the one-method form of an event callback. Long-lived objects
 // that schedule many events (the engine's per-run op records) implement it
@@ -97,18 +113,26 @@ func (e *Event) At() Time { return e.at }
 func (e *Event) Scheduled() bool { return e.index >= 0 }
 
 // maxFree bounds the recycled-event free list. Steady-state demand is the
-// number of events pending at once apart from pre-scheduled arrivals, which
-// stays in the hundreds even on the busiest serving runs.
+// number of heap events pending at once, which stays in the hundreds even on
+// the busiest serving runs; a pre-scheduled arrival trace sits in the lane
+// and is recycled only as far as the list has room. maxFree also bounds the
+// backing array a drained lane keeps: a trace-sized one is released, while a
+// short one is kept so that scheduling one event at a time from outside a
+// callback does not grow a new one for every event.
 const maxFree = 1024
 
 // Simulator is a discrete-event scheduler with a virtual clock.
 // The zero value is not usable; call New.
 type Simulator struct {
-	now    Time
-	events []*Event // 4-ary min-heap ordered by (at, seq)
-	seq    uint64
-	fired  uint64
-	free   []*Event // recycled Event objects (see Event)
+	now      Time
+	events   []*Event // 4-ary min-heap ordered by (at, seq)
+	lane     []*Event // FIFO sorted by (at, seq); lane[:laneHead] is spent
+	laneHead int
+	laneLive int  // lane entries that are not tombstones
+	firing   bool // inside a callback, whose events go into the heap
+	seq      uint64
+	fired    uint64
+	free     []*Event // recycled Event objects (see Event)
 }
 
 // New returns a Simulator with the clock at zero and no pending events.
@@ -122,7 +146,7 @@ func (s *Simulator) Now() Time { return s.now }
 func (s *Simulator) EventsFired() uint64 { return s.fired }
 
 // Pending returns the number of events waiting to fire.
-func (s *Simulator) Pending() int { return len(s.events) }
+func (s *Simulator) Pending() int { return len(s.events) + s.laneLive }
 
 // At schedules fn to run at instant t. Scheduling in the past panics: it is
 // always a logic error in the layers above, and silently reordering time
@@ -158,6 +182,12 @@ func (s *Simulator) AtHandler(t Time, h Handler) *Event {
 		e = &Event{at: t, seq: s.seq, h: h, index: -1}
 	}
 	s.seq++
+	// Outside any callback, an event at or after the lane's tail keeps the
+	// lane sorted by (at, seq), since its seq is the largest yet.
+	if n := len(s.lane); !s.firing && (n == 0 || t >= s.lane[n-1].at) {
+		s.pushLane(e)
+		return e
+	}
 	s.events = append(s.events, nil)
 	s.siftUp(e, len(s.events)-1)
 	return e
@@ -168,10 +198,16 @@ func (s *Simulator) AfterHandler(d Duration, h Handler) *Event {
 	return s.AtHandler(s.now.Add(d), h)
 }
 
-// Cancel removes a pending event and recycles it. Cancelling an event that
-// already fired or was already cancelled is a no-op.
+// Cancel removes a pending event: a heap event is recycled at once, a lane
+// event leaves a tombstone (see Event). Cancelling an event that already
+// fired or was already cancelled is a no-op.
 func (s *Simulator) Cancel(e *Event) {
 	if e == nil || e.index < 0 {
+		return
+	}
+	if e.index == inLane {
+		e.h, e.index = nil, -1
+		s.laneLive--
 		return
 	}
 	s.remove(e.index)
@@ -181,18 +217,86 @@ func (s *Simulator) Cancel(e *Event) {
 // Step fires the earliest pending event and advances the clock to it.
 // It reports whether an event was fired.
 func (s *Simulator) Step() bool {
-	if len(s.events) == 0 {
+	e := s.next()
+	if e == nil {
 		return false
 	}
-	e := s.events[0]
-	s.remove(0)
+	if e.index == inLane {
+		s.popLane()
+		e.index = -1
+		s.laneLive--
+	} else {
+		s.remove(0)
+	}
 	s.now = e.at
 	s.fired++
+	firing := s.firing
+	s.firing = true
 	e.h.Fire()
+	s.firing = firing
 	// Recycle after the callback so nothing scheduled inside it can alias
 	// the event that is still conceptually "firing".
 	s.recycle(e)
 	return true
+}
+
+// next returns the earliest pending event, the earlier of the heap head and
+// the first live lane entry, or nil if nothing is pending. Tombstones at the
+// front of the lane are recycled on the way.
+func (s *Simulator) next() *Event {
+	var l *Event
+	for s.laneHead < len(s.lane) {
+		if l = s.lane[s.laneHead]; l.h != nil {
+			break
+		}
+		s.popLane()
+		s.recycle(l)
+		l = nil
+	}
+	if len(s.events) > 0 && (l == nil || before(s.events[0], l)) {
+		return s.events[0]
+	}
+	return l
+}
+
+// pushLane appends e to the lane. A full backing array of which at least
+// half is spent prefix or tombstones is compacted in place, recycling the
+// tombstones, rather than grown. So the lane stays proportional to its live
+// events even if it never drains, or if events are cancelled and
+// rescheduled from outside callbacks with nothing firing in between.
+func (s *Simulator) pushLane(e *Event) {
+	if n := len(s.lane); n == cap(s.lane) && 2*(n-s.laneLive) >= n {
+		k := 0
+		for _, l := range s.lane[s.laneHead:] {
+			if l.h == nil {
+				s.recycle(l)
+				continue
+			}
+			s.lane[k] = l
+			k++
+		}
+		clear(s.lane[k:])
+		s.lane, s.laneHead = s.lane[:k], 0
+	}
+	e.index = inLane
+	s.lane = append(s.lane, e)
+	s.laneLive++
+}
+
+// popLane drops the lane's front entry. A drained lane releases a backing
+// array longer than maxFree and keeps a shorter one for reuse.
+func (s *Simulator) popLane() {
+	s.lane[s.laneHead] = nil
+	s.laneHead++
+	if s.laneHead < len(s.lane) {
+		return
+	}
+	if cap(s.lane) > maxFree {
+		s.lane = nil
+	} else {
+		s.lane = s.lane[:0]
+	}
+	s.laneHead = 0
 }
 
 // recycle drops e's handler and returns it to the free list if there is
@@ -213,7 +317,7 @@ func (s *Simulator) Run() {
 // RunUntil fires events with timestamps <= t, then sets the clock to t.
 // Events scheduled for after t remain pending.
 func (s *Simulator) RunUntil(t Time) {
-	for len(s.events) > 0 && s.events[0].at <= t {
+	for e := s.next(); e != nil && e.at <= t; e = s.next() {
 		s.Step()
 	}
 	if t > s.now {
@@ -221,8 +325,8 @@ func (s *Simulator) RunUntil(t Time) {
 	}
 }
 
-// The pending events form a 4-ary min-heap on (at, seq): the children of
-// slot i are 4i+1 … 4i+4. A 4-ary heap is half as deep as a binary one, and
+// The heap is a 4-ary min-heap on (at, seq): the children of slot i are
+// 4i+1 … 4i+4. A 4-ary heap is half as deep as a binary one, and
 // the four siblings it compares on the way down sit next to each other in
 // the backing array. Each event keeps its slot in index so Cancel can
 // remove it directly. Both sifts move a hole rather than swapping: each

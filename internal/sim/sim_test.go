@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -128,20 +129,43 @@ func TestCancelOneOfMany(t *testing.T) {
 func TestRunUntil(t *testing.T) {
 	s := New()
 	var got []Time
-	for _, at := range []Time{10, 20, 30, 40} {
+	var lane, heap []*Event
+	for _, at := range []Time{10, 20, 30, 40} { // sorted, so into the lane
 		at := at
-		s.At(at, func() { got = append(got, at) })
+		lane = append(lane, s.At(at, func() {
+			got = append(got, at)
+			if at == 20 { // scheduled inside a callback, so into the heap
+				heap = append(heap, s.At(25, func() { got = append(got, 25) }))
+			}
+		}))
+	}
+	for _, at := range []Time{15, 35} { // before the lane's tail, so into the heap
+		at := at
+		heap = append(heap, s.At(at, func() { got = append(got, at) }))
+	}
+	for _, e := range lane {
+		if e.index != inLane {
+			t.Fatalf("event at %v is not in the lane", e.At())
+		}
+	}
+	for _, e := range heap {
+		if e.index == inLane {
+			t.Fatalf("event at %v is in the lane", e.At())
+		}
 	}
 	s.RunUntil(25)
-	if len(got) != 2 || got[0] != 10 || got[1] != 20 {
-		t.Fatalf("RunUntil(25) fired %v, want [10 20]", got)
+	if want := []Time{10, 15, 20, 25}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("RunUntil(25) fired %v, want %v", got, want)
 	}
 	if s.Now() != 25 {
 		t.Fatalf("Now() = %v, want 25", s.Now())
 	}
+	if s.Pending() != 3 {
+		t.Fatalf("Pending() = %d after RunUntil(25), want 3", s.Pending())
+	}
 	s.RunUntil(100)
-	if len(got) != 4 {
-		t.Fatalf("after RunUntil(100) fired %v, want 4 events", got)
+	if want := []Time{10, 15, 20, 25, 30, 35, 40}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("after RunUntil(100) fired %v, want %v", got, want)
 	}
 	if s.Now() != 100 {
 		t.Fatalf("Now() = %v, want 100", s.Now())
@@ -150,11 +174,19 @@ func TestRunUntil(t *testing.T) {
 
 func TestRunUntilBoundaryInclusive(t *testing.T) {
 	s := New()
-	fired := false
-	s.At(25, func() { fired = true })
+	var got []string
+	a := s.At(25, func() { got = append(got, "lane") })
+	s.At(30, func() { got = append(got, "after") })
+	b := s.At(25, func() { got = append(got, "heap") }) // before the lane's tail at 30
+	if a.index != inLane || b.index == inLane {
+		t.Fatalf("lane event index %d, heap event index %d", a.index, b.index)
+	}
 	s.RunUntil(25)
-	if !fired {
-		t.Fatal("event at the RunUntil boundary did not fire")
+	if fmt.Sprint(got) != "[lane heap]" {
+		t.Fatalf("RunUntil(25) fired %v, want both events at the boundary in submission order", got)
+	}
+	if s.Pending() != 1 {
+		t.Fatalf("Pending() = %d, want the event after the boundary", s.Pending())
 	}
 }
 
