@@ -5,13 +5,13 @@
 //
 //	deepplan-bench -list
 //	deepplan-bench -exp fig11
-//	deepplan-bench -exp all [-quick] [-parallel [-workers N]]
+//	deepplan-bench -exp all [-quick]
 //
-// With -parallel, independent experiments — and the independent sweep points
-// inside the serving and batching sweeps — run concurrently on a bounded
-// worker pool (GOMAXPROCS workers unless -workers says otherwise), each
-// simulation still single-threaded on its own sim.Simulator. The tables on
-// stdout stay byte-identical to a serial run; only wall-clock changes.
+// Independent experiments — and the independent sweep points inside the
+// serving and batching sweeps — run concurrently on a pool of GOMAXPROCS
+// workers, each simulation still single-threaded on its own sim.Simulator
+// (GOMAXPROCS=1 runs them serially). The tables on stdout are byte-identical
+// for every pool size; only wall-clock changes.
 // Timing lines go to stderr, keeping stdout a pure function of the
 // experiment set.
 package main
@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"time"
 
 	"deepplan/internal/experiments"
@@ -31,8 +32,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id (see -list) or 'all'")
 	list := flag.Bool("list", false, "list available experiments")
 	quick := flag.Bool("quick", false, "shrink serving experiments for a fast pass")
-	parallel := flag.Bool("parallel", false, "run independent experiments and sweep points concurrently")
-	workers := flag.Int("workers", 0, "worker pool size for -parallel (default GOMAXPROCS)")
 	tracePath := flag.String("trace", "", "write a Chrome trace of the representative serving run (fig13/fig15 only)")
 	metricsPath := flag.String("metrics", "", "write the representative run's OpenMetrics exposition (fig-slo only)")
 	telemetry := flag.Bool("telemetry", false, "append per-window resource telemetry to fig13/fig15 output")
@@ -51,15 +50,8 @@ func main() {
 	if *metricsPath != "" && *exp != "fig-slo" {
 		usage("-metrics needs -exp fig-slo")
 	}
-	if *workers < 0 {
-		usage(fmt.Sprintf("-workers must not be negative, got %d", *workers))
-	}
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "workers" && !*parallel {
-			usage("-workers needs -parallel")
-		}
-	})
-	opts := experiments.Options{Quick: *quick, TracePath: *tracePath, MetricsPath: *metricsPath,
+	pool := runtime.GOMAXPROCS(0)
+	opts := experiments.Options{Quick: *quick, Workers: pool, TracePath: *tracePath, MetricsPath: *metricsPath,
 		Telemetry: *telemetry, ZooN: *zoo, ZooPolicy: *zooPolicy,
 		LLMBatching: *llm, PrefillDecode: *prefillDecode, AutoscalePolicy: *autoscalePolicy}
 	if err := opts.Validate(); err != nil {
@@ -71,12 +63,6 @@ func main() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
 		}
 		return
-	}
-
-	pool := 1
-	if *parallel {
-		pool = runner.Workers(*workers)
-		opts.Workers = pool
 	}
 
 	var exps []experiments.Experiment

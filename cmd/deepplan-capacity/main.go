@@ -11,7 +11,7 @@
 //	deepplan-capacity [-slo 300ms] [-target-rps 100] [-budget 15]
 //	                  [-workload poisson|maf] [-skew 1.0]
 //	                  [-autoscale [-autoscale-policy reactive|predictive]]
-//	                  [-json] [-quick] [-parallel [-workers N]]
+//	                  [-json] [-quick]
 //	                  [-metrics out.prom]
 //
 // -autoscale adds autoscaled variants of every grid entry, one per replica
@@ -24,20 +24,21 @@
 // the confirmation's alert log goes to stderr. A recommendation that pages
 // its own SLO monitor during confirmation is not a recommendation.
 //
-// Stdout is a pure function of the flags: the table (or, with -json, the
-// plan document) is byte-identical serially, with -parallel, and across
-// reruns. -parallel fans independent grid points across a worker pool.
+// Independent grid points saturate concurrently on a pool of GOMAXPROCS
+// workers (GOMAXPROCS=1 runs them serially). Stdout is a pure function of
+// the flags: the table (or, with -json, the plan document) is byte-identical
+// for every pool size and across reruns.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	"deepplan/internal/capacity"
 	"deepplan/internal/cluster"
-	"deepplan/internal/experiments/runner"
 	"deepplan/internal/monitor"
 	"deepplan/internal/sim"
 )
@@ -59,20 +60,10 @@ func main() {
 	autoscalePolicy := flag.String("autoscale-policy", "", "with -autoscale: pin the controller to reactive or predictive (empty searches both)")
 	jsonOut := flag.Bool("json", false, "emit the plan as JSON instead of the table")
 	quick := flag.Bool("quick", false, "shrink the search for a fast smoke pass")
-	parallel := flag.Bool("parallel", false, "saturate independent grid points concurrently")
-	workers := flag.Int("workers", 0, "worker pool size for -parallel (default GOMAXPROCS)")
 	metricsPath := flag.String("metrics", "", "re-run the recommended configuration with full monitoring and write its OpenMetrics exposition here")
 	zoo := flag.Int("zoo", 0, "plan for an N-variant model zoo instead of -model/-replicas (dense packing + host cache)")
 	zooPolicy := flag.String("zoo-policy", "", "host-memory cache policy for -zoo: lru | cost (default lru)")
 	flag.Parse()
-	if *workers < 0 {
-		fail("-workers must not be negative, got %d", *workers)
-	}
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "workers" && !*parallel {
-			fail("-workers needs -parallel")
-		}
-	})
 
 	spec := capacity.SearchSpec{
 		SLO:           sim.Duration(*slo),
@@ -109,12 +100,7 @@ func main() {
 		space.AutoscalePolicies = []cluster.AutoscalePolicy{cluster.AutoscalePolicy(*autoscalePolicy)}
 	}
 
-	pool := 1
-	if *parallel {
-		pool = runner.Workers(*workers)
-	}
-
-	results, err := capacity.Sweep(space, spec, capacity.DefaultPricing(), pool)
+	results, err := capacity.Sweep(space, spec, capacity.DefaultPricing(), runtime.GOMAXPROCS(0))
 	if err != nil {
 		fail("%v", err)
 	}

@@ -257,6 +257,10 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
+	var windows []deepplan.WindowStat // read once the run has quiesced
+	if *maf || *telemetry {
+		windows = c.Windows()
+	}
 	// Wall-clock timing goes to stderr so stdout stays a pure function of
 	// the flags (diffable across runs).
 	fmt.Fprintf(os.Stderr, "wall clock: %s\n", time.Since(start).Round(time.Millisecond))
@@ -334,8 +338,10 @@ func main() {
 		// goodput as "-" instead of a misleading 0.
 		fmt.Printf("\nper-15-minute windows:\n%-8s %9s %9s %9s %7s\n",
 			"minute", "requests", "p99(ms)", "goodput", "colds")
-		for i, ws := range c.Windows() {
-			if i%15 != 0 {
+		for i, ws := range windows {
+			// A window starting at the horizon holds only telemetry
+			// recorded at that instant; it is not a window of the trace.
+			if i%15 != 0 || ws.Start >= deepplan.Time(rep.Horizon) {
 				continue
 			}
 			if ws.Requests == 0 {
@@ -349,7 +355,7 @@ func main() {
 
 	if *telemetry {
 		fmt.Print("\nper-window telemetry (all nodes):\n")
-		deepplan.WriteTelemetry(os.Stdout, rep.Telemetry)
+		deepplan.WriteTelemetry(os.Stdout, windows)
 	}
 
 	if opts.Trace != nil {

@@ -86,9 +86,8 @@ type (
 	// TraceRecorder collects timeline events (request lifecycle, per-layer
 	// streams, bandwidth and memory counters) against the virtual clock.
 	TraceRecorder = trace.Recorder
-	// TelemetryStat is one window of the resource telemetry snapshot.
-	TelemetryStat = metrics.TelemetryStat
-	// WindowStat is one window of a run's latency series (see
+	// WindowStat is one window of a run's series: its latency columns and,
+	// with ClusterOptions.Telemetry, its resource telemetry columns (see
 	// Cluster.Windows).
 	WindowStat = metrics.WindowStat
 	// FaultSchedule is a deterministic fault-injection schedule for
@@ -204,9 +203,10 @@ func WriteTrace(w io.Writer, r *TraceRecorder, meta map[string]string) error {
 	return trace.WriteChrome(w, r, meta)
 }
 
-// WriteTelemetry prints a telemetry snapshot (ClusterReport.Telemetry) as
-// a per-window table, one row per window that saw a request or an eviction.
-func WriteTelemetry(w io.Writer, stats []TelemetryStat) { metrics.WriteTelemetry(w, stats) }
+// WriteTelemetry prints the telemetry columns of a run's windows
+// (Cluster.Windows) as a table, one row per window that saw an arrival or
+// an eviction.
+func WriteTelemetry(w io.Writer, stats []WindowStat) { metrics.WriteTelemetry(w, stats) }
 
 // Mode selects an execution strategy, matching the paper's five legends.
 // It is also the serving policy (ClusterOptions.Policy), where plain PT is

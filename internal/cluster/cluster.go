@@ -168,8 +168,9 @@ type Config struct {
 	// processes (trace.Recorder node views), and router/autoscaler events
 	// land on the cluster router track. Observation-only, as everywhere.
 	Trace *trace.Recorder
-	// Telemetry enables per-node windowed telemetry and its cluster-level
-	// aggregation in Report.Telemetry.
+	// Telemetry fills the resource columns of every node's per-window
+	// series (serving.Config.Telemetry); Windows pools them with the
+	// latency columns across nodes.
 	Telemetry bool
 	// Faults arms a fault-injection schedule against node 0 (the blast
 	// radius of real incidents is a machine, not a fleet): that node's GPUs
@@ -994,10 +995,11 @@ func (c *Cluster) Run(requests []Request) (*Report, error) {
 	return c.report()
 }
 
-// Windows returns the fleet's per-window latency stats through the end of
-// the last run, every node's samples pooled window by window (see
-// serving.Windows). It is computed on demand rather than in Run's report,
-// which keeps its cost off runs that do not print windows.
+// Windows returns the fleet's per-window stats through the end of the last
+// run, every node's series pooled window by window (see serving.Windows):
+// latency columns, and telemetry columns with Config.Telemetry. It is
+// computed on demand rather than in Run's report, which keeps its cost off
+// runs that do not print windows; call it after Run returns.
 func (c *Cluster) Windows() []metrics.WindowStat { return serving.Windows(c.servers()...) }
 
 // servers returns the nodes' servers in node order.
@@ -1061,8 +1063,7 @@ type Report struct {
 	Policy serving.Policy
 
 	// Summary pools every node (serving.Summarize): percentiles over all
-	// nodes' samples, summed counts and totals, and telemetry pooled window
-	// by window. In LLM mode the cold/warm percentiles measure time-to-
+	// nodes' samples, and summed counts and totals. In LLM mode the cold/warm percentiles measure time-to-
 	// first-token per class while P50/P99/Mean/Max cover full generation.
 	serving.Summary
 

@@ -114,7 +114,7 @@ func TestClusterRunCompletes(t *testing.T) {
 	if rep.ColdP99 <= rep.WarmP99 {
 		t.Fatalf("cold p99 %v should exceed warm p99 %v", rep.ColdP99, rep.WarmP99)
 	}
-	if len(rep.Telemetry) == 0 {
+	if w := c.Windows(); len(w) == 0 || w[0].Arrivals == 0 {
 		t.Fatal("telemetry requested but empty")
 	}
 	if len(rep.Replicas) != 1 || rep.Replicas[0].Active != rep.Replicas[0].Max {

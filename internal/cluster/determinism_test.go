@@ -7,6 +7,7 @@ import (
 
 	"deepplan/internal/dnn"
 	"deepplan/internal/faults"
+	"deepplan/internal/metrics"
 	"deepplan/internal/serving"
 	"deepplan/internal/sim"
 	"deepplan/internal/trace"
@@ -48,20 +49,24 @@ func runTraced(t *testing.T, cfg Config, model string, replicas int, reqs func(*
 }
 
 // TestClusterDeterminism: two identical cold-heavy cluster runs produce a
-// field-for-field identical report.
+// field-for-field identical report and per-window series.
 func TestClusterDeterminism(t *testing.T) {
-	run := func() *Report {
+	run := func() (*Report, []metrics.WindowStat) {
 		c := newBERTCluster(t, Config{Nodes: 2, Route: RouteLeastOutstanding, Telemetry: true}, 0)
 		reqs := toCluster("BERT-Base", workload.Poisson(11, 120, 600, c.models["BERT-Base"].active))
 		rep, err := c.Run(reqs)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		return rep
+		return rep, c.Windows()
 	}
-	a, b := run(), run()
+	a, aw := run()
+	b, bw := run()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("identical cluster runs diverged:\n%+v\n%+v", a, b)
+	}
+	if !reflect.DeepEqual(aw, bw) {
+		t.Fatalf("identical cluster runs' windows diverged:\n%+v\n%+v", aw, bw)
 	}
 }
 

@@ -41,10 +41,10 @@ var (
 )
 
 // TestReportMatchesExports checks that a cluster Report, its OpenMetrics
-// counters and its telemetry windows are views of one event stream: on
-// three runs that exercise most counters, every Report counter with a
-// monitor series equals that series' cluster-wide total, and the telemetry
-// window sums equal the Report.
+// counters and the telemetry columns of its Windows are views of one event
+// stream: on three runs that exercise most counters, every Report counter
+// with a monitor series equals that series' cluster-wide total, and the
+// telemetry column sums equal the Report.
 func TestReportMatchesExports(t *testing.T) {
 	ft := reflect.TypeOf(serving.Counters{})
 	covered := map[string]bool{}
@@ -174,8 +174,8 @@ func TestReportMatchesExports(t *testing.T) {
 
 			// The telemetry columns that have a Report counterpart.
 			var sum [7]int
-			for _, w := range rep.Telemetry {
-				for i, v := range [7]int{w.Requests, w.ColdStarts, w.Evictions, w.Relocations,
+			for _, w := range c.Windows() {
+				for i, v := range [7]int{w.Arrivals, w.ColdLaunches, w.Evictions, w.Relocations,
 					w.Deferred, w.Shed, w.Retried} {
 					sum[i] += v
 				}
@@ -183,7 +183,7 @@ func TestReportMatchesExports(t *testing.T) {
 			want := [7]int{rep.Requests, rep.ColdStarts, rep.Evictions, rep.Relocations,
 				rep.Deferred, rep.Shed, rep.Retried}
 			if sum != want {
-				t.Errorf("telemetry windows sum to %v (requests, colds, evictions, relocations, deferred, shed, retried), report says %v",
+				t.Errorf("telemetry columns sum to %v (arrivals, cold launches, evictions, relocations, deferred, shed, retried), report says %v",
 					sum, want)
 			}
 		})

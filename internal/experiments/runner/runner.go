@@ -13,18 +13,8 @@ package runner
 import (
 	"bytes"
 	"io"
-	"runtime"
 	"sync"
 )
-
-// Workers resolves a requested pool size: n >= 1 is used as given; any other
-// value means one worker per available CPU (GOMAXPROCS).
-func Workers(n int) int {
-	if n >= 1 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // Unit is one independent piece of work producing buffered output.
 type Unit struct {
@@ -32,16 +22,17 @@ type Unit struct {
 	Run   func(w io.Writer) error
 }
 
-// Execute runs units over a pool of workers goroutines (resolved by
-// Workers). Output is flushed to w strictly in unit order. On failure the
-// error of the lowest-indexed failed unit is returned after flushing every
-// earlier unit's output plus the failed unit's partial output — exactly the
-// bytes a serial run would have emitted before stopping. Units after the
-// failed one still run but their output is discarded.
+// Execute runs units over a pool of workers goroutines; one or fewer runs
+// them serially on the calling goroutine. Output is flushed to w strictly
+// in unit order. On failure the error of the lowest-indexed failed unit is
+// returned after flushing every earlier unit's output plus the failed
+// unit's partial output — exactly the bytes a serial run would have
+// emitted before stopping. Units after the failed one still run but their
+// output is discarded.
 func Execute(w io.Writer, workers int, units []Unit) error {
 	bufs := make([]bytes.Buffer, len(units))
 	errs := make([]error, len(units))
-	forEach(Workers(workers), len(units), func(i int) {
+	forEach(workers, len(units), func(i int) {
 		errs[i] = units[i].Run(&bufs[i])
 	})
 	for i := range units {
@@ -56,15 +47,11 @@ func Execute(w io.Writer, workers int, units []Unit) error {
 }
 
 // ForEach runs fn(0), …, fn(n-1) across a bounded pool of workers goroutines
-// (resolved by Workers) and returns the error of the lowest-indexed failed
-// call — the same error a serial loop would have stopped on. With one worker
-// it degenerates to a plain loop on the calling goroutine, stopping at the
-// first error.
+// and returns the error of the lowest-indexed failed call — the same error a
+// serial loop would have stopped on. With one worker or fewer it degenerates
+// to a plain loop on the calling goroutine, stopping at the first error.
 func ForEach(workers, n int, fn func(i int) error) error {
-	if workers = Workers(workers); workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	if workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
 				return err

@@ -5,24 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
-
-func TestWorkers(t *testing.T) {
-	if got := Workers(3); got != 3 {
-		t.Fatalf("Workers(3) = %d", got)
-	}
-	want := runtime.GOMAXPROCS(0)
-	for _, n := range []int{0, -1} {
-		if got := Workers(n); got != want {
-			t.Fatalf("Workers(%d) = %d, want GOMAXPROCS %d", n, got, want)
-		}
-	}
-}
 
 // Execute must emit unit output in unit order regardless of completion
 // order, for any pool size.

@@ -58,15 +58,14 @@ func serve(cfg cluster.Config, deps []deployment, reqs []workload.Request, warm 
 // and replays the request sequence. rec and telemetry attach
 // observation-only instrumentation to this one run (both off for plain
 // sweep points).
-func runServing(policy serving.Policy, modelName string, count int, reqs []workload.Request, slo sim.Duration, rec *trace.Recorder, telemetry bool) (*cluster.Report, error) {
-	_, rep, err := serve(cluster.Config{
+func runServing(policy serving.Policy, modelName string, count int, reqs []workload.Request, slo sim.Duration, rec *trace.Recorder, telemetry bool) (*cluster.Cluster, *cluster.Report, error) {
+	return serve(cluster.Config{
 		Nodes:     1,
 		Policy:    policy,
 		SLO:       slo,
 		Trace:     rec,
 		Telemetry: telemetry,
 	}, []deployment{{modelName, count}}, reqs, true)
-	return rep, err
 }
 
 // writeTraceFile exports a recorder as Chrome trace JSON at path.
@@ -111,6 +110,7 @@ func Figure13(w io.Writer, opts Options) error {
 	// recorders are not shared.
 	tracedIdx := -1
 	var rec *trace.Recorder
+	var windows []metrics.WindowStat // the traced point's, with -telemetry
 	if opts.TracePath != "" || opts.Telemetry {
 		for i := range points {
 			if points[i].pol == serving.PolicyPTDHA &&
@@ -129,9 +129,16 @@ func Figure13(w io.Writer, opts Options) error {
 			pr = rec
 		}
 		reqs := workload.Poisson(42, 100, requests, p.conc)
-		p.rep, err = runServing(p.pol, "bert-base", p.conc, reqs, 100*sim.Millisecond,
-			pr, i == tracedIdx && opts.Telemetry)
-		return err
+		telemetry := i == tracedIdx && opts.Telemetry
+		c, rep, err := runServing(p.pol, "bert-base", p.conc, reqs, 100*sim.Millisecond, pr, telemetry)
+		if err != nil {
+			return err
+		}
+		p.rep = rep
+		if telemetry {
+			windows = c.Windows()
+		}
+		return nil
 	})
 	if err != nil {
 		return err
@@ -152,7 +159,7 @@ func Figure13(w io.Writer, opts Options) error {
 		p := &points[tracedIdx]
 		if opts.Telemetry {
 			fmt.Fprintf(w, "\nper-window telemetry (pt+dha, %d instances):\n", p.conc)
-			metrics.WriteTelemetry(w, p.rep.Telemetry)
+			metrics.WriteTelemetry(w, windows)
 		}
 		if opts.TracePath != "" {
 			if err := writeTraceFile(opts.TracePath, rec, map[string]string{
@@ -206,7 +213,7 @@ func Figure14(w io.Writer, opts Options) error {
 	err := runner.ForEach(opts.Workers, len(points), func(i int) (err error) {
 		p := &points[i]
 		reqs := workload.Poisson(7, p.rate, requests, p.conc)
-		p.rep, err = runServing(p.pol, p.model, p.conc, reqs, 100*sim.Millisecond, nil, false)
+		_, p.rep, err = runServing(p.pol, p.model, p.conc, reqs, 100*sim.Millisecond, nil, false)
 		return err
 	})
 	if err != nil {
@@ -266,7 +273,7 @@ func Figure15(w io.Writer, opts Options) error {
 	// observation-only, so attaching the recorder to the real run (rather
 	// than a rerun) leaves the table byte-identical.
 	var rec *trace.Recorder
-	var telStats []metrics.TelemetryStat
+	var telStats []metrics.WindowStat
 	for _, pol := range servingPolicies {
 		instrument := pol == serving.PolicyPTDHA
 		var pr *trace.Recorder
@@ -288,7 +295,8 @@ func Figure15(w io.Writer, opts Options) error {
 		// Worst per-minute p99 across the trace (the latency spikes the
 		// paper notes at minutes 9 and 67).
 		var worst sim.Duration
-		for _, ws := range c.Windows() {
+		windows := c.Windows()
+		for _, ws := range windows {
 			if ws.Requests > 0 && ws.P99 > worst {
 				worst = ws.P99
 			}
@@ -296,7 +304,7 @@ func Figure15(w io.Writer, opts Options) error {
 		fmt.Fprintf(w, "%-12s %9.1f %9.1f %8.1f%% %11d %8.0fms\n",
 			pol, ms(rep.P50), ms(rep.P99), rep.Goodput*100, rep.ColdStarts, ms(worst))
 		if instrument && opts.Telemetry {
-			telStats = rep.Telemetry
+			telStats = windows
 		}
 	}
 	fmt.Fprintln(w, "\npaper: DeepPlan's two designs reach 98-99% goodput where PipeSwitch ranges")

@@ -131,34 +131,105 @@ func windowsCovering(horizon sim.Time, width sim.Duration) int {
 	return int((horizon + sim.Time(width) - 1) / sim.Time(width))
 }
 
-// WindowStat is one time bucket of a Series.
+// WindowStat is one time bucket of a Series. Its latency columns cover the
+// requests that arrived in the window; its telemetry columns, zero unless
+// the series' owner records telemetry, cover the resource events that fell
+// in it.
 type WindowStat struct {
-	Start      sim.Time
+	Start sim.Time
+	// Requests counts the first responses to requests that arrived in the
+	// window; ColdStarts counts those served cold.
 	Requests   int
 	ColdStarts int
 	P99        sim.Duration
 	Goodput    float64
+	// The telemetry counts go by event time. Arrivals counts requests at
+	// their first dispatch and ColdLaunches the cold-start runs launched.
+	// Shed counts requests dropped by the SLO admission controller or after
+	// a failed retry; Retried counts requests re-dispatched after a GPU
+	// failure aborted their run. Both stay zero without fault injection.
+	Arrivals     int
+	ColdLaunches int
+	Evictions    int
+	Relocations  int
+	Deferred     int
+	Shed         int
+	Retried      int
+	// ColdRatio is ColdLaunches/Arrivals (0 for an empty window).
+	ColdRatio float64
+	// MeanQueueDepth averages the queue depth each arrival observed: the
+	// outstanding runs across its own node's GPUs. A row pooled over a
+	// cluster's nodes averages every node's arrivals, each at its own depth.
+	MeanQueueDepth float64
+	// BusyFraction is summed GPU busy time over the pooled GPUs' capacity
+	// in the window.
+	BusyFraction float64
 }
 
-// Series stores every latency sample once, keyed by (window, class): the
-// paper uses per-minute buckets over the 3-hour trace in Figure 15, and the
-// cold/warm split is what every serving figure reports. Whole-run digests
-// are views merged from it (MergeClass).
+// TelemetryKind indexes the event counts a window keeps. The zero value is
+// no kind: events without a telemetry column carry it.
+type TelemetryKind int
+
+// The counted telemetry kinds, one per WindowStat count column.
+const (
+	TelColdLaunches TelemetryKind = iota + 1
+	TelEvictions
+	TelRelocations
+	TelDeferred
+	TelShed
+	TelRetried
+	numTelemetryKinds
+)
+
+// window is one bucket of a Series: the latency samples of the requests
+// that arrived in it, by class, and the resource telemetry recorded in it.
+type window struct {
+	lat      [2]Digest // [0 = cold-served, 1 = warm-served]
+	arrivals int
+	counts   [numTelemetryKinds]int
+	queueSum int64
+	busy     sim.Duration
+}
+
+// Series is a server's one per-window store, in fixed windows of virtual
+// time: the paper uses per-minute buckets over the 3-hour trace in Figure
+// 15. Each window stores every latency sample once, keyed by cold/warm
+// class — what every serving figure reports — and the resource telemetry
+// a serving operator watches (Clockwork and Orca both debug tail latency
+// from it): arrivals with the queue depth they saw, GPU busy time, and
+// cold-start, eviction, relocation, deferral, shed and retry counts.
+// Whole-run digests are views merged from it (MergeClass). All inputs are
+// virtual-time instants, so collection is deterministic and
+// observation-only.
 type Series struct {
-	window sim.Duration
-	slo    sim.Duration
-	cells  [][2]Digest // [window][0 = cold-served, 1 = warm-served]
+	width   sim.Duration
+	slo     sim.Duration
+	numGPUs int
+	windows []window
 }
 
-// NewSeries returns a Series with the given bucket width and SLO.
-func NewSeries(window, slo sim.Duration) *Series {
-	if window <= 0 {
-		panic(fmt.Sprintf("metrics: window must be positive, got %v", window))
+// NewSeries returns a Series with the given bucket width and SLO over a
+// server with numGPUs devices.
+func NewSeries(width, slo sim.Duration, numGPUs int) *Series {
+	if width <= 0 {
+		panic(fmt.Sprintf("metrics: window must be positive, got %v", width))
 	}
-	return &Series{window: window, slo: slo}
+	if numGPUs <= 0 {
+		panic(fmt.Sprintf("metrics: series needs at least one GPU, got %d", numGPUs))
+	}
+	return &Series{width: width, slo: slo, numGPUs: numGPUs}
 }
 
-// classOf maps a served-cold flag to its cell index.
+// at returns the window holding instant t, growing the store to it.
+func (s *Series) at(t sim.Time) *window {
+	idx := int(t / sim.Time(s.width))
+	for len(s.windows) <= idx {
+		s.windows = append(s.windows, window{})
+	}
+	return &s.windows[idx]
+}
+
+// classOf maps a served-cold flag to its digest index.
 func classOf(cold bool) int {
 	if cold {
 		return 0
@@ -168,234 +239,128 @@ func classOf(cold bool) int {
 
 // Record adds one request observation at the given arrival instant.
 func (s *Series) Record(at sim.Time, latency sim.Duration, cold bool) {
-	idx := int(at / sim.Time(s.window))
-	for len(s.cells) <= idx {
-		s.cells = append(s.cells, [2]Digest{})
+	s.at(at).lat[classOf(cold)].Add(latency)
+}
+
+// Arrival records one request arrival and the total queue depth
+// (outstanding runs across all GPUs) observed at that instant.
+func (s *Series) Arrival(at sim.Time, queueDepth int) {
+	w := s.at(at)
+	w.arrivals++
+	w.queueSum += int64(queueDepth)
+}
+
+// Count records one event of kind k (a cold-start launch, an eviction, a
+// relocation, a waitlist deferral, a shed or a retry) at the given instant.
+func (s *Series) Count(at sim.Time, k TelemetryKind) { s.at(at).counts[k]++ }
+
+// Busy credits one GPU with busy time over [from, to), split across the
+// windows the interval overlaps.
+func (s *Series) Busy(from, to sim.Time) {
+	for from < to {
+		w := s.at(from)
+		end := min((from/sim.Time(s.width)+1)*sim.Time(s.width), to)
+		w.busy += end.Sub(from)
+		from = end
 	}
-	s.cells[idx][classOf(cold)].Add(latency)
 }
 
 // MergeClass folds every window's cold-served (cold) or warm-served samples
 // into d.
 func (s *Series) MergeClass(d *Digest, cold bool) {
 	c := classOf(cold)
-	for i := range s.cells {
-		d.Merge(&s.cells[i][c])
+	for i := range s.windows {
+		d.Merge(&s.windows[i].lat[c])
 	}
 }
 
 // Stats returns the per-window summary, in time order, covering every
-// window up to the horizon (the end of the traced run). Windows after the
-// last recorded event are emitted explicitly as empty — without them a
-// fig15-style per-minute table silently ends at the last arrival and a
-// quiet tail is indistinguishable from a truncated trace. A horizon of
-// zero (or one inside the recorded extent) reports the recorded windows
-// only. Series in more (one per cluster node, say) must share s's window
-// width; their samples pool with s's window by window.
+// window up to the horizon (the end of the traced run) and every recorded
+// window. Windows after the last recorded event are emitted explicitly as
+// empty — without them a fig15-style per-minute table silently ends at the
+// last arrival and a quiet tail is indistinguishable from a truncated
+// trace. A horizon of zero (or one inside the recorded extent) reports the
+// recorded windows only. The horizon also clamps the trailing *partial*
+// window's busy capacity to the part of the window the run covered;
+// dividing by a full window's capacity would understate BusyFraction there.
+//
+// Latency samples land strictly before the horizon, since each request
+// finished by then, but telemetry recorded at the horizon instant itself
+// lands in a window starting at the horizon when the horizon sits on a
+// window boundary: such a row holds no latency samples.
+//
+// Series in more (one per cluster node, say) must share s's window width;
+// their raw windows pool with s's window by window — latency samples merge,
+// arrivals, queue depths, counts and busy time sum, and every GPU adds to
+// the busy capacity — before any percentile or ratio is taken.
 func (s *Series) Stats(horizon sim.Time, more ...*Series) []WindowStat {
 	all := append([]*Series{s}, more...)
-	n := windowsCovering(horizon, s.window)
-	for _, x := range all {
-		if x.window != s.window {
-			panic(fmt.Sprintf("metrics: merging series of widths %v and %v", s.window, x.window))
-		}
-		n = max(n, len(x.cells))
-	}
-	out := make([]WindowStat, n)
-	for i := range out {
-		var d Digest
-		out[i].Start = sim.Time(i) * sim.Time(s.window)
-		for _, x := range all {
-			if i < len(x.cells) {
-				d.Merge(&x.cells[i][0])
-				d.Merge(&x.cells[i][1])
-				out[i].ColdStarts += x.cells[i][0].Count()
-			}
-		}
-		out[i].Requests = d.Count()
-		out[i].P99 = d.P99()
-		out[i].Goodput = d.GoodputRate(s.slo) // an empty window misses nothing
-	}
-	return out
-}
-
-// Telemetry buckets resource-level serving observations into fixed windows:
-// cold-start ratio, queue depth at arrival, GPU busy time, and
-// eviction/relocation/deferral counts. It complements Series (which tracks
-// latency) with the per-resource signals a serving operator watches —
-// Clockwork and Orca both debug tail latency from exactly this telemetry.
-// All inputs are virtual-time instants, so collection is deterministic and
-// observation-only.
-type Telemetry struct {
-	window  sim.Duration
-	numGPUs int
-	windows []telemetryWindow
-}
-
-// TelemetryKind indexes the event counts a telemetry window keeps. The zero
-// value is no kind: events without a telemetry column carry it.
-type TelemetryKind int
-
-// The counted telemetry kinds, one per TelemetryStat count column.
-const (
-	TelColdStarts TelemetryKind = iota + 1
-	TelEvictions
-	TelRelocations
-	TelDeferred
-	TelShed
-	TelRetried
-	numTelemetryKinds
-)
-
-type telemetryWindow struct {
-	requests int
-	counts   [numTelemetryKinds]int
-	queueSum int64
-	busy     sim.Duration
-}
-
-// TelemetryStat is one window of the telemetry snapshot, with derived
-// ratios computed.
-type TelemetryStat struct {
-	Start       sim.Time
-	Requests    int
-	ColdStarts  int
-	Evictions   int
-	Relocations int
-	Deferred    int
-	// Shed counts requests dropped by the SLO admission controller or after
-	// a failed retry; Retried counts requests re-dispatched after a GPU
-	// failure aborted their run. Both stay zero without fault injection.
-	Shed    int
-	Retried int
-	// ColdRatio is ColdStarts/Requests (0 for an empty window).
-	ColdRatio float64
-	// MeanQueueDepth averages the total outstanding runs across all GPUs,
-	// sampled at each request arrival.
-	MeanQueueDepth float64
-	// BusyFraction is summed GPU busy time over numGPUs*window capacity.
-	BusyFraction float64
-}
-
-// WriteTelemetry prints a telemetry snapshot as a per-window table, one
-// row per window that saw a request or an eviction, labelled by the
-// window's start minute.
-func WriteTelemetry(w io.Writer, stats []TelemetryStat) {
-	fmt.Fprintf(w, "%-8s %9s %7s %7s %7s %7s %7s\n",
-		"minute", "requests", "cold%", "queue", "busy%", "evict", "reloc")
-	for _, s := range stats {
-		if s.Requests == 0 && s.Evictions == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "%-8.0f %9d %6.1f%% %7.2f %6.1f%% %7d %7d\n",
-			s.Start.Seconds()/60, s.Requests, s.ColdRatio*100,
-			s.MeanQueueDepth, s.BusyFraction*100, s.Evictions, s.Relocations)
-	}
-}
-
-// NewTelemetry returns a Telemetry with the given bucket width over a
-// server with numGPUs devices.
-func NewTelemetry(window sim.Duration, numGPUs int) *Telemetry {
-	if window <= 0 {
-		panic(fmt.Sprintf("metrics: telemetry window must be positive, got %v", window))
-	}
-	if numGPUs <= 0 {
-		panic(fmt.Sprintf("metrics: telemetry needs at least one GPU, got %d", numGPUs))
-	}
-	return &Telemetry{window: window, numGPUs: numGPUs}
-}
-
-func (t *Telemetry) at(at sim.Time) *telemetryWindow {
-	idx := int(at / sim.Time(t.window))
-	for len(t.windows) <= idx {
-		t.windows = append(t.windows, telemetryWindow{})
-	}
-	return &t.windows[idx]
-}
-
-// Arrival records one request arrival and the total queue depth
-// (outstanding runs across all GPUs) observed at that instant.
-func (t *Telemetry) Arrival(at sim.Time, queueDepth int) {
-	w := t.at(at)
-	w.requests++
-	w.queueSum += int64(queueDepth)
-}
-
-// Count records one event of kind k (a cold-start launch, an eviction, a
-// relocation, a waitlist deferral, a shed or a retry) at the given instant.
-func (t *Telemetry) Count(at sim.Time, k TelemetryKind) { t.at(at).counts[k]++ }
-
-// Busy credits one GPU with busy time over [from, to), split across the
-// windows the interval overlaps.
-func (t *Telemetry) Busy(from, to sim.Time) {
-	for from < to {
-		w := t.at(from)
-		end := (from/sim.Time(t.window) + 1) * sim.Time(t.window)
-		if end > to {
-			end = to
-		}
-		w.busy += end.Sub(from)
-		from = end
-	}
-}
-
-// Stats returns the per-window telemetry snapshot, in time order, covering
-// every window up to the horizon (the end of the traced run; zero reports
-// the recorded windows only). The horizon serves two corrections: windows
-// after the last recorded event appear explicitly as empty, and the trailing
-// *partial* window's busy capacity is clamped to the fraction of the window
-// the run actually covered — dividing its busy time by a full window's
-// capacity understates BusyFraction in the last bucket whenever the horizon
-// is not a multiple of the window. Telemetry in more (one per cluster node,
-// say) must share t's window width; their raw windows pool with t's window
-// by window — arrivals, queue depths, counts and busy time sum, and every
-// GPU adds to the busy capacity — before any ratio is taken.
-func (t *Telemetry) Stats(horizon sim.Time, more ...*Telemetry) []TelemetryStat {
-	all := append([]*Telemetry{t}, more...)
-	n := windowsCovering(horizon, t.window)
+	n := windowsCovering(horizon, s.width)
 	gpus := 0
 	for _, x := range all {
-		if x.window != t.window {
-			panic(fmt.Sprintf("metrics: pooling telemetry of widths %v and %v", t.window, x.window))
+		if x.width != s.width {
+			panic(fmt.Sprintf("metrics: pooling series of widths %v and %v", s.width, x.width))
 		}
 		n = max(n, len(x.windows))
 		gpus += x.numGPUs
 	}
-	out := make([]TelemetryStat, n)
+	out := make([]WindowStat, n)
 	for i := range out {
-		start := sim.Time(i) * sim.Time(t.window)
-		end := start.Add(t.window)
+		start := sim.Time(i) * sim.Time(s.width)
+		end := start.Add(s.width)
 		if horizon > start && horizon < end {
 			end = horizon // final partial window: capacity ends at the horizon
 		}
-		var w telemetryWindow
+		var d Digest
+		var w window
+		st := &out[i]
 		for _, x := range all {
-			if i < len(x.windows) {
-				xw := &x.windows[i]
-				w.requests += xw.requests
-				w.queueSum += xw.queueSum
-				w.busy += xw.busy
-				for k, c := range xw.counts {
-					w.counts[k] += c
-				}
+			if i >= len(x.windows) {
+				continue
+			}
+			xw := &x.windows[i]
+			d.Merge(&xw.lat[0])
+			d.Merge(&xw.lat[1])
+			st.ColdStarts += xw.lat[0].Count()
+			w.arrivals += xw.arrivals
+			w.queueSum += xw.queueSum
+			w.busy += xw.busy
+			for k, c := range xw.counts {
+				w.counts[k] += c
 			}
 		}
-		s := TelemetryStat{
-			Start:        start,
-			Requests:     w.requests,
-			ColdStarts:   w.counts[TelColdStarts],
-			Evictions:    w.counts[TelEvictions],
-			Relocations:  w.counts[TelRelocations],
-			Deferred:     w.counts[TelDeferred],
-			Shed:         w.counts[TelShed],
-			Retried:      w.counts[TelRetried],
-			BusyFraction: w.busy.Seconds() / (float64(gpus) * end.Sub(start).Seconds()),
+		st.Start = start
+		st.Requests = d.Count()
+		st.P99 = d.P99()
+		st.Goodput = d.GoodputRate(s.slo) // an empty window misses nothing
+		st.Arrivals = w.arrivals
+		st.ColdLaunches = w.counts[TelColdLaunches]
+		st.Evictions = w.counts[TelEvictions]
+		st.Relocations = w.counts[TelRelocations]
+		st.Deferred = w.counts[TelDeferred]
+		st.Shed = w.counts[TelShed]
+		st.Retried = w.counts[TelRetried]
+		st.BusyFraction = w.busy.Seconds() / (float64(gpus) * end.Sub(start).Seconds())
+		if w.arrivals > 0 {
+			st.ColdRatio = float64(st.ColdLaunches) / float64(w.arrivals)
+			st.MeanQueueDepth = float64(w.queueSum) / float64(w.arrivals)
 		}
-		if w.requests > 0 {
-			s.ColdRatio = float64(s.ColdStarts) / float64(w.requests)
-			s.MeanQueueDepth = float64(w.queueSum) / float64(w.requests)
-		}
-		out[i] = s
 	}
 	return out
+}
+
+// WriteTelemetry prints the telemetry columns of a run's windows as a
+// per-window table, one row per window that saw an arrival or an eviction,
+// labelled by the window's start minute.
+func WriteTelemetry(w io.Writer, stats []WindowStat) {
+	fmt.Fprintf(w, "%-8s %9s %7s %7s %7s %7s %7s\n",
+		"minute", "requests", "cold%", "queue", "busy%", "evict", "reloc")
+	for _, s := range stats {
+		if s.Arrivals == 0 && s.Evictions == 0 {
+			continue
+		}
+		fmt.Fprintf(w, "%-8.0f %9d %6.1f%% %7.2f %6.1f%% %7d %7d\n",
+			s.Start.Seconds()/60, s.Arrivals, s.ColdRatio*100,
+			s.MeanQueueDepth, s.BusyFraction*100, s.Evictions, s.Relocations)
+	}
 }

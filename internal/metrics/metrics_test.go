@@ -169,7 +169,7 @@ func TestPropertyGoodputMonotone(t *testing.T) {
 }
 
 func TestSeries(t *testing.T) {
-	s := NewSeries(sim.Second*60, 100*sim.Millisecond)
+	s := NewSeries(sim.Second*60, 100*sim.Millisecond, 1)
 	s.Record(sim.Time(10*sim.Second), 50*sim.Millisecond, false)
 	s.Record(sim.Time(30*sim.Second), 200*sim.Millisecond, true)
 	s.Record(sim.Time(70*sim.Second), 80*sim.Millisecond, false)
@@ -196,7 +196,7 @@ func TestSeries(t *testing.T) {
 // fig15-style per-minute table over a trace with a quiet tail stopped
 // early; the horizon must produce explicit empty windows to the end.
 func TestSeriesExtendsToHorizon(t *testing.T) {
-	s := NewSeries(sim.Second*60, 100*sim.Millisecond)
+	s := NewSeries(sim.Second*60, 100*sim.Millisecond, 1)
 	s.Record(sim.Time(10*sim.Second), 50*sim.Millisecond, false)
 	// Run continues to 4.5 minutes with no further arrivals.
 	stats := s.Stats(sim.Time(270 * sim.Second))
@@ -226,7 +226,7 @@ func TestSeriesExtendsToHorizon(t *testing.T) {
 // the longest series and the horizon.
 func TestSeriesStatsPoolsSeries(t *testing.T) {
 	const width, slo = 60 * sim.Second, 100 * sim.Millisecond
-	a, b, all := NewSeries(width, slo), NewSeries(width, slo), NewSeries(width, slo)
+	a, b, all := NewSeries(width, slo, 1), NewSeries(width, slo, 1), NewSeries(width, slo, 1)
 	for i, r := range []struct {
 		at   sim.Duration
 		lat  sim.Duration
@@ -255,7 +255,7 @@ func TestSeriesStatsPoolsSeries(t *testing.T) {
 			t.Fatal("pooling series of different widths did not panic")
 		}
 	}()
-	a.Stats(horizon, NewSeries(width/2, slo))
+	a.Stats(horizon, NewSeries(width/2, slo, 1))
 }
 
 func TestSeriesBadWindowPanics(t *testing.T) {
@@ -264,7 +264,7 @@ func TestSeriesBadWindowPanics(t *testing.T) {
 			t.Fatal("zero window did not panic")
 		}
 	}()
-	NewSeries(0, sim.Second)
+	NewSeries(0, sim.Second, 1)
 }
 
 // TestQuantileSortCaching pins the sorted-flag contract: the first Quantile

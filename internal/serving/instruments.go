@@ -14,11 +14,11 @@ import (
 
 // This file is the server's one instrumentation spine. Every countable
 // serving event is a kind; Server.emit bumps the kind's count and feeds
-// whichever sinks are on — telemetry windows, the monitor registry, the
-// trace — as the kind's row in the kinds table directs. Report's Counters,
-// the telemetry columns and the OpenMetrics counters are therefore views of
-// one stream and cannot disagree. No other file touches srv.tel or srv.ins
-// (scripts/lint_instruments.sh).
+// whichever sinks are on — the series' telemetry columns, the monitor
+// registry, the trace — as the kind's row in the kinds table directs.
+// Report's Counters, the telemetry columns and the OpenMetrics counters are
+// therefore views of one stream and cannot disagree. No other file touches
+// srv.ins or records into srv.series (scripts/lint_instruments.sh).
 
 // kind is one countable serving event.
 type kind int
@@ -59,7 +59,7 @@ const (
 // that sink".
 type kindRow struct {
 	report string                // Counters field the count fills
-	tel    metrics.TelemetryKind // telemetry window column
+	tel    metrics.TelemetryKind // series telemetry column
 	metric string                // monitor counter family
 	help   string                // the family's HELP text
 	label  string                // "gpu" or "model": the counter is per GPU or per deployment
@@ -71,7 +71,7 @@ var kinds = [numKinds]kindRow{
 	kArrival: {metric: monitor.MetricArrivals,
 		help: "Requests received (first attempts, before admission)."},
 	kCompletion: {},
-	kColdStart: {report: "ColdStarts", tel: metrics.TelColdStarts, verb: "cold start",
+	kColdStart: {report: "ColdStarts", tel: metrics.TelColdLaunches, verb: "cold start",
 		metric: "deepplan_cold_starts", label: "model",
 		help: "Cold-start runs launched."},
 	kPTFallback: {report: "PTFallbacks", verb: "pt-fallback"},
@@ -220,8 +220,8 @@ func (srv *Server) count(k kind, n int) { srv.n[k] += n }
 func (srv *Server) emit(k kind, pid int, inst *Instance, args func() map[string]any) {
 	srv.n[k]++
 	row := &kinds[k]
-	if srv.tel != nil && row.tel != 0 {
-		srv.tel.Count(srv.sim.Now(), row.tel)
+	if srv.cfg.Telemetry && row.tel != 0 {
+		srv.series.Count(srv.sim.Now(), row.tel)
 	}
 	if ins := srv.ins; ins != nil {
 		c := ins.byKind[k]
@@ -275,12 +275,9 @@ type depInstruments struct {
 	latency    [2]*monitor.Histogram
 }
 
-// attachSinks turns on the sinks the configuration asks for: telemetry
-// windows and the monitor registry.
+// attachSinks resolves the monitor registry's handles when the
+// configuration asks for monitoring.
 func (srv *Server) attachSinks() {
-	if srv.cfg.Telemetry {
-		srv.tel = metrics.NewTelemetry(WindowWidth, len(srv.gpus))
-	}
 	reg := srv.cfg.Monitor
 	if reg == nil {
 		return
@@ -351,12 +348,12 @@ func (srv *Server) deployInstruments(model string) *depInstruments {
 // observed.
 func (srv *Server) arrive() {
 	srv.emit(kArrival, trace.ServerPID, nil, nil)
-	if srv.tel == nil && srv.ins == nil {
+	if !srv.cfg.Telemetry && srv.ins == nil {
 		return
 	}
 	depth := srv.Outstanding()
-	if srv.tel != nil {
-		srv.tel.Arrival(srv.sim.Now(), depth)
+	if srv.cfg.Telemetry {
+		srv.series.Arrival(srv.sim.Now(), depth)
 	}
 	if srv.ins != nil {
 		srv.ins.depth.Set(float64(depth))
@@ -430,8 +427,8 @@ func (srv *Server) complete() {
 // creditBusy credits a GPU that just went idle with the busy time since its
 // queue last went 0→1.
 func (srv *Server) creditBusy(gs *gpuState) {
-	if srv.tel != nil {
-		srv.tel.Busy(gs.busySince, srv.sim.Now())
+	if srv.cfg.Telemetry {
+		srv.series.Busy(gs.busySince, srv.sim.Now())
 	}
 	if srv.ins != nil {
 		srv.ins.gpuBusy[gs.id].Add(srv.sim.Now().Sub(gs.busySince).Seconds())
@@ -491,17 +488,4 @@ func (srv *Server) finishSinks() {
 		}
 		srv.ins.gpuBusyFrac[g].Set(frac)
 	}
-}
-
-// pooledTelemetry pools the servers' telemetry windows through the current
-// clock (metrics.Telemetry.Stats); nil unless telemetry is on.
-func pooledTelemetry(servers []*Server) []metrics.TelemetryStat {
-	if servers[0].tel == nil {
-		return nil
-	}
-	more := make([]*metrics.Telemetry, 0, len(servers)-1)
-	for _, srv := range servers[1:] {
-		more = append(more, srv.tel)
-	}
-	return servers[0].tel.Stats(servers[0].sim.Now(), more...)
 }

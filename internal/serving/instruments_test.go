@@ -28,7 +28,7 @@ func emitMix(srv *Server, inst *Instance, why string) {
 
 // TestEmitAllocatesNothing pins the spine's cost contract: with every sink
 // off, and with the monitor and telemetry on but the trace off (once the
-// telemetry window exists), an emission allocates nothing.
+// series window exists), an emission allocates nothing.
 func TestEmitAllocatesNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -46,7 +46,7 @@ func TestEmitAllocatesNothing(t *testing.T) {
 		deployBERT(t, srv, 1)
 		inst := srv.instances[0]
 		why := "admission"
-		emitMix(srv, inst, why) // the telemetry window for t=0 now exists
+		emitMix(srv, inst, why) // the series window for t=0 now exists
 		if got := testing.AllocsPerRun(100, func() { emitMix(srv, inst, why) }); got != 0 {
 			t.Errorf("%s: emit allocates %v times per call mix, want 0", tc.name, got)
 		}

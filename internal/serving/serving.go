@@ -49,8 +49,8 @@ const (
 	hostFetchOverhead = 2 * sim.Millisecond
 )
 
-// WindowWidth buckets the per-window latency series and the telemetry
-// snapshot: one minute, the paper's Figure 15 granularity.
+// WindowWidth buckets the per-window series, latency and telemetry
+// columns alike: one minute, the paper's Figure 15 granularity.
 const WindowWidth = 60 * sim.Second
 
 // Config configures a Server. A zero numeric field takes its default; New
@@ -85,8 +85,10 @@ type Config struct {
 	// stream spans and per-link PCIe/NVLink bandwidth counters. Tracing is
 	// observation-only: a traced run is byte-identical to an untraced one.
 	Trace *trace.Recorder
-	// Telemetry enables the windowed resource snapshot (cold-start ratio,
-	// queue depth, GPU busy fraction, eviction counts) in Report.Telemetry.
+	// Telemetry fills the resource columns of the per-window series
+	// (arrivals, queue depth, GPU busy time, cold-start launch, eviction,
+	// relocation, deferral, shed and retry counts), read with Windows after
+	// the run. Off, they stay zero.
 	Telemetry bool
 	// Faults, when non-nil and non-empty, arms a fault-injection schedule
 	// against this run: GPU failures abort in-flight engine runs (each
@@ -303,15 +305,15 @@ type Server struct {
 	// The instrumentation spine (instruments.go): per-kind event counts and
 	// the sinks emit feeds.
 	n        [numKinds]int
-	rec      *trace.Recorder    // nil when tracing is off
-	tel      *metrics.Telemetry // nil when telemetry is off
-	ins      *instruments       // nil when monitoring is off
-	inj      *faults.Injector   // nil when no fault schedule is armed
-	traceSeq int64              // request ids for async lifecycle spans
+	rec      *trace.Recorder  // nil when tracing is off
+	ins      *instruments     // nil when monitoring is off
+	inj      *faults.Injector // nil when no fault schedule is armed
+	traceSeq int64            // request ids for async lifecycle spans
 
-	// series holds every first-response latency sample (the whole answer in
-	// single-shot mode, the first token in LLM mode); generated holds LLM
-	// mode's end-to-end generation latencies.
+	// series is the server's per-window store: every first-response latency
+	// sample (the whole answer in single-shot mode, the first token in LLM
+	// mode) and, with Config.Telemetry, the resource telemetry; generated
+	// holds LLM mode's end-to-end generation latencies.
 	series    *metrics.Series
 	generated metrics.Digest
 	waitlist  []waiting
@@ -404,7 +406,7 @@ func New(cfg Config) (*Server, error) {
 		}),
 		pl:          planner.New(cfg.Topo),
 		deployments: map[string]*Deployment{},
-		series:      metrics.NewSeries(WindowWidth, cfg.SLO),
+		series:      metrics.NewSeries(WindowWidth, cfg.SLO, cfg.Topo.NumGPUs()),
 		rec:         cfg.Trace,
 	}
 	if srv.host, err = hostmem.NewCache(cfg.HostMemory, hostPolicy, srv.hostLocked); err != nil {
@@ -1447,15 +1449,11 @@ type Summary struct {
 	TTFTP50, TTFTP99 sim.Duration
 	TokenRate        float64 // generated tokens per simulated second
 	MeanDecodeBatch  float64 // average sequences advanced per iteration
-	// Telemetry is the windowed resource snapshot; nil unless
-	// Config.Telemetry was set.
-	Telemetry []metrics.TelemetryStat
 }
 
 // Summarize summarizes one or more servers' runs through the current clock:
-// percentiles and goodput over their pooled latency samples, summed counts
-// and totals, and their telemetry windows pooled window by window. The
-// servers share one clock and configuration — a cluster's nodes, or one
+// percentiles and goodput over their pooled latency samples, and summed
+// counts and totals; Windows is the per-window view. The servers share one clock and configuration — a cluster's nodes, or one
 // server alone. In LLM mode each request's first response is its first
 // token, so the TTFT digest takes the first responses and the overall one
 // the full generation latencies.
@@ -1489,13 +1487,14 @@ func Summarize(servers ...*Server) Summary {
 	if s.DecodeIters > 0 {
 		s.MeanDecodeBatch = float64(s.DecodeSeqSum) / float64(s.DecodeIters)
 	}
-	s.Telemetry = pooledTelemetry(servers)
 	return s
 }
 
-// Windows returns the per-window latency stats of one or more servers' runs
-// through the current clock, their samples pooled window by window (see
-// metrics.Series.Stats).
+// Windows returns the per-window stats of one or more servers' runs through
+// the current clock, their series pooled window by window (see
+// metrics.Series.Stats): the latency columns always, the telemetry columns
+// with Config.Telemetry. Call it once the run has quiesced, so every reader
+// sees the same horizon.
 func Windows(servers ...*Server) []metrics.WindowStat {
 	more := make([]*metrics.Series, 0, len(servers)-1)
 	for _, srv := range servers[1:] {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"deepplan/internal/costmodel"
+	"deepplan/internal/metrics"
 	"deepplan/internal/sim"
 	"deepplan/internal/topology"
 	"deepplan/internal/trace"
@@ -46,7 +47,7 @@ func countInstants(rec *trace.Recorder, prefix string) int {
 // produces an identical report whether or not tracing and telemetry are
 // collecting. The recorder must never perturb scheduling.
 func TestTracingIsObservationOnly(t *testing.T) {
-	run := func(traced bool) *Report {
+	run := func(traced bool) (*Report, []metrics.WindowStat) {
 		var srv *Server
 		if traced {
 			srv, _ = tracedServer(t, PolicyPTDHA, true)
@@ -59,13 +60,13 @@ func TestTracingIsObservationOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep
+		return rep, Windows(srv)
 	}
-	plain, traced := run(false), run(true)
-	if traced.Telemetry == nil {
-		t.Fatal("telemetry-enabled run returned no snapshot")
+	plain, _ := run(false)
+	traced, windows := run(true)
+	if len(windows) == 0 || windows[0].Arrivals == 0 {
+		t.Fatal("telemetry-enabled run recorded no arrivals")
 	}
-	traced.Telemetry = nil // the only field tracing is allowed to add
 	if !reflect.DeepEqual(plain, traced) {
 		t.Fatalf("tracing changed the run:\nplain:  %+v\ntraced: %+v", plain, traced)
 	}
@@ -177,13 +178,14 @@ func TestTelemetrySnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Telemetry) < 2 {
-		t.Fatalf("telemetry windows = %d; want at least two 60 s windows", len(rep.Telemetry))
+	windows := Windows(srv)
+	if len(windows) < 2 {
+		t.Fatalf("telemetry windows = %d; want at least two 60 s windows", len(windows))
 	}
 	var reqs, colds, evicts int
-	for _, w := range rep.Telemetry {
-		reqs += w.Requests
-		colds += w.ColdStarts
+	for _, w := range windows {
+		reqs += w.Arrivals
+		colds += w.ColdLaunches
 		evicts += w.Evictions
 		if w.BusyFraction < 0 || w.BusyFraction > 1 {
 			t.Fatalf("busy fraction %v out of range", w.BusyFraction)
@@ -203,7 +205,7 @@ func TestTelemetrySnapshot(t *testing.T) {
 	}
 	// A loaded server must register real utilization somewhere.
 	var peak float64
-	for _, w := range rep.Telemetry {
+	for _, w := range windows {
 		if w.BusyFraction > peak {
 			peak = w.BusyFraction
 		}

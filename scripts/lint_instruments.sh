@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # Instrumentation-spine lint for internal/serving.
 #
-# Every serving event reaches the telemetry windows and the monitor
-# registry through one emission point, Server.emit, and the few
-# non-event observations (queue depth, busy time, gauges) live beside it
-# in instruments.go. A sink touched from anywhere else is a second,
-# hand-kept copy of a number that the spine's table can no longer keep in
-# agreement with the Report. This script fails if any file in
-# internal/serving other than instruments.go references srv.tel or
-# srv.ins.
+# Every serving event reaches the series' telemetry columns and the
+# monitor registry through one emission point, Server.emit, and the few
+# non-event observations (latency samples, queue depth, busy time, gauges)
+# live beside it in instruments.go. A sink touched from anywhere else is a
+# second, hand-kept copy of a number that the spine's table can no longer
+# keep in agreement with the Report. This script fails if any file in
+# internal/serving other than instruments.go references srv.ins or calls
+# one of the series' recording methods (Record, Arrival, Count, Busy).
 #
 # Likewise a fleet report is serving.Summarize over the nodes, the one
 # derivation a node's own report uses. Non-test internal/cluster code that
@@ -32,8 +32,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-if grep -nE 'srv\.(tel|ins)\b' internal/serving/*.go | grep -v '^internal/serving/instruments\.go:'; then
-  echo "FAIL: telemetry/monitor sinks used outside internal/serving/instruments.go (emit through the spine)" >&2
+if grep -nE 'srv\.ins\b|\bseries\.(Record|Arrival|Count|Busy)\(' internal/serving/*.go | grep -v '^internal/serving/instruments\.go:'; then
+  echo "FAIL: series recorded into or monitor sinks used outside internal/serving/instruments.go (emit through the spine)" >&2
   exit 1
 fi
 if grep -nE 'metrics\.Digest\b' internal/cluster/*.go | grep -v '_test\.go:'; then
