@@ -43,7 +43,6 @@ import (
 	"deepplan/internal/costmodel"
 	"deepplan/internal/dnn"
 	"deepplan/internal/monitor"
-	"deepplan/internal/pcm"
 	"deepplan/internal/plan"
 	"deepplan/internal/sim"
 	"deepplan/internal/simnet"
@@ -253,8 +252,6 @@ type Spec struct {
 	// GPU memory (§7 future work). Ignored when Warm is set. Must match
 	// the model's layer count.
 	ResidentMask []bool
-	// PCM, when non-nil, accumulates PCIe/NVLink traffic for this run.
-	PCM *pcm.Counters
 	// ComputeScale, when in (0,1), scales every layer's compute duration.
 	// The autoregressive serving mode uses it to price a prefill over a
 	// prompt shorter than the model's calibrated sequence length. Copy and
@@ -318,8 +315,6 @@ type Result struct {
 	// BytesLoaded is host→GPU copy traffic; BytesDHA is direct-host-access
 	// traffic; BytesNVLink is forwarding traffic.
 	BytesLoaded, BytesDHA, BytesNVLink float64
-	// LoadWindow bounds all PCIe copy activity of this run.
-	LoadWindowStart, LoadWindowEnd sim.Time
 }
 
 // Clone returns a copy of r that owns its Timings, so it stays valid after
@@ -335,15 +330,6 @@ func (r *Result) Latency() sim.Duration { return r.Finish.Sub(r.Submitted) }
 
 // ExecTime is the execution-stream occupancy (first layer start to finish).
 func (r *Result) ExecTime() sim.Duration { return r.Finish.Sub(r.ExecBegin) }
-
-// AvgPCIeBandwidth is copy bytes over the copy window — the quantity the
-// paper reports in Table 2. Zero if the run loaded nothing.
-func (r *Result) AvgPCIeBandwidth() float64 {
-	if r.BytesLoaded == 0 || r.LoadWindowEnd <= r.LoadWindowStart {
-		return 0
-	}
-	return r.BytesLoaded / r.LoadWindowEnd.Sub(r.LoadWindowStart).Seconds()
-}
 
 // Start validates the spec and schedules the run. The returned error covers
 // structural problems only; execution itself proceeds inside the simulator.
@@ -878,9 +864,6 @@ func (e *Engine) schedule(spec Spec, batch int) {
 		}
 		bytes := float64(m.Layers[i].ParamBytes)
 		rs.BytesLoaded += bytes
-		if spec.PCM != nil {
-			spec.PCM.AddLoad(bytes)
-		}
 		part := p.Layers[i].Partition
 		cp := rs.newOp(opCopy, i)
 		cp.bytes = bytes
@@ -902,9 +885,6 @@ func (e *Engine) schedule(spec Spec, batch int) {
 		sec.load.SubmitHandler(tmpl.layers[i].cp, cp)
 		sec.load.Record(&rs.evs[cp.ev])
 		rs.BytesNVLink += bytes
-		if spec.PCM != nil {
-			spec.PCM.AddNVLink(bytes)
-		}
 		sec.migration.Wait(&rs.evs[cp.ev])
 		fw := rs.newOp(opForward, i)
 		fw.gpu, fw.bytes, fw.arrival, fw.ev = int32(secID), bytes, true, nev
@@ -947,9 +927,6 @@ func (e *Engine) schedule(spec Spec, batch int) {
 			o := rs.newOp(opDHA, i)
 			o.bytes = costs[i].dha
 			rs.BytesDHA += o.bytes
-			if spec.PCM != nil {
-				spec.PCM.AddDHA(o.bytes)
-			}
 			o.d = scaleDur(costs[i].compute, spec.ComputeScale)
 			primary.exec.SubmitHandler(tmpl.layers[i].dha, o)
 		} else {
@@ -980,21 +957,8 @@ func (e *Engine) finalize(rs *runState) {
 			r.Timings[o.layer].AvailAt = rs.evs[o.ev].FiredAt()
 		}
 	}
-	first, last := sim.MaxTime, sim.Time(0)
 	for i := range r.Timings {
-		t := &r.Timings[i]
-		r.TotalStall += t.Stall
-		if t.LoadDone > 0 {
-			if t.LoadStart < first {
-				first = t.LoadStart
-			}
-			if t.LoadDone > last {
-				last = t.LoadDone
-			}
-		}
-	}
-	if last > 0 {
-		r.LoadWindowStart, r.LoadWindowEnd = first, last
+		r.TotalStall += r.Timings[i].Stall
 	}
 	if m := e.mon; m != nil {
 		g := r.Primary
@@ -1044,8 +1008,7 @@ func (r *Result) EmitTrace(rec *trace.Recorder) {
 	}
 }
 
-// ExecIdle reports whether a GPU's execution stream is idle (used by the
-// serving scheduler).
+// ExecIdle reports whether a GPU's execution stream is idle.
 func (e *Engine) ExecIdle(gpu int) bool { return e.gpus[gpu].exec.Idle() }
 
 // StartTask occupies a GPU's execution stream with one opaque task of the

@@ -176,9 +176,23 @@ func TestColdStartDecomposition(t *testing.T) {
 		t.Errorf("stall share = %.0f%%, want ~73-77%%", share*100)
 	}
 	// Bandwidth accounting (Table 2): ~10.9 GB/s for BERT-Base serial.
-	if bw := res.AvgPCIeBandwidth() / 1e9; bw < 10.2 || bw > 11.7 {
+	start, end := loadWindow(res)
+	if bw := res.BytesLoaded / end.Sub(start).Seconds() / 1e9; bw < 10.2 || bw > 11.7 {
 		t.Errorf("avg PCIe bandwidth = %.2f GB/s, want ~10.9", bw)
 	}
+}
+
+// loadWindow bounds a run's host→GPU copy activity: the earliest LoadStart
+// and the latest LoadDone over the layers it loaded.
+func loadWindow(r *Result) (start, end sim.Time) {
+	start = sim.MaxTime
+	for _, lt := range r.Timings {
+		if lt.LoadDone > 0 {
+			start = min(start, lt.LoadStart)
+			end = max(end, lt.LoadDone)
+		}
+	}
+	return start, end
 }
 
 func TestTimingInvariants(t *testing.T) {
@@ -262,26 +276,21 @@ func TestParallelTransmissionInterference(t *testing.T) {
 
 func TestPCMCounting(t *testing.T) {
 	f := fix(t, "bert-base")
-	var c pcm.Counters
 	p := f.pl.PlanDHA(f.prof)
-	_, err := RunOnce(topology.P38xlarge(), f.cost, Spec{
-		Model: f.model, Plan: p, Primary: 0, PCM: &c,
+	res, err := RunOnce(topology.P38xlarge(), f.cost, Spec{
+		Model: f.model, Plan: p, Primary: 0,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.LoadBytes() != float64(p.ResidentBytes(f.model)) {
-		t.Errorf("PCM load bytes = %g, want %d", c.LoadBytes(), p.ResidentBytes(f.model))
+	if res.BytesLoaded != float64(p.ResidentBytes(f.model)) {
+		t.Errorf("load bytes = %g, want %d", res.BytesLoaded, p.ResidentBytes(f.model))
 	}
-	if c.DHAEvents() == 0 {
+	if pcm.Events(res.BytesDHA) == 0 {
 		t.Error("no DHA events counted")
 	}
-	if c.NVLinkBytes() != 0 {
+	if res.BytesNVLink != 0 {
 		t.Error("single-GPU run counted NVLink traffic")
-	}
-	c.Reset()
-	if c.TotalPCIeEvents() != 0 {
-		t.Error("Reset did not clear counters")
 	}
 }
 

@@ -10,16 +10,12 @@ import (
 )
 
 // shifted returns a copy of r with every instant moved d later. Load fields
-// stay zero on layers that were not loaded, as do an unloaded run's window.
+// stay zero on layers that were not loaded.
 func shifted(r *Result, d sim.Duration) *Result {
 	c := r.Clone()
 	c.Submitted = c.Submitted.Add(d)
 	c.ExecBegin = c.ExecBegin.Add(d)
 	c.Finish = c.Finish.Add(d)
-	if c.LoadWindowEnd > 0 {
-		c.LoadWindowStart = c.LoadWindowStart.Add(d)
-		c.LoadWindowEnd = c.LoadWindowEnd.Add(d)
-	}
 	for i := range c.Timings {
 		t := &c.Timings[i]
 		t.ExecStart = t.ExecStart.Add(d)

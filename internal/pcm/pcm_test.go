@@ -16,27 +16,3 @@ func TestEvents(t *testing.T) {
 		}
 	}
 }
-
-func TestCounters(t *testing.T) {
-	var c Counters
-	c.AddLoad(128)
-	c.AddLoad(64)
-	c.AddDHA(100)
-	c.AddNVLink(1000)
-	if c.LoadBytes() != 192 || c.DHABytes() != 100 || c.NVLinkBytes() != 1000 {
-		t.Fatalf("byte totals: %g %g %g", c.LoadBytes(), c.DHABytes(), c.NVLinkBytes())
-	}
-	if c.LoadEvents() != 3 {
-		t.Fatalf("LoadEvents = %d", c.LoadEvents())
-	}
-	if c.DHAEvents() != 2 {
-		t.Fatalf("DHAEvents = %d", c.DHAEvents())
-	}
-	if c.TotalPCIeEvents() != Events(292) {
-		t.Fatalf("TotalPCIeEvents = %d", c.TotalPCIeEvents())
-	}
-	c.Reset()
-	if c.LoadBytes() != 0 || c.TotalPCIeEvents() != 0 {
-		t.Fatal("Reset incomplete")
-	}
-}

@@ -653,7 +653,8 @@ func (srv *Server) WarmCapacity() int {
 
 // Run replays the request sequence to completion and returns the report.
 // Servers on a shared external clock (Config.Sim) are driven with Submit
-// and Finish instead.
+// and Finish instead. Run is the reference driver: one-node clusters and
+// the benchmark's external-clock node are checked against its report.
 func (srv *Server) Run(requests []workload.Request) (*Report, error) {
 	for i, r := range requests {
 		if r.Instance < 0 || r.Instance >= len(srv.instances) {

@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -85,5 +87,60 @@ func TestFlowLimiterUnregisteredLeavesFlowsUncapped(t *testing.T) {
 	s.Run()
 	if !almostEqual(doneAt.Seconds(), 1, 1e-6) {
 		t.Fatalf("completion at %v s, want 1 s", doneAt.Seconds())
+	}
+}
+
+// Property: conservation holds across the fault-injection paths. Flows start
+// at staggered instants over random paths while links degrade and recover
+// mid-flight and a limiter caps the stragglers; every rate sample stays
+// within its link's capacity at that instant (a capped flow's private link
+// included), each link's integrated samples equal the bytes of its flows,
+// and every link's last sample is zero.
+func TestPropertyConservationUnderFaults(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 30; trial++ {
+		s := sim.New()
+		n := New(s)
+		rates := observeRates(t, n)
+		n.LimitFlows(func(name string, _ []*Link, _ float64) float64 {
+			if strings.HasPrefix(name, "slow") {
+				return 0.5 * gb
+			}
+			return 0
+		})
+		nl := 2 + rng.Intn(4)
+		links := make([]*Link, nl)
+		for i := range links {
+			links[i] = NewLink(fmt.Sprintf("l%d", i), (1+rng.Float64()*10)*gb)
+		}
+		want, slack := map[*Link]float64{}, map[*Link]float64{}
+		for i, nf := 0, 1+rng.Intn(12); i < nf; i++ {
+			perm := rng.Perm(nl)
+			path := make([]*Link, min(1+rng.Intn(3), nl))
+			bytes := (0.01 + rng.Float64()) * gb
+			for j := range path {
+				path[j] = links[perm[j]]
+				want[path[j]] += bytes
+				slack[path[j]] += flowSlack(path[j], bytes)
+			}
+			name := "f"
+			if rng.Intn(3) == 0 {
+				name = "slow"
+			}
+			at := sim.Time(rng.Int63n(int64(200 * sim.Millisecond)))
+			s.At(at, func() { n.StartFlow(name, path, bytes, nil) })
+		}
+		// Each degradation is followed by a recovery to the link's original
+		// capacity, so every link ends the run at its capacity at the start.
+		for i, nfaults := 0, 1+rng.Intn(4); i < nfaults; i++ {
+			l := links[rng.Intn(nl)]
+			orig, factor := l.Capacity(), 0.05+0.45*rng.Float64()
+			at := sim.Time(rng.Int63n(int64(300 * sim.Millisecond)))
+			back := at.Add(10*sim.Millisecond + sim.Duration(rng.Int63n(int64(200*sim.Millisecond))))
+			s.At(at, func() { n.SetLinkCapacity(l, orig*factor) })
+			s.At(back, func() { n.SetLinkCapacity(l, orig) })
+		}
+		s.Run()
+		rates.check(t, trial, want, slack)
 	}
 }

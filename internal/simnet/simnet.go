@@ -9,12 +9,11 @@ import (
 )
 
 // linkEpoch hands out globally unique stamps for the per-Link scratch state
-// below. A fresh stamp per traversal makes "have I touched this link in this
-// pass?" a field comparison instead of a map lookup, which keeps the
-// per-event hot path (rate reallocation and busy-time accounting)
-// allocation-free. The counter is atomic only so that independent Networks
-// on different goroutines (the parallel experiment harness) never reuse a
-// stamp; it carries no ordering semantics.
+// of maxMinRates. A fresh stamp per rate reallocation makes "have I touched
+// this link in this pass?" a field comparison instead of a map lookup, which
+// keeps reallocation allocation-free. The counter is atomic only so that
+// independent Networks on different goroutines (the parallel experiment
+// harness) never reuse a stamp; it carries no ordering semantics.
 var linkEpoch atomic.Uint64
 
 // Link is a unidirectional channel with a fixed capacity.
@@ -22,19 +21,11 @@ type Link struct {
 	name     string
 	capacity float64 // bytes per second
 
-	// instrumentation
-	bytesCarried float64
-	busySince    sim.Time
-	busyTime     sim.Duration
-	activeFlows  int
-
-	// Epoch-stamped scratch state, valid only while the stamp matches the
-	// pass that wrote it. residual/unassigned belong to maxMinRates;
-	// busyEpoch dedupes busy-time accounting in advance.
+	// maxMinRates scratch state, valid only while mmEpoch matches the
+	// pass that wrote it.
 	mmEpoch    uint64
 	residual   float64
 	unassigned int
-	busyEpoch  uint64
 
 	// allocRate is the link's aggregate max-min allocated rate as of the
 	// last maxMinRates pass (valid while mmEpoch matches that pass);
@@ -56,30 +47,6 @@ func (l *Link) Name() string { return l.name }
 
 // Capacity returns the link capacity in bytes per second.
 func (l *Link) Capacity() float64 { return l.capacity }
-
-// BytesCarried returns the total bytes moved across the link so far.
-func (l *Link) BytesCarried() float64 { return l.bytesCarried }
-
-// BusyTime returns the total virtual time during which the link had at least
-// one active flow. BytesCarried/BusyTime.Seconds() is the achieved average
-// bandwidth, the quantity the paper reports in Table 2.
-func (l *Link) BusyTime() sim.Duration { return l.busyTime }
-
-// AverageBandwidth returns achieved bytes per second over the link's busy
-// time, or 0 if the link was never busy.
-func (l *Link) AverageBandwidth() float64 {
-	if l.busyTime <= 0 {
-		return 0
-	}
-	return l.bytesCarried / l.busyTime.Seconds()
-}
-
-// ResetStats clears the instrumentation counters. Active-flow accounting is
-// unaffected.
-func (l *Link) ResetStats() {
-	l.bytesCarried = 0
-	l.busyTime = 0
-}
 
 // SetLinkCapacity changes l's capacity to bytesPerSecond, effective
 // immediately: in-flight flow progress is credited at the old rates up to the
@@ -116,7 +83,6 @@ type Flow struct {
 	remaining float64
 	total     float64
 	rate      float64
-	started   sim.Time
 	onDone    Handler // nil when nobody waits for completion
 	net       *Network
 	seq       uint64 // start order, for deterministic completion callbacks
@@ -140,9 +106,6 @@ func (f *Flow) Rate() float64 { return f.rate }
 
 // Done reports whether the flow has completed (or was aborted).
 func (f *Flow) Done() bool { return f.done }
-
-// Started returns the instant the flow was started.
-func (f *Flow) Started() sim.Time { return f.started }
 
 // Network manages flows over links, driven by a Simulator.
 type Network struct {
@@ -280,7 +243,6 @@ func (n *Network) StartFlowHandler(name string, path []*Link, bytes float64, onD
 		path:      path,
 		remaining: bytes,
 		total:     bytes,
-		started:   n.sim.Now(),
 		onDone:    onDone,
 		net:       n,
 		index:     -1,
@@ -295,12 +257,6 @@ func (n *Network) StartFlowHandler(name string, path []*Link, bytes float64, onD
 	n.advance()
 	f.index = int32(len(n.flows))
 	n.flows = append(n.flows, f)
-	for _, l := range f.path {
-		if l.activeFlows == 0 {
-			l.busySince = n.sim.Now()
-		}
-		l.activeFlows++
-	}
 	n.reallocate()
 	return f
 }
@@ -334,8 +290,7 @@ func (n *Network) recycle(f *Flow) {
 // rates. It is useful before inspecting Remaining.
 func (n *Network) Sync() { n.advance() }
 
-// advance credits each active flow with rate*(now-lastUpdate) bytes and
-// updates link instrumentation.
+// advance credits each active flow with rate*(now-lastUpdate) bytes.
 func (n *Network) advance() {
 	now := n.sim.Now()
 	dt := now.Sub(n.lastUpdate).Seconds()
@@ -349,21 +304,6 @@ func (n *Network) advance() {
 			moved = f.remaining
 		}
 		f.remaining -= moved
-		for _, l := range f.path {
-			l.bytesCarried += moved
-		}
-	}
-	// Link busy-time accounting: all links with active flows were busy for
-	// dt. A fresh epoch stamp dedupes links shared by several flows without
-	// allocating a set.
-	epoch := linkEpoch.Add(1)
-	for _, f := range n.flows {
-		for _, l := range f.path {
-			if l.busyEpoch != epoch {
-				l.busyEpoch = epoch
-				l.busyTime += sim.Duration(dt * 1e9)
-			}
-		}
 	}
 }
 
@@ -382,9 +322,6 @@ func (n *Network) remove(f *Flow) {
 		n.flows = n.flows[:last]
 	}
 	f.index = -1
-	for _, l := range f.path {
-		l.activeFlows--
-	}
 }
 
 // reallocate recomputes max–min fair rates and schedules the next completion.
