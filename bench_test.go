@@ -11,9 +11,7 @@ import (
 
 	"deepplan"
 	"deepplan/internal/costmodel"
-	"deepplan/internal/dnn"
 	"deepplan/internal/forecast"
-	"deepplan/internal/forward"
 	"deepplan/internal/hostmem"
 	"deepplan/internal/monitor"
 	"deepplan/internal/serving"
@@ -159,24 +157,6 @@ func BenchmarkMaxMinRates(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		probe := n.StartFlow("probe", paths[i%4], 1e18, nil)
 		n.Abort(probe)
-	}
-}
-
-// BenchmarkFunctionalForwardPass measures the functional tensor runtime on
-// the tiny GPT model the correctness tests execute.
-func BenchmarkFunctionalForwardPass(b *testing.B) {
-	m := dnn.TinyGPT(97, 16, 24, 2, 48, 16, 4)
-	w, err := forward.InitWeights(m, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ids := []int{5, 17, 3, 96, 0, 42, 7, 7}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := forward.Run(m, w, ids); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -50,6 +50,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-exp", "fig14", "-quick", "-telemetry"}, "-telemetry"},
 		{[]string{"-exp", "fig13", "-quick", "-metrics", out}, "-metrics"},
 		{[]string{"-exp", "fig99"}, `"fig99"`},
+		{[]string{"-exp", "fig-zoo", "-quick", "-zoo", "-3"}, "got -3"},
 	}
 	for _, c := range cases {
 		var stdout, stderr bytes.Buffer

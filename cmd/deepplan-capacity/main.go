@@ -80,10 +80,26 @@ func main() {
 		ZooPolicy:     *zooPolicy,
 	}
 	if *quick {
+		// -quick fixes the search window; an explicit one would be ignored.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "duration", "max-rate", "step":
+				usage("-%s has no effect with -quick", f.Name)
+			}
+		})
 		spec.Duration = 2 * sim.Second
 		spec.MinRate = 20
 		spec.MaxRate = 180
 		spec.Step = 40
+	}
+	if *targetRPS < 0 {
+		usage("-target-rps must not be negative, got %d", *targetRPS)
+	}
+	if !(*budget >= 0) {
+		usage("-budget must be a non-negative $/hr, got %g", *budget)
+	}
+	if err := spec.Validate(); err != nil {
+		usage("%v", err)
 	}
 
 	space := capacity.DefaultSpace()
@@ -159,6 +175,12 @@ func describeAlerts(alerts []monitor.Alert) string {
 		return "every error budget held"
 	}
 	return fmt.Sprintf("%d alert(s)", len(alerts))
+}
+
+// usage reports a command-line error and exits with status 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "deepplan-capacity: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func fail(format string, args ...any) {

@@ -29,6 +29,7 @@ package capacity
 
 import (
 	"fmt"
+	"math"
 
 	"deepplan/internal/cluster"
 	"deepplan/internal/dnn"
@@ -195,9 +196,9 @@ const (
 	WorkloadMAF = "maf"
 )
 
-// SearchSpec parameterizes the saturation search. The zero value is
-// completed by withDefaults; every field is part of the deterministic
-// cache key of a plan.
+// SearchSpec parameterizes the saturation search. A zero field selects its
+// default (withDefaults); Validate rejects what no default repairs. Every
+// field is part of the deterministic cache key of a plan.
 type SearchSpec struct {
 	// SLO is the latency target both percentile gates use. Default 300 ms.
 	SLO sim.Duration `json:"slo_ns"`
@@ -232,6 +233,38 @@ type SearchSpec struct {
 	// ZooPolicy is the host pinned-cache eviction policy for zoo probes
 	// ("lru" or "cost"). Default lru.
 	ZooPolicy string `json:"zoo_policy,omitempty"`
+}
+
+// Validate rejects a spec the search cannot honour, naming the field: a
+// negative or non-finite numeric field (zero selects the default), a
+// GoodputTarget above 1, or a MaxRate not above MinRate. Sweep, Saturate
+// and Confirm call it; commands call it to reject flags before any work.
+func (s SearchSpec) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"SLO", float64(s.SLO)},
+		{"GoodputTarget", s.GoodputTarget},
+		{"Skew", s.Skew},
+		{"Duration", float64(s.Duration)},
+		{"Replicas", float64(s.Replicas)},
+		{"MinRate", float64(s.MinRate)},
+		{"MaxRate", float64(s.MaxRate)},
+		{"Step", float64(s.Step)},
+		{"Zoo", float64(s.Zoo)},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("capacity: %s must be finite and not negative (zero selects the default)", f.name)
+		}
+	}
+	if s.GoodputTarget > 1 {
+		return fmt.Errorf("capacity: GoodputTarget %g is a fraction of requests; it must not exceed 1", s.GoodputTarget)
+	}
+	if d := s.withDefaults(); s.MaxRate > 0 && s.MaxRate <= d.MinRate {
+		return fmt.Errorf("capacity: MaxRate %d must exceed MinRate %d", s.MaxRate, d.MinRate)
+	}
+	return nil
 }
 
 func (s SearchSpec) withDefaults() SearchSpec {
@@ -435,6 +468,9 @@ type Confirmation struct {
 // alert log from the burn-rate monitor. alerts nil uses the SLO monitor's
 // defaults with the spec's SLO-derived budgets untouched.
 func Confirm(r Result, spec SearchSpec, alerts *monitor.SLOConfig) (*Confirmation, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
 	spec = spec.withDefaults()
 	rate := r.SustainedRPS
 	if rate <= 0 {
@@ -485,6 +521,9 @@ type Result struct {
 // cluster, so the sequence of probes — and therefore the result — is a
 // pure function of (point, spec).
 func Saturate(pt Point, spec SearchSpec, pricing Pricing) (Result, error) {
+	if err := spec.Validate(); err != nil {
+		return Result{}, err
+	}
 	spec = spec.withDefaults()
 	price, ok := pricing[pt.Topology]
 	if !ok {
@@ -565,9 +604,13 @@ func Saturate(pt Point, spec SearchSpec, pricing Pricing) (Result, error) {
 // workers computes serially). Points share nothing — each probe builds its
 // own simulator, topologies, and workload — so the result slice is
 // byte-identical for every worker count, the same guarantee the experiment
-// harness makes. Before the first probe it rejects autoscaled points in a
-// zoo plan, unknown autoscale policies, and policies with no such point.
+// harness makes. Before the first probe it rejects an invalid spec
+// (Validate), autoscaled points in a zoo plan, unknown autoscale policies,
+// and policies with no such point.
 func Sweep(space Space, spec SearchSpec, pricing Pricing, workers int) ([]Result, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
 	points := space.Points()
 	if len(points) == 0 {
 		return nil, fmt.Errorf("capacity: empty config space")

@@ -2,6 +2,7 @@ package capacity
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -366,6 +367,45 @@ func TestSweepValidatesAutoscalePolicies(t *testing.T) {
 	err := sweepErr(plain, testSpec())
 	if err == nil || !strings.Contains(err.Error(), "no point autoscales") {
 		t.Fatalf("policy without autoscaled points: got %v", err)
+	}
+}
+
+// A zero field selects its default, but a value no default repairs is
+// refused by Sweep, Saturate and Confirm before any probe, naming the field.
+func TestRejectsBadSpec(t *testing.T) {
+	cases := []struct {
+		field string
+		edit  func(*SearchSpec)
+	}{
+		{"SLO", func(s *SearchSpec) { s.SLO = -sim.Millisecond }},
+		{"GoodputTarget", func(s *SearchSpec) { s.GoodputTarget = -0.5 }},
+		{"GoodputTarget", func(s *SearchSpec) { s.GoodputTarget = 2 }},
+		{"GoodputTarget", func(s *SearchSpec) { s.GoodputTarget = math.NaN() }},
+		{"Skew", func(s *SearchSpec) { s.Skew = math.Inf(1) }},
+		{"Duration", func(s *SearchSpec) { s.Duration = -sim.Second }},
+		{"Replicas", func(s *SearchSpec) { s.Replicas = -1 }},
+		{"MinRate", func(s *SearchSpec) { s.MinRate = -10 }},
+		{"MaxRate", func(s *SearchSpec) { s.MaxRate = -1 }},
+		{"MaxRate", func(s *SearchSpec) { s.MaxRate = s.MinRate }},
+		{"Step", func(s *SearchSpec) { s.Step = -5 }},
+		{"Zoo", func(s *SearchSpec) { s.Zoo = -3 }},
+	}
+	pt := Point{Topology: "p3.8xlarge", Nodes: 1, Policy: serving.PolicyDHA,
+		Route: cluster.RouteLeastOutstanding, MaxBatch: 1}
+	for _, c := range cases {
+		spec := testSpec()
+		c.edit(&spec)
+		_, serr := Saturate(pt, spec, Pricing{})
+		_, cerr := Confirm(Result{Point: pt}, spec, nil)
+		for _, err := range []error{sweepErr(DefaultSpace(), spec), serr, cerr} {
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%s: got %v, want an error naming %s", c.field, err, c.field)
+			}
+		}
+	}
+	// The zero spec selects every default and reaches the pricing check.
+	if err := sweepErr(DefaultSpace(), SearchSpec{}); err == nil || !strings.Contains(err.Error(), "price") {
+		t.Fatalf("zero spec: got %v, want only the missing-price probe error", err)
 	}
 }
 

@@ -93,17 +93,6 @@ type Layer struct {
 	// pass. Zero means a dense (always-executed) layer.
 	ExpertGroup int
 	ExpertIndex int
-
-	// Dims carries kind-specific shape metadata for functional execution
-	// (package forward): Linear [in, out]; Embedding [rows, dim];
-	// LayerNorm [dim]; Attention [heads, headDim]. Nil for layers the
-	// functional runtime does not execute (timing-only models).
-	Dims []int
-
-	// SkipFrom, for Residual layers, is the index of the layer whose
-	// output forms the shortcut operand; -1 (or 0-valued on non-residual
-	// layers) means none.
-	SkipFrom int
 }
 
 // IsExpert reports whether the layer is one alternative of an MoE group.

@@ -274,23 +274,170 @@ func TestParallelTransmissionInterference(t *testing.T) {
 	}
 }
 
+// TestPCMCounting checks, for every zoo model in every mode, that a plan
+// decides which bytes move and where: a cold run copies exactly the plan's
+// resident bytes, forwards exactly the secondary partitions' bytes over
+// NVLink, and reads host memory directly exactly when the plan leaves bytes
+// there; a warm run copies and forwards nothing.
 func TestPCMCounting(t *testing.T) {
-	f := fix(t, "bert-base")
-	p := f.pl.PlanDHA(f.prof)
-	res, err := RunOnce(topology.P38xlarge(), f.cost, Spec{
-		Model: f.model, Plan: p, Primary: 0,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range dnn.ModelNames() {
+		f := fix(t, name)
+		for _, mode := range allModes {
+			p, err := f.pl.Plan(f.prof, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			secs, err := f.pl.SelectGPUs(p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resident, host := p.ResidentBytes(f.model), p.HostResidentBytes(f.model)
+			if resident+host != f.model.TotalParamBytes() {
+				t.Errorf("%s/%s: resident %d + host %d != total %d",
+					name, mode, resident, host, f.model.TotalParamBytes())
+			}
+			var nvlink int64
+			for i, lp := range p.Layers {
+				if lp.Method == plan.Load && lp.Partition > 0 {
+					nvlink += f.model.Layers[i].ParamBytes
+				}
+			}
+			for _, warm := range []bool{false, true} {
+				spec := Spec{Model: f.model, Plan: p, Primary: 0, Secondaries: secs}
+				wantLoaded, wantNVLink := float64(resident), float64(nvlink)
+				if warm {
+					// A warm run transmits nothing, so it takes no secondaries.
+					spec.Secondaries, spec.Warm = nil, true
+					wantLoaded, wantNVLink = 0, 0
+				}
+				res, err := RunOnce(topology.P38xlarge(), f.cost, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.BytesLoaded != wantLoaded {
+					t.Errorf("%s/%s warm=%v: loaded %g bytes, want %g", name, mode, warm, res.BytesLoaded, wantLoaded)
+				}
+				if res.BytesNVLink != wantNVLink {
+					t.Errorf("%s/%s warm=%v: forwarded %g bytes over NVLink, want %g", name, mode, warm, res.BytesNVLink, wantNVLink)
+				}
+				if (res.BytesDHA > 0) != (host > 0) {
+					t.Errorf("%s/%s warm=%v: DHA bytes %g with %d host-resident bytes", name, mode, warm, res.BytesDHA, host)
+				}
+				if host > 0 && pcm.Events(res.BytesDHA) == 0 {
+					t.Errorf("%s/%s warm=%v: no DHA events counted", name, mode, warm)
+				}
+			}
+		}
 	}
-	if res.BytesLoaded != float64(p.ResidentBytes(f.model)) {
-		t.Errorf("load bytes = %g, want %d", res.BytesLoaded, p.ResidentBytes(f.model))
+}
+
+// allModes lists every single-request plan mode the planner produces.
+var allModes = []plan.Mode{plan.ModeBaseline, plan.ModePipeSwitch, plan.ModeDHA, plan.ModePT, plan.ModePTDHA}
+
+// checkPlacement checks, for every zoo model that vision selects (vision
+// models have no token sequence) in every mode, that the plan alone decides
+// where each layer's weights come from while the computation stays the same:
+// every layer executes once, in model order, on the primary GPU; a cold run
+// copies exactly the loaded layers that have weights, each in its planned
+// partition, and never a DHA or parameterless layer; a warm run copies
+// nothing.
+func checkPlacement(t *testing.T, vision bool) {
+	t.Helper()
+	checked := 0
+	for _, name := range dnn.ModelNames() {
+		f := fix(t, name)
+		if (f.model.SeqLen == 0) != vision {
+			continue
+		}
+		checked++
+		for _, mode := range allModes {
+			p, err := f.pl.Plan(f.prof, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			secs, err := f.pl.SelectGPUs(p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, warm := range []bool{false, true} {
+				spec := Spec{Model: f.model, Plan: p, Primary: 0, Secondaries: secs}
+				if warm {
+					// A warm run transmits nothing, so it takes no secondaries.
+					spec.Secondaries, spec.Warm = nil, true
+				}
+				res, err := RunOnce(topology.P38xlarge(), f.cost, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Timings) != f.model.NumLayers() {
+					t.Fatalf("%s/%s warm=%v: %d layer timings for %d layers",
+						name, mode, warm, len(res.Timings), f.model.NumLayers())
+				}
+				var prevDone sim.Time
+				for i, lt := range res.Timings {
+					l, lp := &f.model.Layers[i], p.Layers[i]
+					if lt.Index != i || lt.Method != lp.Method || lt.Partition != lp.Partition {
+						t.Errorf("%s/%s warm=%v: timing %d is layer %d by %v in partition %d, plan says %v in %d",
+							name, mode, warm, i, lt.Index, lt.Method, lt.Partition, lp.Method, lp.Partition)
+					}
+					if lt.ExecStart < prevDone || lt.ExecDone < lt.ExecStart {
+						t.Errorf("%s/%s warm=%v: layer %s runs out of order", name, mode, warm, l.Name)
+					}
+					prevDone = lt.ExecDone
+					wantCopy := !warm && lp.Method == plan.Load && l.HasParams()
+					if copied := lt.LoadDone > lt.LoadStart; copied != wantCopy {
+						t.Errorf("%s/%s warm=%v: layer %s (%v) copied=%v, want %v",
+							name, mode, warm, l.Name, lp.Method, copied, wantCopy)
+					}
+				}
+			}
+		}
 	}
-	if pcm.Events(res.BytesDHA) == 0 {
-		t.Error("no DHA events counted")
+	if checked == 0 {
+		t.Fatalf("no zoo model with vision=%v", vision)
 	}
-	if res.BytesNVLink != 0 {
-		t.Error("single-GPU run counted NVLink traffic")
+}
+
+// TestPlacementInvariance checks placement for the transformer zoo models.
+func TestPlacementInvariance(t *testing.T) { checkPlacement(t, false) }
+
+// TestCNNPlacementInvariance checks placement for the vision zoo models.
+func TestCNNPlacementInvariance(t *testing.T) { checkPlacement(t, true) }
+
+// TestDHAPlanKeepsEmbeddingsInHost checks, for every zoo model, that a DHA
+// plan leaves every sparse embedding table in host memory and the engine
+// never copies it (§3.1: a gather touching fewer bytes than the table moves
+// less by DHA than a load would; a tiny table such as BERT's two-row
+// token-type one may be loaded).
+func TestDHAPlanKeepsEmbeddingsInHost(t *testing.T) {
+	withEmb := 0
+	for _, name := range dnn.ModelNames() {
+		f := fix(t, name)
+		p := f.pl.PlanDHA(f.prof)
+		res := f.run(t, p, nil)
+		var embBytes int64
+		for i := range f.model.Layers {
+			l, lt := &f.model.Layers[i], res.Timings[i]
+			if l.Kind != dnn.Embedding || int64(l.EmbRows)*l.EmbRowBytes >= l.ParamBytes {
+				continue
+			}
+			embBytes += l.ParamBytes
+			if p.Layers[i].Method != plan.DHA {
+				t.Errorf("%s: embedding %s planned %v, want DHA", name, l.Name, p.Layers[i].Method)
+			}
+			if lt.LoadDone > lt.LoadStart {
+				t.Errorf("%s: embedding %s was copied to the GPU", name, l.Name)
+			}
+		}
+		if embBytes > 0 {
+			withEmb++
+		}
+		if host := p.HostResidentBytes(f.model); host < embBytes {
+			t.Errorf("%s: %d host-resident bytes < %d embedding bytes", name, host, embBytes)
+		}
+	}
+	if withEmb == 0 {
+		t.Fatal("no zoo model has a sparse embedding table")
 	}
 }
 

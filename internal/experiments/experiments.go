@@ -64,14 +64,19 @@ type Options struct {
 	PrefillDecode bool
 }
 
-// Validate parses the values that pin an experiment's comparison
-// (ZooPolicy, LLMBatching, AutoscalePolicy) with the parsers the
-// experiments use, so a bad value fails before any experiment runs.
+// Validate rejects a negative ZooN and parses the values that pin an
+// experiment's comparison (ZooPolicy, LLMBatching, AutoscalePolicy) with
+// the parsers the experiments use, so a bad value fails before any
+// experiment runs.
 func (o Options) Validate() error {
+	var nerr error
+	if o.ZooN < 0 {
+		nerr = fmt.Errorf("experiments: ZooN must not be negative, got %d", o.ZooN)
+	}
 	_, zerr := o.zooPolicies()
 	_, lerr := o.llmBatchings()
 	_, aerr := o.autoscalePolicies()
-	return errors.Join(zerr, lerr, aerr)
+	return errors.Join(nerr, zerr, lerr, aerr)
 }
 
 // Experiment is one reproducible table/figure.

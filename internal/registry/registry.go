@@ -166,8 +166,6 @@ func (z *Zoo) Requests(seed int64, ratePerSec float64, n int) []workload.Request
 // bytes, FLOPs, activation traffic and embedding row size all scale by the
 // factor (a wider/narrower hidden dimension moves them together to first
 // order), while the layer sequence and embedding row count are preserved.
-// Scaled shapes are timing-only — Dims is dropped so the functional
-// runtime never mistakes them for executable models.
 func scaleModel(base *dnn.Model, name string, factor float64) *dnn.Model {
 	m := &dnn.Model{
 		Name:      name,
@@ -180,7 +178,6 @@ func scaleModel(base *dnn.Model, name string, factor float64) *dnn.Model {
 		l.FLOPs *= factor
 		l.ActBytes *= factor
 		l.EmbRowBytes = scaleBytes(l.EmbRowBytes, factor)
-		l.Dims = nil
 		m.Layers[i] = l
 	}
 	return m
