@@ -32,31 +32,20 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id (see -list) or 'all'")
 	list := flag.Bool("list", false, "list available experiments")
 	quick := flag.Bool("quick", false, "shrink serving experiments for a fast pass")
-	tracePath := flag.String("trace", "", "write a Chrome trace of the representative serving run (fig13/fig15 only)")
 	metricsPath := flag.String("metrics", "", "write the representative run's OpenMetrics exposition (fig-slo only)")
 	telemetry := flag.Bool("telemetry", false, "append per-window resource telemetry to fig13/fig15 output")
-	zoo := flag.Int("zoo", 0, "fig-zoo: run a single zoo of exactly N variants instead of the size sweep")
-	zooPolicy := flag.String("zoo-policy", "", "fig-zoo: host-cache policy (lru | cost); empty compares both")
-	llm := flag.String("llm", "", "fig-llm: batching discipline (continuous | static); empty compares both")
-	prefillDecode := flag.Bool("prefill-decode", false, "fig-llm: disaggregate prefill and decode GPUs")
-	autoscalePolicy := flag.String("autoscale-policy", "", "fig-forecast: controller (reactive | predictive); empty compares both")
 	flag.Parse()
 
 	// Check every flag before the first experiment: a flag the experiment
-	// does not read would be silently ignored, and a bad pin fail late.
-	if (*tracePath != "" || *telemetry) && *exp != "fig13" && *exp != "fig15" {
-		usage("-trace and -telemetry need -exp fig13 or -exp fig15")
+	// does not read would be silently ignored.
+	if *telemetry && *exp != "fig13" && *exp != "fig15" {
+		usage("-telemetry needs -exp fig13 or -exp fig15")
 	}
 	if *metricsPath != "" && *exp != "fig-slo" {
 		usage("-metrics needs -exp fig-slo")
 	}
 	pool := runtime.GOMAXPROCS(0)
-	opts := experiments.Options{Quick: *quick, Workers: pool, TracePath: *tracePath, MetricsPath: *metricsPath,
-		Telemetry: *telemetry, ZooN: *zoo, ZooPolicy: *zooPolicy,
-		LLMBatching: *llm, PrefillDecode: *prefillDecode, AutoscalePolicy: *autoscalePolicy}
-	if err := opts.Validate(); err != nil {
-		usage(err.Error())
-	}
+	opts := experiments.Options{Quick: *quick, Workers: pool, MetricsPath: *metricsPath, Telemetry: *telemetry}
 
 	if *list {
 		for _, e := range experiments.All() {

@@ -146,7 +146,7 @@ func main() {
 		if rec == nil {
 			fail("-metrics: no configuration to confirm")
 		}
-		conf, err := capacity.Confirm(*rec, spec, nil)
+		conf, err := capacity.Confirm(*rec, spec)
 		if err != nil {
 			fail("confirm: %v", err)
 		}

@@ -1,9 +1,9 @@
 // deepplan-trace summarizes a Chrome trace-event file written by
-// deepplan-server -trace, deepplan-bench -trace, or deepplan -trace into the
-// latency breakdown behind it: per request class (cold / warm, split by
-// model), where time went — queueing behind other requests, stalling on
-// weight loads, or executing — plus counts of the serving events (evictions,
-// relocations, deferrals) recorded on the timeline.
+// deepplan-server -trace or deepplan -trace into the latency breakdown
+// behind it: per request class (cold / warm, split by model), where time
+// went — queueing behind other requests, stalling on weight loads, or
+// executing — plus counts of the serving events (evictions, relocations,
+// deferrals) recorded on the timeline.
 //
 // Usage:
 //

@@ -465,9 +465,8 @@ type Confirmation struct {
 // rate with full monitoring attached. The search itself stays
 // monitoring-free; this is the one extra oracle call that turns a plan
 // into an auditable artifact — dashboards from Registry, a clean (or not)
-// alert log from the burn-rate monitor. alerts nil uses the SLO monitor's
-// defaults with the spec's SLO-derived budgets untouched.
-func Confirm(r Result, spec SearchSpec, alerts *monitor.SLOConfig) (*Confirmation, error) {
+// alert log from the burn-rate monitor.
+func Confirm(r Result, spec SearchSpec) (*Confirmation, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -476,11 +475,8 @@ func Confirm(r Result, spec SearchSpec, alerts *monitor.SLOConfig) (*Confirmatio
 	if rate <= 0 {
 		rate = spec.MinRate
 	}
-	if alerts == nil {
-		alerts = &monitor.SLOConfig{}
-	}
 	reg := monitor.New()
-	_, rep, err := evaluateMonitored(r.Point, spec, rate, reg, alerts)
+	_, rep, err := evaluateMonitored(r.Point, spec, rate, reg, &monitor.SLOConfig{})
 	if err != nil {
 		return nil, err
 	}

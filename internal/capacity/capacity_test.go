@@ -396,7 +396,7 @@ func TestRejectsBadSpec(t *testing.T) {
 		spec := testSpec()
 		c.edit(&spec)
 		_, serr := Saturate(pt, spec, Pricing{})
-		_, cerr := Confirm(Result{Point: pt}, spec, nil)
+		_, cerr := Confirm(Result{Point: pt}, spec)
 		for _, err := range []error{sweepErr(DefaultSpace(), spec), serr, cerr} {
 			if err == nil || !strings.Contains(err.Error(), c.field) {
 				t.Errorf("%s: got %v, want an error naming %s", c.field, err, c.field)

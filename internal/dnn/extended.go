@@ -82,12 +82,3 @@ func Synthetic13B() *Model {
 		hidden: 5120, layers: 40, ffn: 20480, seq: 1024, gpt: true,
 	})
 }
-
-func init() {
-	zoo["resnet152"] = ResNet152
-	zoo["distilbert"] = DistilBERT
-	zoo["gpt2-large"] = GPT2Large
-	zoo["gpt2-xl"] = GPT2XL
-	zoo["vit-base"] = ViTBase
-	zoo["synthetic-13b"] = Synthetic13B
-}

@@ -16,6 +16,12 @@ var zoo = map[string]func() *Model{
 	"roberta-large": RoBERTaLarge,
 	"gpt2":          GPT2,
 	"gpt2-medium":   GPT2Medium,
+	"resnet152":     ResNet152,
+	"distilbert":    DistilBERT,
+	"gpt2-large":    GPT2Large,
+	"gpt2-xl":       GPT2XL,
+	"vit-base":      ViTBase,
+	"synthetic-13b": Synthetic13B,
 }
 
 // ModelNames returns the canonical zoo names in sorted order.

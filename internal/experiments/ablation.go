@@ -15,16 +15,7 @@ import (
 // Ablations quantify the design choices behind the reproduction: the
 // planner's warm-aware pruning threshold, the number of transmission
 // partitions on an 8-GPU server, and sensitivity to PCIe and NVLink
-// generation. Registered after the paper artifacts and the §7 extensions.
-
-func init() {
-	registry = append(registry,
-		Experiment{"ablate-prune", "Ablation: planner pruning threshold (cold gain vs warm tax)", AblatePrune},
-		Experiment{"ablate-parts", "Ablation: partition count for parallel transmission (DGX-1, 8 GPUs)", AblateParts},
-		Experiment{"ablate-pcie", "Ablation: PCIe generation vs DeepPlan benefit", AblatePCIe},
-		Experiment{"ablate-nvlink", "Ablation: NVLink bandwidth vs parallel-transmission benefit", AblateNVLink},
-	)
-}
+// generation.
 
 // AblatePrune sweeps the planner's MinDHAGain threshold and reports the
 // cold-start latency and the warm-inference penalty of the resulting plan —

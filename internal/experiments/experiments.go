@@ -8,7 +8,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -33,50 +32,15 @@ type Options struct {
 	// exists only between simulations, never inside one, and results are
 	// always printed in sweep order.
 	Workers int
-	// TracePath, when non-empty, makes the serving experiments that support
-	// tracing (fig13, fig15) record one representative configuration's full
-	// timeline and write it there as Chrome trace-event JSON. Tracing is
-	// observation-only, so the experiment tables are unchanged.
-	TracePath string
 	// MetricsPath, when non-empty, makes experiments that run a monitored
 	// simulation (fig-slo) write one representative configuration's final
-	// OpenMetrics exposition there. Observation-only, like TracePath.
+	// OpenMetrics exposition there. Observation-only: the table is
+	// unchanged.
 	MetricsPath string
 	// Telemetry appends a per-window resource table (cold-start ratio,
-	// queue depth, busy fraction, evictions) for that same representative
-	// configuration to the supporting experiments' output.
+	// queue depth, busy fraction, evictions) for one representative
+	// configuration to the supporting experiments' (fig13, fig15) output.
 	Telemetry bool
-	// ZooN, when positive, replaces fig-zoo's model-count sweep with a
-	// single zoo of exactly this many variants. ZooPolicy ("lru" or
-	// "cost") pins fig-zoo's host-cache policy; empty compares both.
-	// Other experiments ignore both fields.
-	ZooN      int
-	ZooPolicy string
-	// AutoscalePolicy ("reactive" or "predictive") pins fig-forecast's
-	// controller comparison to one policy; empty compares both. Other
-	// experiments ignore it.
-	AutoscalePolicy string
-	// LLMBatching ("continuous" or "static") pins fig-llm's batching
-	// comparison to one discipline; empty compares both. PrefillDecode
-	// runs fig-llm with prefill and decode disaggregated onto separate
-	// GPUs. Other experiments ignore both fields.
-	LLMBatching   string
-	PrefillDecode bool
-}
-
-// Validate rejects a negative ZooN and parses the values that pin an
-// experiment's comparison (ZooPolicy, LLMBatching, AutoscalePolicy) with
-// the parsers the experiments use, so a bad value fails before any
-// experiment runs.
-func (o Options) Validate() error {
-	var nerr error
-	if o.ZooN < 0 {
-		nerr = fmt.Errorf("experiments: ZooN must not be negative, got %d", o.ZooN)
-	}
-	_, zerr := o.zooPolicies()
-	_, lerr := o.llmBatchings()
-	_, aerr := o.autoscalePolicies()
-	return errors.Join(nerr, zerr, lerr, aerr)
 }
 
 // Experiment is one reproducible table/figure.
@@ -109,6 +73,12 @@ var registry = []Experiment{
 	{"fig-zoo", "Model zoo: cold-start tail vs zoo size under a pinned host-cache tier", FigZoo},
 	{"fig-llm", "Autoregressive serving: continuous vs static batching with a KV cache", FigLLM},
 	{"fig-forecast", "Predictive actuation: reactive vs forecast-driven autoscaling under a spiky trace", FigForecast},
+	{"ablate-prune", "Ablation: planner pruning threshold (cold gain vs warm tax)", AblatePrune},
+	{"ablate-parts", "Ablation: partition count for parallel transmission (DGX-1, 8 GPUs)", AblateParts},
+	{"ablate-pcie", "Ablation: PCIe generation vs DeepPlan benefit", AblatePCIe},
+	{"ablate-nvlink", "Ablation: NVLink bandwidth vs parallel-transmission benefit", AblateNVLink},
+	{"ext-large", "Extension (§7): serving a 13B model that exceeds single-GPU memory", ExtLargeModel},
+	{"ext-moe", "Extension (§7): mixture-of-experts cold-starts with expert-aware transmission", ExtMoE},
 }
 
 // All returns every experiment in presentation order.

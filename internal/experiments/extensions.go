@@ -17,14 +17,7 @@ import (
 )
 
 // The paper's §7 sketches two extensions; both are implemented here as
-// runnable experiments and registered alongside the evaluation artifacts.
-
-func init() {
-	registry = append(registry,
-		Experiment{"ext-large", "Extension (§7): serving a 13B model that exceeds single-GPU memory", ExtLargeModel},
-		Experiment{"ext-moe", "Extension (§7): mixture-of-experts cold-starts with expert-aware transmission", ExtMoE},
-	)
-}
+// runnable experiments.
 
 // ExtLargeModel studies the 48.5 GiB Synthetic-13B model on a 16 GiB V100:
 // dense residency is impossible; the paper's §7 suggests direct-host-access

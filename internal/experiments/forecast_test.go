@@ -59,19 +59,3 @@ func TestFigForecastByteIdenticalAcrossWorkers(t *testing.T) {
 			serial.String(), pooled.String())
 	}
 }
-
-// TestFigForecastPinnedPolicy: Options.AutoscalePolicy restricts the table
-// to one controller and rejects unknown spellings.
-func TestFigForecastPinnedPolicy(t *testing.T) {
-	var out bytes.Buffer
-	if err := FigForecast(&out, Options{Quick: true, AutoscalePolicy: "predictive"}); err != nil {
-		t.Fatal(err)
-	}
-	if s := out.String(); !bytes.Contains(out.Bytes(), []byte("predictive")) ||
-		bytes.Contains(out.Bytes(), []byte("\nreactive")) {
-		t.Fatalf("pinned-policy output wrong:\n%s", s)
-	}
-	if err := FigForecast(&out, Options{Quick: true, AutoscalePolicy: "oracle"}); err == nil {
-		t.Fatal("unknown autoscale policy accepted")
-	}
-}

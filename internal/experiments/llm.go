@@ -11,18 +11,6 @@ import (
 	"deepplan/internal/workload"
 )
 
-// llmBatchings is fig-llm's batching axis: both disciplines, or the one
-// LLMBatching pins.
-func (o Options) llmBatchings() ([]string, error) {
-	switch o.LLMBatching {
-	case "":
-		return []string{serving.LLMBatchContinuous, serving.LLMBatchStatic}, nil
-	case serving.LLMBatchContinuous, serving.LLMBatchStatic:
-		return []string{o.LLMBatching}, nil
-	}
-	return nil, fmt.Errorf("unknown batching discipline %q (want continuous or static)", o.LLMBatching)
-}
-
 // FigLLM extends the paper's serving evaluation past single-shot inference:
 // GPT-2 served autoregressively, where every request is a prefill followed
 // by a token-by-token decode and the KV cache competes with weights for GPU
@@ -47,17 +35,10 @@ func FigLLM(w io.Writer, opts Options) error {
 		requests = 400
 		rate = 140
 	}
-	batchings, err := opts.llmBatchings()
-	if err != nil {
-		return err
-	}
+	batchings := []string{serving.LLMBatchContinuous, serving.LLMBatchStatic}
 	policies := []serving.Policy{serving.PolicyPipeSwitch, serving.PolicyDHA}
-	pd := ""
-	if opts.PrefillDecode {
-		pd = ", prefill/decode disaggregated"
-	}
-	fmt.Fprintf(w, "%d requests at %.0f rps, Zipf skew %.1f, prompts ~%d -> outputs ~%d tokens, token budget %d%s\n\n",
-		requests, rate, skew, promptMean, outputMean, budget, pd)
+	fmt.Fprintf(w, "%d requests at %.0f rps, Zipf skew %.1f, prompts ~%d -> outputs ~%d tokens, token budget %d\n\n",
+		requests, rate, skew, promptMean, outputMean, budget)
 
 	type point struct {
 		policy   serving.Policy
@@ -73,7 +54,7 @@ func FigLLM(w io.Writer, opts Options) error {
 	reqs := workload.WithTokens(
 		workload.PoissonZipf(42, rate, requests, instances, skew),
 		42, promptMean, outputMean)
-	err = runner.ForEach(opts.Workers, len(points), func(i int) (err error) {
+	err := runner.ForEach(opts.Workers, len(points), func(i int) (err error) {
 		pt := &points[i]
 		_, pt.rep, err = serve(cluster.Config{
 			Nodes:  2,
@@ -81,10 +62,9 @@ func FigLLM(w io.Writer, opts Options) error {
 			Policy: pt.policy,
 			SLO:    300 * sim.Millisecond,
 			LLM: serving.LLMConfig{
-				Enabled:       true,
-				Batching:      pt.batching,
-				TokenBudget:   budget,
-				PrefillDecode: opts.PrefillDecode,
+				Enabled:     true,
+				Batching:    pt.batching,
+				TokenBudget: budget,
 			},
 		}, []deployment{{"gpt2", instances}}, reqs, true)
 		return err
@@ -104,30 +84,28 @@ func FigLLM(w io.Writer, opts Options) error {
 
 	// The headline: what iteration-level scheduling buys at equal offered
 	// load, per cold-start policy so the two dimensions stay separated.
-	if len(batchings) == 2 {
-		fmt.Fprintf(w, "\ncontinuous vs static at equal load:\n")
-		for _, p := range policies {
-			var cont, stat *cluster.Report
-			for i := range points {
-				if points[i].policy != p {
-					continue
-				}
-				if points[i].batching == serving.LLMBatchContinuous {
-					cont = points[i].rep
-				} else {
-					stat = points[i].rep
-				}
+	fmt.Fprintf(w, "\ncontinuous vs static at equal load:\n")
+	for _, p := range policies {
+		var cont, stat *cluster.Report
+		for i := range points {
+			if points[i].policy != p {
+				continue
 			}
-			tok := 0.0
-			if stat.TokenRate > 0 {
-				tok = cont.TokenRate / stat.TokenRate
+			if points[i].batching == serving.LLMBatchContinuous {
+				cont = points[i].rep
+			} else {
+				stat = points[i].rep
 			}
-			ttft := 0.0
-			if cont.TTFTP99 > 0 {
-				ttft = float64(stat.TTFTP99) / float64(cont.TTFTP99)
-			}
-			fmt.Fprintf(w, "  %-12s %.2fx token goodput, %.2fx lower ttft-p99\n", p, tok, ttft)
 		}
+		tok := 0.0
+		if stat.TokenRate > 0 {
+			tok = cont.TokenRate / stat.TokenRate
+		}
+		ttft := 0.0
+		if cont.TTFTP99 > 0 {
+			ttft = float64(stat.TTFTP99) / float64(cont.TTFTP99)
+		}
+		fmt.Fprintf(w, "  %-12s %.2fx token goodput, %.2fx lower ttft-p99\n", p, tok, ttft)
 	}
 
 	fmt.Fprintln(w, "\nstatic batching runs each decode batch to completion, so arrivals queue")

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"deepplan/internal/cluster"
 	"deepplan/internal/dnn"
@@ -11,7 +10,6 @@ import (
 	"deepplan/internal/metrics"
 	"deepplan/internal/serving"
 	"deepplan/internal/sim"
-	"deepplan/internal/trace"
 	"deepplan/internal/workload"
 )
 
@@ -55,30 +53,15 @@ func serve(cfg cluster.Config, deps []deployment, reqs []workload.Request, warm 
 }
 
 // runServing deploys count instances of one model on one node, warms up,
-// and replays the request sequence. rec and telemetry attach
-// observation-only instrumentation to this one run (both off for plain
-// sweep points).
-func runServing(policy serving.Policy, modelName string, count int, reqs []workload.Request, slo sim.Duration, rec *trace.Recorder, telemetry bool) (*cluster.Cluster, *cluster.Report, error) {
+// and replays the request sequence. telemetry attaches observation-only
+// per-window telemetry to this one run (off for plain sweep points).
+func runServing(policy serving.Policy, modelName string, count int, reqs []workload.Request, slo sim.Duration, telemetry bool) (*cluster.Cluster, *cluster.Report, error) {
 	return serve(cluster.Config{
 		Nodes:     1,
 		Policy:    policy,
 		SLO:       slo,
-		Trace:     rec,
 		Telemetry: telemetry,
 	}, []deployment{{modelName, count}}, reqs, true)
-}
-
-// writeTraceFile exports a recorder as Chrome trace JSON at path.
-func writeTraceFile(path string, rec *trace.Recorder, meta map[string]string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := trace.WriteChrome(f, rec, meta)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
 }
 
 // Figure13 sweeps the number of BERT-Base instances at 100 requests/second
@@ -104,33 +87,24 @@ func Figure13(w io.Writer, opts Options) error {
 			points = append(points, point{pol: pol, conc: conc})
 		}
 	}
-	// The representative configuration for -trace/-telemetry: PT+DHA at the
+	// The representative configuration for -telemetry: PT+DHA at the
 	// sweep's highest concurrency, where eviction and cold-start pressure
-	// peak. Only this point carries a recorder — points run concurrently and
-	// recorders are not shared.
-	tracedIdx := -1
-	var rec *trace.Recorder
-	var windows []metrics.WindowStat // the traced point's, with -telemetry
-	if opts.TracePath != "" || opts.Telemetry {
+	// peak.
+	telIdx := -1
+	var windows []metrics.WindowStat // the telemetry point's
+	if opts.Telemetry {
 		for i := range points {
 			if points[i].pol == serving.PolicyPTDHA &&
 				points[i].conc == concurrencies[len(concurrencies)-1] {
-				tracedIdx = i
+				telIdx = i
 			}
-		}
-		if opts.TracePath != "" {
-			rec = trace.New()
 		}
 	}
 	err := runner.ForEach(opts.Workers, len(points), func(i int) (err error) {
 		p := &points[i]
-		var pr *trace.Recorder
-		if i == tracedIdx {
-			pr = rec
-		}
 		reqs := workload.Poisson(42, 100, requests, p.conc)
-		telemetry := i == tracedIdx && opts.Telemetry
-		c, rep, err := runServing(p.pol, "bert-base", p.conc, reqs, 100*sim.Millisecond, pr, telemetry)
+		telemetry := i == telIdx
+		c, rep, err := runServing(p.pol, "bert-base", p.conc, reqs, 100*sim.Millisecond, telemetry)
 		if err != nil {
 			return err
 		}
@@ -155,20 +129,9 @@ func Figure13(w io.Writer, opts Options) error {
 	fmt.Fprintln(w, "paper: PipeSwitch's p99 blows up from 120 instances; DeepPlan (DHA) holds to 160;")
 	fmt.Fprintln(w, "PT+DHA serves 180 within SLO (1.84x goodput at 180); DeepPlan also fits ~24 more")
 	fmt.Fprintln(w, "instances because embeddings stay in host memory")
-	if tracedIdx >= 0 {
-		p := &points[tracedIdx]
-		if opts.Telemetry {
-			fmt.Fprintf(w, "\nper-window telemetry (pt+dha, %d instances):\n", p.conc)
-			metrics.WriteTelemetry(w, windows)
-		}
-		if opts.TracePath != "" {
-			if err := writeTraceFile(opts.TracePath, rec, map[string]string{
-				"experiment": "fig13", "policy": "pt+dha",
-				"instances": fmt.Sprint(p.conc),
-			}); err != nil {
-				return err
-			}
-		}
+	if telIdx >= 0 {
+		fmt.Fprintf(w, "\nper-window telemetry (pt+dha, %d instances):\n", points[telIdx].conc)
+		metrics.WriteTelemetry(w, windows)
 	}
 	return nil
 }
@@ -213,7 +176,7 @@ func Figure14(w io.Writer, opts Options) error {
 	err := runner.ForEach(opts.Workers, len(points), func(i int) (err error) {
 		p := &points[i]
 		reqs := workload.Poisson(7, p.rate, requests, p.conc)
-		_, p.rep, err = runServing(p.pol, p.model, p.conc, reqs, 100*sim.Millisecond, nil, false)
+		_, p.rep, err = runServing(p.pol, p.model, p.conc, reqs, 100*sim.Millisecond, false)
 		return err
 	})
 	if err != nil {
@@ -269,24 +232,17 @@ func Figure15(w io.Writer, opts Options) error {
 
 	fmt.Fprintf(w, "%-12s %9s %9s %9s %11s %10s\n",
 		"policy", "p50(ms)", "p99(ms)", "goodput", "cold-starts", "worst-min")
-	// -trace/-telemetry observe the PT+DHA replay. Tracing is
-	// observation-only, so attaching the recorder to the real run (rather
-	// than a rerun) leaves the table byte-identical.
-	var rec *trace.Recorder
+	// -telemetry observes the PT+DHA replay. Telemetry is
+	// observation-only, so attaching it to the real run (rather than a
+	// rerun) leaves the table byte-identical.
 	var telStats []metrics.WindowStat
 	for _, pol := range servingPolicies {
-		instrument := pol == serving.PolicyPTDHA
-		var pr *trace.Recorder
-		if instrument && opts.TracePath != "" {
-			pr = trace.New()
-			rec = pr
-		}
+		instrument := pol == serving.PolicyPTDHA && opts.Telemetry
 		c, rep, err := serve(cluster.Config{
 			Nodes:     1,
 			Policy:    pol,
 			SLO:       100 * sim.Millisecond,
-			Trace:     pr,
-			Telemetry: instrument && opts.Telemetry,
+			Telemetry: instrument,
 		}, []deployment{{"bert-base", inst[0]}, {"roberta-base", inst[1]}, {"gpt2", inst[2]}},
 			tr.Requests, true)
 		if err != nil {
@@ -303,7 +259,7 @@ func Figure15(w io.Writer, opts Options) error {
 		}
 		fmt.Fprintf(w, "%-12s %9.1f %9.1f %8.1f%% %11d %8.0fms\n",
 			pol, ms(rep.P50), ms(rep.P99), rep.Goodput*100, rep.ColdStarts, ms(worst))
-		if instrument && opts.Telemetry {
+		if instrument {
 			telStats = windows
 		}
 	}
@@ -312,13 +268,6 @@ func Figure15(w io.Writer, opts Options) error {
 	if opts.Telemetry {
 		fmt.Fprintln(w, "\nper-window telemetry (pt+dha):")
 		metrics.WriteTelemetry(w, telStats)
-	}
-	if opts.TracePath != "" {
-		if err := writeTraceFile(opts.TracePath, rec, map[string]string{
-			"experiment": "fig15", "policy": "pt+dha",
-		}); err != nil {
-			return err
-		}
 	}
 	return nil
 }

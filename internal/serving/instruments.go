@@ -334,11 +334,11 @@ func (srv *Server) deployInstruments(model string) *depInstruments {
 	}
 	for i, class := range [...]string{"cold", "warm"} {
 		d.requests[i] = reg.Counter(monitor.MetricRequests,
-			"Completed requests by serving class.", "class", class, "model", model, "policy", p)
+			"First responses by serving class (the whole answer; the first token in LLM mode).", "class", class, "model", model, "policy", p)
 		d.violations[i] = reg.Counter(monitor.MetricViolations,
-			"Completed requests whose latency exceeded the SLO.", "class", class, "model", model, "policy", p)
+			"First responses whose latency exceeded the SLO (the whole answer; the first token in LLM mode).", "class", class, "model", model, "policy", p)
 		d.latency[i] = reg.Histogram("deepplan_request_latency_seconds",
-			"Request latency (arrival to completion).", monitor.DefaultLatencyBuckets(),
+			"Latency from arrival to first response (the whole answer; the first token in LLM mode).", monitor.DefaultLatencyBuckets(),
 			"class", class, "model", model, "policy", p)
 	}
 	return d
