@@ -215,46 +215,23 @@ func main() {
 		"class", "n", "queue", "p99", "load", "p99", "exec", "p99", "total", "p99")
 	fmt.Printf("%-28s %7s  %8s %8s  %8s %8s  %8s %8s  %8s %8s\n",
 		"", "", "mean(ms)", "(ms)", "mean(ms)", "(ms)", "mean(ms)", "(ms)", "mean(ms)", "(ms)")
-	names := sortedBreakdownKeys(classes)
-	for _, name := range names {
-		b := classes[name]
+	// Sorted keys put cold before warm and each class before its per-model
+	// rows, which indent under it.
+	for _, name := range sortedKeys(classes) {
 		label := name
 		if strings.ContainsRune(name, ' ') {
-			label = "  " + name // per-model rows indent under their class
+			label = "  " + name
 		}
-		fmt.Printf("%-28s %7d  %8.1f %8.1f  %8.1f %8.1f  %8.1f %8.1f  %8.1f %8.1f\n",
-			label, b.total.Count(),
-			ms(b.queue.Mean()), ms(b.queue.P99()),
-			ms(b.load.Mean()), ms(b.load.P99()),
-			ms(b.exec.Mean()), ms(b.exec.P99()),
-			ms(b.total.Mean()), ms(b.total.P99()))
+		printClass(label, classes[name])
 	}
-
-	var verbs []string
-	for v := range instants {
-		if v == "drain" || v == "batch" || v == "cold" || v == "state" {
-			continue // cold starts are the "cold" class; states get their own table
-		}
-		verbs = append(verbs, v)
-	}
-	if len(verbs) > 0 {
-		sort.Strings(verbs)
-		fmt.Printf("\nserving events:")
-		for _, v := range verbs {
-			fmt.Printf(" %s=%d", v, instants[v])
-		}
-		fmt.Println()
-	}
+	printEvents("\nserving events:", instants)
 
 	if len(lifeSpans) > 0 {
 		printLifecycle(lifeSpans, lifeCounts, lastTS)
 	}
 
 	if *byNode {
-		nodeNames := make([]string, 0, len(nodes))
-		for n := range nodes {
-			nodeNames = append(nodeNames, n)
-		}
+		nodeNames := sortedKeys(nodes)
 		// Numeric-aware order: node2 before node10.
 		sort.Slice(nodeNames, func(i, j int) bool {
 			if len(nodeNames[i]) != len(nodeNames[j]) {
@@ -266,37 +243,45 @@ func main() {
 		fmt.Printf("%-28s %7s  %8s %8s  %8s %8s  %8s %8s  %8s %8s\n",
 			"node/class", "n", "queue", "p99", "load", "p99", "exec", "p99", "total", "p99")
 		for _, n := range nodeNames {
-			na := nodes[n]
-			for _, class := range sortedBreakdownKeys(na.classes) {
-				b := na.classes[class]
-				fmt.Printf("%-28s %7d  %8.1f %8.1f  %8.1f %8.1f  %8.1f %8.1f  %8.1f %8.1f\n",
-					n+" "+class, b.total.Count(),
-					ms(b.queue.Mean()), ms(b.queue.P99()),
-					ms(b.load.Mean()), ms(b.load.P99()),
-					ms(b.exec.Mean()), ms(b.exec.P99()),
-					ms(b.total.Mean()), ms(b.total.P99()))
+			for _, class := range sortedKeys(nodes[n].classes) {
+				printClass(n+" "+class, nodes[n].classes[class])
 			}
 		}
 		for _, n := range nodeNames {
-			na := nodes[n]
-			var nv []string
-			for v := range na.instants {
-				if v == "drain" || v == "batch" || v == "cold" || v == "state" {
-					continue
-				}
-				nv = append(nv, v)
-			}
-			if len(nv) == 0 {
-				continue
-			}
-			sort.Strings(nv)
-			fmt.Printf("%s events:", n)
-			for _, v := range nv {
-				fmt.Printf(" %s=%d", v, na.instants[v])
-			}
-			fmt.Println()
+			printEvents(n+" events:", nodes[n].instants)
 		}
 	}
+}
+
+// printClass prints one latency-breakdown row.
+func printClass(label string, b *breakdown) {
+	fmt.Printf("%-28s %7d  %8.1f %8.1f  %8.1f %8.1f  %8.1f %8.1f  %8.1f %8.1f\n",
+		label, b.total.Count(),
+		ms(b.queue.Mean()), ms(b.queue.P99()),
+		ms(b.load.Mean()), ms(b.load.P99()),
+		ms(b.exec.Mean()), ms(b.exec.P99()),
+		ms(b.total.Mean()), ms(b.total.P99()))
+}
+
+// printEvents prints the serving-instant tally by verb on one line after
+// prefix, or nothing if no verb qualifies. Cold starts are the "cold"
+// class, states get their own table, and drains and batches are
+// bookkeeping.
+func printEvents(prefix string, instants map[string]int) {
+	var verbs []string
+	for _, v := range sortedKeys(instants) {
+		if v != "drain" && v != "batch" && v != "cold" && v != "state" {
+			verbs = append(verbs, v)
+		}
+	}
+	if len(verbs) == 0 {
+		return
+	}
+	fmt.Print(prefix)
+	for _, v := range verbs {
+		fmt.Printf(" %s=%d", v, instants[v])
+	}
+	fmt.Println()
 }
 
 // transition is one "state <model>" instant replayed during lifecycle
@@ -314,11 +299,7 @@ type transition struct {
 // cold for the whole run has no lifecycle to report.
 func printLifecycle(spans map[string]map[float64][]transition,
 	counts map[string]map[string]int, lastTS float64) {
-	models := make([]string, 0, len(spans))
-	for m := range spans {
-		models = append(models, m)
-	}
-	sort.Strings(models)
+	models := sortedKeys(spans)
 	fmt.Printf("\nper-model lifecycle (replica-seconds per state):\n")
 	fmt.Printf("%-24s %8s %8s %8s %8s  %8s %6s %6s %8s\n",
 		"model", "replicas", "warm(s)", "sleep(s)", "swap(s)",
@@ -344,18 +325,7 @@ func printLifecycle(spans map[string]map[float64][]transition,
 
 func ms(d sim.Duration) float64 { return d.Seconds() * 1e3 }
 
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// sortedBreakdownKeys orders class rows cold before warm, each class header
-// before its per-model rows.
-func sortedBreakdownKeys(m map[string]*breakdown) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

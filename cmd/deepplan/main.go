@@ -93,7 +93,7 @@ func main() {
 
 	if *showGantt {
 		fmt.Println()
-		if err := gantt.Render(os.Stdout, res, gantt.Options{}); err != nil {
+		if err := gantt.Render(os.Stdout, res); err != nil {
 			fail("%v", err)
 		}
 	}

@@ -332,24 +332,15 @@ type ExecuteOptions struct {
 }
 
 // Execute runs one inference on a fresh simulated server and returns its
-// result. Secondary GPUs for multi-partition plans are selected
-// automatically (one per remote PCIe switch).
+// result. A cold run of a multi-partition plan transmits through the
+// topology's default partners: one GPU on each other PCIe switch, the
+// lowest-ID NVLink peer of the primary there (engine.RunOnce).
 func (p *Platform) Execute(m *Model, pln *Plan, opts ExecuteOptions) (*RunResult, error) {
-	topo := p.build()
-	var secondaries []int
-	if !opts.Warm && pln.NumParts > 1 {
-		var err error
-		secondaries, err = planner.New(topo).SelectGPUs(pln, opts.Primary)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return engine.RunOnce(topo, p.cost, engine.Spec{
+	return engine.RunOnce(p.build(), p.cost, engine.Spec{
 		Model:        m,
 		Plan:         pln,
 		Batch:        opts.Batch,
 		Primary:      opts.Primary,
-		Secondaries:  secondaries,
 		Warm:         opts.Warm,
 		ResidentMask: opts.ResidentMask,
 	})

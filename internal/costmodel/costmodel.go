@@ -23,6 +23,8 @@
 package costmodel
 
 import (
+	"math"
+
 	"deepplan/internal/dnn"
 	"deepplan/internal/sim"
 )
@@ -154,6 +156,17 @@ func (p *Params) DHABytes(l *dnn.Layer, batch int) float64 {
 	default:
 		return float64(l.ParamBytes)
 	}
+}
+
+// PCIeReadEvents converts PCIe traffic into the PCIeRdCur event count the
+// paper reads from Intel PCM to explain the load-vs-DHA trade-off (Table
+// 1): every PCIe read carries one 64-byte cache line, so moving N bytes
+// generates ceil(N/64) events.
+func (p *Params) PCIeReadEvents(bytes float64) uint64 {
+	if bytes <= 0 {
+		return 0
+	}
+	return uint64(math.Ceil(bytes / 64))
 }
 
 // DHAExecNominal returns the end-to-end DHA execution time assuming an

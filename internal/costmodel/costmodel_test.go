@@ -267,3 +267,19 @@ func TestKernelOverheadTable(t *testing.T) {
 		t.Fatal("a copied Params shares its kernel-overhead table")
 	}
 }
+
+func TestPCIeReadEvents(t *testing.T) {
+	cases := []struct {
+		bytes float64
+		want  uint64
+	}{
+		{0, 0}, {-5, 0}, {1, 1}, {64, 1}, {65, 2}, {128, 2},
+		{93763584, 1465056}, // BERT-Base word embedding: paper's ~1,465,112
+	}
+	p := Default()
+	for _, c := range cases {
+		if got := p.PCIeReadEvents(c.bytes); got != c.want {
+			t.Errorf("PCIeReadEvents(%g) = %d, want %d", c.bytes, got, c.want)
+		}
+	}
+}

@@ -2,9 +2,11 @@ package dnn
 
 import "fmt"
 
-// Extended zoo: models beyond the paper's eight, used by the ablation and
-// future-work experiments (§7). They follow the same published
-// architectures as the core zoo.
+// Extended zoo: models beyond the paper's eight, following the same
+// published architectures as the core zoo. Synthetic-13B drives the §7
+// large-model extension (ext-large and examples/futurework); the others
+// are reachable only through ByName (deepplan -model) and the zoo-wide
+// tests.
 
 // ResNet152 returns ResNet-152 (~60 M parameters).
 func ResNet152() *Model { return resnet("ResNet-152", [4]int{3, 8, 36, 3}) }

@@ -54,21 +54,22 @@ func AllModels() []*Model {
 	return out
 }
 
-// EvaluationOrder returns the zoo in the order the paper's figures list the
-// models: ResNet-50, ResNet-101, BERT-Base, BERT-Large, RoBERTa-Base,
-// RoBERTa-Large, GPT-2, GPT-2 Medium.
-func EvaluationOrder() []*Model {
-	order := []string{
+// EvaluationNames returns the canonical names in the order the paper's
+// figures list the models: ResNet-50, ResNet-101, BERT-Base, BERT-Large,
+// RoBERTa-Base, RoBERTa-Large, GPT-2, GPT-2 Medium.
+func EvaluationNames() []string {
+	return []string{
 		"resnet50", "resnet101", "bert-base", "bert-large",
 		"roberta-base", "roberta-large", "gpt2", "gpt2-medium",
 	}
-	out := make([]*Model, 0, len(order))
-	for _, n := range order {
-		m, err := ByName(n)
-		if err != nil {
-			panic(err) // static list; cannot fail
-		}
-		out = append(out, m)
+}
+
+// EvaluationOrder builds the EvaluationNames models in that order.
+func EvaluationOrder() []*Model {
+	names := EvaluationNames()
+	out := make([]*Model, 0, len(names))
+	for _, n := range names {
+		out = append(out, zoo[n]())
 	}
 	return out
 }

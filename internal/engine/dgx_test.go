@@ -31,7 +31,8 @@ func TestThreePartitionPTOnDGX1(t *testing.T) {
 		if p.NumParts != parts {
 			t.Fatalf("requested %d partitions, planned %d", parts, p.NumParts)
 		}
-		secs, err := pl.SelectGPUs(p, 0)
+		topo := topology.DGX1()
+		secs, err := topo.Secondaries(0, p.NumParts-1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +41,6 @@ func TestThreePartitionPTOnDGX1(t *testing.T) {
 		}
 		// All secondaries must be on distinct switches, none sharing the
 		// primary's, and NVLink-connected to it.
-		topo := topology.DGX1()
 		seen := map[int]bool{topo.GPU(0).Switch: true}
 		for _, s := range secs {
 			sw := topo.GPU(s).Switch

@@ -239,7 +239,8 @@ type Spec struct {
 	// Primary is the GPU that executes the inference.
 	Primary int
 	// Secondaries are the GPUs receiving partitions 1..N-1, in order.
-	// Required iff the plan has multiple partitions.
+	// Start requires them iff a cold run's plan has multiple partitions;
+	// RunOnce fills in the topology's default partners when nil.
 	Secondaries []int
 	// Warm skips all loading: Load-method layers are already resident.
 	// DHA-method layers still read host memory — DeepPlan keeps them there
@@ -1044,8 +1045,18 @@ func (e *Engine) StartTask(gpu int, name string, d sim.Duration, onDone func(*Re
 
 // RunOnce builds a fresh simulator+network around the given topology, runs a
 // single inference to completion, and returns its result. The topology must
-// be freshly constructed (its links carry simulation state).
+// be freshly constructed (its links carry simulation state). A cold run of
+// a multi-partition plan with nil Secondaries takes the topology's default
+// partners, topo.Secondaries(spec.Primary, NumParts-1): one GPU on each
+// other PCIe switch.
 func RunOnce(topo *topology.Topology, cost *costmodel.Params, spec Spec) (*Result, error) {
+	if spec.Secondaries == nil && !spec.Warm && spec.Plan != nil && spec.Plan.NumParts > 1 {
+		secs, err := topo.Secondaries(spec.Primary, spec.Plan.NumParts-1)
+		if err != nil {
+			return nil, fmt.Errorf("engine: %w", err)
+		}
+		spec.Secondaries = secs
+	}
 	s := sim.New()
 	e := New(Config{Sim: s, Net: simnet.New(s), Topo: topo, Cost: cost})
 	var res *Result

@@ -2,11 +2,12 @@ package engine
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"deepplan/internal/costmodel"
 	"deepplan/internal/dnn"
-	"deepplan/internal/pcm"
 	"deepplan/internal/plan"
 	"deepplan/internal/planner"
 	"deepplan/internal/profiler"
@@ -287,7 +288,7 @@ func TestPCMCounting(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			secs, err := f.pl.SelectGPUs(p, 0)
+			secs, err := topology.P38xlarge().Secondaries(0, p.NumParts-1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -323,11 +324,42 @@ func TestPCMCounting(t *testing.T) {
 				if (res.BytesDHA > 0) != (host > 0) {
 					t.Errorf("%s/%s warm=%v: DHA bytes %g with %d host-resident bytes", name, mode, warm, res.BytesDHA, host)
 				}
-				if host > 0 && pcm.Events(res.BytesDHA) == 0 {
-					t.Errorf("%s/%s warm=%v: no DHA events counted", name, mode, warm)
-				}
 			}
 		}
+	}
+}
+
+// TestRunOnceDefaultsSecondaries checks RunOnce's partner rule: a cold
+// multi-partition run with nil Secondaries equals one given the topology's
+// Secondaries explicitly, a warm run takes none, and a plan needing more
+// partners than the topology has fails naming the topology.
+func TestRunOnceDefaultsSecondaries(t *testing.T) {
+	f := fix(t, "bert-base")
+	p := f.pl.PlanPTDHA(f.prof, 2)
+	secs, err := topology.P38xlarge().Secondaries(0, p.NumParts-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit := f.run(t, p, secs)
+	implicit := f.run(t, p, nil)
+	if !reflect.DeepEqual(implicit, explicit) {
+		t.Fatalf("defaulted run differs: secondaries %v vs %v, latency %v vs %v",
+			implicit.Secondaries, explicit.Secondaries, implicit.Latency(), explicit.Latency())
+	}
+	warm, err := RunOnce(topology.P38xlarge(), f.cost, Spec{Model: f.model, Plan: p, Warm: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warm.Secondaries) != 0 {
+		t.Fatalf("warm run took secondaries %v", warm.Secondaries)
+	}
+	three := planner.New(topology.DGX1()).PlanPTDHA(f.prof, 3)
+	if three.NumParts != 3 {
+		t.Fatalf("DGX-1 plan has %d partitions, want 3", three.NumParts)
+	}
+	_, err = RunOnce(topology.P38xlarge(), f.cost, Spec{Model: f.model, Plan: three})
+	if err == nil || !strings.Contains(err.Error(), "p3.8xlarge") {
+		t.Fatalf("3-partition run on p3.8xlarge: err = %v, want one naming the topology", err)
 	}
 }
 
@@ -355,7 +387,7 @@ func checkPlacement(t *testing.T, vision bool) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			secs, err := f.pl.SelectGPUs(p, 0)
+			secs, err := topology.P38xlarge().Secondaries(0, p.NumParts-1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"io"
 
+	"deepplan/internal/costmodel"
 	"deepplan/internal/dnn"
 	"deepplan/internal/engine"
+	"deepplan/internal/plan"
 	"deepplan/internal/planner"
 	"deepplan/internal/profiler"
 	"deepplan/internal/sim"
@@ -22,13 +24,9 @@ import (
 // the trade-off that motivated warm-aware pruning (see DESIGN.md).
 func AblatePrune(w io.Writer, _ Options) error {
 	header(w, "Ablation: MinDHAGain pruning threshold (BERT-Base and ResNet-50)")
-	cost := defaultCost()
+	cost := costmodel.Default()
 	for _, name := range []string{"bert-base", "resnet50"} {
-		m, err := dnn.ByName(name)
-		if err != nil {
-			return err
-		}
-		prof, err := profiler.Run(m, cost, topology.P38xlarge(), profiler.Options{})
+		m, prof, err := profile(name)
 		if err != nil {
 			return err
 		}
@@ -72,7 +70,7 @@ func AblatePrune(w io.Writer, _ Options) error {
 // sharing an uplink.
 func AblateParts(w io.Writer, _ Options) error {
 	header(w, "Ablation: parallel-transmission partitions on DGX-1 (8x V100, 4 switches)")
-	cost := defaultCost()
+	cost := costmodel.Default()
 	maxParts := planner.New(topology.DGX1()).MaxPartitions()
 	fmt.Fprintf(w, "(NVLink reach caps partitions at %d on this mesh)\n", maxParts)
 	fmt.Fprintf(w, "%-14s", "model")
@@ -91,16 +89,8 @@ func AblateParts(w io.Writer, _ Options) error {
 		}
 		fmt.Fprintf(w, "%-14s", name)
 		for parts := 1; parts <= maxParts; parts++ {
-			topo := topology.DGX1()
-			pl := planner.New(topo)
-			p := pl.PlanPTDHA(prof, parts)
-			secs, err := pl.SelectGPUs(p, 0)
-			if err != nil {
-				return err
-			}
-			res, err := engine.RunOnce(topo, cost, engine.Spec{
-				Model: m, Plan: p, Primary: 0, Secondaries: secs,
-			})
+			p := planner.New(topology.DGX1()).PlanPTDHA(prof, parts)
+			res, err := engine.RunOnce(topology.DGX1(), cost, engine.Spec{Model: m, Plan: p})
 			if err != nil {
 				return err
 			}
@@ -113,18 +103,16 @@ func AblateParts(w io.Writer, _ Options) error {
 	return nil
 }
 
-// pcieVariant builds a p3.8xlarge-like topology with scaled PCIe links.
-func pcieVariant(name string, scale float64) func() *topology.Topology {
+// p3Variant builds p3.8xlarge-like servers whose PCIe lanes and uplinks
+// run at pcieScale times the preset's and whose NVLinks carry nvlink
+// bytes/s.
+func p3Variant(pcieScale, nvlink float64) func() *topology.Topology {
 	return func() *topology.Topology {
 		t, err := topology.New(topology.Spec{
-			Name: name, GPUName: "V100", NumGPUs: 4,
-			GPUMemoryBytes:    16 * topology.GiB,
-			GPUsPerSwitch:     2,
-			LaneBandwidth:     11.7e9 * scale,
-			UplinkBandwidth:   12.2e9 * scale,
-			NVLinkBandwidth:   22e9,
-			NVLinkAll:         true,
-			PerCopyOverheadNs: 25_000,
+			Name: "p3.8xlarge-variant", GPUName: "V100", NumGPUs: 4,
+			GPUMemoryBytes: 16 * topology.GiB, GPUsPerSwitch: 2,
+			LaneBandwidth: 11.7e9 * pcieScale, UplinkBandwidth: 12.2e9 * pcieScale,
+			NVLinkBandwidth: nvlink, NVLinkAll: true, PerCopyOverheadNs: 25_000,
 		})
 		if err != nil {
 			panic(err)
@@ -137,31 +125,18 @@ func pcieVariant(name string, scale float64) func() *topology.Topology {
 // generations (the paper's §5.4 observes it persists under PCIe 4.0).
 func AblatePCIe(w io.Writer, _ Options) error {
 	header(w, "Ablation: PCIe generation (BERT-Base cold start)")
-	cost := defaultCost()
-	m, err := dnn.ByName("bert-base")
-	if err != nil {
-		return err
-	}
 	fmt.Fprintf(w, "%-10s %12s %12s %12s %12s\n",
 		"PCIe", "pipeswitch", "pt+dha", "speedup", "stall share")
 	for _, gen := range []struct {
 		label string
 		scale float64
 	}{{"gen3", 1}, {"gen4", 1.85}, {"gen5", 3.7}} {
-		build := pcieVariant("pcie-"+gen.label, gen.scale)
-		prof, err := profiler.Run(m, cost, build(), profiler.Options{})
+		build := p3Variant(gen.scale, 22e9)
+		ps, err := coldRun(build, "bert-base", plan.ModePipeSwitch, 1)
 		if err != nil {
 			return err
 		}
-		pl := planner.New(build())
-		psPlan := pl.PlanPipeSwitch(prof)
-		ptPlan := pl.PlanPTDHA(prof, 2)
-		ps, err := engine.RunOnce(build(), cost, engine.Spec{Model: m, Plan: psPlan, Primary: 0})
-		if err != nil {
-			return err
-		}
-		pt, err := engine.RunOnce(build(), cost, engine.Spec{
-			Model: m, Plan: ptPlan, Primary: 0, Secondaries: []int{2}})
+		pt, err := coldRun(build, "bert-base", plan.ModePTDHA, 1)
 		if err != nil {
 			return err
 		}
@@ -179,36 +154,9 @@ func AblatePCIe(w io.Writer, _ Options) error {
 // parallel transmission stops being free.
 func AblateNVLink(w io.Writer, _ Options) error {
 	header(w, "Ablation: NVLink bandwidth (RoBERTa-Large, PT+DHA, 2 partitions)")
-	cost := defaultCost()
-	m, err := dnn.ByName("roberta-large")
-	if err != nil {
-		return err
-	}
-	variant := func(nv float64) func() *topology.Topology {
-		return func() *topology.Topology {
-			t, err := topology.New(topology.Spec{
-				Name: "nvlink-var", GPUName: "V100", NumGPUs: 4,
-				GPUMemoryBytes: 16 * topology.GiB, GPUsPerSwitch: 2,
-				LaneBandwidth: 11.7e9, UplinkBandwidth: 12.2e9,
-				NVLinkBandwidth: nv, NVLinkAll: true, PerCopyOverheadNs: 25_000,
-			})
-			if err != nil {
-				panic(err)
-			}
-			return t
-		}
-	}
 	fmt.Fprintf(w, "%-14s %12s\n", "NVLink GB/s", "pt+dha (ms)")
 	for _, nv := range []float64{6e9, 12e9, 22e9, 44e9, 88e9} {
-		build := variant(nv)
-		prof, err := profiler.Run(m, cost, build(), profiler.Options{})
-		if err != nil {
-			return err
-		}
-		pl := planner.New(build())
-		p := pl.PlanPTDHA(prof, 2)
-		res, err := engine.RunOnce(build(), cost, engine.Spec{
-			Model: m, Plan: p, Primary: 0, Secondaries: []int{2}})
+		res, err := coldRun(p3Variant(1, nv), "roberta-large", plan.ModePTDHA, 1)
 		if err != nil {
 			return err
 		}

@@ -12,11 +12,13 @@ import (
 	"io"
 	"strings"
 
-	"deepplan"
 	"deepplan/internal/costmodel"
 	"deepplan/internal/dnn"
+	"deepplan/internal/engine"
+	"deepplan/internal/plan"
 	"deepplan/internal/planner"
 	"deepplan/internal/profiler"
+	"deepplan/internal/sim"
 	"deepplan/internal/topology"
 )
 
@@ -107,75 +109,39 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// evaluationNames is the canonical-name order matching dnn.EvaluationOrder.
-var evaluationNames = []string{
-	"resnet50", "resnet101", "bert-base", "bert-large",
-	"roberta-base", "roberta-large", "gpt2", "gpt2-medium",
-}
-
 // header prints a titled rule.
 func header(w io.Writer, title string) {
 	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("-", len(title)))
 }
 
-func ms(d deepplan.Duration) float64 { return d.Seconds() * 1e3 }
+func ms(d sim.Duration) float64 { return d.Seconds() * 1e3 }
 
-// profiled caches (profile, planner inputs) per model for the default
-// platform, since most experiments need them.
-type bench struct {
-	platform *deepplan.Platform
-	profiles map[string]*profiler.Profile
-	models   map[string]*dnn.Model
-}
-
-func newBench(platform *deepplan.Platform) *bench {
-	return &bench{
-		platform: platform,
-		profiles: map[string]*profiler.Profile{},
-		models:   map[string]*dnn.Model{},
-	}
-}
-
-func (b *bench) model(name string) *dnn.Model {
-	if m, ok := b.models[name]; ok {
-		return m
-	}
+// profile builds a zoo model and runs its one-time profiling pre-run on a
+// p3.8xlarge at batch 1.
+func profile(name string) (*dnn.Model, *profiler.Profile, error) {
 	m, err := dnn.ByName(name)
 	if err != nil {
-		panic(err) // static names only
+		return nil, nil, err
 	}
-	b.models[name] = m
-	return m
+	prof, err := profiler.Run(m, costmodel.Default(), topology.P38xlarge(), profiler.Options{})
+	return m, prof, err
 }
 
-func (b *bench) profile(name string) *profiler.Profile {
-	if p, ok := b.profiles[name]; ok {
-		return p
-	}
-	p, err := b.platform.Profile(b.model(name), deepplan.ProfileOptions{})
+// coldRun profiles a zoo model at the batch size on build's server, plans
+// it in mode and runs one cold inference on GPU 0.
+func coldRun(build func() *topology.Topology, name string, mode plan.Mode, batch int) (*engine.Result, error) {
+	m, err := dnn.ByName(name)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	b.profiles[name] = p
-	return p
+	cost := costmodel.Default()
+	prof, err := profiler.Run(m, cost, build(), profiler.Options{Batch: batch})
+	if err != nil {
+		return nil, err
+	}
+	p, err := planner.New(build()).Plan(prof, mode)
+	if err != nil {
+		return nil, err
+	}
+	return engine.RunOnce(build(), cost, engine.Spec{Model: m, Plan: p, Batch: batch})
 }
-
-// coldLatency executes one cold inference in the given mode.
-func (b *bench) coldLatency(name string, mode deepplan.Mode) deepplan.Duration {
-	prof := b.profile(name)
-	pln, err := b.platform.Plan(prof, mode)
-	if err != nil {
-		panic(err)
-	}
-	res, err := b.platform.Execute(b.model(name), pln, deepplan.ExecuteOptions{})
-	if err != nil {
-		panic(err)
-	}
-	return res.Latency()
-}
-
-// defaultCost and defaultTopo are shorthands for experiment internals that
-// bypass the facade.
-func defaultCost() *costmodel.Params   { return costmodel.Default() }
-func defaultTopo() *topology.Topology  { return topology.P38xlarge() }
-func defaultPlanner() *planner.Planner { return planner.New(topology.P38xlarge()) }

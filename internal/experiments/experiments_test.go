@@ -6,7 +6,10 @@ import (
 	"strings"
 	"testing"
 
-	"deepplan"
+	"deepplan/internal/dnn"
+	"deepplan/internal/plan"
+	"deepplan/internal/sim"
+	"deepplan/internal/topology"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -66,12 +69,19 @@ func TestAllExperimentsProduceOutput(t *testing.T) {
 // The reproduced Figure 11 must preserve the paper's ordering:
 // PT+DHA >= PT and PT+DHA >= DHA >= PipeSwitch >= 1 for every model.
 func TestFigure11Ordering(t *testing.T) {
-	b := newBench(deepplan.NewP38xlarge())
-	for _, name := range evaluationNames {
-		base := b.coldLatency(name, "baseline")
-		ps := b.coldLatency(name, "pipeswitch")
-		dha := b.coldLatency(name, "dha")
-		ptdha := b.coldLatency(name, "pt+dha")
+	cold := func(name string, mode plan.Mode) sim.Duration {
+		t.Helper()
+		res, err := coldRun(topology.P38xlarge, name, mode, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Latency()
+	}
+	for _, name := range dnn.EvaluationNames() {
+		base := cold(name, plan.ModeBaseline)
+		ps := cold(name, plan.ModePipeSwitch)
+		dha := cold(name, plan.ModeDHA)
+		ptdha := cold(name, plan.ModePTDHA)
 		if !(ptdha <= dha && dha <= ps && ps <= base) {
 			t.Errorf("%s: ordering violated: pt+dha=%v dha=%v ps=%v base=%v",
 				name, ptdha, dha, ps, base)
@@ -82,8 +92,11 @@ func TestFigure11Ordering(t *testing.T) {
 // Figure 6's transmission shapes: parallel beats serial, pipeline beats
 // block-forwarding, and 4 GPUs beat 2 only mildly (uplink contention).
 func TestTransmissionShapes(t *testing.T) {
-	for _, name := range fig6Models {
-		m := newBench(deepplan.NewP38xlarge()).model(name)
+	for _, name := range microModels {
+		m, err := dnn.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		serial := runTransmission(m, "serial", 1).completion
 		p2 := runTransmission(m, "parallel", 2).completion
 		pp2 := runTransmission(m, "parallel-pipeline", 2).completion
@@ -108,8 +121,10 @@ func TestTransmissionShapes(t *testing.T) {
 // Table 2 shape: serial per-lane bandwidth ~9-11.5 GB/s; the 4-GPU
 // parallel-pipeline collapses to ~6 GB/s per lane.
 func TestTable2BandwidthShape(t *testing.T) {
-	b := newBench(deepplan.NewP38xlarge())
-	m := b.model("bert-base")
+	m, err := dnn.ByName("bert-base")
+	if err != nil {
+		t.Fatal(err)
+	}
 	serial := runTransmission(m, "serial", 1).avgLaneBW / 1e9
 	four := runTransmission(m, "parallel-pipeline", 4).avgLaneBW / 1e9
 	if serial < 10 || serial > 12 {

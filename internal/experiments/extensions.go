@@ -5,11 +5,11 @@ import (
 	"io"
 	"math/rand"
 
+	"deepplan/internal/costmodel"
 	"deepplan/internal/dnn"
 	"deepplan/internal/engine"
 	"deepplan/internal/plan"
 	"deepplan/internal/planner"
-	"deepplan/internal/profiler"
 	"deepplan/internal/sim"
 	"deepplan/internal/simnet"
 	"deepplan/internal/stream"
@@ -26,14 +26,9 @@ import (
 // factor). Parallel transmission then halves the streaming window.
 func ExtLargeModel(w io.Writer, _ Options) error {
 	header(w, "Extension (§7): Synthetic-13B (48.5 GiB params) on 16 GiB V100s")
-	topo := defaultTopo()
-	cost := defaultCost()
-	pl := planner.New(topo)
-	m, err := dnn.ByName("synthetic-13b")
-	if err != nil {
-		return err
-	}
-	prof, err := profiler.Run(m, cost, topo, profiler.Options{})
+	cost := costmodel.Default()
+	pl := planner.New(topology.P38xlarge())
+	m, prof, err := profile("synthetic-13b")
 	if err != nil {
 		return err
 	}
@@ -63,51 +58,31 @@ func ExtLargeModel(w io.Writer, _ Options) error {
 		float64(dhaPlan.ResidentBytes(m))/(1<<30))
 
 	// (c) Streaming: overflow layers re-transmitted per inference,
-	// pipelined with execution.
-	strPlan, mask, err := pl.PlanStreaming(prof, budget)
-	if err != nil {
-		return err
-	}
-	strRes, err := engine.RunOnce(topology.P38xlarge(), cost, engine.Spec{
-		Model: m, Plan: strPlan, Primary: 0, ResidentMask: mask,
-	})
-	if err != nil {
-		return err
-	}
-	var residentBytes int64
-	for i, r := range mask {
-		if r {
-			residentBytes += m.Layers[i].ParamBytes
+	// pipelined with execution; (d) the same with parallel transmission
+	// across two switches.
+	for _, row := range []struct {
+		label string
+		p     *plan.Plan
+	}{
+		{"streaming overflow (pipelined)", pl.PlanDHA(prof)},
+		{"streaming + parallel transmission", pl.PlanPTDHA(prof, 2)},
+	} {
+		mask := planner.ResidentSuffix(prof, row.p, budget)
+		res, err := engine.RunOnce(topology.P38xlarge(), cost, engine.Spec{
+			Model: m, Plan: row.p, ResidentMask: mask,
+		})
+		if err != nil {
+			return err
 		}
-	}
-	fmt.Fprintf(w, "%-34s %12.0fms %12.1f %12.1f\n", "streaming overflow (pipelined)",
-		ms(strRes.Latency()), (strRes.BytesLoaded+strRes.BytesDHA)/1e9,
-		float64(residentBytes)/(1<<30))
-
-	// (d) Streaming + parallel transmission across two switches.
-	ptPlan := pl.PlanPTDHA(prof, 2)
-	ptPlan.Mode = "streaming+pt"
-	// Resident suffix must be recomputed against the PT plan's methods.
-	ptMask := make([]bool, len(mask))
-	var used int64
-	for i := len(prof.Layers) - 1; i >= 0; i-- {
-		if ptPlan.Layers[i].Method != plan.Load || prof.Layers[i].ParamBytes == 0 {
-			continue
+		var resident int64
+		for i, r := range mask {
+			if r {
+				resident += m.Layers[i].ParamBytes
+			}
 		}
-		if used+prof.Layers[i].ParamBytes > budget {
-			continue
-		}
-		ptMask[i] = true
-		used += prof.Layers[i].ParamBytes
+		fmt.Fprintf(w, "%-34s %12.0fms %12.1f %12.1f\n", row.label,
+			ms(res.Latency()), (res.BytesLoaded+res.BytesDHA)/1e9, float64(resident)/(1<<30))
 	}
-	ptRes, err := engine.RunOnce(topology.P38xlarge(), cost, engine.Spec{
-		Model: m, Plan: ptPlan, Primary: 0, Secondaries: []int{2}, ResidentMask: ptMask,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-34s %12.0fms %12.1f %12.1f\n", "streaming + parallel transmission",
-		ms(ptRes.Latency()), (ptRes.BytesLoaded+ptRes.BytesDHA)/1e9, float64(used)/(1<<30))
 
 	fmt.Fprintln(w, "\nDHA pays the FC reuse factor (~12x) on every overflow byte each pass;")
 	fmt.Fprintln(w, "streaming pays each byte once and hides it behind compute; PT halves the window")
@@ -135,7 +110,7 @@ func runMoECold(m *dnn.Model, scheme string, seed int64) moeResult {
 	s := sim.New()
 	net := simnet.New(s)
 	topo := topology.P38xlarge()
-	cost := defaultCost()
+	cost := costmodel.Default()
 	load := stream.New(s, "load")
 	exec := stream.New(s, "exec")
 	path := topo.HostToGPUPath(0)

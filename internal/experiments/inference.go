@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"io"
 
-	"deepplan"
+	"deepplan/internal/costmodel"
+	"deepplan/internal/dnn"
 	"deepplan/internal/engine"
 	"deepplan/internal/experiments/runner"
 	"deepplan/internal/plan"
+	"deepplan/internal/planner"
 	"deepplan/internal/sim"
 	"deepplan/internal/simnet"
 	"deepplan/internal/topology"
@@ -17,30 +19,33 @@ import (
 // speedup of PipeSwitch, DeepPlan (DHA), DeepPlan (PT), and DeepPlan
 // (PT+DHA) over the non-pipelined Baseline, batch size 1, cold start.
 func Figure11(w io.Writer, _ Options) error {
-	return speedupFigure(w, deepplan.NewP38xlarge(),
+	return speedupFigure(w, topology.P38xlarge,
 		"Figure 11: single-inference speedup over Baseline (p3.8xlarge, batch 1)")
 }
 
 // Figure16 repeats Figure 11 on the PCIe 4.0 dual-A5000 platform (§5.4).
 func Figure16(w io.Writer, _ Options) error {
-	return speedupFigure(w, deepplan.NewDualA5000(),
+	return speedupFigure(w, topology.DualA5000PCIe4,
 		"Figure 16: single-inference speedup over Baseline (2x RTX A5000, PCIe 4.0)")
 }
 
-func speedupFigure(w io.Writer, platform *deepplan.Platform, title string) error {
+func speedupFigure(w io.Writer, build func() *topology.Topology, title string) error {
 	header(w, title)
-	b := newBench(platform)
 	fmt.Fprintf(w, "%-14s %12s %12s %9s %9s %9s %9s\n",
 		"model", "baseline", "pipeswitch", "PS x", "DHA x", "PT x", "PT+DHA x")
-	for _, name := range evaluationNames {
-		base := b.coldLatency(name, deepplan.ModeBaseline)
-		ps := b.coldLatency(name, deepplan.ModePipeSwitch)
-		dha := b.coldLatency(name, deepplan.ModeDHA)
-		pt := b.coldLatency(name, deepplan.ModePT)
-		ptdha := b.coldLatency(name, deepplan.ModePTDHA)
-		x := func(d deepplan.Duration) float64 { return base.Seconds() / d.Seconds() }
+	modes := []plan.Mode{plan.ModeBaseline, plan.ModePipeSwitch, plan.ModeDHA, plan.ModePT, plan.ModePTDHA}
+	for _, name := range dnn.EvaluationNames() {
+		lat := make([]sim.Duration, len(modes))
+		for i, mode := range modes {
+			res, err := coldRun(build, name, mode, 1)
+			if err != nil {
+				return err
+			}
+			lat[i] = res.Latency()
+		}
+		x := func(d sim.Duration) float64 { return lat[0].Seconds() / d.Seconds() }
 		fmt.Fprintf(w, "%-14s %10.2fms %10.2fms %8.2fx %8.2fx %8.2fx %8.2fx\n",
-			name, ms(base), ms(ps), x(ps), x(dha), x(pt), x(ptdha))
+			name, ms(lat[0]), ms(lat[1]), x(lat[1]), x(lat[2]), x(lat[3]), x(lat[4]))
 	}
 	fmt.Fprintln(w, "\npaper (fig 11): PT+DHA reaches 1.94x over PipeSwitch for BERT-Base and 2.21x for")
 	fmt.Fprintln(w, "RoBERTa-Base; GPT-2 gains come from DHA, not PT; ResNet gains are modest")
@@ -53,14 +58,15 @@ func speedupFigure(w io.Writer, platform *deepplan.Platform, title string) error
 // paper (O = load, X = direct-host-access).
 func Table3(w io.Writer, _ Options) error {
 	header(w, "Table 3: plan excerpts, initial approach vs DeepPlan (O=load, X=direct-host-access)")
-	b := newBench(deepplan.NewP38xlarge())
-	pl := defaultPlanner()
+	pl := planner.New(topology.P38xlarge())
 
 	excerpt := func(name string, lo, hi int) error {
-		prof := b.profile(name)
+		m, prof, err := profile(name)
+		if err != nil {
+			return err
+		}
 		naive := pl.PlanInitialDHA(prof)
 		smart := pl.PlanDHA(prof)
-		m := b.model(name)
 		// Prefer a window of the same width containing a disagreement, so
 		// the table shows where pipeline-awareness changes the decision.
 		width := hi - lo
@@ -120,7 +126,6 @@ func Table3(w io.Writer, _ Options) error {
 // versus two GPUs cold-starting with PT+DHA simultaneously.
 func Table4(w io.Writer, _ Options) error {
 	header(w, "Table 4: inference latency (ms) under parallel-transmission interference")
-	b := newBench(deepplan.NewP38xlarge())
 	paper := map[string][3]float64{
 		"resnet50":      {12.03, 8.93, 11.97},
 		"resnet101":     {19.85, 17.71, 21.19},
@@ -133,21 +138,16 @@ func Table4(w io.Writer, _ Options) error {
 	}
 	fmt.Fprintf(w, "%-14s %14s %11s %11s   %s\n",
 		"model", "PipeSwitch(1)", "PT+DHA(1)", "PT+DHA(2)", "paper PS/1/2")
-	for _, name := range evaluationNames {
-		prof := b.profile(name)
-		psPlan, _ := b.platform.Plan(prof, deepplan.ModePipeSwitch)
-		ptPlan, _ := b.platform.Plan(prof, deepplan.ModePTDHA)
-		model := b.model(name)
-
-		psRes, err := b.platform.Execute(model, psPlan, deepplan.ExecuteOptions{})
+	for _, name := range dnn.EvaluationNames() {
+		psRes, err := coldRun(topology.P38xlarge, name, plan.ModePipeSwitch, 1)
 		if err != nil {
 			return err
 		}
-		solo, err := b.platform.Execute(model, ptPlan, deepplan.ExecuteOptions{})
+		solo, err := coldRun(topology.P38xlarge, name, plan.ModePTDHA, 1)
 		if err != nil {
 			return err
 		}
-		both, err := concurrentPTDHA(model, ptPlan)
+		both, err := concurrentPTDHA(name)
 		if err != nil {
 			return err
 		}
@@ -160,48 +160,56 @@ func Table4(w io.Writer, _ Options) error {
 }
 
 // concurrentPTDHA runs two simultaneous PT+DHA cold-starts on GPUs 0 and 2
-// (each using the other as its secondary) and returns the mean latency.
-func concurrentPTDHA(m *deepplan.Model, p *plan.Plan) (deepplan.Duration, error) {
+// (each with its default partner, the other) and returns the mean latency.
+func concurrentPTDHA(name string) (sim.Duration, error) {
+	m, prof, err := profile(name)
+	if err != nil {
+		return 0, err
+	}
+	p, err := planner.New(topology.P38xlarge()).Plan(prof, plan.ModePTDHA)
+	if err != nil {
+		return 0, err
+	}
 	s := sim.New()
 	topo := topology.P38xlarge()
-	e := engine.New(engine.Config{Sim: s, Net: simnet.New(s), Topo: topo, Cost: defaultCost()})
+	e := engine.New(engine.Config{Sim: s, Net: simnet.New(s), Topo: topo, Cost: costmodel.Default()})
 	// A Result is valid only inside OnDone, so each callback keeps its
 	// latency; zero means the run never reported.
-	var lat0, lat1 deepplan.Duration
-	if err := e.Start(engine.Spec{Model: m, Plan: p, Primary: 0, Secondaries: []int{2},
-		OnDone: func(r *engine.Result) { lat0 = r.Latency() }}); err != nil {
-		return 0, err
-	}
-	if err := e.Start(engine.Spec{Model: m, Plan: p, Primary: 2, Secondaries: []int{0},
-		OnDone: func(r *engine.Result) { lat1 = r.Latency() }}); err != nil {
-		return 0, err
+	var lat [2]sim.Duration
+	for i, primary := range []int{0, 2} {
+		secs, err := topo.Secondaries(primary, p.NumParts-1)
+		if err != nil {
+			return 0, err
+		}
+		if err := e.Start(engine.Spec{Model: m, Plan: p, Primary: primary, Secondaries: secs,
+			OnDone: func(r *engine.Result) { lat[i] = r.Latency() }}); err != nil {
+			return 0, err
+		}
 	}
 	s.Run()
-	if lat0 == 0 || lat1 == 0 {
+	if lat[0] == 0 || lat[1] == 0 {
 		return 0, fmt.Errorf("experiments: concurrent runs incomplete")
 	}
-	return (lat0 + lat1) / 2, nil
+	return (lat[0] + lat[1]) / 2, nil
 }
 
 // Figure12 studies throughput while batching 1-8: batch/latency for the
 // cold-start, normalized to Baseline at batch 1.
 func Figure12(w io.Writer, opts Options) error {
 	header(w, "Figure 12: cold-start throughput vs batch size, normalized to Baseline@1")
-	platform := deepplan.NewP38xlarge()
-	models := []string{"resnet50", "bert-base", "roberta-large", "gpt2-medium"}
-	modes := []deepplan.Mode{deepplan.ModeBaseline, deepplan.ModePipeSwitch, deepplan.ModePTDHA}
+	modes := []plan.Mode{plan.ModeBaseline, plan.ModePipeSwitch, plan.ModePTDHA}
 	batches := []int{1, 2, 4, 8}
 	// Every (model, mode, batch) point is an independent cold-start
 	// simulation; fan out across opts.Workers, then print in sweep order.
 	// Each point loads its own model instance so points share no state.
 	type point struct {
 		model string
-		mode  deepplan.Mode
+		mode  plan.Mode
 		batch int
 		tput  float64
 	}
-	points := make([]point, 0, len(models)*len(modes)*len(batches))
-	for _, name := range models {
+	points := make([]point, 0, len(microModels)*len(modes)*len(batches))
+	for _, name := range microModels {
 		for _, mode := range modes {
 			for _, bs := range batches {
 				points = append(points, point{model: name, mode: mode, batch: bs})
@@ -210,19 +218,7 @@ func Figure12(w io.Writer, opts Options) error {
 	}
 	err := runner.ForEach(opts.Workers, len(points), func(i int) error {
 		p := &points[i]
-		m, err := deepplan.LoadModel(p.model)
-		if err != nil {
-			return err
-		}
-		prof, err := platform.Profile(m, deepplan.ProfileOptions{Batch: p.batch})
-		if err != nil {
-			return err
-		}
-		pln, err := platform.Plan(prof, p.mode)
-		if err != nil {
-			return err
-		}
-		res, err := platform.Execute(m, pln, deepplan.ExecuteOptions{Batch: p.batch})
+		res, err := coldRun(topology.P38xlarge, p.model, p.mode, p.batch)
 		if err != nil {
 			return err
 		}
@@ -233,8 +229,8 @@ func Figure12(w io.Writer, opts Options) error {
 		return err
 	}
 	next := 0
-	for _, name := range models {
-		m, err := deepplan.LoadModel(name)
+	for _, name := range microModels {
+		m, err := dnn.ByName(name)
 		if err != nil {
 			return err
 		}
@@ -249,7 +245,7 @@ func Figure12(w io.Writer, opts Options) error {
 			for _, bs := range batches {
 				p := points[next]
 				next++
-				if mode == deepplan.ModeBaseline && bs == 1 {
+				if mode == plan.ModeBaseline && bs == 1 {
 					baseT1 = p.tput
 				}
 				fmt.Fprintf(w, " %8.2f", p.tput/baseT1)
@@ -273,9 +269,11 @@ func Table5(w io.Writer, _ Options) error {
 	}
 	fmt.Fprintf(w, "%-14s %8s %10s %10s %8s   %s\n",
 		"model", "DHA", "in-memory", "layer-load", "total", "paper DHA/mem/load/total")
-	b := newBench(deepplan.NewP38xlarge())
-	for _, name := range []string{"resnet50", "bert-base", "roberta-large", "gpt2-medium"} {
-		prof := b.profile(name)
+	for _, name := range microModels {
+		_, prof, err := profile(name)
+		if err != nil {
+			return err
+		}
 		c := prof.Cost
 		p := paper[name]
 		fmt.Fprintf(w, "%-14s %8.2f %10.2f %10.2f %8.2f   %.2f / %.2f / %.2f / %.2f\n",

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"deepplan"
+	"deepplan/internal/costmodel"
 	"deepplan/internal/dnn"
-	"deepplan/internal/pcm"
+	"deepplan/internal/plan"
 	"deepplan/internal/sim"
 	"deepplan/internal/simnet"
 	"deepplan/internal/stream"
@@ -18,15 +18,9 @@ import (
 // BERT/RoBERTa and 27-37% for ResNet/GPT.
 func Figure2(w io.Writer, _ Options) error {
 	header(w, "Figure 2: inference latency decomposition under pipelined loading (batch 1)")
-	b := newBench(deepplan.NewP38xlarge())
 	fmt.Fprintf(w, "%-14s %10s %10s %10s %8s\n", "model", "total(ms)", "exec(ms)", "stall(ms)", "stall%")
-	for _, name := range evaluationNames {
-		prof := b.profile(name)
-		pln, err := b.platform.Plan(prof, deepplan.ModePipeSwitch)
-		if err != nil {
-			return err
-		}
-		res, err := b.platform.Execute(b.model(name), pln, deepplan.ExecuteOptions{})
+	for _, name := range dnn.EvaluationNames() {
+		res, err := coldRun(topology.P38xlarge, name, plan.ModePipeSwitch, 1)
 		if err != nil {
 			return err
 		}
@@ -90,8 +84,8 @@ func fig5Layers() []microLayer {
 // Figure5 compares load-then-execute against direct-host-access per layer.
 func Figure5(w io.Writer, _ Options) error {
 	header(w, "Figure 5: layer performance, load-then-execute vs direct-host-access (batch 1)")
-	cost := defaultCost()
-	topo := defaultTopo()
+	cost := costmodel.Default()
+	topo := topology.P38xlarge()
 	bw := topo.LaneBandwidth()
 	overhead := sim.Duration(topo.PerCopyOverheadNanos)
 	fmt.Fprintf(w, "%-26s %10s %10s %12s %12s %8s\n",
@@ -116,12 +110,12 @@ func Figure5(w io.Writer, _ Options) error {
 // layers under both methods, next to the paper's measured counts.
 func Table1(w io.Writer, _ Options) error {
 	header(w, "Table 1: PCIe read events (PCIeRdCur), load vs direct-host-access")
-	cost := defaultCost()
+	cost := costmodel.Default()
 	fmt.Fprintf(w, "%-26s %12s %12s %14s %14s\n",
 		"layer", "load", "DHA", "paper load", "paper DHA")
 	for _, ml := range fig5Layers() {
-		loadEv := pcm.Events(float64(ml.layer.ParamBytes))
-		dhaEv := pcm.Events(cost.DHABytes(ml.layer, 1))
+		loadEv := cost.PCIeReadEvents(float64(ml.layer.ParamBytes))
+		dhaEv := cost.PCIeReadEvents(cost.DHABytes(ml.layer, 1))
 		fmt.Fprintf(w, "%-26s %12d %12d %14d %14d\n",
 			ml.label, loadEv, dhaEv, ml.paperLoadEv, ml.paperDHAEv)
 	}
@@ -151,7 +145,6 @@ func runTransmission(m *dnn.Model, scheme string, gpus int) transmissionResult {
 	s := sim.New()
 	net := simnet.New(s)
 	topo := topology.P38xlarge()
-	cost := defaultCost()
 
 	var gpuIDs []int
 	switch gpus {
@@ -181,7 +174,6 @@ func runTransmission(m *dnn.Model, scheme string, gpus int) transmissionResult {
 
 	overhead := sim.Duration(topo.PerCopyOverheadNanos)
 	nvOverhead := sim.Duration(topo.NVLinkCopyOverheadNanos)
-	_ = cost
 
 	loads := make([]*stream.Stream, k)
 	migs := make([]*stream.Stream, k)
@@ -315,14 +307,16 @@ func runTransmission(m *dnn.Model, scheme string, gpus int) transmissionResult {
 	return res
 }
 
-var fig6Models = []string{"resnet50", "bert-base", "roberta-large", "gpt2-medium"}
+// microModels are the four models Figure 6, Table 2, Figure 12 and Table 5
+// measure.
+var microModels = []string{"resnet50", "bert-base", "roberta-large", "gpt2-medium"}
 
 // Figure6 measures model loading time for the transmission schemes.
 func Figure6(w io.Writer, _ Options) error {
 	header(w, "Figure 6: model loading time, serial vs parallel vs parallel-pipeline")
 	fmt.Fprintf(w, "%-14s %11s %12s %15s %15s %15s\n",
 		"model", "serial(ms)", "parallel(2)", "par-pipe(2)", "parallel(4)", "par-pipe(4)")
-	for _, name := range fig6Models {
+	for _, name := range microModels {
 		m, err := dnn.ByName(name)
 		if err != nil {
 			return err
@@ -351,7 +345,7 @@ func Table2(w io.Writer, _ Options) error {
 		"roberta-large": {10.94, 10.75, 6.01},
 		"gpt2-medium":   {11.52, 11.32, 5.96},
 	}
-	for _, name := range fig6Models {
+	for _, name := range microModels {
 		m, err := dnn.ByName(name)
 		if err != nil {
 			return err

@@ -12,29 +12,19 @@ import (
 	"deepplan/internal/sim"
 )
 
-// Options configures rendering.
-type Options struct {
-	// Width is the chart width in columns (default 100).
-	Width int
-	// MaxRows caps how many layers are drawn; layers are bucketed to fit
-	// (default 40).
-	MaxRows int
-}
+// The chart is width columns wide and draws at most maxRows rows, bucketing
+// consecutive layers to fit.
+const (
+	width   = 100
+	maxRows = 40
+)
 
 // Render writes a three-track Gantt chart of a run: for each displayed
 // layer, its copy window (=), NVLink forward window (~), stall (.) and
 // execution (#), on a shared virtual time axis.
-func Render(w io.Writer, res *engine.Result, opts Options) error {
+func Render(w io.Writer, res *engine.Result) error {
 	if res == nil {
 		return fmt.Errorf("gantt: nil result")
-	}
-	width := opts.Width
-	if width <= 0 {
-		width = 100
-	}
-	maxRows := opts.MaxRows
-	if maxRows <= 0 {
-		maxRows = 40
 	}
 	span := res.Finish.Sub(res.Submitted)
 	if span <= 0 {

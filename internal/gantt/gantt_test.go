@@ -13,7 +13,7 @@ import (
 	"deepplan/internal/topology"
 )
 
-func renderPTDHA(t *testing.T, opts Options) string {
+func renderPTDHA(t *testing.T) string {
 	t.Helper()
 	m, err := dnn.ByName("bert-base")
 	if err != nil {
@@ -32,14 +32,14 @@ func renderPTDHA(t *testing.T, opts Options) string {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Render(&buf, res, opts); err != nil {
+	if err := Render(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
 }
 
 func TestRenderContainsAllTracks(t *testing.T) {
-	out := renderPTDHA(t, Options{})
+	out := renderPTDHA(t)
 	for _, mark := range []string{"=", "~", "#"} {
 		if !strings.Contains(out, mark) {
 			t.Errorf("chart missing %q marks:\n%s", mark, out)
@@ -51,29 +51,30 @@ func TestRenderContainsAllTracks(t *testing.T) {
 }
 
 func TestRenderRespectsWidthAndRows(t *testing.T) {
-	out := renderPTDHA(t, Options{Width: 60, MaxRows: 10})
+	out := renderPTDHA(t)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	bars := 0
 	for _, ln := range lines {
 		if i := strings.IndexByte(ln, '|'); i >= 0 && strings.HasSuffix(ln, "|") {
 			bars++
-			if got := len(ln) - i - 2; got != 60 {
-				t.Fatalf("bar width %d, want 60: %q", got, ln)
+			if got := len(ln) - i - 2; got != width {
+				t.Fatalf("bar width %d, want %d: %q", got, width, ln)
 			}
 		}
 	}
-	// 10 layer rows + axis rule.
-	if bars < 5 || bars > 12 {
-		t.Fatalf("bar rows = %d, want ~11", bars)
+	// BERT-Base's layers are bucketed into more than maxRows/2 and at most
+	// maxRows layer rows, plus the axis rule.
+	if rows := bars - 1; rows <= maxRows/2 || rows > maxRows {
+		t.Fatalf("layer rows = %d, want (%d, %d]", rows, maxRows/2, maxRows)
 	}
 }
 
 func TestRenderNilAndEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Render(&buf, nil, Options{}); err == nil {
+	if err := Render(&buf, nil); err == nil {
 		t.Fatal("nil result accepted")
 	}
-	if err := Render(&buf, &engine.Result{}, Options{}); err == nil {
+	if err := Render(&buf, &engine.Result{}); err == nil {
 		t.Fatal("empty run accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"slices"
 	"testing"
 
 	"deepplan/internal/dnn"
@@ -104,5 +105,60 @@ func TestPlanLargeModelNoOpWhenFits(t *testing.T) {
 	if p.CountDHA() != dha.CountDHA() {
 		t.Errorf("unconstrained large-model plan (%d DHA) differs from PlanDHA (%d)",
 			p.CountDHA(), dha.CountDHA())
+	}
+}
+
+// TestResidentSuffix checks the streaming residency rule on a plan with
+// both methods: only parameterized Load layers are marked, the marked bytes
+// fit the budget, and every eligible layer left unmarked would have
+// overflowed the budget at its turn in the back-to-front fill.
+func TestResidentSuffix(t *testing.T) {
+	pl := New(topology.P38xlarge())
+	m, prof := profile(t, "bert-base")
+	p := pl.PlanPTDHA(prof, 2)
+	if p.CountDHA() == 0 {
+		t.Fatal("PT+DHA plan has no DHA layers to exclude")
+	}
+	budget := m.TotalParamBytes() / 3
+	mask := ResidentSuffix(prof, p, budget)
+	if len(mask) != len(prof.Layers) {
+		t.Fatalf("mask has %d entries for %d layers", len(mask), len(prof.Layers))
+	}
+	var used int64
+	marked, skipped := 0, 0
+	for i := len(mask) - 1; i >= 0; i-- {
+		b := prof.Layers[i].ParamBytes
+		eligible := p.Layers[i].Method == plan.Load && b > 0
+		switch {
+		case mask[i] && !eligible:
+			t.Fatalf("layer %d (%s, %d bytes) marked resident", i, p.Layers[i].Method, b)
+		case mask[i]:
+			used += b
+			marked++
+		case eligible:
+			if used+b <= budget {
+				t.Fatalf("layer %d (%d bytes) left unmarked with %d of %d bytes used",
+					i, b, used, budget)
+			}
+			skipped++
+		}
+	}
+	if used > budget {
+		t.Fatalf("marked %d bytes over budget %d", used, budget)
+	}
+	if marked == 0 || skipped == 0 {
+		t.Fatalf("budget %d marked %d and skipped %d layers; want both", budget, marked, skipped)
+	}
+
+	sp, smask, err := pl.PlanStreaming(prof, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.Mode != "streaming" {
+		t.Fatalf("PlanStreaming mode = %q", sp.Mode)
+	}
+	want := ResidentSuffix(prof, pl.PlanDHA(prof), budget)
+	if !slices.Equal(smask, want) {
+		t.Fatal("PlanStreaming's mask differs from ResidentSuffix over PlanDHA")
 	}
 }

@@ -252,22 +252,28 @@ func (pl *Planner) PlanStreaming(prof *profiler.Profile, residentBudget int64) (
 		return nil, nil, fmt.Errorf("planner: negative resident budget %d", residentBudget)
 	}
 	p := pl.PlanDHA(prof)
+	p.Mode = "streaming"
+	return p, ResidentSuffix(prof, p, residentBudget), nil
+}
+
+// ResidentSuffix is the streaming residency rule: walking from the last
+// layer back, it marks each parameterized Load layer of p resident while
+// the marked bytes stay within budget, skipping any layer that would
+// overflow it. The tail then never stalls, so the per-inference streaming
+// window closes before execution catches up. The mask pairs with
+// engine.Spec.ResidentMask.
+func ResidentSuffix(prof *profiler.Profile, p *plan.Plan, budget int64) []bool {
 	mask := make([]bool, len(prof.Layers))
 	var used int64
-	// Fill residency from the back: the tail then never stalls, so the
-	// per-inference streaming window closes before execution catches up.
 	for i := len(prof.Layers) - 1; i >= 0; i-- {
-		if p.Layers[i].Method != plan.Load || prof.Layers[i].ParamBytes == 0 {
-			continue
-		}
-		if used+prof.Layers[i].ParamBytes > residentBudget {
+		b := prof.Layers[i].ParamBytes
+		if p.Layers[i].Method != plan.Load || b == 0 || used+b > budget {
 			continue
 		}
 		mask[i] = true
-		used += prof.Layers[i].ParamBytes
+		used += b
 	}
-	p.Mode = "streaming"
-	return p, mask, nil
+	return mask
 }
 
 // Predict evaluates a plan's cold-start latency and per-layer stalls under
@@ -426,33 +432,4 @@ func (pl *Planner) partition(prof *profiler.Profile, requested int) ([]int, int)
 		acc += prof.Layers[i].ParamBytes
 	}
 	return parts, numParts
-}
-
-// SelectGPUs picks concrete GPUs for a plan: the primary plus one secondary
-// per extra partition, each on a different PCIe switch and NVLink-connected
-// to the primary. Returns an error if the topology cannot satisfy the plan.
-func (pl *Planner) SelectGPUs(p *plan.Plan, primary int) (secondaries []int, err error) {
-	if pl.topo.GPU(primary) == nil {
-		return nil, fmt.Errorf("planner: no GPU %d in topology %s", primary, pl.topo.Name)
-	}
-	need := p.NumParts - 1
-	if need == 0 {
-		return nil, nil
-	}
-	partners := pl.topo.ParallelPartners(primary)
-	// One secondary per remote switch.
-	seen := map[int]bool{pl.topo.GPU(primary).Switch: true}
-	for _, id := range partners {
-		sw := pl.topo.GPU(id).Switch
-		if seen[sw] {
-			continue
-		}
-		seen[sw] = true
-		secondaries = append(secondaries, id)
-		if len(secondaries) == need {
-			return secondaries, nil
-		}
-	}
-	return nil, fmt.Errorf("planner: plan needs %d secondaries for %q but topology %s offers %d",
-		need, p.ModelName, pl.topo.Name, len(secondaries))
 }

@@ -277,30 +277,6 @@ func TestInitialDHADiffersFromAlgorithm1(t *testing.T) {
 	}
 }
 
-func TestSelectGPUs(t *testing.T) {
-	pl := New(topology.P38xlarge())
-	_, prof := profile(t, "bert-base")
-	p := pl.PlanPTDHA(prof, 2)
-	secs, err := pl.SelectGPUs(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(secs) != 1 {
-		t.Fatalf("secondaries = %v, want one", secs)
-	}
-	topo := topology.P38xlarge()
-	if topo.SameSwitch(0, secs[0]) {
-		t.Fatal("secondary on same switch as primary")
-	}
-	single := pl.PlanDHA(prof)
-	if s, err := pl.SelectGPUs(single, 1); err != nil || s != nil {
-		t.Fatalf("single-partition SelectGPUs = %v, %v", s, err)
-	}
-	if _, err := pl.SelectGPUs(p, 99); err == nil {
-		t.Fatal("bogus primary accepted")
-	}
-}
-
 func TestPredictBaselineSemantics(t *testing.T) {
 	pl := New(topology.P38xlarge())
 	_, prof := profile(t, "bert-base")

@@ -221,6 +221,31 @@ func (t *Topology) ParallelPartners(primary int) []int {
 	return out
 }
 
+// Secondaries picks n parallel-transmission partners for primary: the
+// lowest-ID ParallelPartners GPU on each other PCIe switch, one per switch
+// so no two partitions share an uplink. It returns an error naming the
+// topology if primary does not exist or fewer than n switches qualify.
+func (t *Topology) Secondaries(primary, n int) ([]int, error) {
+	if t.GPU(primary) == nil {
+		return nil, fmt.Errorf("topology: no GPU %d in %s", primary, t.Name)
+	}
+	if n <= 0 {
+		return nil, nil
+	}
+	var out []int
+	seen := map[int]bool{t.GPU(primary).Switch: true}
+	for _, id := range t.ParallelPartners(primary) {
+		if sw := t.GPU(id).Switch; !seen[sw] {
+			seen[sw] = true
+			if out = append(out, id); len(out) == n {
+				return out, nil
+			}
+		}
+	}
+	return nil, fmt.Errorf("topology: GPU %d needs %d parallel-transmission partners but %s offers %d",
+		primary, n, t.Name, len(out))
+}
+
 // Links enumerates every link in the topology in a deterministic order:
 // switch uplinks first, then per-GPU lanes, then NVLinks (by source GPU,
 // then destination ID). Fault injection uses this to resolve link names.

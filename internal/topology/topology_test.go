@@ -1,6 +1,10 @@
 package topology
 
-import "testing"
+import (
+	"slices"
+	"strings"
+	"testing"
+)
 
 func TestP38xlargeShape(t *testing.T) {
 	topo := P38xlarge()
@@ -77,6 +81,37 @@ func TestParallelPartners(t *testing.T) {
 	got = topo.ParallelPartners(3)
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("ParallelPartners(3) = %v, want [0 1]", got)
+	}
+}
+
+// TestSecondaries checks the one parallel-transmission partner rule: the
+// lowest-ID partner on each other PCIe switch, nothing for a single
+// partition, and an error naming the topology when it falls short.
+func TestSecondaries(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		topo       *Topology
+		primary, n int
+		want       []int
+		err        string
+	}{
+		{"one partner", P38xlarge(), 0, 1, []int{2}, ""},
+		{"from switch 1", P38xlarge(), 3, 1, []int{0}, ""},
+		{"single partition", P38xlarge(), 1, 0, nil, ""},
+		{"one per switch", DGX1(), 0, 2, []int{2, 4}, ""},
+		{"too few partners", P38xlarge(), 0, 2, nil, "p3.8xlarge offers 1"},
+		{"bogus primary", P38xlarge(), 99, 1, nil, "no GPU 99 in p3.8xlarge"},
+	} {
+		got, err := c.topo.Secondaries(c.primary, c.n)
+		if c.err != "" {
+			if err == nil || !strings.Contains(err.Error(), c.err) {
+				t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.err)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(got, c.want) {
+			t.Errorf("%s: Secondaries(%d, %d) = %v, %v; want %v", c.name, c.primary, c.n, got, err, c.want)
+		}
 	}
 }
 

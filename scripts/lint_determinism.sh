@@ -17,7 +17,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PKGS="internal/sim internal/simnet internal/engine internal/serving internal/cluster internal/trace internal/metrics internal/topology internal/faults internal/capacity internal/monitor internal/hostmem internal/gpumem internal/registry internal/costmodel internal/dnn internal/forecast internal/profiler internal/planner internal/plan internal/stream internal/pcm cmd/deepplan-capacity"
+PKGS="internal/sim internal/simnet internal/engine internal/serving internal/cluster internal/trace internal/metrics internal/topology internal/faults internal/capacity internal/monitor internal/hostmem internal/gpumem internal/registry internal/costmodel internal/dnn internal/forecast internal/profiler internal/planner internal/plan internal/stream cmd/deepplan-capacity"
 SRC=$(find $PKGS -name '*.go' ! -name '*_test.go')
 fail=0
 
