@@ -33,19 +33,15 @@ func main() {
 	list := flag.Bool("list", false, "list available experiments")
 	quick := flag.Bool("quick", false, "shrink serving experiments for a fast pass")
 	metricsPath := flag.String("metrics", "", "write the representative run's OpenMetrics exposition (fig-slo only)")
-	telemetry := flag.Bool("telemetry", false, "append per-window resource telemetry to fig13/fig15 output")
 	flag.Parse()
 
 	// Check every flag before the first experiment: a flag the experiment
 	// does not read would be silently ignored.
-	if *telemetry && *exp != "fig13" && *exp != "fig15" {
-		usage("-telemetry needs -exp fig13 or -exp fig15")
-	}
 	if *metricsPath != "" && *exp != "fig-slo" {
 		usage("-metrics needs -exp fig-slo")
 	}
 	pool := runtime.GOMAXPROCS(0)
-	opts := experiments.Options{Quick: *quick, Workers: pool, MetricsPath: *metricsPath, Telemetry: *telemetry}
+	opts := experiments.Options{Quick: *quick, Workers: pool, MetricsPath: *metricsPath}
 
 	if *list {
 		for _, e := range experiments.All() {

@@ -45,6 +45,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-exp", "fig11", "-trace", out}, "-trace"},
 		{[]string{"-exp", "all", "-quick", "-trace", out}, "-trace"},
 		{[]string{"-exp", "fig14", "-quick", "-telemetry"}, "-telemetry"},
+		{[]string{"-exp", "fig13", "-quick", "-telemetry"}, "-telemetry"},
 		{[]string{"-exp", "fig13", "-quick", "-metrics", out}, "-metrics"},
 		{[]string{"-exp", "fig99"}, `"fig99"`},
 		// No flag narrows one experiment: each runs its full comparison.

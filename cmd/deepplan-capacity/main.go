@@ -1,10 +1,10 @@
 // deepplan-capacity is the SLO-driven capacity planner: it saturation-
 // searches every cluster configuration in a grid (topology preset x node
-// count x cold-start plan policy x batching x routing x autoscaling) for
-// the maximum request rate it sustains inside the latency SLO, prices each
-// configuration in dollars per hour, and prints the cost-vs-capacity Pareto
-// frontier, the cheapest configuration sustaining -target-rps inside
-// -budget, and the DeepPlan-vs-PipeSwitch capacity gap.
+// count x cold-start plan policy x autoscaling) for the maximum request
+// rate it sustains inside the latency SLO, prices each configuration in
+// dollars per hour, and prints the cost-vs-capacity Pareto frontier, the
+// cheapest configuration sustaining -target-rps inside -budget, and the
+// DeepPlan-vs-PipeSwitch capacity gap.
 //
 // Usage:
 //
@@ -44,6 +44,7 @@ import (
 )
 
 func main() {
+	full := capacity.SearchSpec{}.WithWindow(false)
 	slo := flag.Duration("slo", 300*time.Millisecond, "latency SLO for cold and warm p99")
 	targetRPS := flag.Int("target-rps", 100, "target sustained rate the recommendation must meet (0 disables)")
 	budget := flag.Float64("budget", 0, "max $/hr for the recommendation (0 = unlimited)")
@@ -53,9 +54,9 @@ func main() {
 	seed := flag.Int64("seed", 42, "workload seed")
 	model := flag.String("model", "bert-base", "model deployed on every node")
 	replicas := flag.Int("replicas", 150, "model replicas per node")
-	window := flag.Duration("duration", 6*time.Second, "offered-load window per probe")
-	maxRate := flag.Int("max-rate", 640, "upper bound of the saturation search (rps)")
-	step := flag.Int("step", 20, "saturation search resolution (rps)")
+	window := flag.Duration("duration", time.Duration(full.Duration), "offered-load window per probe")
+	maxRate := flag.Int("max-rate", full.MaxRate, "upper bound of the saturation search (rps)")
+	step := flag.Int("step", full.Step, "saturation search resolution (rps)")
 	autoscale := flag.Bool("autoscale", false, "also search autoscaled variants (replica-second billing)")
 	autoscalePolicy := flag.String("autoscale-policy", "", "with -autoscale: pin the controller to reactive or predictive (empty searches both)")
 	jsonOut := flag.Bool("json", false, "emit the plan as JSON instead of the table")
@@ -74,6 +75,7 @@ func main() {
 		Duration:      sim.Duration(*window),
 		Model:         *model,
 		Replicas:      *replicas,
+		MinRate:       full.MinRate,
 		MaxRate:       *maxRate,
 		Step:          *step,
 		Zoo:           *zoo,
@@ -87,10 +89,7 @@ func main() {
 				usage("-%s has no effect with -quick", f.Name)
 			}
 		})
-		spec.Duration = 2 * sim.Second
-		spec.MinRate = 20
-		spec.MaxRate = 180
-		spec.Step = 40
+		spec = spec.WithWindow(true)
 	}
 	if *targetRPS < 0 {
 		usage("-target-rps must not be negative, got %d", *targetRPS)

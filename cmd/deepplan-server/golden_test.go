@@ -12,7 +12,7 @@ import (
 
 // update rewrites the CLI goldens from the current build:
 //
-//	go test ./cmd/deepplan-server -run TestServerGoldens -update
+//	go test ./cmd/deepplan-server -run 'TestServerGoldens|TestTelemetryGoldens' -update
 var update = flag.Bool("update", false, "rewrite testdata/golden from the current deepplan-server output")
 
 // binary is the deepplan-server build every golden run executes.
@@ -76,28 +76,51 @@ func TestServerGoldens(t *testing.T) {
 	}
 	for _, r := range runs {
 		r := r
-		t.Run(r.name, func(t *testing.T) {
-			args := r.args
-			var out string
-			if r.file != "" {
-				out = filepath.Join(t.TempDir(), "out"+r.file)
-				args = append(append([]string{}, args...), out)
-			}
-			var stdout, stderr bytes.Buffer
-			cmd := exec.Command(binary, args...)
-			cmd.Stdout, cmd.Stderr = &stdout, &stderr
-			if err := cmd.Run(); err != nil {
-				t.Fatalf("deepplan-server %q: %v\n%s", args, err, stderr.String())
-			}
-			checkGolden(t, r.name+".txt", stdout.Bytes())
-			if out != "" {
-				got, err := os.ReadFile(out)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkGolden(t, r.name+r.file, got)
-			}
-		})
+		t.Run(r.name, func(t *testing.T) { runGolden(t, r.name, r.args, r.file) })
+	}
+}
+
+// TestTelemetryGoldens pins the per-window telemetry tables of fig13's
+// densest PT+DHA point and of fig15's PT+DHA replay, both at -quick scale.
+func TestTelemetryGoldens(t *testing.T) {
+	runs := []struct {
+		name string
+		args []string
+	}{
+		{name: "fig13", args: []string{"-instances", "200", "-requests", "300", "-telemetry"}},
+		{name: "fig15", args: []string{"-maf", "-duration", "3m", "-rate", "150", "-seed", "2023",
+			"-mix", "bert-base:48,roberta-base:48,gpt2:12", "-telemetry"}},
+	}
+	for _, r := range runs {
+		r := r
+		t.Run(r.name, func(t *testing.T) { runGolden(t, r.name+"-telemetry", r.args, "") })
+	}
+}
+
+// runGolden runs deepplan-server with args and compares its stdout with
+// testdata/golden/<name>.txt. A non-empty file is the suffix of an output
+// file the run writes: a temporary path is appended as the last argument
+// and the file's bytes are compared with testdata/golden/<name><file>.
+func runGolden(t *testing.T, name string, args []string, file string) {
+	t.Helper()
+	var out string
+	if file != "" {
+		out = filepath.Join(t.TempDir(), "out"+file)
+		args = append(append([]string{}, args...), out)
+	}
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(binary, args...)
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("deepplan-server %q: %v\n%s", args, err, stderr.String())
+	}
+	checkGolden(t, name+".txt", stdout.Bytes())
+	if out != "" {
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, name+file, got)
 	}
 }
 

@@ -6,9 +6,9 @@
 //
 // Three pieces compose:
 //
-//   - a config space (Space): nodes x topology preset x cold-start policy x
-//     batching x routing policy x autoscaling, enumerated as Points in a
-//     fixed grid order;
+//   - a config space (Space): topology preset x nodes x cold-start policy x
+//     autoscaling, enumerated as Points in a fixed grid order (every point
+//     routes least-outstanding without batching);
 //   - a dollar-cost model (Pricing): $/hr per topology preset per node,
 //     prorated by the autoscaler's billed replica-seconds when a point runs
 //     with autoscaling (serverless-style billing);
@@ -85,14 +85,13 @@ func (p Point) coords() Point {
 }
 
 // Space is the cartesian config grid. Zero-length dimensions are invalid;
-// use DefaultSpace for the standard grid.
+// use DefaultSpace for the standard grid. Route and max batch are not grid
+// axes: every point routes least-outstanding with batching off.
 type Space struct {
-	Topologies []string              `json:"topologies"`
-	Nodes      []int                 `json:"nodes"`
-	Policies   []serving.Policy      `json:"policies"`
-	Routes     []cluster.RoutePolicy `json:"routes"`
-	MaxBatches []int                 `json:"max_batches"`
-	Autoscale  []bool                `json:"autoscale"`
+	Topologies []string         `json:"topologies"`
+	Nodes      []int            `json:"nodes"`
+	Policies   []serving.Policy `json:"policies"`
+	Autoscale  []bool           `json:"autoscale"`
 	// AutoscalePolicies expands each autoscaled grid entry into one point
 	// per controller algorithm; empty means reactive only. Non-autoscaled
 	// entries are never expanded (the policy is meaningless there).
@@ -101,24 +100,21 @@ type Space struct {
 
 // DefaultSpace is the grid deepplan-capacity and fig-capacity search by
 // default: both evaluation platforms, one and two nodes, the three
-// competitive plan policies, load-aware routing, no batching, no
-// autoscaling.
+// competitive plan policies, no autoscaling.
 func DefaultSpace() Space {
 	return Space{
 		Topologies: []string{"p3.8xlarge", "dual-a5000-pcie4"},
 		Nodes:      []int{1, 2},
 		Policies:   []serving.Policy{serving.PolicyPipeSwitch, serving.PolicyDHA, serving.PolicyPTDHA},
-		Routes:     []cluster.RoutePolicy{cluster.RouteLeastOutstanding},
-		MaxBatches: []int{1},
 		Autoscale:  []bool{false},
 	}
 }
 
 // Points enumerates the grid in a fixed nesting order (topology, nodes,
-// policy, route, max-batch, autoscale, autoscale-policy) — the order every
-// sweep, table, and byte-identity guarantee is defined over. Autoscale
-// policies only multiply autoscaled entries, so grids without predictive
-// candidates enumerate exactly as before.
+// policy, autoscale, autoscale-policy) — the order every sweep, table, and
+// byte-identity guarantee is defined over. Autoscale policies only
+// multiply autoscaled entries, so grids without predictive candidates
+// enumerate exactly as before.
 func (s Space) Points() []Point {
 	asPolicies := s.AutoscalePolicies
 	if len(asPolicies) == 0 {
@@ -128,27 +124,20 @@ func (s Space) Points() []Point {
 	for _, topo := range s.Topologies {
 		for _, n := range s.Nodes {
 			for _, pol := range s.Policies {
-				for _, rt := range s.Routes {
-					for _, mb := range s.MaxBatches {
-						for _, as := range s.Autoscale {
-							if !as {
-								out = append(out, Point{
-									Topology: topo, Nodes: n, Policy: pol,
-									Route: rt, MaxBatch: mb,
-								})
-								continue
-							}
-							for _, ap := range asPolicies {
-								if ap == cluster.AutoscaleReactive {
-									ap = "" // normalized: reactive is the zero policy
-								}
-								out = append(out, Point{
-									Topology: topo, Nodes: n, Policy: pol,
-									Route: rt, MaxBatch: mb, Autoscale: true,
-									AutoscalePolicy: ap,
-								})
-							}
+				for _, as := range s.Autoscale {
+					pt := Point{Topology: topo, Nodes: n, Policy: pol,
+						Route: cluster.RouteLeastOutstanding, MaxBatch: 1}
+					if !as {
+						out = append(out, pt)
+						continue
+					}
+					pt.Autoscale = true
+					for _, ap := range asPolicies {
+						if ap == cluster.AutoscaleReactive {
+							ap = "" // normalized: reactive is the zero policy
 						}
+						pt.AutoscalePolicy = ap
+						out = append(out, pt)
 					}
 				}
 			}
@@ -267,6 +256,17 @@ func (s SearchSpec) Validate() error {
 	return nil
 }
 
+// WithWindow returns s with the search window deepplan-capacity and
+// fig-capacity share: 6 s probes over 10-640 rps at a 20 rps step, or with
+// quick a smoke pass of 2 s probes over 20-180 rps at a 40 rps step.
+func (s SearchSpec) WithWindow(quick bool) SearchSpec {
+	s.Duration, s.MinRate, s.MaxRate, s.Step = 6*sim.Second, 10, 640, 20
+	if quick {
+		s.Duration, s.MinRate, s.MaxRate, s.Step = 2*sim.Second, 20, 180, 40
+	}
+	return s
+}
+
 func (s SearchSpec) withDefaults() SearchSpec {
 	if s.SLO <= 0 {
 		s.SLO = 300 * sim.Millisecond
@@ -362,16 +362,10 @@ type probe struct {
 
 // evaluate runs one fresh cluster at the probed rate and gates it against
 // the spec: sustained means goodput at target, cold and warm p99 inside
-// the SLO, and nothing shed.
-func evaluate(pt Point, spec SearchSpec, rate int) (probe, error) {
-	p, _, err := evaluateMonitored(pt, spec, rate, nil, nil)
-	return p, err
-}
-
-// evaluateMonitored is evaluate with an optional metrics registry and SLO
-// alert config wired into the cluster (both nil during the search, which
-// keeps probes monitoring-free and cheap).
-func evaluateMonitored(pt Point, spec SearchSpec, rate int, reg *monitor.Registry, alerts *monitor.SLOConfig) (probe, *cluster.Report, error) {
+// the SLO, and nothing shed. reg and alerts wire a metrics registry and SLO
+// alert config into the cluster; the search passes nil for both, which
+// keeps probes monitoring-free and cheap.
+func evaluate(pt Point, spec SearchSpec, rate int, reg *monitor.Registry, alerts *monitor.SLOConfig) (probe, *cluster.Report, error) {
 	newTopo, err := topologyFactory(pt.Topology)
 	if err != nil {
 		return probe{}, nil, err
@@ -476,7 +470,7 @@ func Confirm(r Result, spec SearchSpec) (*Confirmation, error) {
 		rate = spec.MinRate
 	}
 	reg := monitor.New()
-	_, rep, err := evaluateMonitored(r.Point, spec, rate, reg, &monitor.SLOConfig{})
+	_, rep, err := evaluate(r.Point, spec, rate, reg, &monitor.SLOConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -525,30 +519,29 @@ func Saturate(pt Point, spec SearchSpec, pricing Pricing) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("capacity: no price for topology %q", pt.Topology)
 	}
-	cache := map[int]probe{}
+	// Every probed rate is distinct: MinRate, MaxRate and midpoints strictly
+	// between the bracket. best is the probe at the sustained rate (MinRate's
+	// probe, which proved infeasibility, when nothing is sustained).
 	evals := 0
 	eval := func(rate int) (probe, error) {
-		if p, ok := cache[rate]; ok {
-			return p, nil
-		}
-		p, err := evaluate(pt, spec, rate)
-		if err != nil {
-			return probe{}, err
-		}
-		cache[rate] = p
 		evals++
-		return p, nil
+		p, _, err := evaluate(pt, spec, rate, nil, nil)
+		return p, err
 	}
 
 	sustained := 0
-	if p, err := eval(spec.MinRate); err != nil {
+	best, err := eval(spec.MinRate)
+	if err != nil {
 		return Result{}, err
-	} else if p.feasible {
+	}
+	if best.feasible {
 		sustained = spec.MinRate
-		if p, err := eval(spec.MaxRate); err != nil {
+		p, err := eval(spec.MaxRate)
+		if err != nil {
 			return Result{}, err
-		} else if p.feasible {
-			sustained = spec.MaxRate
+		}
+		if p.feasible {
+			sustained, best = spec.MaxRate, p
 		} else {
 			lo, hi := spec.MinRate, spec.MaxRate
 			for hi-lo > spec.Step {
@@ -558,7 +551,7 @@ func Saturate(pt Point, spec SearchSpec, pricing Pricing) (Result, error) {
 					return Result{}, err
 				}
 				if p.feasible {
-					lo = mid
+					lo, best = mid, p
 				} else {
 					hi = mid
 				}
@@ -567,27 +560,20 @@ func Saturate(pt Point, spec SearchSpec, pricing Pricing) (Result, error) {
 		}
 	}
 
-	// Describe the run at the sustained rate (MinRate when unsustainable —
-	// the probe that proved infeasibility).
-	at := sustained
-	if at == 0 {
-		at = spec.MinRate
-	}
-	p := cache[at]
 	r := Result{
 		Point:        pt,
 		SustainedRPS: sustained,
 		Utilization:  1,
-		Goodput:      p.goodput,
-		P99Ms:        p.p99.Seconds() * 1e3,
-		ColdP99Ms:    p.coldP99.Seconds() * 1e3,
-		WarmP99Ms:    p.warmP99.Seconds() * 1e3,
-		ColdStarts:   p.coldStarts,
+		Goodput:      best.goodput,
+		P99Ms:        best.p99.Seconds() * 1e3,
+		ColdP99Ms:    best.coldP99.Seconds() * 1e3,
+		WarmP99Ms:    best.warmP99.Seconds() * 1e3,
+		ColdStarts:   best.coldStarts,
 		Evals:        evals,
 	}
 	r.CostPerHour = price * float64(pt.Nodes)
-	if pt.Autoscale && p.maxSeconds > 0 {
-		r.Utilization = p.activeSeconds / p.maxSeconds
+	if pt.Autoscale && best.maxSeconds > 0 {
+		r.Utilization = best.activeSeconds / best.maxSeconds
 		r.CostPerHour *= r.Utilization
 	}
 	if r.CostPerHour > 0 {

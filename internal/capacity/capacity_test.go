@@ -27,7 +27,7 @@ func testSpec() SearchSpec {
 func TestPointsOrderAndCount(t *testing.T) {
 	s := DefaultSpace()
 	pts := s.Points()
-	want := len(s.Topologies) * len(s.Nodes) * len(s.Policies) * len(s.Routes) * len(s.MaxBatches) * len(s.Autoscale)
+	want := len(s.Topologies) * len(s.Nodes) * len(s.Policies) * len(s.Autoscale)
 	if len(pts) != want {
 		t.Fatalf("Points() = %d points, want %d", len(pts), want)
 	}
@@ -37,6 +37,38 @@ func TestPointsOrderAndCount(t *testing.T) {
 	}
 	if pts[0].Policy != s.Policies[0] || pts[1].Policy != s.Policies[1] {
 		t.Fatalf("policy order not preserved: %v, %v", pts[0].Policy, pts[1].Policy)
+	}
+
+	// Every point, in order: the autoscale axis (autoscaled entries first,
+	// each expanded per controller) varies fastest inside each (topology,
+	// nodes, policy) cell, and no entry inherits the previous one's
+	// autoscaling.
+	autoFirst := DefaultSpace()
+	autoFirst.Autoscale = []bool{true, false}
+	autoFirst.AutoscalePolicies = []cluster.AutoscalePolicy{cluster.AutoscaleReactive, cluster.AutoscalePredictive}
+	for _, tc := range []struct {
+		space Space
+		axis  []Point // the autoscale fields of one cell's points
+	}{
+		{DefaultSpace(), []Point{{}}},
+		{autoFirst, []Point{{Autoscale: true}, {Autoscale: true, AutoscalePolicy: cluster.AutoscalePredictive}, {}}},
+	} {
+		s := tc.space
+		pts := s.Points()
+		if want := len(s.Topologies) * len(s.Nodes) * len(s.Policies) * len(tc.axis); len(pts) != want {
+			t.Fatalf("autoscale %v: Points() = %d points, want %d", s.Autoscale, len(pts), want)
+		}
+		for i, pt := range pts {
+			cell := i / len(tc.axis)
+			want := tc.axis[i%len(tc.axis)]
+			want.Topology = s.Topologies[cell/(len(s.Nodes)*len(s.Policies))]
+			want.Nodes = s.Nodes[cell/len(s.Policies)%len(s.Nodes)]
+			want.Policy = s.Policies[cell%len(s.Policies)]
+			want.Route, want.MaxBatch = cluster.RouteLeastOutstanding, 1
+			if pt != want {
+				t.Errorf("autoscale %v: point %d = %+v, want %+v", s.Autoscale, i, pt, want)
+			}
+		}
 	}
 }
 
@@ -144,8 +176,6 @@ func TestDeepPlanBeatsPipeSwitch(t *testing.T) {
 		Topologies: []string{"p3.8xlarge"},
 		Nodes:      []int{1},
 		Policies:   []serving.Policy{serving.PolicyPipeSwitch, serving.PolicyPTDHA},
-		Routes:     []cluster.RoutePolicy{cluster.RouteLeastOutstanding},
-		MaxBatches: []int{1},
 		Autoscale:  []bool{false},
 	}
 	spec := SearchSpec{
@@ -287,8 +317,6 @@ func TestPointsAutoscalePolicyAxis(t *testing.T) {
 		Topologies:        []string{"p3.8xlarge"},
 		Nodes:             []int{1},
 		Policies:          []serving.Policy{serving.PolicyDHA},
-		Routes:            []cluster.RoutePolicy{cluster.RouteLeastOutstanding},
-		MaxBatches:        []int{1},
 		Autoscale:         []bool{false, true},
 		AutoscalePolicies: []cluster.AutoscalePolicy{cluster.AutoscaleReactive, cluster.AutoscalePredictive},
 	}

@@ -236,20 +236,15 @@ type Request struct {
 }
 
 type modelState struct {
-	name     string
-	replicas int // deployed per node (the scale ceiling)
-	active   int // replicas currently receiving traffic
-	base     int // node-local instance index of replica 0 (same on every node)
+	name   string
+	active int // replicas currently receiving traffic
 	// zoo marks a shape deployed via DeployZoo: each replica is a distinct
-	// tenant's variant, so the autoscaler must not consolidate them (a
-	// tenant's request can never be served by another tenant's weights —
-	// the host cache, not the active-replica count, is the elastic
-	// resource) and routing addresses replicas through insts.
+	// tenant's variant (a tenant's request can never be served by another
+	// tenant's weights), so Requests refuses to address it by instance.
 	zoo bool
-	// insts maps replica -> node-local instance index for zoo shapes,
-	// whose instances are interleaved with other shapes' in deploy order
-	// (same table on every node). Nil for Deploy'd models (contiguous from
-	// base).
+	// insts maps replica -> node-local instance index, the same table on
+	// every node; its length is the model's scale ceiling. A zoo shape's
+	// instances interleave with other shapes' in deploy order.
 	insts []int
 	// winArrivals counts this window's arrivals for the autoscaler.
 	winArrivals int
@@ -443,24 +438,15 @@ func (c *Cluster) Deploy(model *dnn.Model, replicas int) error {
 	if _, ok := c.models[model.Name]; ok {
 		return fmt.Errorf("cluster: model %q already deployed", model.Name)
 	}
-	base := c.nodes[0].srv.NumInstances()
-	for _, n := range c.nodes {
-		if err := n.srv.Deploy(model, replicas); err != nil {
-			return fmt.Errorf("cluster: node %d: %w", n.id, err)
+	m := c.addModel(model.Name, false)
+	for r := 0; r < replicas; r++ {
+		if err := c.addReplica(m, model, 0); err != nil {
+			return err
 		}
 	}
-	active := replicas
+	m.active = replicas
 	if c.cfg.Autoscale.Enabled {
-		active = minReplicas
-		if active > replicas {
-			active = replicas
-		}
-	}
-	m := &modelState{
-		name: model.Name, replicas: replicas, active: active, base: base,
-		lastChange: c.sim.Now(),
-		activeG: c.mon.Gauge("deepplan_active_replicas",
-			"Replicas receiving traffic (autoscaler output).", "model", model.Name),
+		m.active = min(minReplicas, replicas)
 	}
 	if c.cfg.Autoscale.Enabled && c.cfg.Autoscale.Policy == AutoscalePredictive {
 		// One bucket per controller interval: the forecaster's resolution
@@ -475,9 +461,39 @@ func (c *Cluster) Deploy(model *dnn.Model, replicas int) error {
 			"Forecast arrival rate (requests/second), set at each predictive autoscaler tick.",
 			"model", model.Name)
 	}
-	m.activeG.Set(float64(active))
-	c.models[model.Name] = m
-	c.order = append(c.order, model.Name)
+	m.activeG.Set(float64(m.active))
+	return nil
+}
+
+// addModel registers an empty model: its state, its active-replica gauge
+// and its place in the deployment order.
+func (c *Cluster) addModel(name string, zoo bool) *modelState {
+	m := &modelState{
+		name: name, zoo: zoo, lastChange: c.sim.Now(),
+		activeG: c.mon.Gauge("deepplan_active_replicas",
+			"Replicas receiving traffic (autoscaler output).", "model", name),
+	}
+	c.models[name] = m
+	c.order = append(c.order, name)
+	return m
+}
+
+// addReplica deploys one more instance of model on every node, in node
+// order, and appends its id — which every node must agree on — to m's
+// instance table.
+func (c *Cluster) addReplica(m *modelState, model *dnn.Model, popularity float64) error {
+	id := -1
+	for _, n := range c.nodes {
+		got, err := n.srv.DeployVariant(model, popularity)
+		if err != nil {
+			return fmt.Errorf("cluster: node %d: deploying %s replica %d: %w", n.id, m.name, len(m.insts), err)
+		}
+		if id >= 0 && got != id {
+			return fmt.Errorf("cluster: instance ids diverged across nodes at %s replica %d", m.name, len(m.insts))
+		}
+		id = got
+	}
+	m.insts = append(m.insts, id)
 	return nil
 }
 
@@ -507,32 +523,16 @@ func (c *Cluster) DeployZoo(z *registry.Zoo) error {
 		shape := v.Model.Name
 		m := c.models[shape]
 		if m == nil {
-			m = &modelState{
-				name: shape, zoo: true, lastChange: c.sim.Now(),
-				activeG: c.mon.Gauge("deepplan_active_replicas",
-					"Replicas receiving traffic (autoscaler output).", "model", shape),
-			}
-			c.models[shape] = m
-			c.order = append(c.order, shape)
+			m = c.addModel(shape, true)
 		} else if !m.zoo {
 			return fmt.Errorf("cluster: model %q already deployed", shape)
 		}
 		if v.Ordinal != len(m.insts) {
 			return fmt.Errorf("cluster: zoo variant %s out of ordinal order", v.Name)
 		}
-		id := -1
-		for _, n := range c.nodes {
-			got, err := n.srv.DeployVariant(v.Model, v.Popularity)
-			if err != nil {
-				return fmt.Errorf("cluster: node %d: deploying %s: %w", n.id, v.Name, err)
-			}
-			if id >= 0 && got != id {
-				return fmt.Errorf("cluster: zoo instance ids diverged across nodes at %s", v.Name)
-			}
-			id = got
+		if err := c.addReplica(m, v.Model, v.Popularity); err != nil {
+			return err
 		}
-		m.insts = append(m.insts, id)
-		m.replicas++
 		m.active++
 		m.activeG.Set(float64(m.active))
 	}
@@ -552,49 +552,39 @@ func ZooRequests(z *registry.Zoo, reqs []workload.Request) []Request {
 }
 
 // Requests maps a workload addressed by node-local instance index onto
-// cluster arrivals. Deploy numbers every node's instances the same way:
-// each model a contiguous block, in deploy order. An arrival goes to the
-// model whose block holds its instance, keyed by the instance's offset in
-// that block, with its token counts copied. An instance outside every
-// block, or one that belongs to a zoo shape (zoo traffic is addressed by
-// variant through ZooRequests), is an error naming the arrival.
+// cluster arrivals. Every node numbers its instances the same way, in
+// deploy order. An arrival goes to the model that owns its instance, keyed
+// by the instance's replica index, with its token counts copied. An
+// instance no model owns, or one that belongs to a zoo shape (zoo traffic
+// is addressed by variant through ZooRequests), is an error naming the
+// arrival.
 func (c *Cluster) Requests(reqs []workload.Request) ([]Request, error) {
-	var blocks []*modelState
+	type owner struct {
+		m       *modelState
+		replica int
+	}
+	owners := make([]owner, c.nodes[0].srv.NumInstances())
 	for _, name := range c.order {
-		if m := c.models[name]; !m.zoo {
-			blocks = append(blocks, m)
+		m := c.models[name]
+		for r, id := range m.insts {
+			owners[id] = owner{m, r}
 		}
 	}
 	out := make([]Request, len(reqs))
 	for i, r := range reqs {
-		var m *modelState
-		for _, b := range blocks {
-			if r.Instance >= b.base && r.Instance < b.base+b.replicas {
-				m = b
-				break
-			}
+		if r.Instance < 0 || r.Instance >= len(owners) {
+			return nil, fmt.Errorf("cluster: arrival %d (instance %d at %v): out of range: %d instances deployed per node",
+				i, r.Instance, r.At, len(owners))
 		}
-		if m == nil {
-			return nil, fmt.Errorf("cluster: arrival %d (instance %d at %v): %s", i, r.Instance, r.At, c.unaddressable(r.Instance))
+		o := owners[r.Instance]
+		if o.m.zoo {
+			return nil, fmt.Errorf("cluster: arrival %d (instance %d at %v): zoo shape %s replica %d is addressed by variant (ZooRequests)",
+				i, r.Instance, r.At, o.m.name, o.replica)
 		}
-		out[i] = Request{At: r.At, Model: m.name, Key: r.Instance - m.base,
+		out[i] = Request{At: r.At, Model: o.m.name, Key: o.replica,
 			PromptTokens: r.PromptTokens, OutputTokens: r.OutputTokens}
 	}
 	return out, nil
-}
-
-// unaddressable says why Requests cannot address instance: it is a zoo
-// tenant, or no instance has that index.
-func (c *Cluster) unaddressable(instance int) string {
-	for _, name := range c.order {
-		m := c.models[name]
-		for r, id := range m.insts {
-			if id == instance {
-				return fmt.Sprintf("zoo shape %s replica %d is addressed by variant (ZooRequests)", m.name, r)
-			}
-		}
-	}
-	return fmt.Sprintf("out of range: %d instances deployed per node", c.nodes[0].srv.NumInstances())
 }
 
 // Warmup pre-places instances on every node, mirroring the single-node
@@ -628,6 +618,26 @@ func rendezvous(model string, replica, node int) uint64 {
 	mix(uint64(replica))
 	mix(uint64(node))
 	return h
+}
+
+// homes ranks the live nodes by rendezvous score for (m, replica) and
+// returns the top two; either is nil when fewer nodes are up.
+func (c *Cluster) homes(m *modelState, replica int) (best, second *node) {
+	var bestScore, secondScore uint64
+	for _, n := range c.nodes {
+		if n.down() {
+			continue
+		}
+		s := rendezvous(m.name, replica, n.id)
+		switch {
+		case best == nil || s > bestScore:
+			second, secondScore = best, bestScore
+			best, bestScore = n, s
+		case second == nil || s > secondScore:
+			second, secondScore = n, s
+		}
+	}
+	return best, second
 }
 
 // route picks the serving node for one request under the configured policy.
@@ -664,29 +674,9 @@ func (c *Cluster) route(m *modelState, replica int) *node {
 		// load, so the spill only happens when it does not give up a warm
 		// (or already-loading) copy of this replica — and conversely, when
 		// only the spill target is warm, it wins outright.
-		var best, second *node
-		var bestScore, secondScore uint64
-		for _, n := range c.nodes {
-			if n.down() {
-				continue
-			}
-			s := rendezvous(m.name, replica, n.id)
-			switch {
-			case best == nil || s > bestScore:
-				second, secondScore = best, bestScore
-				best, bestScore = n, s
-			case second == nil || s > secondScore:
-				second, secondScore = n, s
-			}
-		}
-		if best == nil {
-			return nil
-		}
+		best, second := c.homes(m, replica)
 		if second != nil {
-			id := m.base + replica
-			if m.zoo {
-				id = m.insts[replica]
-			}
+			id := m.insts[replica]
 			bestWarm := best.srv.Instances()[id].State() == serving.Warm
 			secondWarm := second.srv.Instances()[id].State() == serving.Warm
 			switch {
@@ -734,15 +724,13 @@ func (c *Cluster) handle(req Request) error {
 	}
 	c.routed[n.id]++
 	c.routedC[n.id].Inc()
-	instance := m.base + replica
-	if m.zoo {
-		instance = m.insts[replica] // tenant identity: never remap across variants
-	}
-	return n.srv.Submit(workload.Request{At: req.At, Instance: instance,
+	return n.srv.Submit(workload.Request{At: req.At, Instance: m.insts[replica],
 		PromptTokens: req.PromptTokens, OutputTokens: req.OutputTokens})
 }
 
-// scaleTick runs one autoscaler decision from the window's telemetry.
+// scaleTick runs one autoscaler decision: it computes the window's
+// cluster signals, then steps every model toward the configured policy's
+// target, accounts the change and resets the model's window.
 func (c *Cluster) scaleTick() {
 	coldNow := 0
 	for _, n := range c.nodes {
@@ -756,37 +744,25 @@ func (c *Cluster) scaleTick() {
 		perNodeDepth = float64(c.winQueueSum) / float64(c.winArrivals) / float64(len(c.nodes))
 		coldRatio = float64(coldDelta) / float64(c.winArrivals)
 	}
-	if c.cfg.Autoscale.Policy == AutoscalePredictive {
-		c.predictiveTick(perNodeDepth, coldRatio)
-		return
-	}
+	predictive := c.cfg.Autoscale.Policy == AutoscalePredictive
+	now := c.sim.Now()
 	for _, name := range c.order {
 		m := c.models[name]
-		m.accrue(c.sim.Now())
-		if m.zoo {
-			// Zoo replicas are distinct tenants: consolidating them would
-			// route one tenant's traffic to another's weights. The pinned
-			// host cache is the zoo's elastic resource, not replica count.
-			m.winArrivals = 0
-			continue
-		}
+		m.accrue(now)
 		before := m.active
-		switch {
-		case m.winArrivals == 0:
-			// Idle window: drain toward the floor.
-			if m.active > minReplicas {
-				m.active--
-			}
-		case perNodeDepth > queueHigh && m.active < m.replicas:
-			// Queue pressure: spread the model wider.
-			m.active++
-		case perNodeDepth < queueLow && coldRatio > coldHigh && m.active > minReplicas:
-			// Quiet but cold-heavy: consolidate to restore residency.
-			m.active--
+		var peak float64
+		if predictive {
+			peak = c.predictiveStep(m, perNodeDepth)
+		} else {
+			reactiveStep(m, perNodeDepth, coldRatio)
 		}
 		c.noteScale(m, before, func() map[string]any {
-			return map[string]any{"model": m.name, "active": m.active,
+			args := map[string]any{"model": m.name, "active": m.active,
 				"queue_per_node": perNodeDepth, "cold_ratio": coldRatio}
+			if predictive {
+				args["forecast_peak"] = peak
+			}
+			return args
 		})
 		m.winArrivals = 0
 	}
@@ -794,85 +770,84 @@ func (c *Cluster) scaleTick() {
 	c.winQueueSum = 0
 }
 
-// predictiveTick runs one predictive autoscaler decision: each model's
-// forecaster projects the peak arrival rate over the configured horizon,
-// the target replica count is sized from the per-replica service rate at
-// TargetUtil utilization, and the delta is actuated through the lifecycle
-// — new replicas are *prewarmed* (DHA load starts now, before the spike)
-// and demoted replicas are put to *sleep* on every node (GPU memory
+// reactiveStep moves m's active replicas one step on the last window's
+// telemetry.
+func reactiveStep(m *modelState, perNodeDepth, coldRatio float64) {
+	switch {
+	case m.winArrivals == 0:
+		// Idle window: drain toward the floor.
+		if m.active > minReplicas {
+			m.active--
+		}
+	case perNodeDepth > queueHigh && m.active < len(m.insts):
+		// Queue pressure: spread the model wider.
+		m.active++
+	case perNodeDepth < queueLow && coldRatio > coldHigh && m.active > minReplicas:
+		// Quiet but cold-heavy: consolidate to restore residency.
+		m.active--
+	}
+}
+
+// predictiveStep sizes m from its forecaster, which projects the peak
+// arrival rate over the configured horizon: the target replica count keeps
+// each replica at TargetUtil utilization. The delta is actuated through the
+// lifecycle — new replicas are *prewarmed* (DHA load starts now, before the
+// spike) and demoted replicas are put to *sleep* on every node (GPU memory
 // released, host copy kept) instead of being left to LRU eviction.
 // perNodeDepth keeps the reactive queue signal as a safety valve against
-// misprediction; coldRatio rides along for the trace.
-func (c *Cluster) predictiveTick(perNodeDepth, coldRatio float64) {
+// misprediction. It returns the forecast peak for the scale instant.
+func (c *Cluster) predictiveStep(m *modelState, perNodeDepth float64) float64 {
 	as := c.cfg.Autoscale
 	now := c.sim.Now()
-	for _, name := range c.order {
-		m := c.models[name]
-		m.accrue(now)
-		if m.fc == nil {
-			m.winArrivals = 0
-			continue
-		}
-		pred := m.fc.Forecast(now, as.Horizon)
-		m.rateG.Set(pred.Rate)
-		if c.rec != nil {
-			c.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "cluster",
-				"forecast "+m.name, now, map[string]any{
-					"model": m.name, "rate": pred.Rate, "peak": pred.Peak,
-					"period_s": pred.Period.Seconds(), "score": pred.Score,
-				})
-		}
-		// Replicas needed so the predicted peak keeps each at TargetUtil.
-		perReplica := as.TargetUtil / m.execEst.Seconds()
-		target := int(math.Ceil(pred.Peak / perReplica))
-		if perNodeDepth > queueHigh && target <= m.active && m.active < m.replicas {
-			target = m.active + 1 // reactive safety valve: the forecast missed live queue pressure
-		}
-		if target < minReplicas {
-			target = minReplicas
-		}
-		if target > m.replicas {
-			target = m.replicas
-		}
-		if target < m.active && perNodeDepth >= queueLow {
-			// The arrival forecast says "quiet", but a backlog from the
-			// last burst is still draining; shedding capacity now would
-			// concentrate the queue on the survivors. Hold width until the
-			// queue signal is actually quiet.
-			target = m.active
-		} else if target < m.active && pred.Period == 0 {
-			// No detected periodicity means the forecast cannot promise the
-			// lull will last; demote one replica per tick (reactive-style)
-			// instead of sleeping the whole surplus on a low-confidence
-			// prediction.
-			target = m.active - 1
-		}
-		before := m.active
-		if target > m.active {
-			for r := m.active; r < target; r++ {
-				if n := c.prewarmNode(m, r); n != nil {
-					n.srv.PrewarmInstance(m.base + r)
-				}
-			}
-		} else if target < m.active {
-			// Demote the replicas leaving the active set wherever they are
-			// resident; SleepInstance is a no-op on nodes where the replica
-			// is not idle-warm.
-			for r := target; r < m.active; r++ {
-				for _, n := range c.nodes {
-					n.srv.SleepInstance(m.base + r)
-				}
-			}
-		}
-		m.active = target
-		c.noteScale(m, before, func() map[string]any {
-			return map[string]any{"model": m.name, "active": m.active,
-				"queue_per_node": perNodeDepth, "cold_ratio": coldRatio, "forecast_peak": pred.Peak}
-		})
-		m.winArrivals = 0
+	pred := m.fc.Forecast(now, as.Horizon)
+	m.rateG.Set(pred.Rate)
+	if c.rec != nil {
+		c.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "cluster",
+			"forecast "+m.name, now, map[string]any{
+				"model": m.name, "rate": pred.Rate, "peak": pred.Peak,
+				"period_s": pred.Period.Seconds(), "score": pred.Score,
+			})
 	}
-	c.winArrivals = 0
-	c.winQueueSum = 0
+	// Replicas needed so the predicted peak keeps each at TargetUtil.
+	perReplica := as.TargetUtil / m.execEst.Seconds()
+	target := int(math.Ceil(pred.Peak / perReplica))
+	if perNodeDepth > queueHigh && target <= m.active && m.active < len(m.insts) {
+		target = m.active + 1 // reactive safety valve: the forecast missed live queue pressure
+	}
+	if target < minReplicas {
+		target = minReplicas
+	}
+	if target > len(m.insts) {
+		target = len(m.insts)
+	}
+	if target < m.active && perNodeDepth >= queueLow {
+		// The arrival forecast says "quiet", but a backlog from the
+		// last burst is still draining; shedding capacity now would
+		// concentrate the queue on the survivors. Hold width until the
+		// queue signal is actually quiet.
+		target = m.active
+	} else if target < m.active && pred.Period == 0 {
+		// No detected periodicity means the forecast cannot promise the
+		// lull will last; demote one replica per tick (reactive-style)
+		// instead of sleeping the whole surplus on a low-confidence
+		// prediction.
+		target = m.active - 1
+	}
+	for r := m.active; r < target; r++ {
+		if n := c.prewarmNode(m, r); n != nil {
+			n.srv.PrewarmInstance(m.insts[r])
+		}
+	}
+	// Demote the replicas leaving the active set wherever they are
+	// resident; SleepInstance is a no-op on nodes where the replica is not
+	// idle-warm.
+	for r := target; r < m.active; r++ {
+		for _, n := range c.nodes {
+			n.srv.SleepInstance(m.insts[r])
+		}
+	}
+	m.active = target
+	return pred.Peak
 }
 
 // noteScale accounts a tick's change of m's active replicas from before:
@@ -903,16 +878,7 @@ func (c *Cluster) noteScale(m *modelState, before int, args func() map[string]an
 // is down.
 func (c *Cluster) prewarmNode(m *modelState, replica int) *node {
 	if c.cfg.Route == RouteAffinity {
-		var best *node
-		var bestScore uint64
-		for _, n := range c.nodes {
-			if n.down() {
-				continue
-			}
-			if s := rendezvous(m.name, replica, n.id); best == nil || s > bestScore {
-				best, bestScore = n, s
-			}
-		}
+		best, _ := c.homes(m, replica)
 		return best
 	}
 	for try := 0; try < len(c.nodes); try++ {
@@ -953,10 +919,15 @@ func (c *Cluster) Run(requests []Request) (*Report, error) {
 	if len(requests) > 0 {
 		horizon = requests[len(requests)-1].At
 	}
-	if c.cfg.Autoscale.Enabled && horizon > 0 {
-		for t := sim.Time(0).Add(c.cfg.Autoscale.Interval); t <= horizon; t = t.Add(c.cfg.Autoscale.Interval) {
-			c.sim.At(t, c.scaleTick)
+	// every schedules fn at each multiple of interval through the horizon,
+	// skew after the nominal instant.
+	every := func(interval, skew sim.Duration, fn func()) {
+		for t := sim.Time(0).Add(interval); t <= horizon; t = t.Add(interval) {
+			c.sim.At(t.Add(skew), fn)
 		}
+	}
+	if c.cfg.Autoscale.Enabled {
+		every(c.cfg.Autoscale.Interval, 0, c.scaleTick)
 	}
 	// Monitoring ticks are ordinary router events scheduled up front at
 	// fixed instants, which is what makes alerts and interval exports
@@ -978,14 +949,10 @@ func (c *Cluster) Run(requests []Request) (*Report, error) {
 			acfg.AlertLatency = c.cfg.SLO * 4 / 5
 		}
 		c.slo = monitor.NewSLO(c.mon, c.rec, acfg, horizon.Sub(0))
-		for t := sim.Time(0).Add(c.slo.Interval()); t <= horizon; t = t.Add(c.slo.Interval()) {
-			c.sim.At(t.Add(tickSkew), func() { c.slo.Tick(c.sim.Now()) })
-		}
+		every(c.slo.Interval(), tickSkew, func() { c.slo.Tick(c.sim.Now()) })
 	}
-	if c.cfg.MetricsInterval > 0 && horizon > 0 {
-		for t := sim.Time(0).Add(c.cfg.MetricsInterval); t <= horizon; t = t.Add(c.cfg.MetricsInterval) {
-			c.sim.At(t.Add(tickSkew), c.exportTick)
-		}
+	if c.cfg.MetricsInterval > 0 {
+		every(c.cfg.MetricsInterval, tickSkew, c.exportTick)
 	}
 	c.sim.Run()
 	c.rec.MergeViews() // order the nodes' events into one deterministic timeline
@@ -1116,7 +1083,7 @@ func (c *Cluster) report() (*Report, error) {
 		m := c.models[name]
 		m.accrue(end)
 		r.Replicas = append(r.Replicas, ReplicaStat{
-			Model: m.name, Active: m.active, Max: m.replicas,
+			Model: m.name, Active: m.active, Max: len(m.insts),
 			ActiveSeconds: float64(m.activeNS) / 1e9,
 		})
 	}

@@ -164,7 +164,7 @@ func TestAffinityTieBreakSpills(t *testing.T) {
 	// Pile outstanding work onto the home node without advancing the clock:
 	// submitted runs stay queued until the simulator runs.
 	for i := 0; i < 5; i++ {
-		if err := home.srv.Submit(workload.Request{At: 0, Instance: m.base}); err != nil {
+		if err := home.srv.Submit(workload.Request{At: 0, Instance: m.insts[0]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -754,10 +754,7 @@ func TestMinIntKeyRoutesInsideItsModel(t *testing.T) {
 		}
 		m := c.models[tc.model]
 		replica := int((uint(math.MaxInt) + 1) % uint(m.active))
-		want := m.base + replica
-		if m.zoo {
-			want = m.insts[replica]
-		}
+		want := m.insts[replica]
 		for _, inst := range c.nodes[0].srv.Instances() {
 			if warm := inst.State() == serving.Warm; warm != (inst.ID == want) {
 				t.Errorf("%s: instance %d (%s) warm=%v; want only instance %d of %s warm",

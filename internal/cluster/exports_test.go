@@ -72,7 +72,7 @@ func TestReportMatchesExports(t *testing.T) {
 	}
 	gpt2 := func(c *Cluster, seed int64, requests int, rate float64) []Request {
 		m := c.models["GPT-2"]
-		base := workload.WithTokens(workload.Poisson(seed, rate, requests, m.replicas), seed, 192, 24)
+		base := workload.WithTokens(workload.Poisson(seed, rate, requests, len(m.insts)), seed, 192, 24)
 		reqs := make([]Request, len(base))
 		for i, r := range base {
 			reqs[i] = Request{At: r.At, Model: "GPT-2", Key: r.Instance,

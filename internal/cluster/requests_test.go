@@ -78,3 +78,68 @@ func TestRequestsAddressesDeployBlocks(t *testing.T) {
 		}
 	}
 }
+
+// TestInstanceTable deploys a model, a zoo and another model on three nodes
+// and checks the router's one instance table: every model holds one id per
+// replica, each id names an instance of that model (or of that shape) on
+// every node, and the ids partition the nodes' instance range.
+func TestInstanceTable(t *testing.T) {
+	c, err := New(Config{Nodes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bert, _ := dnn.ByName("bert-base")
+	gpt2, _ := dnn.ByName("gpt2")
+	z, err := registry.New(registry.Spec{N: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Deploy(bert, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DeployZoo(z); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Deploy(gpt2, 2); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{bert.Name: 3, gpt2.Name: 2}
+	for _, v := range z.Variants {
+		want[v.Model.Name]++
+	}
+	if len(c.models) != len(want) {
+		t.Fatalf("%d models registered, want %d", len(c.models), len(want))
+	}
+	total := c.nodes[0].srv.NumInstances()
+	seen := make([]bool, total)
+	for name, replicas := range want {
+		m := c.models[name]
+		if m == nil {
+			t.Fatalf("model %s not registered", name)
+		}
+		if len(m.insts) != replicas {
+			t.Errorf("%s: %d instances in the table, want %d", name, len(m.insts), replicas)
+		}
+		for r, id := range m.insts {
+			if id < 0 || id >= total || seen[id] {
+				t.Fatalf("%s replica %d: id %d out of range or shared", name, r, id)
+			}
+			seen[id] = true
+			for _, n := range c.nodes {
+				if got := n.srv.Instances()[id].Model(); got != name {
+					t.Errorf("node %d: %s replica %d is instance %d of %s", n.id, name, r, id, got)
+				}
+			}
+		}
+	}
+	for id, ok := range seen {
+		if !ok {
+			t.Errorf("instance %d belongs to no model", id)
+		}
+	}
+	for _, n := range c.nodes {
+		if n.srv.NumInstances() != total {
+			t.Errorf("node %d has %d instances, node 0 has %d", n.id, n.srv.NumInstances(), total)
+		}
+	}
+}

@@ -17,19 +17,9 @@ import (
 // target rate is reached with strictly fewer dollars.
 func FigCapacity(w io.Writer, opts Options) error {
 	header(w, "Capacity planning: cost-vs-capacity frontier over the config grid")
-	spec := capacity.SearchSpec{
-		SLO:      300 * sim.Millisecond,
-		Duration: 6 * sim.Second,
-		MinRate:  10,
-		MaxRate:  640,
-		Step:     20,
-	}
+	spec := capacity.SearchSpec{SLO: 300 * sim.Millisecond}.WithWindow(opts.Quick)
 	targetRPS := 100
 	if opts.Quick {
-		spec.Duration = 2 * sim.Second
-		spec.MinRate = 20
-		spec.MaxRate = 180
-		spec.Step = 40
 		targetRPS = 60
 	}
 	results, err := capacity.Sweep(capacity.DefaultSpace(), spec, capacity.DefaultPricing(), opts.Workers)

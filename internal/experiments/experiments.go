@@ -39,10 +39,6 @@ type Options struct {
 	// OpenMetrics exposition there. Observation-only: the table is
 	// unchanged.
 	MetricsPath string
-	// Telemetry appends a per-window resource table (cold-start ratio,
-	// queue depth, busy fraction, evictions) for one representative
-	// configuration to the supporting experiments' (fig13, fig15) output.
-	Telemetry bool
 }
 
 // Experiment is one reproducible table/figure.

@@ -80,26 +80,6 @@ func TestExperimentGoldens(t *testing.T) {
 	}
 }
 
-// TestTelemetryGoldens pins the -telemetry output of the two experiments
-// that print a per-window telemetry table, fig13 and fig15, in
-// testdata/golden/<id>-telemetry.txt.
-func TestTelemetryGoldens(t *testing.T) {
-	for _, id := range []string{"fig13", "fig15"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			e, ok := ByID(id)
-			if !ok {
-				t.Fatalf("no experiment %q", id)
-			}
-			var out bytes.Buffer
-			if err := e.Run(&out, Options{Quick: true, Telemetry: true}); err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, id+"-telemetry", out.Bytes())
-		})
-	}
-}
-
 // checkGolden compares an experiment's serial -quick output with its
 // committed golden, or rewrites the golden under -update.
 func checkGolden(t *testing.T, id string, got []byte) {

@@ -7,7 +7,6 @@ import (
 	"deepplan/internal/cluster"
 	"deepplan/internal/dnn"
 	"deepplan/internal/experiments/runner"
-	"deepplan/internal/metrics"
 	"deepplan/internal/serving"
 	"deepplan/internal/sim"
 	"deepplan/internal/workload"
@@ -53,15 +52,11 @@ func serve(cfg cluster.Config, deps []deployment, reqs []workload.Request, warm 
 }
 
 // runServing deploys count instances of one model on one node, warms up,
-// and replays the request sequence. telemetry attaches observation-only
-// per-window telemetry to this one run (off for plain sweep points).
-func runServing(policy serving.Policy, modelName string, count int, reqs []workload.Request, slo sim.Duration, telemetry bool) (*cluster.Cluster, *cluster.Report, error) {
-	return serve(cluster.Config{
-		Nodes:     1,
-		Policy:    policy,
-		SLO:       slo,
-		Telemetry: telemetry,
-	}, []deployment{{modelName, count}}, reqs, true)
+// and replays the request sequence.
+func runServing(policy serving.Policy, modelName string, count int, reqs []workload.Request, slo sim.Duration) (*cluster.Report, error) {
+	_, rep, err := serve(cluster.Config{Nodes: 1, Policy: policy, SLO: slo},
+		[]deployment{{modelName, count}}, reqs, true)
+	return rep, err
 }
 
 // Figure13 sweeps the number of BERT-Base instances at 100 requests/second
@@ -87,32 +82,11 @@ func Figure13(w io.Writer, opts Options) error {
 			points = append(points, point{pol: pol, conc: conc})
 		}
 	}
-	// The representative configuration for -telemetry: PT+DHA at the
-	// sweep's highest concurrency, where eviction and cold-start pressure
-	// peak.
-	telIdx := -1
-	var windows []metrics.WindowStat // the telemetry point's
-	if opts.Telemetry {
-		for i := range points {
-			if points[i].pol == serving.PolicyPTDHA &&
-				points[i].conc == concurrencies[len(concurrencies)-1] {
-				telIdx = i
-			}
-		}
-	}
 	err := runner.ForEach(opts.Workers, len(points), func(i int) (err error) {
 		p := &points[i]
 		reqs := workload.Poisson(42, 100, requests, p.conc)
-		telemetry := i == telIdx
-		c, rep, err := runServing(p.pol, "bert-base", p.conc, reqs, 100*sim.Millisecond, telemetry)
-		if err != nil {
-			return err
-		}
-		p.rep = rep
-		if telemetry {
-			windows = c.Windows()
-		}
-		return nil
+		p.rep, err = runServing(p.pol, "bert-base", p.conc, reqs, 100*sim.Millisecond)
+		return err
 	})
 	if err != nil {
 		return err
@@ -129,10 +103,6 @@ func Figure13(w io.Writer, opts Options) error {
 	fmt.Fprintln(w, "paper: PipeSwitch's p99 blows up from 120 instances; DeepPlan (DHA) holds to 160;")
 	fmt.Fprintln(w, "PT+DHA serves 180 within SLO (1.84x goodput at 180); DeepPlan also fits ~24 more")
 	fmt.Fprintln(w, "instances because embeddings stay in host memory")
-	if telIdx >= 0 {
-		fmt.Fprintf(w, "\nper-window telemetry (pt+dha, %d instances):\n", points[telIdx].conc)
-		metrics.WriteTelemetry(w, windows)
-	}
 	return nil
 }
 
@@ -176,7 +146,7 @@ func Figure14(w io.Writer, opts Options) error {
 	err := runner.ForEach(opts.Workers, len(points), func(i int) (err error) {
 		p := &points[i]
 		reqs := workload.Poisson(7, p.rate, requests, p.conc)
-		_, p.rep, err = runServing(p.pol, p.model, p.conc, reqs, 100*sim.Millisecond, false)
+		p.rep, err = runServing(p.pol, p.model, p.conc, reqs, 100*sim.Millisecond)
 		return err
 	})
 	if err != nil {
@@ -232,17 +202,11 @@ func Figure15(w io.Writer, opts Options) error {
 
 	fmt.Fprintf(w, "%-12s %9s %9s %9s %11s %10s\n",
 		"policy", "p50(ms)", "p99(ms)", "goodput", "cold-starts", "worst-min")
-	// -telemetry observes the PT+DHA replay. Telemetry is
-	// observation-only, so attaching it to the real run (rather than a
-	// rerun) leaves the table byte-identical.
-	var telStats []metrics.WindowStat
 	for _, pol := range servingPolicies {
-		instrument := pol == serving.PolicyPTDHA && opts.Telemetry
 		c, rep, err := serve(cluster.Config{
-			Nodes:     1,
-			Policy:    pol,
-			SLO:       100 * sim.Millisecond,
-			Telemetry: instrument,
+			Nodes:  1,
+			Policy: pol,
+			SLO:    100 * sim.Millisecond,
 		}, []deployment{{"bert-base", inst[0]}, {"roberta-base", inst[1]}, {"gpt2", inst[2]}},
 			tr.Requests, true)
 		if err != nil {
@@ -251,23 +215,15 @@ func Figure15(w io.Writer, opts Options) error {
 		// Worst per-minute p99 across the trace (the latency spikes the
 		// paper notes at minutes 9 and 67).
 		var worst sim.Duration
-		windows := c.Windows()
-		for _, ws := range windows {
+		for _, ws := range c.Windows() {
 			if ws.Requests > 0 && ws.P99 > worst {
 				worst = ws.P99
 			}
 		}
 		fmt.Fprintf(w, "%-12s %9.1f %9.1f %8.1f%% %11d %8.0fms\n",
 			pol, ms(rep.P50), ms(rep.P99), rep.Goodput*100, rep.ColdStarts, ms(worst))
-		if instrument {
-			telStats = windows
-		}
 	}
 	fmt.Fprintln(w, "\npaper: DeepPlan's two designs reach 98-99% goodput where PipeSwitch ranges")
 	fmt.Fprintln(w, "81-98%, with occasional non-persistent latency spikes in individual minutes")
-	if opts.Telemetry {
-		fmt.Fprintln(w, "\nper-window telemetry (pt+dha):")
-		metrics.WriteTelemetry(w, telStats)
-	}
 	return nil
 }

@@ -92,8 +92,7 @@ func (srv *Server) relieveHostPressure() bool {
 		if v == nil {
 			continue
 		}
-		if victim == nil || v.lastUsed < victim.lastUsed ||
-			(v.lastUsed == victim.lastUsed && v.ID < victim.ID) {
+		if victim == nil || lessRecent(v, victim) {
 			victim = v
 		}
 	}
@@ -169,11 +168,7 @@ func (srv *Server) fetch(inst *Instance, demand bool, p pending, fresh bool) {
 			}
 		}
 		for _, w := range waiters {
-			if inst.state == Warm {
-				srv.startWarm(inst, w)
-				continue
-			}
-			srv.startColdPath(inst, w, true)
+			srv.resume(inst, w, true)
 		}
 	})
 }

@@ -746,20 +746,26 @@ func (srv *Server) dispatch(p pending) {
 		srv.emit(kRelocation, inst.gpu, inst, nil)
 		srv.evict(inst)
 	}
-	if inst.state == Warm {
-		srv.startWarm(inst, p)
-		return
-	}
-	if !srv.admit(inst, p) {
+	if inst.state != Warm && !srv.admit(inst, p) {
 		return // shed by the SLO admission controller
 	}
-	if inst.fetching {
-		// A fetch-to-pin for this instance is already in flight; coalesce
-		// behind it rather than starting another.
+	srv.resume(inst, p, true)
+}
+
+// resume is the one step by which a request (re-)enters service: a warm
+// instance serves it, an instance with a fetch-to-pin in flight queues it
+// behind the fetch rather than starting another, and anything else takes
+// the cold path, which re-fetches weights that lost host residency. fresh
+// marks a first deferral, as in startColdPath.
+func (srv *Server) resume(inst *Instance, p pending, fresh bool) {
+	switch {
+	case inst.state == Warm:
+		srv.startWarm(inst, p)
+	case inst.fetching:
 		inst.fetchWait = append(inst.fetchWait, p)
-		return
+	default:
+		srv.startColdPath(inst, p, fresh)
 	}
-	srv.startColdPath(inst, p, true)
 }
 
 // startColdPath serves an admitted cold request: host-resident weights go
@@ -1026,12 +1032,17 @@ func (srv *Server) lruIdle(gs *gpuState) *Instance {
 		if inst.inflight > 0 || inst.loading {
 			continue
 		}
-		if victim == nil || inst.lastUsed < victim.lastUsed ||
-			(inst.lastUsed == victim.lastUsed && inst.ID < victim.ID) {
+		if victim == nil || lessRecent(inst, victim) {
 			victim = inst
 		}
 	}
 	return victim
+}
+
+// lessRecent orders instances least recently used first, ties broken by
+// ID: the one LRU order of GPU and host-pressure eviction.
+func lessRecent(a, b *Instance) bool {
+	return a.lastUsed < b.lastUsed || (a.lastUsed == b.lastUsed && a.ID < b.ID)
 }
 
 // evict drops an instance's GPU residency: sequences mid-decode die with
@@ -1268,17 +1279,7 @@ func (srv *Server) drainWaitlist() {
 			map[string]any{"pending": len(parked)})
 	}
 	for _, w := range parked {
-		if w.inst.state == Warm {
-			srv.startWarm(w.inst, w.p)
-			continue
-		}
-		if w.inst.fetching {
-			w.inst.fetchWait = append(w.inst.fetchWait, w.p)
-			continue
-		}
-		// Re-enter the cold path (not bare placement): the instance may have
-		// lost host residency while parked and must re-fetch before loading.
-		srv.startColdPath(w.inst, w.p, false)
+		srv.resume(w.inst, w.p, false)
 	}
 }
 
