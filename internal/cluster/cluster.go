@@ -907,14 +907,11 @@ func (c *Cluster) Run(requests []Request) (*Report, error) {
 		}
 	}
 	var firstErr error
-	for _, r := range requests {
-		req := r
-		c.sim.At(req.At, func() {
-			if err := c.handle(req); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
-	}
+	c.sim.Arrivals(len(requests), func(i int) sim.Time { return requests[i].At }, func(i int) {
+		if err := c.handle(requests[i]); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	})
 	var horizon sim.Time
 	if len(requests) > 0 {
 		horizon = requests[len(requests)-1].At

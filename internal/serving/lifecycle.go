@@ -153,9 +153,9 @@ func (srv *Server) notePrewarm(inst *Instance) {
 // and a speculative warm-up must never convoy demand cold starts behind
 // its forwarding copies.
 func (srv *Server) startPrewarmLoad(inst *Instance) {
-	gs := srv.gpus[inst.gpu]
-	srv.busyUp(gs)
-	gs.activeColds++
+	r := srv.newRun(inst, true)
+	srv.busyUp(r.gs)
+	r.gs.activeColds++
 	coldPlan := inst.dep.Plan
 	if inst.dep.Fallback != nil {
 		coldPlan = inst.dep.Fallback
@@ -165,12 +165,7 @@ func (srv *Server) startPrewarmLoad(inst *Instance) {
 		Plan:    coldPlan,
 		Batch:   servingBatch,
 		Primary: inst.gpu,
-		OnDone: func(res *engine.Result) {
-			inst.loading = false
-			srv.busyDown(gs)
-			gs.activeColds--
-			srv.runDone(inst, nil, res, true)
-		},
+		OnDone:  r.onDone,
 	}
 	if err := srv.eng.Start(spec); err != nil {
 		panic("serving: prewarm load rejected: " + err.Error())

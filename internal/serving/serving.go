@@ -1,8 +1,10 @@
 package serving
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"deepplan/internal/costmodel"
@@ -276,6 +278,9 @@ type gpuState struct {
 	queued         int // outstanding inference runs
 	activeColds    int
 	secondaryColds int
+	// partners are the GPU's parallel-transmission partners
+	// (topology.ParallelPartners), fixed by the topology.
+	partners []*gpuState
 	// down marks the GPU failed by fault injection: placement, relocation,
 	// and secondary selection all skip it until recovery.
 	down bool
@@ -317,6 +322,8 @@ type Server struct {
 	series    *metrics.Series
 	generated metrics.Digest
 	waitlist  []waiting
+	// freeRuns recycles run records (see run).
+	freeRuns []*run
 }
 
 // New builds a Server. The topology must not be shared with another
@@ -425,6 +432,11 @@ func New(cfg Config) (*Server, error) {
 			kv:        gpumem.NewKVCache(mem),
 			residents: map[*Instance]bool{},
 		})
+	}
+	for _, gs := range srv.gpus {
+		for _, id := range cfg.Topo.ParallelPartners(gs.id) {
+			gs.partners = append(gs.partners, srv.gpus[id])
+		}
 	}
 	srv.attachSinks()
 	if !cfg.Faults.Empty() {
@@ -912,32 +924,40 @@ func (srv *Server) shouldRelocate(inst *Instance) bool {
 // needed. Reports success.
 func (srv *Server) place(inst *Instance) bool {
 	need := inst.dep.gpuBytes
-	order := make([]*gpuState, len(srv.gpus))
-	copy(order, srv.gpus)
+	// Each call sorts its own copy: makeRoom's evictions can re-dispatch
+	// into a nested place. The array holds the largest preset, 8 GPUs,
+	// without a heap allocation.
+	var buf [8]*gpuState
+	order := append(buf[:0], srv.gpus...)
 	if srv.cfg.Pack == PackDense && srv.fractional(need) {
 		// Fractional packing: a small instance goes to the fullest live GPU
 		// that still fits it without eviction (best-fit decreasing density),
 		// keeping whole GPUs free for large instances and leaving the other
 		// GPUs' warm sets undisturbed. Ties break toward the shorter queue,
 		// then the lower GPU id (stable sort).
-		sort.SliceStable(order, func(i, j int) bool {
-			fi := !order[i].down && order[i].mem.Fits(need)
-			fj := !order[j].down && order[j].mem.Fits(need)
-			if fi != fj {
-				return fi
+		slices.SortStableFunc(order, func(a, b *gpuState) int {
+			fa := !a.down && a.mem.Fits(need)
+			fb := !b.down && b.mem.Fits(need)
+			if fa != fb {
+				if fa {
+					return -1
+				}
+				return 1
 			}
-			if fi && order[i].mem.Available() != order[j].mem.Available() {
-				return order[i].mem.Available() < order[j].mem.Available()
+			if fa {
+				if c := cmp.Compare(a.mem.Available(), b.mem.Available()); c != 0 {
+					return c
+				}
 			}
-			return order[i].queued < order[j].queued
+			return cmp.Compare(a.queued, b.queued)
 		})
 	} else {
 		// Prefer the GPU with the shortest queue, then the most free memory.
-		sort.SliceStable(order, func(i, j int) bool {
-			if order[i].queued != order[j].queued {
-				return order[i].queued < order[j].queued
+		slices.SortStableFunc(order, func(a, b *gpuState) int {
+			if c := cmp.Compare(a.queued, b.queued); c != 0 {
+				return c
 			}
-			return order[i].mem.Available() > order[j].mem.Available()
+			return cmp.Compare(b.mem.Available(), a.mem.Available())
 		})
 	}
 	for _, gs := range order {
@@ -1080,16 +1100,17 @@ func (srv *Server) release(inst *Instance, to InstanceState, k kind) {
 
 // startCold launches the cold-start run that also serves the request.
 func (srv *Server) startCold(inst *Instance, p pending) {
-	gs := srv.gpus[inst.gpu]
+	r := srv.newRun(inst, true)
+	r.reqs = append(r.one[:0], p)
+	gs := r.gs
 	srv.busyUp(gs)
 	gs.activeColds++
 	inst.inflight++
 
 	coldPlan := inst.dep.Plan
 	var secondaries []int
-	var secondary *gpuState
 	if coldPlan.NumParts > 1 {
-		secondary = srv.pickSecondary(inst.gpu)
+		secondary := srv.pickSecondary(gs)
 		busy := secondary != nil && secondary.activeColds+secondary.secondaryColds > 0
 		if secondary == nil || (busy && inst.dep.Fallback != nil) {
 			// Every transmission partner is mid-load (or down): degrade to
@@ -1097,11 +1118,11 @@ func (srv *Server) startCold(inst *Instance, p pending) {
 			if inst.dep.Fallback == nil {
 				panic(fmt.Sprintf("serving: PT plan on GPU %d with no usable partner and no fallback", inst.gpu))
 			}
-			secondary = nil
 			coldPlan = inst.dep.Fallback
 			srv.emit(kPTFallback, inst.gpu, inst, nil)
 		} else {
-			secondaries = []int{secondary.id}
+			r.secondary, r.secs[0] = secondary, secondary.id
+			secondaries = r.secs[:]
 			secondary.secondaryColds++
 		}
 	}
@@ -1114,17 +1135,8 @@ func (srv *Server) startCold(inst *Instance, p pending) {
 		Batch:        servingBatch,
 		Primary:      inst.gpu,
 		Secondaries:  secondaries,
-		ComputeScale: srv.llmScale(inst.dep.Model, []pending{p}),
-		OnDone: func(res *engine.Result) {
-			inst.loading = false
-			inst.inflight--
-			srv.busyDown(gs)
-			gs.activeColds--
-			if secondary != nil {
-				secondary.secondaryColds--
-			}
-			srv.runDone(inst, []pending{p}, res, true)
-		},
+		ComputeScale: srv.llmScale(inst.dep.Model, r.reqs),
+		OnDone:       r.onDone,
 	}
 	if err := srv.eng.Start(spec); err != nil {
 		panic("serving: cold start rejected: " + err.Error())
@@ -1140,7 +1152,9 @@ func (srv *Server) startWarm(inst *Instance, p pending) {
 		inst.backlog = append(inst.backlog, p)
 		return
 	}
-	srv.startWarmBatch(inst, []pending{p})
+	r := srv.newRun(inst, false)
+	r.reqs = append(r.one[:0], p)
+	srv.startWarmBatch(r)
 }
 
 // effMaxBatch is the dynamic-batch ceiling. Static LLM batching coalesces
@@ -1162,10 +1176,11 @@ func (srv *Server) effMaxBatch() int {
 	return srv.cfg.MaxBatch
 }
 
-// startWarmBatch issues one (possibly batched) warm inference.
-func (srv *Server) startWarmBatch(inst *Instance, reqs []pending) {
-	gs := srv.gpus[inst.gpu]
-	srv.busyUp(gs)
+// startWarmBatch issues one (possibly batched) warm inference: r's
+// requests on r's instance.
+func (srv *Server) startWarmBatch(r *run) {
+	inst, reqs := r.inst, r.reqs
+	srv.busyUp(r.gs)
 	inst.inflight++
 	if len(reqs) > 1 {
 		srv.count(kBatchedRequest, len(reqs))
@@ -1180,11 +1195,7 @@ func (srv *Server) startWarmBatch(inst *Instance, reqs []pending) {
 		Primary:      inst.gpu,
 		Warm:         true,
 		ComputeScale: srv.llmScale(inst.dep.Model, reqs),
-		OnDone: func(res *engine.Result) {
-			inst.inflight--
-			srv.busyDown(gs)
-			srv.runDone(inst, reqs, res, false)
-		},
+		OnDone:       r.onDone,
 	}
 	if err := srv.eng.Start(spec); err != nil {
 		panic("serving: warm start rejected: " + err.Error())
@@ -1201,16 +1212,19 @@ func (srv *Server) releaseBacklog(inst *Instance) {
 	if max := srv.effMaxBatch(); n > max {
 		n = max
 	}
-	batch := inst.backlog[:n:n]
+	r := srv.newRun(inst, false)
+	r.reqs = inst.backlog[:n:n]
 	inst.backlog = inst.backlog[n:]
-	srv.startWarmBatch(inst, batch)
+	srv.startWarmBatch(r)
 }
 
-// runDone finishes an engine run on inst after its OnDone has settled the
-// run's own GPU counters. reqs are the requests the run serves (none for a
-// prewarm load); load marks a run that loaded the instance's weights, whose
-// requests count as cold-served. It is the one completion path of every
-// run:
+// runDone finishes an engine run on inst after its record has settled the
+// run's own GPU counters (run.done). reqs are the requests the run serves
+// (none for a prewarm load); load marks a run that loaded the instance's
+// weights, whose requests count as cold-served. reqs belongs to the run
+// record, which is recycled once runDone returns, so neither runDone nor
+// anything it calls may keep the slice: llmPrefillDone copies each request
+// into its sequence. It is the one completion path of every run:
 //
 //   - Aborted by a GPU failure: reqs and everything coalesced in the
 //     backlog are retried once or shed. A load evicts the instance if it
@@ -1246,16 +1260,76 @@ func (srv *Server) runDone(inst *Instance, reqs []pending, res *engine.Result, l
 	srv.drainWaitlist()
 }
 
-// pickSecondary chooses the least-busy parallel-transmission partner,
-// skipping failed GPUs. It returns nil when every partner is down.
-func (srv *Server) pickSecondary(primary int) *gpuState {
-	partners := srv.cfg.Topo.ParallelPartners(primary)
-	if len(partners) == 0 {
-		panic(fmt.Sprintf("serving: PT plan on GPU %d without partners", primary))
+// run is one engine run's completion record: what its OnDone settles
+// before handing the run to runDone. Every run the server starts (warm,
+// batched, cold and prewarm load) completes through one. Records are
+// recycled through Server.freeRuns, and each binds onDone to its done
+// method once, when it is first built, so starting a run allocates neither
+// a closure nor a request slice.
+type run struct {
+	srv  *Server
+	inst *Instance
+	// gs is the GPU the run started on. done must not re-read inst.gpu: an
+	// aborted run's instance can be re-placed elsewhere before its OnDone
+	// fires.
+	gs *gpuState
+	// secondary is a PT cold start's partner GPU, whose id secs holds for
+	// Spec.Secondaries; nil otherwise.
+	secondary *gpuState
+	secs      [1]int
+	// reqs are the requests the run serves: one[:] for a single request,
+	// a slice of the instance's backlog for a batch, nil for a prewarm load.
+	reqs []pending
+	one  [1]pending
+	// load marks a run that loads the instance's weights.
+	load   bool
+	onDone func(*engine.Result)
+}
+
+// newRun takes a record off the free list for a run on inst's current GPU.
+func (srv *Server) newRun(inst *Instance, load bool) *run {
+	var r *run
+	if k := len(srv.freeRuns) - 1; k >= 0 {
+		r = srv.freeRuns[k]
+		srv.freeRuns = srv.freeRuns[:k]
+	} else {
+		r = &run{srv: srv}
+		r.onDone = r.done
+	}
+	r.inst, r.gs, r.load = inst, srv.gpus[inst.gpu], load
+	return r
+}
+
+// done is the run's OnDone: it settles the instance's and GPUs' counters,
+// hands the run to runDone, and only then recycles the record, since
+// runDone reads its requests (and Result.Secondaries aliases secs until
+// OnDone returns).
+func (r *run) done(res *engine.Result) {
+	srv, inst := r.srv, r.inst
+	if r.load {
+		inst.loading = false
+		r.gs.activeColds--
+	}
+	if len(r.reqs) > 0 {
+		inst.inflight--
+	}
+	srv.busyDown(r.gs)
+	if r.secondary != nil {
+		r.secondary.secondaryColds--
+	}
+	srv.runDone(inst, r.reqs, res, r.load)
+	*r = run{srv: srv, onDone: r.onDone}
+	srv.freeRuns = append(srv.freeRuns, r)
+}
+
+// pickSecondary chooses primary's least-busy parallel-transmission
+// partner, skipping failed GPUs. It returns nil when every partner is down.
+func (srv *Server) pickSecondary(primary *gpuState) *gpuState {
+	if len(primary.partners) == 0 {
+		panic(fmt.Sprintf("serving: PT plan on GPU %d without partners", primary.id))
 	}
 	var best *gpuState
-	for _, id := range partners {
-		g := srv.gpus[id]
+	for _, g := range primary.partners {
 		if g.down {
 			continue
 		}

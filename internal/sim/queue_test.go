@@ -7,12 +7,15 @@ import (
 	"testing"
 )
 
-// refEvent is the reference model's view of one pending event.
+// refEvent is the reference model's view of one pending event. An
+// Arrivals stream's events are never handed out: for those ev is nil, and
+// src and idx name the stream and the arrival's index in it.
 type refEvent struct {
-	at  Time
-	seq uint64
-	id  int
-	ev  *Event
+	at       Time
+	seq      uint64
+	id       int
+	ev       *Event
+	src, idx int
 }
 
 // refQueue is the reference model: every pending event, kept sorted by
@@ -111,16 +114,18 @@ func (r *opReader) next() int {
 
 // runQueueOps drives a simulator through the operations decoded from data
 // and checks it against a sorted reference model: At, After, scheduling from
-// outside a callback at or after the lane's tail and before it, Cancel (of
-// the head, the last heap slot, the lane's head, middle and tail entries,
-// any pending event, and events that already fired or were cancelled), Step
-// and RunUntil, including events scheduled from inside firing callbacks.
-// The simulator must fire exactly what the reference says; an event must join
+// outside a callback at or after the lane's tail and before it, Arrivals
+// streams (with same-instant ties inside them), Cancel (of the head, the
+// last heap slot, the lane's head, middle and tail entries, any pending
+// event, and events that already fired or were cancelled), Step and
+// RunUntil, including events scheduled from inside firing callbacks. The
+// simulator must fire exactly what the reference says; an event must join
 // the lane exactly when it is scheduled outside a callback at or after the
-// lane's tail; and Pending, the earlier of the two heads and every pending
-// event's Scheduled and At must agree with the reference after every
-// operation. Once the data is used up, the run drains the queue one Step at a
-// time under the same checks.
+// lane's tail; and Pending (counting one arrival per unfinished stream),
+// the earlier of the two heads and every pending event's Scheduled and At
+// must agree with the reference after every operation. Once the data is
+// used up, the run drains the queue one Step at a time under the same
+// checks.
 func runQueueOps(t *testing.T, label string, data []byte) {
 	t.Helper()
 	r := &opReader{b: data}
@@ -130,30 +135,35 @@ func runQueueOps(t *testing.T, label string, data []byte) {
 	nextID := 0
 	fired := 0      // events fired by the current operation
 	var last *Event // the event fired last
+	// streamNext[src] is the index of stream src's pending arrival.
+	var streamNext []int
 	var schedule func(at Time, after, inside bool)
+	// fire checks that event id, scheduled for at, is the reference head
+	// and drops it; sp is its callback's follow-up, as every substrate
+	// schedules one.
+	fire := func(id int, at Time, sp int) {
+		if len(ref) == 0 || ref[0].id != id {
+			t.Fatalf("%s: event %d fired before the reference head", label, id)
+		}
+		head := ref.drop(0)
+		fired++
+		last = head.ev
+		if s.Now() != at {
+			t.Fatalf("%s: event %d fired at %v, scheduled for %v", label, id, s.Now(), at)
+		}
+		if head.ev != nil && head.ev.Scheduled() {
+			t.Fatalf("%s: event %d still scheduled while firing", label, id)
+		}
+		s.Cancel(head.ev) // cancelling the firing event is a no-op
+		if sp&7 == 7 {
+			schedule(s.Now().Add(Duration(sp>>3)*32), false, true)
+		}
+	}
 	schedule = func(at Time, after, inside bool) {
 		id := nextID
 		nextID++
-		sp := r.next() // a callback scheduling a follow-up, as every substrate does
-		spawn, spawnAfter := sp&7 == 7, Duration(sp>>3)*32
-		fn := func() {
-			if len(ref) == 0 || ref[0].id != id {
-				t.Fatalf("%s: event %d fired before the reference head", label, id)
-			}
-			head := ref.drop(0)
-			fired++
-			last = head.ev
-			if s.Now() != at {
-				t.Fatalf("%s: event %d fired at %v, scheduled for %v", label, id, s.Now(), at)
-			}
-			if head.ev.Scheduled() {
-				t.Fatalf("%s: event %d still scheduled while firing", label, id)
-			}
-			s.Cancel(head.ev) // cancelling the firing event is a no-op
-			if spawn {
-				schedule(s.Now().Add(spawnAfter), false, true)
-			}
-		}
+		sp := r.next()
+		fn := func() { fire(id, at, sp) }
 		n := len(s.lane)
 		wantLane := !inside && (n == s.laneHead || at >= s.lane[n-1].at)
 		var e *Event
@@ -169,7 +179,32 @@ func runQueueOps(t *testing.T, label string, data []byte) {
 		ref.add(refEvent{at: at, seq: seq, id: id, ev: e})
 		seq++
 	}
+	// stream sends n arrivals through one Arrivals call, each a tie
+	// with the one before it or up to 127 ns after it.
+	stream := func(n int) {
+		src := len(streamNext)
+		streamNext = append(streamNext, 0)
+		ats, sps, ids := make([]Time, n), make([]int, n), make([]int, n)
+		at := s.Now()
+		for i := range ats {
+			b := r.next()
+			if b&1 == 1 {
+				at = at.Add(Duration(b >> 1))
+			}
+			ats[i], sps[i], ids[i] = at, r.next(), nextID
+			ref.add(refEvent{at: at, seq: seq + uint64(i), id: nextID, src: src, idx: i})
+			nextID++
+		}
+		seq += uint64(n)
+		s.Arrivals(n, func(i int) Time { return ats[i] }, func(i int) {
+			streamNext[src] = i + 1
+			fire(ids[i], ats[i], sps[i])
+		})
+	}
 	cancel := func(i int) {
+		if ref[i].ev == nil {
+			return // an arrival is never handed out, so it cannot be cancelled
+		}
 		r := ref.drop(i)
 		s.Cancel(r.ev)
 		if r.ev.Scheduled() {
@@ -180,6 +215,9 @@ func runQueueOps(t *testing.T, label string, data []byte) {
 	// cancelEvent cancels e, which is pending or a lane tombstone; cancelling
 	// a tombstone is a no-op that the checks after the operation verify.
 	cancelEvent := func(e *Event) {
+		if _, ok := e.h.(*arrivals); ok {
+			return
+		}
 		for i := range ref {
 			if ref[i].ev == e {
 				cancel(i)
@@ -209,17 +247,27 @@ func runQueueOps(t *testing.T, label string, data []byte) {
 	}
 	check := func(op int) {
 		checkHeap(t, s)
-		if s.Pending() != len(ref) {
-			t.Fatalf("%s op %d: Pending() = %d, want %d", label, op, s.Pending(), len(ref))
+		pending := 0
+		for _, r := range ref {
+			if r.ev != nil || r.idx == streamNext[r.src] {
+				pending++
+			}
+		}
+		if s.Pending() != pending {
+			t.Fatalf("%s op %d: Pending() = %d, want %d", label, op, s.Pending(), pending)
 		}
 		head := laneFront(s)
 		if len(s.events) > 0 && (head == nil || before(s.events[0], head)) {
 			head = s.events[0]
 		}
-		if len(ref) > 0 && head != ref[0].ev || len(ref) == 0 && head != nil {
+		if len(ref) == 0 && head != nil || len(ref) > 0 && (head == nil ||
+			head.at != ref[0].at || head.seq != ref[0].seq || ref[0].ev != nil && head != ref[0].ev) {
 			t.Fatalf("%s op %d: the earlier of the two heads is not the reference head", label, op)
 		}
 		for _, r := range ref {
+			if r.ev == nil {
+				continue
+			}
 			if !r.ev.Scheduled() || r.ev.At() != r.at {
 				t.Fatalf("%s op %d: pending event %d reports scheduled=%v at %v, want true at %v",
 					label, op, r.id, r.ev.Scheduled(), r.ev.At(), r.at)
@@ -260,6 +308,8 @@ func runQueueOps(t *testing.T, label string, data []byte) {
 			cancel((int(d)<<8 | r.next()) % len(ref))
 		case k < 73:
 			runUntil(op, s.Now().Add(d))
+		case k < 78:
+			stream(int(d) % 9)
 		default:
 			step(op)
 		}

@@ -10,12 +10,15 @@
 // Pending events sit in one of two sources that share one total order on
 // (instant, submission sequence). An event scheduled outside any callback,
 // at or after the last event already in the lane, joins the lane: a FIFO
-// that is sorted by construction, which is where a whole arrival trace
-// queued up front lands. Every other event goes into a hand-written 4-ary
-// min-heap, compared directly rather than through container/heap's
-// interface, so the events that callbacks schedule pay for the depth of
-// what is in flight, not of the trace. Step fires the earlier of the two
-// heads. Fired events are recycled through a bounded free list, so
+// that is sorted by construction, which is where an arrival trace queued up
+// front with one At call per arrival lands. Every other event goes into a
+// hand-written 4-ary min-heap, compared directly rather than through
+// container/heap's interface, so the events that callbacks schedule pay for
+// the depth of what is in flight, not of the trace. Step fires the earlier
+// of the two heads. Arrivals streams a sorted trace from one cursor instead:
+// it reserves the trace's sequence numbers up front and keeps only the next
+// arrival in the heap, so a trace costs one event and no closure per
+// arrival. Fired events are recycled through a bounded free list, so
 // scheduling, firing and cancelling allocate nothing in steady state.
 package sim
 
@@ -72,8 +75,10 @@ func (t Time) String() string { return Duration(t).String() }
 // repository already does. Recycling is what keeps million-event serving
 // traces from churning the garbage collector. The free list is bounded
 // (maxFree), and a drained lane gives up a backing array longer than that,
-// so a whole arrival trace queued up front is not kept alive for the rest of
-// the run once it fires.
+// so an arrival trace queued up front with At is not kept alive for the rest
+// of the run once it fires. A trace streamed through Arrivals never fills
+// the lane: its arrivals are never handed out, and only the next one is
+// queued.
 //
 // Cancelling a heap event takes it out of the heap and recycles it at once.
 // Cancelling a lane event cannot take it out of the middle of the FIFO, so
@@ -145,7 +150,8 @@ func (s *Simulator) Now() Time { return s.now }
 // instrumentation and loop-bound assertions in tests.
 func (s *Simulator) EventsFired() uint64 { return s.fired }
 
-// Pending returns the number of events waiting to fire.
+// Pending returns the number of events waiting to fire. An Arrivals stream
+// counts as at most one: only its next arrival is queued.
 func (s *Simulator) Pending() int { return len(s.events) + s.laneLive }
 
 // At schedules fn to run at instant t. Scheduling in the past panics: it is
@@ -172,15 +178,7 @@ func (s *Simulator) AtHandler(t Time, h Handler) *Event {
 	if h == nil {
 		panic("sim: nil event callback")
 	}
-	var e *Event
-	if k := len(s.free) - 1; k >= 0 {
-		e = s.free[k]
-		s.free[k] = nil
-		s.free = s.free[:k]
-		e.at, e.seq, e.h, e.index = t, s.seq, h, -1
-	} else {
-		e = &Event{at: t, seq: s.seq, h: h, index: -1}
-	}
+	e := s.newEvent(t, s.seq, h)
 	s.seq++
 	// Outside any callback, an event at or after the lane's tail keeps the
 	// lane sorted by (at, seq), since its seq is the largest yet.
@@ -191,6 +189,83 @@ func (s *Simulator) AtHandler(t Time, h Handler) *Event {
 	s.events = append(s.events, nil)
 	s.siftUp(e, len(s.events)-1)
 	return e
+}
+
+// newEvent returns an unqueued event for h at (t, seq), recycled from the
+// free list when it has one.
+func (s *Simulator) newEvent(t Time, seq uint64, h Handler) *Event {
+	k := len(s.free) - 1
+	if k < 0 {
+		return &Event{at: t, seq: seq, h: h, index: -1}
+	}
+	e := s.free[k]
+	s.free[k] = nil
+	s.free = s.free[:k]
+	e.at, e.seq, e.h, e.index = t, seq, h, -1
+	return e
+}
+
+// Arrivals schedules a stream of n events from one cursor: event i runs
+// fire(i) at instant at(i). The call reserves the next n submission
+// sequence numbers, so each arrival fires in exactly the order, relative to
+// every other event, that n At calls made at this point would give it: after
+// the events already scheduled for the same instant, and before those
+// scheduled later, callbacks included. Each arrival counts once in
+// EventsFired.
+//
+// Only one arrival is pending at a time: when arrival i fires, the stream
+// schedules arrival i+1 and then calls fire(i). So at(i) is evaluated no
+// earlier than that, and a trace of any length occupies one event, not one
+// per arrival; Pending counts at most one arrival per stream. The instants
+// must be sorted, from now on: an at(0) before the clock, or an at(i)
+// before at(i-1), panics naming i, as At's past-time panic does (arrival i
+// is scheduled while arrival i-1 fires, so both are that check). n <= 0
+// schedules nothing.
+func (s *Simulator) Arrivals(n int, at func(i int) Time, fire func(i int)) {
+	if at == nil || fire == nil {
+		panic("sim: nil arrival callback")
+	}
+	if n <= 0 {
+		return
+	}
+	a := &arrivals{s: s, n: n, base: s.seq, at: at, fire: fire}
+	s.seq += uint64(n)
+	a.schedule(0)
+}
+
+// arrivals is one Arrivals stream: the Handler of its pending arrival.
+type arrivals struct {
+	s    *Simulator
+	n    int    // arrivals in the stream
+	next int    // index of the pending arrival
+	base uint64 // seq of arrival 0; arrival i has base+i
+	at   func(i int) Time
+	fire func(i int)
+}
+
+// schedule queues arrival i with its reserved seq. Its seq is not the
+// largest yet, so it always goes into the heap, never the lane. The heap
+// push is spelled out here and in AtHandler: as a helper it is over the
+// compiler's inlining budget, and AtHandler is the hot path.
+func (a *arrivals) schedule(i int) {
+	s := a.s
+	t := a.at(i)
+	if t < s.now {
+		panic(fmt.Sprintf("sim: arrival %d at %v before now %v", i, t, s.now))
+	}
+	a.next = i
+	e := s.newEvent(t, a.base+uint64(i), a)
+	s.events = append(s.events, nil)
+	s.siftUp(e, len(s.events)-1)
+}
+
+// Fire schedules the stream's next arrival, then runs the one firing now.
+func (a *arrivals) Fire() {
+	i := a.next
+	if i+1 < a.n {
+		a.schedule(i + 1)
+	}
+	a.fire(i)
 }
 
 // AfterHandler schedules h.Fire to run d from now.

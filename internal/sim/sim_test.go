@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -281,5 +282,130 @@ func TestPropertyCancelSubset(t *testing.T) {
 				t.Fatalf("trial %d event %d: fired=%v cancelled=%v", trial, i, fired[i], cancel[i])
 			}
 		}
+	}
+}
+
+// arrivalsLog replays one trace on a fresh simulator and returns what fired,
+// in order, with the instant each fired at. Events are scheduled before and
+// after the trace, outside any callback; the trace goes in through one At
+// call per arrival or, with stream, one Arrivals call; and every callback
+// draws from rng, in firing order, to schedule same-instant and later
+// events and to cancel pending ones.
+func arrivalsLog(t *testing.T, seed int64, trace, before, after []Time, stream bool) ([]string, uint64) {
+	s := New()
+	rng := rand.New(rand.NewSource(seed))
+	var log []string
+	type spawned struct {
+		ev   *Event
+		done bool
+	}
+	var pending []*spawned
+	var react func()
+	note := func(name string, want Time) {
+		if s.Now() != want {
+			t.Fatalf("%s fired at %v, scheduled for %v", name, s.Now(), want)
+		}
+		log = append(log, fmt.Sprintf("%s@%v", name, s.Now()))
+		react()
+	}
+	react = func() {
+		switch k := rng.Intn(10); {
+		case k < 4: // same instant, or a little later
+			sp := &spawned{}
+			name, at := fmt.Sprintf("s%d", len(pending)), s.Now().Add(Duration(k%2*rng.Intn(5)))
+			sp.ev = s.At(at, func() { sp.done = true; note(name, at) })
+			pending = append(pending, sp)
+		case k < 7 && len(pending) > 0:
+			if sp := pending[rng.Intn(len(pending))]; !sp.done {
+				s.Cancel(sp.ev)
+				sp.done = true
+			}
+		}
+	}
+	outside := func(prefix string, ats []Time) {
+		for i, at := range ats {
+			name := fmt.Sprintf("%s%d", prefix, i)
+			s.At(at, func() { note(name, at) })
+		}
+	}
+	outside("b", before)
+	if stream {
+		s.Arrivals(len(trace), func(i int) Time { return trace[i] }, func(i int) {
+			note(fmt.Sprintf("a%d", i), trace[i])
+		})
+	} else {
+		outside("a", trace)
+	}
+	outside("p", after)
+	s.Run()
+	if s.Pending() != 0 {
+		t.Fatalf("Pending() = %d after Run", s.Pending())
+	}
+	return log, s.EventsFired()
+}
+
+// A trace streamed through Arrivals fires exactly as the same trace
+// scheduled with one At call per arrival: same events, same order, same
+// instants and the same EventsFired, whatever same-instant ties it has with
+// events scheduled before and after it and with everything its callbacks
+// schedule and cancel. An instant that goes back in time panics naming the
+// arrival, and an empty trace schedules nothing.
+func TestArrivalsMatchAt(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		trace := make([]Time, rng.Intn(300))
+		var at Time
+		for i := range trace {
+			at = at.Add(Duration([]int{0, 0, 0, 1, 2, 7}[rng.Intn(6)]))
+			trace[i] = at
+		}
+		// Events outside the trace, half of them on one of its instants.
+		extra := func() []Time {
+			out := make([]Time, rng.Intn(40))
+			for i := range out {
+				out[i] = Time(rng.Int63n(int64(at) + 2))
+				if len(trace) > 0 && rng.Intn(2) == 0 {
+					out[i] = trace[rng.Intn(len(trace))]
+				}
+			}
+			return out
+		}
+		before, after := extra(), extra()
+		want, wantFired := arrivalsLog(t, seed, trace, before, after, false)
+		got, gotFired := arrivalsLog(t, seed, trace, before, after, true)
+		if fmt.Sprint(got) != fmt.Sprint(want) || gotFired != wantFired {
+			t.Fatalf("seed %d: Arrivals fired %d events\n %v\nn At calls fired %d\n %v",
+				seed, gotFired, got, wantFired, want)
+		}
+	}
+
+	panics := func(name, want string, f func()) {
+		t.Helper()
+		defer func() {
+			r := recover()
+			if msg := fmt.Sprint(r); r == nil || !strings.Contains(msg, want) {
+				t.Fatalf("%s: recovered %v, want a panic naming %q", name, r, want)
+			}
+		}()
+		f()
+	}
+	s := New()
+	ats := []Time{10, 20, 20, 15}
+	s.Arrivals(len(ats), func(i int) Time { return ats[i] }, func(int) {})
+	panics("decreasing instant", "arrival 3 ", s.Run)
+	s = New()
+	s.At(100, func() {})
+	s.Run()
+	panics("instant before now", "arrival 0 ", func() {
+		s.Arrivals(1, func(int) Time { return 50 }, func(int) {})
+	})
+
+	s = New()
+	s.Arrivals(0, func(int) Time {
+		t.Fatal("empty trace asked for an instant")
+		return 0
+	}, func(int) { t.Fatal("empty trace fired") })
+	if s.Pending() != 0 || s.Step() || s.EventsFired() != 0 {
+		t.Fatalf("empty trace left Pending() = %d, EventsFired() = %d", s.Pending(), s.EventsFired())
 	}
 }
