@@ -375,7 +375,7 @@ func TestZooCacheEvictingAdmitAllocatesOneEntry(t *testing.T) {
 // and Observe is integer bucket arithmetic only (gated by
 // scripts/bench_compare.sh).
 func BenchmarkForecastObserve(b *testing.B) {
-	f := forecast.New(forecast.Config{Window: sim.Second})
+	f := forecast.New(sim.Second)
 	now := sim.Time(0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -392,7 +392,7 @@ func BenchmarkForecastObserve(b *testing.B) {
 // the benchmark above measures, so it fails fast under plain `go test`
 // instead of only under the bench gate.
 func TestForecastObserveAddsNoAllocations(t *testing.T) {
-	f := forecast.New(forecast.Config{Window: sim.Second})
+	f := forecast.New(sim.Second)
 	now := sim.Time(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		now += sim.Time(sim.Millisecond)

@@ -41,7 +41,7 @@ func main() {
 		usage("-metrics needs -exp fig-slo")
 	}
 	pool := runtime.GOMAXPROCS(0)
-	opts := experiments.Options{Quick: *quick, Workers: pool, MetricsPath: *metricsPath}
+	opts := experiments.Options{Quick: *quick, Workers: pool}
 
 	if *list {
 		for _, e := range experiments.All() {
@@ -60,6 +60,16 @@ func main() {
 		}
 		exps = []experiments.Experiment{e}
 	}
+	// Open the output file before running, so an unwritable path is a flag
+	// error rather than a failure after the table printed.
+	var metrics *os.File
+	if *metricsPath != "" {
+		f, err := os.Create(*metricsPath)
+		if err != nil {
+			usage(fmt.Sprintf("-metrics: %v", err))
+		}
+		metrics, opts.Metrics = f, f
+	}
 
 	units := make([]runner.Unit, len(exps))
 	for i, e := range exps {
@@ -76,11 +86,22 @@ func main() {
 	}
 	start := time.Now()
 	if err := runner.Execute(os.Stdout, pool, units); err != nil {
-		fmt.Fprintf(os.Stderr, "deepplan-bench: %v\n", err)
-		os.Exit(1)
+		fail(err)
+	}
+	if metrics != nil {
+		if err := metrics.Close(); err != nil {
+			fail(err)
+		}
+		fmt.Fprintf(os.Stderr, "[fig-slo: OpenMetrics exposition written to %s]\n", *metricsPath)
 	}
 	fmt.Fprintf(os.Stderr, "[%d experiment(s) in %s, %d worker(s)]\n",
 		len(units), time.Since(start).Round(time.Millisecond), pool)
+}
+
+// fail reports a run error and exits with status 1.
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "deepplan-bench: %v\n", err)
+	os.Exit(1)
 }
 
 // usage reports a command-line error and exits with status 2.

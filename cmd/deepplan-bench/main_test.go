@@ -47,6 +47,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-exp", "fig14", "-quick", "-telemetry"}, "-telemetry"},
 		{[]string{"-exp", "fig13", "-quick", "-telemetry"}, "-telemetry"},
 		{[]string{"-exp", "fig13", "-quick", "-metrics", out}, "-metrics"},
+		{[]string{"-exp", "fig-slo", "-quick", "-metrics", filepath.Join(out, "x.prom")}, "-metrics"},
 		{[]string{"-exp", "fig99"}, `"fig99"`},
 		// No flag narrows one experiment: each runs its full comparison.
 		{[]string{"-exp", "fig-zoo", "-quick", "-zoo", "5"}, "-zoo"},

@@ -64,6 +64,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-prompt-tokens", "64"}, "-prompt-tokens"},
 		{[]string{"-output-tokens", "16"}, "-output-tokens"},
 		{[]string{"-token-budget", "4"}, "-token-budget"},
+		{[]string{"-model", "synthetic-13b", "-instances", "1", "-requests", "2"}, "Synthetic-13B"},
 	}
 	for _, c := range cases {
 		expectRejected(t, c.args, c.want)

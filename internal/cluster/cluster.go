@@ -451,7 +451,7 @@ func (c *Cluster) Deploy(model *dnn.Model, replicas int) error {
 	if c.cfg.Autoscale.Enabled && c.cfg.Autoscale.Policy == AutoscalePredictive {
 		// One bucket per controller interval: the forecaster's resolution
 		// matches the cadence at which its predictions can be acted on.
-		m.fc = forecast.New(forecast.Config{Window: c.cfg.Autoscale.Interval})
+		m.fc = forecast.New(c.cfg.Autoscale.Interval)
 		est, ok := c.nodes[0].srv.ExecEstimate(model.Name)
 		if !ok {
 			return fmt.Errorf("cluster: no execution estimate for %q", model.Name)

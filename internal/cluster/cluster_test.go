@@ -7,14 +7,12 @@ import (
 	"strings"
 	"testing"
 
-	"deepplan/internal/costmodel"
 	"deepplan/internal/dnn"
 	"deepplan/internal/hostmem"
 	"deepplan/internal/monitor"
 	"deepplan/internal/registry"
 	"deepplan/internal/serving"
 	"deepplan/internal/sim"
-	"deepplan/internal/topology"
 	"deepplan/internal/trace"
 	"deepplan/internal/workload"
 )
@@ -365,45 +363,6 @@ func TestRendezvousIsPureAndSpreads(t *testing.T) {
 	if rendezvous("m", 1, 2) == rendezvous("n", 1, 2) {
 		t.Fatal("distinct models should score differently")
 	}
-}
-
-func TestSingleNodeMatchesServingServer(t *testing.T) {
-	// A one-node cluster must reproduce the standalone server exactly: the
-	// router is a pass-through and the shared clock is the only clock.
-	c := newBERTCluster(t, Config{Nodes: 1, Route: RouteRoundRobin}, 60)
-	raw := workload.Poisson(13, 80, 500, 60)
-	rep, err := c.Run(toCluster("BERT-Base", raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	srv := newTestServer(t)
-	m, _ := dnn.ByName("bert-base")
-	if err := srv.Deploy(m, 60); err != nil {
-		t.Fatal(err)
-	}
-	srv.Warmup()
-	want, err := srv.Run(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.P99 != want.P99 || rep.ColdStarts != want.ColdStarts || rep.Evictions != want.Evictions {
-		t.Fatalf("one-node cluster diverged from standalone server:\n cluster p99=%v colds=%d evicts=%d\n server  p99=%v colds=%d evicts=%d",
-			rep.P99, rep.ColdStarts, rep.Evictions, want.P99, want.ColdStarts, want.Evictions)
-	}
-}
-
-func newTestServer(t *testing.T) *serving.Server {
-	t.Helper()
-	srv, err := serving.New(serving.Config{
-		Topo:   topology.P38xlarge(),
-		Cost:   costmodel.Default(),
-		Policy: serving.PolicyPTDHA,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv
 }
 
 // burstTrain builds a deterministic periodic-burst arrival sequence: every

@@ -16,9 +16,9 @@ import (
 
 // runTraced builds a cluster from cfg with a fresh trace recorder, deploys
 // replicas of model, warms up, replays the requests reqs builds for the
-// warmed cluster, checks invariants, and returns the report plus the Chrome
-// trace bytes.
-func runTraced(t *testing.T, cfg Config, model string, replicas int, reqs func(*Cluster) []Request) (*Report, []byte) {
+// warmed cluster, checks invariants, and returns the report, the per-window
+// series and the Chrome trace bytes.
+func runTraced(t *testing.T, cfg Config, model string, replicas int, reqs func(*Cluster) []Request) (*Report, []metrics.WindowStat, []byte) {
 	t.Helper()
 	rec := trace.New()
 	cfg.Trace = rec
@@ -45,29 +45,7 @@ func runTraced(t *testing.T, cfg Config, model string, replicas int, reqs func(*
 	if err := trace.WriteChrome(&buf, rec, nil); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
-	return rep, buf.Bytes()
-}
-
-// TestClusterDeterminism: two identical cold-heavy cluster runs produce a
-// field-for-field identical report and per-window series.
-func TestClusterDeterminism(t *testing.T) {
-	run := func() (*Report, []metrics.WindowStat) {
-		c := newBERTCluster(t, Config{Nodes: 2, Route: RouteLeastOutstanding, Telemetry: true}, 0)
-		reqs := toCluster("BERT-Base", workload.Poisson(11, 120, 600, c.models["BERT-Base"].active))
-		rep, err := c.Run(reqs)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return rep, c.Windows()
-	}
-	a, aw := run()
-	b, bw := run()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("identical cluster runs diverged:\n%+v\n%+v", a, b)
-	}
-	if !reflect.DeepEqual(aw, bw) {
-		t.Fatalf("identical cluster runs' windows diverged:\n%+v\n%+v", aw, bw)
-	}
+	return rep, c.Windows(), buf.Bytes()
 }
 
 // rerunCase is one configuration of the rerun contract; long cases are
@@ -75,22 +53,29 @@ func TestClusterDeterminism(t *testing.T) {
 type rerunCase struct {
 	name string
 	long bool
-	run  func(*testing.T) (*Report, []byte)
+	run  rerunFunc
 }
 
+// rerunFunc runs one configuration on a fresh cluster and returns what
+// runTraced returns.
+type rerunFunc func(*testing.T) (*Report, []metrics.WindowStat, []byte)
+
 // checkReruns runs every case twice, each time on a fresh cluster, and
-// requires a field-for-field identical report and a byte-identical Chrome
-// trace.
+// requires a field-for-field identical report and per-window series and a
+// byte-identical Chrome trace.
 func checkReruns(t *testing.T, cases []rerunCase) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.long && testing.Short() {
 				t.Skip("16-node run in -short mode")
 			}
-			wantRep, wantTrace := tc.run(t)
-			gotRep, gotTrace := tc.run(t)
+			wantRep, wantWin, wantTrace := tc.run(t)
+			gotRep, gotWin, gotTrace := tc.run(t)
 			if !reflect.DeepEqual(wantRep, gotRep) {
 				t.Fatalf("rerun report diverged:\nfirst: %+v\nrerun: %+v", wantRep, gotRep)
+			}
+			if !reflect.DeepEqual(wantWin, gotWin) {
+				t.Fatalf("rerun windows diverged:\nfirst: %+v\nrerun: %+v", wantWin, gotWin)
 			}
 			if !bytes.Equal(wantTrace, gotTrace) {
 				t.Fatalf("rerun trace diverged (%d vs %d bytes)", len(wantTrace), len(gotTrace))
@@ -100,8 +85,8 @@ func checkReruns(t *testing.T, cases []rerunCase) {
 }
 
 // bertRun replays a BERT-Base Poisson workload on a cluster built from cfg.
-func bertRun(cfg Config, replicas, requests int, rate float64) func(*testing.T) (*Report, []byte) {
-	return func(t *testing.T) (*Report, []byte) {
+func bertRun(cfg Config, replicas, requests int, rate float64) rerunFunc {
+	return func(t *testing.T) (*Report, []metrics.WindowStat, []byte) {
 		return runTraced(t, cfg, "bert-base", replicas, func(c *Cluster) []Request {
 			return toCluster("BERT-Base", workload.Poisson(17, rate, requests, c.models["BERT-Base"].active))
 		})
@@ -113,7 +98,7 @@ func bertRun(cfg Config, replicas, requests int, rate float64) func(*testing.T) 
 // controllers, and a 16-node cluster, where MergeViews interleaves the most
 // nodes' events.
 func TestClusterRerunIdentical(t *testing.T) {
-	predictive := func(t *testing.T) (*Report, []byte) {
+	predictive := func(t *testing.T) (*Report, []metrics.WindowStat, []byte) {
 		// The run TestPredictivePrewarmsBeforeBursts pins: it prewarms,
 		// sleeps and wakes replicas between bursts.
 		cfg := Config{
@@ -121,13 +106,13 @@ func TestClusterRerunIdentical(t *testing.T) {
 			Telemetry: true,
 			Autoscale: AutoscaleConfig{Enabled: true, Interval: sim.Second, Policy: AutoscalePredictive},
 		}
-		rep, tr := runTraced(t, cfg, "bert-base", 16, func(*Cluster) []Request {
+		rep, win, tr := runTraced(t, cfg, "bert-base", 16, func(*Cluster) []Request {
 			return burstTrain("BERT-Base", 6, 300, 5*sim.Second, 500*sim.Millisecond, 16)
 		})
 		if rep.Prewarms == 0 {
 			t.Fatal("test premise broken: no prewarms")
 		}
-		return rep, tr
+		return rep, win, tr
 	}
 	checkReruns(t, []rerunCase{
 		{"round-robin-2", false, bertRun(Config{Nodes: 2, Route: RouteRoundRobin}, 24, 400, 120)},
@@ -154,8 +139,10 @@ func TestClusterRerunIdenticalLLM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	llm := func(cfg Config, requests int, rate float64) func(*testing.T) (*Report, []byte) {
-		return func(t *testing.T) (*Report, []byte) { return llmRunOnce(t, cfg, 12, requests, rate) }
+	llm := func(cfg Config, requests int, rate float64) rerunFunc {
+		return func(t *testing.T) (*Report, []metrics.WindowStat, []byte) {
+			return llmRunOnce(t, cfg, 12, requests, rate)
+		}
 	}
 	checkReruns(t, []rerunCase{
 		{"continuous-4", false, llm(Config{Nodes: 4,
@@ -171,22 +158,11 @@ func TestClusterRerunIdenticalLLM(t *testing.T) {
 	})
 }
 
-// TestDeterminismAcrossInstances: two distinct affinity-routed cluster
-// instances, each with its own simulator, agree on the report.
-func TestDeterminismAcrossInstances(t *testing.T) {
-	run := bertRun(Config{Nodes: 4, Route: RouteAffinity}, 16, 300, 100)
-	a, _ := run(t)
-	b, _ := run(t)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("two cluster instances diverged:\n%+v\n%+v", a, b)
-	}
-}
-
 // TestHorizonCoversNodeDrain: the report horizon runs to quiescence, past
 // the last arrival, so it covers the nodes draining their queues.
 func TestHorizonCoversNodeDrain(t *testing.T) {
 	var last sim.Duration
-	rep, _ := runTraced(t, Config{Nodes: 2}, "bert-base", 8, func(c *Cluster) []Request {
+	rep, _, _ := runTraced(t, Config{Nodes: 2}, "bert-base", 8, func(c *Cluster) []Request {
 		reqs := toCluster("BERT-Base", workload.Poisson(17, 80, 100, c.models["BERT-Base"].active))
 		last = reqs[len(reqs)-1].At.Sub(0)
 		return reqs

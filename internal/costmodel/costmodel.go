@@ -207,23 +207,3 @@ func (p *Params) Workspace(m *dnn.Model, batch int) int64 {
 	}
 	return p.WorkspaceBase + int64(p.WorkspaceFactor*maxAct*float64(batch))
 }
-
-// ModelExecTime sums in-memory execution time over all layers: the model's
-// warm-inference latency when fully resident.
-func (p *Params) ModelExecTime(m *dnn.Model, batch int) sim.Duration {
-	var t sim.Duration
-	for i := range m.Layers {
-		t += p.ComputeTime(&m.Layers[i], batch)
-	}
-	return t
-}
-
-// ModelLoadTime sums serial load time over all loadable layers at the given
-// bandwidth: the model's cold copy cost without pipelining.
-func (p *Params) ModelLoadTime(m *dnn.Model, pcieBandwidth float64, perCopyOverhead sim.Duration) sim.Duration {
-	var t sim.Duration
-	for i := range m.Layers {
-		t += p.LoadTime(&m.Layers[i], pcieBandwidth, perCopyOverhead)
-	}
-	return t
-}

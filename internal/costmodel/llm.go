@@ -6,10 +6,10 @@ import (
 )
 
 // Autoregressive decode costs. A prefill is the ordinary full-sequence
-// forward pass the rest of the model already prices (ModelExecTime scaled by
-// prompt length); a decode iteration runs the same layer stack for exactly
-// one new token per active sequence. Two things distinguish it from 1/seq of
-// a prefill:
+// forward pass the rest of the model already prices (each layer's
+// ComputeTime, scaled by prompt length); a decode iteration runs the same
+// layer stack for exactly one new token per active sequence. Two things
+// distinguish it from 1/seq of a prefill:
 //
 //  1. the weights are re-read from HBM once per iteration regardless of how
 //     many sequences share it — the classic memory-bound decode regime and

@@ -230,7 +230,7 @@ func TestEngineDropsFlowPointers(t *testing.T) {
 						flows++
 					}
 					if o.flow != nil {
-						t.Fatalf("op %d (kind %d, layer %d) still holds flow %q", i, o.kind, o.layer, o.flow.Name())
+						t.Fatalf("op %d (kind %d, layer %d) still holds a flow", i, o.kind, o.layer)
 					}
 				}
 				if flows == 0 {

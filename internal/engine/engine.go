@@ -747,11 +747,6 @@ func (e *Engine) RecoverGPU(gpu int) {
 	e.failed[gpu] = false
 }
 
-// GPUFailed reports whether a GPU is currently out of service.
-func (e *Engine) GPUFailed(gpu int) bool {
-	return gpu >= 0 && gpu < len(e.failed) && e.failed[gpu]
-}
-
 // abortRun cancels every in-flight op of rs, in the order the ops started,
 // and completes the run as aborted. Cancelled ops complete their stream
 // tasks so the streams keep draining: queued ops of the aborted run see
@@ -1008,9 +1003,6 @@ func (r *Result) EmitTrace(rec *trace.Recorder) {
 		}
 	}
 }
-
-// ExecIdle reports whether a GPU's execution stream is idle.
-func (e *Engine) ExecIdle(gpu int) bool { return e.gpus[gpu].exec.Idle() }
 
 // StartTask occupies a GPU's execution stream with one opaque task of the
 // given duration — the serving layer's decode iterations, which have no

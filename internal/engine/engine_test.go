@@ -539,12 +539,12 @@ func TestIncompleteConfigPanics(t *testing.T) {
 	New(Config{})
 }
 
-func TestExecIdle(t *testing.T) {
+func TestExecStreamIdle(t *testing.T) {
 	f := fix(t, "resnet50")
 	s := sim.New()
 	topo := topology.P38xlarge()
 	e := New(Config{Sim: s, Net: simnet.New(s), Topo: topo, Cost: f.cost})
-	if !e.ExecIdle(0) {
+	if !e.gpus[0].exec.Idle() {
 		t.Fatal("fresh engine not idle")
 	}
 	done := false
@@ -552,11 +552,11 @@ func TestExecIdle(t *testing.T) {
 		OnDone: func(*Result) { done = true }}); err != nil {
 		t.Fatal(err)
 	}
-	if e.ExecIdle(0) {
+	if e.gpus[0].exec.Idle() {
 		t.Fatal("engine idle right after Start")
 	}
 	s.Run()
-	if !done || !e.ExecIdle(0) {
+	if !done || !e.gpus[0].exec.Idle() {
 		t.Fatal("engine not idle after completion")
 	}
 }

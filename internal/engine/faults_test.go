@@ -39,11 +39,11 @@ func TestFailGPUAbortsColdRunMidLoad(t *testing.T) {
 	if res.Finish != sim.Time(5*sim.Millisecond) {
 		t.Fatalf("abort finished at %v, want the failure instant 5ms", res.Finish)
 	}
-	if !e.ExecIdle(1) {
+	if !e.gpus[1].exec.Idle() {
 		t.Fatal("failed GPU's exec stream did not drain")
 	}
-	if !e.GPUFailed(1) {
-		t.Fatal("GPUFailed(1) = false after FailGPU")
+	if !e.failed[1] {
+		t.Fatal("GPU 1 not marked failed after FailGPU")
 	}
 }
 
@@ -66,7 +66,7 @@ func TestFailSecondaryAbortsParallelRunAndPrimaryDrains(t *testing.T) {
 	if res == nil || !res.Aborted {
 		t.Fatal("run using the failed secondary did not abort")
 	}
-	if !e.ExecIdle(0) {
+	if !e.gpus[0].exec.Idle() {
 		t.Fatal("primary exec stream did not drain after the secondary failed")
 	}
 	// The surviving primary must accept and complete new work.
@@ -97,7 +97,7 @@ func TestFailGPUAbortsWarmRun(t *testing.T) {
 	if res == nil || !res.Aborted {
 		t.Fatal("warm run on the failed GPU did not abort")
 	}
-	if !e.ExecIdle(3) {
+	if !e.gpus[3].exec.Idle() {
 		t.Fatal("streams did not drain")
 	}
 }
@@ -118,7 +118,7 @@ func TestStartRejectsFailedGPUUntilRecovery(t *testing.T) {
 		}
 	}
 	e.RecoverGPU(1)
-	if e.GPUFailed(1) {
+	if e.failed[1] {
 		t.Fatal("GPU still failed after recovery")
 	}
 	var res *Result

@@ -34,11 +34,11 @@ type Options struct {
 	// exists only between simulations, never inside one, and results are
 	// always printed in sweep order.
 	Workers int
-	// MetricsPath, when non-empty, makes experiments that run a monitored
+	// Metrics, when non-nil, makes experiments that run a monitored
 	// simulation (fig-slo) write one representative configuration's final
-	// OpenMetrics exposition there. Observation-only: the table is
+	// OpenMetrics exposition to it. Observation-only: the table is
 	// unchanged.
-	MetricsPath string
+	Metrics io.Writer
 }
 
 // Experiment is one reproducible table/figure.

@@ -124,7 +124,7 @@ func runMoECold(m *dnn.Model, scheme string, seed int64) moeResult {
 
 	var moved float64
 	submitCopy := func(l *dnn.Layer) *stream.Event {
-		ev := stream.NewEvent()
+		ev := &stream.Event{}
 		bytes := float64(l.ParamBytes)
 		moved += bytes
 		load.Submit("copy:"+l.Name, func(done func()) {
@@ -136,7 +136,8 @@ func runMoECold(m *dnn.Model, scheme string, seed int64) moeResult {
 		return ev
 	}
 	execCompute := func(l *dnn.Layer) {
-		exec.Delay("exec:"+l.Name, cost.ComputeTime(l, 1))
+		d := cost.ComputeTime(l, 1)
+		exec.Submit("exec:"+l.Name, func(done func()) { s.After(d, done) })
 	}
 	execDHA := func(l *dnn.Layer) {
 		bytes := cost.DHABytes(l, 1)
@@ -172,13 +173,9 @@ func runMoECold(m *dnn.Model, scheme string, seed int64) moeResult {
 			execDHA(l)
 		case l.IsExpert() && scheme == "deepplan-moe":
 			// The expert's transfer is issued when execution reaches this
-			// point — i.e. right after the router retired.
-			ev := stream.NewEvent()
-			exec.Do("route:"+l.Name, func() {
-				arrived := submitCopy(l)
-				arrived.OnFire(func() { ev.Fire(s.Now()) })
-			})
-			exec.Wait(ev)
+			// point — i.e. right after the router retired — and the stream
+			// resumes when it lands.
+			exec.Submit("route:"+l.Name, func(done func()) { submitCopy(l).OnFire(done) })
 			execCompute(l)
 		default:
 			ev := submitCopy(l)
@@ -187,7 +184,10 @@ func runMoECold(m *dnn.Model, scheme string, seed int64) moeResult {
 		}
 	}
 	var finish sim.Time
-	exec.Do("finish", func() { finish = s.Now() })
+	exec.Submit("finish", func(done func()) {
+		finish = s.Now()
+		done()
+	})
 	s.Run()
 	return moeResult{latency: sim.Duration(finish), bytesMoved: moved}
 }

@@ -267,8 +267,9 @@ func runTransmission(m *dnn.Model, scheme string, gpus int) transmissionResult {
 			remaining++
 			// A sentinel task after all copies of the partition triggers
 			// the block forward.
-			loads[pi].Do("landed", func() {
+			loads[pi].Submit("landed", func(dn func()) {
 				forward(pi, partBytes[pi], done)
+				dn()
 			})
 		}
 	case "parallel-pipeline":

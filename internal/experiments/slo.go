@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"deepplan/internal/cluster"
 	"deepplan/internal/experiments/runner"
@@ -123,25 +122,16 @@ func FigSLO(w io.Writer, opts Options) error {
 		}
 	}
 
-	if opts.MetricsPath != "" {
+	if opts.Metrics != nil {
 		// Representative exposition: the faulted PipeSwitch run (the one
 		// that pages).
 		for _, p := range points {
 			if p.pol != serving.PolicyPipeSwitch || !p.faulted {
 				continue
 			}
-			f, err := os.Create(opts.MetricsPath)
-			if err != nil {
+			if err := p.reg.WriteOpenMetrics(opts.Metrics); err != nil {
 				return err
 			}
-			if err := p.reg.WriteOpenMetrics(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "[fig-slo: OpenMetrics exposition written to %s]\n", opts.MetricsPath)
 		}
 	}
 

@@ -23,16 +23,9 @@ import (
 	"deepplan/internal/sim"
 )
 
-// Config tunes a Forecaster. The zero value is usable.
-type Config struct {
-	// Window is the width of one counting bucket. Rate estimates and
-	// period detection are quantized to this granularity. Default 10s.
-	Window sim.Duration
-}
-
 // Fixed forecaster shape, chosen for the cluster autoscaler's cadence.
 const (
-	// buckets is the ring length: the forecaster keeps Window × buckets
+	// buckets is the ring length: the forecaster keeps window × buckets
 	// of history.
 	buckets = 512
 	// recent is how many completed buckets the sliding-window rate
@@ -54,7 +47,7 @@ type Prediction struct {
 	// horizon: the seasonal-naive projection when a period is detected,
 	// otherwise just Rate.
 	Peak float64
-	// Period is the detected dominant periodicity, quantized to Window;
+	// Period is the detected dominant periodicity, quantized to the window;
 	// zero when no period clears minScore.
 	Period sim.Duration
 	// Score is the autocorrelation coefficient of the detected period in
@@ -73,12 +66,11 @@ type Forecaster struct {
 	total  uint64
 }
 
-// New builds a Forecaster; a zero Window takes its default.
-func New(cfg Config) *Forecaster {
-	if cfg.Window <= 0 {
-		cfg.Window = 10 * sim.Second
-	}
-	return &Forecaster{window: cfg.Window, counts: make([]uint32, buckets)}
+// New builds a Forecaster whose counting buckets are window wide (window
+// must be positive). Rate estimates and period detection are quantized to
+// this granularity.
+func New(window sim.Duration) *Forecaster {
+	return &Forecaster{window: window, counts: make([]uint32, buckets)}
 }
 
 // Observe records one arrival at instant t. Amortized O(1) and 0
@@ -89,9 +81,6 @@ func (f *Forecaster) Observe(t sim.Time) {
 	f.counts[f.cur%int64(len(f.counts))]++
 	f.total++
 }
-
-// Total returns the number of arrivals observed so far.
-func (f *Forecaster) Total() uint64 { return f.total }
 
 func (f *Forecaster) bucket(t sim.Time) int64 {
 	return int64(t) / int64(f.window)
@@ -169,7 +158,7 @@ func (f *Forecaster) Rate(now sim.Time) float64 {
 }
 
 // Period scans the completed history for its dominant periodicity via
-// autocorrelation and returns it (quantized to Window) with its score.
+// autocorrelation and returns it (quantized to the window) with its score.
 // Returns (0, 0) when nothing clears minScore or fewer than two
 // full cycles of history exist for every candidate lag.
 func (f *Forecaster) Period(now sim.Time) (sim.Duration, float64) {

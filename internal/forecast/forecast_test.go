@@ -31,7 +31,7 @@ func feedPeriodic(f *Forecaster, window sim.Duration, periodBuckets, burstBucket
 }
 
 func TestRateSlidingWindow(t *testing.T) {
-	f := New(Config{Window: sim.Second})
+	f := New(sim.Second)
 	// 10 arrivals/s for 20 seconds.
 	for i := 0; i < 200; i++ {
 		f.Observe(sim.Time(int64(i) * int64(100*sim.Millisecond)))
@@ -43,7 +43,7 @@ func TestRateSlidingWindow(t *testing.T) {
 }
 
 func TestRateBeforeFirstBucketCompletes(t *testing.T) {
-	f := New(Config{Window: 10 * sim.Second})
+	f := New(10 * sim.Second)
 	for i := 0; i < 10; i++ {
 		f.Observe(sim.Time(int64(i) * int64(100*sim.Millisecond)))
 	}
@@ -54,7 +54,7 @@ func TestRateBeforeFirstBucketCompletes(t *testing.T) {
 }
 
 func TestRateDecaysAfterIdle(t *testing.T) {
-	f := New(Config{Window: sim.Second})
+	f := New(sim.Second)
 	for i := 0; i < 100; i++ {
 		f.Observe(sim.Time(int64(i) * int64(100*sim.Millisecond)))
 	}
@@ -65,7 +65,7 @@ func TestRateDecaysAfterIdle(t *testing.T) {
 }
 
 func TestPeriodDetection(t *testing.T) {
-	f := New(Config{Window: sim.Second})
+	f := New(sim.Second)
 	end := feedPeriodic(f, sim.Second, 20, 3, 1, 12, 6)
 	period, score := f.Period(end)
 	if period != 20*sim.Second {
@@ -77,7 +77,7 @@ func TestPeriodDetection(t *testing.T) {
 }
 
 func TestPeriodAperiodicStream(t *testing.T) {
-	f := New(Config{Window: sim.Second})
+	f := New(sim.Second)
 	// Constant rate: flat history must report no period.
 	for i := 0; i < 600; i++ {
 		f.Observe(sim.Time(int64(i) * int64(100*sim.Millisecond)))
@@ -88,7 +88,7 @@ func TestPeriodAperiodicStream(t *testing.T) {
 }
 
 func TestForecastSeesUpcomingBurst(t *testing.T) {
-	f := New(Config{Window: sim.Second})
+	f := New(sim.Second)
 	// 6 cycles of a 20s period with a 3s burst at each cycle start; the
 	// feed ends just before cycle 7's burst.
 	end := feedPeriodic(f, sim.Second, 20, 3, 1, 12, 6)
@@ -107,7 +107,7 @@ func TestForecastSeesUpcomingBurst(t *testing.T) {
 }
 
 func TestForecastAperiodicFallsBackToRate(t *testing.T) {
-	f := New(Config{Window: sim.Second})
+	f := New(sim.Second)
 	for i := 0; i < 300; i++ {
 		f.Observe(sim.Time(int64(i) * int64(100*sim.Millisecond)))
 	}
@@ -122,7 +122,7 @@ func TestForecastAperiodicFallsBackToRate(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() Prediction {
-		f := New(Config{Window: sim.Second})
+		f := New(sim.Second)
 		end := feedPeriodic(f, sim.Second, 17, 2, 1, 9, 7)
 		return f.Forecast(end, 4*sim.Second)
 	}
@@ -133,7 +133,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestAdvanceAcrossLongGap(t *testing.T) {
-	f := New(Config{Window: sim.Second})
+	f := New(sim.Second)
 	for i := 0; i < 50; i++ {
 		f.Observe(sim.Time(int64(i) * int64(200*sim.Millisecond)))
 	}
@@ -144,13 +144,13 @@ func TestAdvanceAcrossLongGap(t *testing.T) {
 	if got := f.Rate(far.Add(2 * sim.Second)); got > 1 {
 		t.Fatalf("Rate after long gap = %.2f, want ~0", got)
 	}
-	if f.Total() != 51 {
-		t.Fatalf("Total = %d, want 51", f.Total())
+	if f.total != 51 {
+		t.Fatalf("total = %d, want 51", f.total)
 	}
 }
 
 func TestObserveZeroAlloc(t *testing.T) {
-	f := New(Config{Window: sim.Second})
+	f := New(sim.Second)
 	var i int64
 	allocs := testing.AllocsPerRun(1000, func() {
 		f.Observe(sim.Time(i * int64(10*sim.Millisecond)))
@@ -162,11 +162,11 @@ func TestObserveZeroAlloc(t *testing.T) {
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	f := New(Config{})
+	f := New(10 * sim.Second)
 	if len(f.counts) != 512 {
 		t.Fatalf("ring length = %d, want 512", len(f.counts))
 	}
 	if f.window != 10*sim.Second {
-		t.Fatalf("default Window = %s, want 10s", f.window)
+		t.Fatalf("window = %s, want 10s", f.window)
 	}
 }

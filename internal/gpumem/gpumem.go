@@ -39,14 +39,8 @@ type Block struct {
 	tag   string
 }
 
-// Offset returns the block's device offset.
-func (b *Block) Offset() int64 { return b.off }
-
 // Size returns the block's size in bytes.
 func (b *Block) Size() int64 { return b.size }
-
-// Tag returns the label passed at allocation time.
-func (b *Block) Tag() string { return b.tag }
 
 type extent struct {
 	off, size int64
@@ -57,7 +51,6 @@ type Allocator struct {
 	capacity int64
 	used     int64
 	free     []extent // sorted by offset, coalesced
-	allocs   int
 }
 
 // New returns an allocator over capacity bytes.
@@ -79,9 +72,6 @@ func (a *Allocator) Used() int64 { return a.used }
 
 // Available returns the bytes currently free (possibly fragmented).
 func (a *Allocator) Available() int64 { return a.capacity - a.used }
-
-// Allocations returns the number of live blocks.
-func (a *Allocator) Allocations() int { return a.allocs }
 
 // LargestFree returns the size of the largest contiguous free extent.
 func (a *Allocator) LargestFree() int64 {
@@ -120,7 +110,6 @@ func (a *Allocator) Alloc(size int64, tag string) (*Block, error) {
 			a.free[i] = extent{e.off + size, e.size - size}
 		}
 		a.used += size
-		a.allocs++
 		return b, nil
 	}
 	return nil, fmt.Errorf("%w: need %d, largest free extent %d (capacity %d, used %d)",
@@ -141,7 +130,6 @@ func (a *Allocator) Free(b *Block) error {
 	}
 	b.freed = true
 	a.used -= b.size
-	a.allocs--
 	// Insert keeping offset order, then coalesce neighbours.
 	i := sort.Search(len(a.free), func(i int) bool { return a.free[i].off > b.off })
 	a.free = append(a.free, extent{})

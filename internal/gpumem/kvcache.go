@@ -64,17 +64,6 @@ func (r *KVReservation) Grow(tokens int) {
 	}
 }
 
-// UsedBytes returns the KV bytes actually written so far.
-func (r *KVReservation) UsedBytes() int64 { return r.used }
-
-// ReservedBytes returns the page-aligned footprint held by the reservation.
-func (r *KVReservation) ReservedBytes() int64 {
-	if r.block == nil {
-		return 0
-	}
-	return r.block.Size()
-}
-
 // Release frees the reservation. Safe to call once per reservation; the
 // sequence is done (completed, shed, or its GPU failed).
 func (r *KVReservation) Release() {

@@ -22,14 +22,14 @@ func TestKVCacheGrowBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Grow(10)
-	if r.UsedBytes() != 1000 {
-		t.Fatalf("UsedBytes = %d", r.UsedBytes())
+	if r.used != 1000 {
+		t.Fatalf("used = %d", r.used)
 	}
 	// The reservation is page-aligned, so a little headroom beyond
 	// perToken*maxTokens exists; outgrowing the aligned block must panic.
 	grew := func() (panicked bool) {
 		defer func() { panicked = recover() != nil }()
-		r.Grow(int(r.ReservedBytes()/100) + 1)
+		r.Grow(int(r.block.Size()/100) + 1)
 		return false
 	}()
 	if !grew {
@@ -113,7 +113,7 @@ func TestKVCacheChurnNeverExceedsCapacity(t *testing.T) {
 		}
 		var kvLive int64
 		for _, s := range seqs {
-			kvLive += s.r.ReservedBytes()
+			kvLive += s.r.block.Size()
 		}
 		if kc.ReservedBytes() != kvLive {
 			t.Fatalf("step %d: cache reserved %d != live reservations %d", step, kc.ReservedBytes(), kvLive)

@@ -74,7 +74,7 @@ func TestPlacementAvoidsDownGPU(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, inst := range srv.Instances() {
-		if inst.State() == Warm && inst.GPU() == 2 {
+		if inst.State() == Warm && inst.gpu == 2 {
 			t.Fatalf("instance %d placed on the failed GPU", inst.ID)
 		}
 	}

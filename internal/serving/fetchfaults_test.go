@@ -124,7 +124,7 @@ func TestGPUFailureDuringFetchConservesWaiters(t *testing.T) {
 		t.Fatalf("conservation: requests %d shed %d", rep.Requests, rep.Shed)
 	}
 	for _, inst := range srv.Instances() {
-		if inst.State() == Warm && inst.GPU() == 0 {
+		if inst.State() == Warm && inst.gpu == 0 {
 			t.Fatalf("instance %d placed on the failed GPU", inst.ID)
 		}
 	}

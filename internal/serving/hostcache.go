@@ -60,9 +60,6 @@ func (srv *Server) DeployZoo(z *registry.Zoo) error {
 // the combination is rejected rather than left untested.
 var ErrZooLLM = errors.New("serving: a model zoo serves single-shot inference; disable LLM mode to deploy a zoo")
 
-// HostPinned returns the bytes currently pinned in host memory.
-func (srv *Server) HostPinned() int64 { return srv.host.Pinned() }
-
 // hostLocked is the host cache's lock (docs/ZOO.md §3): an instance's
 // pinned weights must stay resident while it is warm on a GPU, because
 // direct-host-access reads them, or while a fetch-to-pin is filling them.

@@ -36,7 +36,7 @@ func TestRelocationUnderSkew(t *testing.T) {
 	if rep.Relocations == 0 {
 		t.Fatal("no relocations under a saturating hotspot")
 	}
-	if got := srv.instances[8].GPU(); got == 0 {
+	if got := srv.instances[8].gpu; got == 0 {
 		t.Error("instance 8 still on the congested GPU")
 	}
 }

@@ -220,9 +220,6 @@ type pending struct {
 // State returns the instance's residency state.
 func (in *Instance) State() InstanceState { return in.state }
 
-// GPU returns the instance's GPU, meaningful when Warm.
-func (in *Instance) GPU() int { return in.gpu }
-
 // Model returns the instance's model name.
 func (in *Instance) Model() string { return in.dep.Model.Name }
 
@@ -546,15 +543,23 @@ func (srv *Server) deployment(model *dnn.Model) (*Deployment, error) {
 		Plan:      p,
 		Fallback:  fb,
 		Footprint: p.ResidentBytes(model) + srv.cfg.Cost.Workspace(model, servingBatch),
-		LoadEst: srv.cfg.Cost.ModelLoadTime(model, srv.cfg.Topo.LaneBandwidth(),
-			sim.Duration(srv.cfg.Topo.PerCopyOverheadNanos)),
-		ExecEst: srv.cfg.Cost.ModelExecTime(model, servingBatch),
+		LoadEst:   prof.TotalLoad(),
+		ExecEst:   prof.TotalExecInMem(),
 	}
 	dep.FetchEst = hostFetchOverhead +
 		sim.Duration(float64(model.TotalParamBytes())/srv.cfg.HostFetchBandwidth*1e9)
 	dep.gpuBytes = dep.Footprint
 	if srv.cfg.Pack == PackDense {
 		dep.gpuBytes = gpumem.AlignUp(dep.Footprint, gpumem.PageBytes)
+	}
+	var usable int64
+	for _, gs := range srv.gpus {
+		usable = max(usable, gs.mem.Capacity())
+	}
+	if dep.gpuBytes > usable {
+		// No placement could ever succeed, so its requests would wait forever.
+		return nil, fmt.Errorf("serving: model %s needs %d bytes (%.1f GB) per instance, more than the %d bytes (%.1f GB) usable on the largest GPU",
+			model.Name, dep.gpuBytes, float64(dep.gpuBytes)/1e9, usable, float64(usable)/1e9)
 	}
 	dep.mon = srv.deployInstruments(model.Name)
 	dep.decodeName = "decode:" + model.Name

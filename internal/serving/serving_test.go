@@ -38,6 +38,24 @@ func deployBERT(t *testing.T, srv *Server, n int) {
 	}
 }
 
+// TestDeployRejectsModelNoGPUHolds checks that a model whose per-instance
+// footprint exceeds every GPU's usable memory is refused at deploy, naming
+// the model, rather than deployed with requests that can never be placed.
+func TestDeployRejectsModelNoGPUHolds(t *testing.T) {
+	big, err := dnn.ByName("synthetic-13b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []Policy{PolicyBaseline, PolicyPipeSwitch, PolicyDHA, PolicyPTDHA} {
+		srv := newServer(t, policy)
+		err := srv.Deploy(big, 1)
+		if err == nil || !strings.Contains(err.Error(), big.Name) || !strings.Contains(err.Error(), "usable") {
+			t.Errorf("%s: Deploy(%s) = %v, want an error naming the model and the usable memory", policy, big.Name, err)
+		}
+		deployBERT(t, srv, 1)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("empty config accepted")
@@ -274,7 +292,7 @@ func TestInstanceAccessors(t *testing.T) {
 	if in.State() != Warm {
 		t.Fatal("warmed instance not warm")
 	}
-	if g := in.GPU(); g < 0 || g > 3 {
+	if g := in.gpu; g < 0 || g > 3 {
 		t.Fatalf("GPU = %d", g)
 	}
 }

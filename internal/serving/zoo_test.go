@@ -62,15 +62,15 @@ func TestZooCacheTierEnforcesCapacity(t *testing.T) {
 			if err := srv.DeployZoo(z); err != nil {
 				t.Fatal(err)
 			}
-			if got := srv.HostPinned(); got > hostMem {
+			if got := srv.host.Pinned(); got > hostMem {
 				t.Fatalf("deploy pinned %d bytes over the %d budget", got, hostMem)
 			}
 			rep, err := srv.Run(z.Requests(42, 200, 2000))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if srv.HostPinned() > hostMem {
-				t.Fatalf("run left %d bytes pinned over the %d budget", srv.HostPinned(), hostMem)
+			if srv.host.Pinned() > hostMem {
+				t.Fatalf("run left %d bytes pinned over the %d budget", srv.host.Pinned(), hostMem)
 			}
 			if rep.HostMisses == 0 {
 				t.Fatal("no host-cache misses despite overflowing zoo")

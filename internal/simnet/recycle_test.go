@@ -107,12 +107,12 @@ func TestFlowStartedInCallbackDoesNotReuseBatch(t *testing.T) {
 	for i, name := range names {
 		batch[i] = n.StartFlow(name, []*Link{l}, 1*gb, func(sim.Time) {
 			for _, f := range batch {
-				if !f.Done() || f.Total() != 1*gb {
-					t.Fatalf("batch flow %q changed under a callback: done=%v total=%g", f.Name(), f.Done(), f.Total())
+				if !f.done || f.total != 1*gb {
+					t.Fatalf("batch flow %q changed under a callback: done=%v total=%g", f.name, f.done, f.total)
 				}
 			}
-			if batch[i].Name() != name {
-				t.Fatalf("batch flow %q reads as %q inside its own callback", name, batch[i].Name())
+			if batch[i].name != name {
+				t.Fatalf("batch flow %q reads as %q inside its own callback", name, batch[i].name)
 			}
 			// Completed, zero-byte and aborted flows, all started mid-batch.
 			started = append(started,
@@ -129,7 +129,7 @@ func TestFlowStartedInCallbackDoesNotReuseBatch(t *testing.T) {
 	for _, f := range started {
 		for _, b := range batch {
 			if f == b {
-				t.Fatalf("flow started inside a callback reused batch member %q", b.Name())
+				t.Fatalf("flow started inside a callback reused batch member %q", b.name)
 			}
 		}
 	}
@@ -149,12 +149,12 @@ func TestAbortCompletedFlowIsNoop(t *testing.T) {
 	n.Abort(aborted)
 	n.Abort(empty) // zero-byte flows are Done from the start
 	s.Run()
-	if !done.Done() || !aborted.Done() || !empty.Done() {
+	if !done.done || !aborted.done || !empty.done {
 		t.Fatal("flows not Done after the run")
 	}
 	for _, f := range []*Flow{done, aborted, empty} {
 		if f.path != nil {
-			t.Fatalf("recycled flow %q still holds its path", f.Name())
+			t.Fatalf("recycled flow %q still holds its path", f.name)
 		}
 	}
 	n.Abort(done)

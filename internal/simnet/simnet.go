@@ -91,22 +91,6 @@ type Flow struct {
 	nextFree  *Flow // next recycled flow while on the free list
 }
 
-// Name returns the flow's diagnostic name.
-func (f *Flow) Name() string { return f.name }
-
-// Total returns the flow size in bytes.
-func (f *Flow) Total() float64 { return f.total }
-
-// Remaining returns the bytes not yet transferred, as of the last network
-// update. Call Network.Sync first for an up-to-the-instant value.
-func (f *Flow) Remaining() float64 { return f.remaining }
-
-// Rate returns the flow's current allocated rate in bytes per second.
-func (f *Flow) Rate() float64 { return f.rate }
-
-// Done reports whether the flow has completed (or was aborted).
-func (f *Flow) Done() bool { return f.done }
-
 // Network manages flows over links, driven by a Simulator.
 type Network struct {
 	sim        *sim.Simulator
@@ -285,10 +269,6 @@ func (n *Network) recycle(f *Flow) {
 		n.nfree++
 	}
 }
-
-// Sync advances all flow progress to the current instant without changing
-// rates. It is useful before inspecting Remaining.
-func (n *Network) Sync() { n.advance() }
 
 // advance credits each active flow with rate*(now-lastUpdate) bytes.
 func (n *Network) advance() {

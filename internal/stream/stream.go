@@ -6,15 +6,15 @@
 // cudaEventRecord / cudaStreamWaitEvent synchronization the paper's engine
 // uses to couple its load, migration, and execution streams (§4.3.4).
 //
-// The package sits on the serving hot path — every inference submits a
-// handful of tasks per layer — so the queue machinery is allocation-free in
-// steady state: the task queue is a reusable ring, the built-in task kinds
-// (Do, Delay, Record, Wait) are tagged entries rather than closures, each
+// A stream runs three task forms: a Handler (SubmitHandler) or Task closure
+// (Submit), Record and Wait. The package sits on the serving hot path —
+// every inference submits a handful of tasks per layer — so the queue
+// machinery is allocation-free in steady state: the task queue is a reusable
+// ring, Record and Wait are tagged entries rather than closures, each
 // stream's completion callback is allocated once at construction, and an
 // event's first waiter is stored inline instead of growing a slice. Callers
 // that issue many tasks from one long-lived object submit it as a Handler
-// (SubmitHandler) instead of a fresh Task closure, and can hold their Events
-// by value.
+// instead of a fresh Task closure, and can hold their Events by value.
 package stream
 
 import (
@@ -32,9 +32,6 @@ type Event struct {
 	waiter0 func()
 	waiters []func()
 }
-
-// NewEvent returns an unfired event.
-func NewEvent() *Event { return &Event{} }
 
 // Fired reports whether the event has fired.
 func (e *Event) Fired() bool { return e.fired }
@@ -56,12 +53,8 @@ func (e *Event) OnFire(fn func()) {
 	e.waiters = append(e.waiters, fn)
 }
 
-// Fire triggers the event manually at the given instant. Most events fire
-// via Stream.Record; manual firing supports dynamic dependencies such as
-// on-demand mixture-of-experts transfers, where the event's producer is not
-// known until execution reaches the router. Firing twice is a no-op.
-func (e *Event) Fire(at sim.Time) { e.fire(at) }
-
+// fire marks the event fired at the given instant and runs its waiters.
+// Firing twice is a no-op.
 func (e *Event) fire(at sim.Time) {
 	if e.fired {
 		return
@@ -92,27 +85,24 @@ type Handler interface {
 	Start(done func())
 }
 
-// Built-in task kinds. kindTask runs a caller-provided Handler; the others are
-// interpreted by the stream loop directly so the convenience entry points
-// never allocate a closure per call.
+// Task kinds. kindTask runs a caller-provided Handler; Record and Wait are
+// interpreted by the stream loop directly so they never allocate a closure
+// per call.
 type taskKind uint8
 
 const (
 	kindTask taskKind = iota
-	kindDo
-	kindDelay
 	kindRecord
 	kindWait
 )
 
 // queued is one ring entry. Its payload shares one field, which keeps the
-// entry at 48 bytes: a stream's ring holds its high-water mark of queued
+// entry at 40 bytes: a stream's ring holds its high-water mark of queued
 // tasks for the life of the simulation.
 type queued struct {
 	name string
 	kind taskKind
-	arg  any          // Handler (kindTask), func() (kindDo), *Event (kindRecord, kindWait)
-	d    sim.Duration // kindDelay
+	arg  any // Handler (kindTask), *Event (kindRecord, kindWait)
 }
 
 // Stream executes tasks in FIFO order, one at a time.
@@ -136,14 +126,8 @@ func New(s *sim.Simulator, name string) *Stream {
 	return st
 }
 
-// Name returns the stream's diagnostic name.
-func (st *Stream) Name() string { return st.name }
-
 // Idle reports whether the stream has no running or queued work.
 func (st *Stream) Idle() bool { return !st.running && st.head == len(st.queue) }
-
-// QueueLen returns the number of tasks waiting (not counting a running one).
-func (st *Stream) QueueLen() int { return len(st.queue) - st.head }
 
 // push appends an entry and starts it immediately if the stream is idle.
 func (st *Stream) push(q queued) {
@@ -179,9 +163,9 @@ func (st *Stream) complete() {
 }
 
 // advance starts queued tasks until one completes asynchronously (or the
-// queue drains). Built-in kinds are interpreted inline, so chains of
-// instantaneous Do/Record tasks run iteratively rather than recursing
-// through a completion callback per task.
+// queue drains). Record and Wait are interpreted inline, so chains of them
+// run iteratively rather than recursing through a completion callback per
+// task.
 func (st *Stream) advance() {
 	for {
 		if st.head == len(st.queue) {
@@ -196,10 +180,6 @@ func (st *Stream) advance() {
 		st.running = true
 		kind := next.kind
 		switch kind {
-		case kindDo:
-			fn := next.arg.(func())
-			*next = queued{}
-			fn()
 		case kindRecord:
 			ev := next.arg.(*Event)
 			*next = queued{}
@@ -213,12 +193,6 @@ func (st *Stream) advance() {
 			st.curName, st.completed = "wait", false
 			ev.OnFire(st.done)
 			return
-		case kindDelay:
-			st.curName, st.completed = next.name, false
-			d := next.d
-			*next = queued{}
-			st.sim.After(d, st.done)
-			return
 		default: // kindTask
 			st.curName, st.completed = next.name, false
 			run := next.arg.(Handler)
@@ -227,21 +201,6 @@ func (st *Stream) advance() {
 			return
 		}
 	}
-}
-
-// Delay enqueues a task that occupies the stream for d of virtual time.
-// A non-positive d completes via a zero-delay event, preserving deterministic
-// ordering relative to other same-instant work.
-func (st *Stream) Delay(name string, d sim.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	st.push(queued{name: name, kind: kindDelay, d: d})
-}
-
-// Do enqueues an instantaneous task: fn runs when the stream reaches it.
-func (st *Stream) Do(name string, fn func()) {
-	st.push(queued{name: name, kind: kindDo, arg: fn})
 }
 
 // Record enqueues a task that fires e when the stream reaches it,

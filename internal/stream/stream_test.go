@@ -6,14 +6,27 @@ import (
 	"deepplan/internal/sim"
 )
 
+// delay submits a task that occupies st for d of virtual time.
+func delay(s *sim.Simulator, st *Stream, name string, d sim.Duration) {
+	st.Submit(name, func(done func()) { s.After(d, done) })
+}
+
+// mark submits an instantaneous task that runs fn when st reaches it.
+func mark(st *Stream, name string, fn func()) {
+	st.Submit(name, func(done func()) {
+		fn()
+		done()
+	})
+}
+
 func TestTasksRunInOrder(t *testing.T) {
 	s := sim.New()
 	st := New(s, "exec")
 	var got []int
-	st.Delay("a", 10*sim.Nanosecond)
-	st.Do("mark1", func() { got = append(got, 1) })
-	st.Delay("b", 10*sim.Nanosecond)
-	st.Do("mark2", func() { got = append(got, 2) })
+	delay(s, st, "a", 10*sim.Nanosecond)
+	mark(st, "mark1", func() { got = append(got, 1) })
+	delay(s, st, "b", 10*sim.Nanosecond)
+	mark(st, "mark2", func() { got = append(got, 2) })
 	s.Run()
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("order = %v", got)
@@ -26,42 +39,17 @@ func TestTasksRunInOrder(t *testing.T) {
 	}
 }
 
-func TestDelayOccupiesStream(t *testing.T) {
-	s := sim.New()
-	st := New(s, "load")
-	var at sim.Time
-	st.Delay("x", 5*sim.Millisecond)
-	st.Delay("y", 3*sim.Millisecond)
-	st.Do("done", func() { at = s.Now() })
-	s.Run()
-	if at != sim.Time(8*sim.Millisecond) {
-		t.Fatalf("completion at %v, want 8ms", at)
-	}
-}
-
-func TestNegativeDelayClamped(t *testing.T) {
-	s := sim.New()
-	st := New(s, "x")
-	fired := false
-	st.Delay("neg", -5)
-	st.Do("f", func() { fired = true })
-	s.Run()
-	if !fired {
-		t.Fatal("task after negative delay did not run")
-	}
-}
-
 func TestEventRecordWait(t *testing.T) {
 	s := sim.New()
 	load := New(s, "load")
 	exec := New(s, "exec")
-	e := NewEvent()
+	e := &Event{}
 	var execAt sim.Time
 
-	load.Delay("copy-layer", 10*sim.Millisecond)
+	delay(s, load, "copy-layer", 10*sim.Millisecond)
 	load.Record(e)
 	exec.Wait(e)
-	exec.Do("run-layer", func() { execAt = s.Now() })
+	mark(exec, "run-layer", func() { execAt = s.Now() })
 	s.Run()
 	if execAt != sim.Time(10*sim.Millisecond) {
 		t.Fatalf("exec ran at %v, want 10ms", execAt)
@@ -75,12 +63,12 @@ func TestWaitOnAlreadyFiredEventPassesThrough(t *testing.T) {
 	s := sim.New()
 	a := New(s, "a")
 	b := New(s, "b")
-	e := NewEvent()
+	e := &Event{}
 	a.Record(e)
 	s.Run()
 	var at sim.Time = -1
 	b.Wait(e)
-	b.Do("x", func() { at = s.Now() })
+	mark(b, "x", func() { at = s.Now() })
 	s.Run()
 	if at != 0 {
 		t.Fatalf("pass-through wait consumed time: %v", at)
@@ -88,7 +76,7 @@ func TestWaitOnAlreadyFiredEventPassesThrough(t *testing.T) {
 }
 
 func TestOnFireAfterFiredRunsImmediately(t *testing.T) {
-	e := NewEvent()
+	e := &Event{}
 	e.fire(5)
 	ran := false
 	e.OnFire(func() { ran = true })
@@ -98,7 +86,7 @@ func TestOnFireAfterFiredRunsImmediately(t *testing.T) {
 }
 
 func TestDoubleFireIsNoop(t *testing.T) {
-	e := NewEvent()
+	e := &Event{}
 	n := 0
 	e.OnFire(func() { n++ })
 	e.fire(1)
@@ -136,9 +124,9 @@ func TestAsyncTaskCompletion(t *testing.T) {
 			done()
 		})
 	})
-	st.Do("next", func() { order = append(order, "next") })
-	if st.QueueLen() != 1 {
-		t.Fatalf("QueueLen = %d, want 1", st.QueueLen())
+	mark(st, "next", func() { order = append(order, "next") })
+	if len(order) != 0 || st.Idle() {
+		t.Fatalf("before Run: order = %v, idle = %v; want the async task running and next queued", order, st.Idle())
 	}
 	s.Run()
 	if len(order) != 2 || order[0] != "async" || order[1] != "next" {
@@ -156,22 +144,15 @@ func TestPipelinedLoadExecPattern(t *testing.T) {
 	exec := New(s, "exec")
 	var finish sim.Time
 	for i := 0; i < 3; i++ {
-		e := NewEvent()
-		load.Delay("copy", 10*sim.Millisecond)
+		e := &Event{}
+		delay(s, load, "copy", 10*sim.Millisecond)
 		load.Record(e)
 		exec.Wait(e)
-		exec.Delay("run", 4*sim.Millisecond)
+		delay(s, exec, "run", 4*sim.Millisecond)
 	}
-	exec.Do("fin", func() { finish = s.Now() })
+	mark(exec, "fin", func() { finish = s.Now() })
 	s.Run()
 	if finish != sim.Time(34*sim.Millisecond) {
 		t.Fatalf("pipelined finish = %v, want 34ms", finish)
-	}
-}
-
-func TestStreamName(t *testing.T) {
-	st := New(sim.New(), "migration")
-	if st.Name() != "migration" {
-		t.Fatalf("Name = %q", st.Name())
 	}
 }

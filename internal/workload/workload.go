@@ -206,47 +206,10 @@ type TraceSpec struct {
 	BurstLen   sim.Duration
 }
 
-// FunctionProfile is the ground-truth rate structure MAFLike generated one
-// function with: the knobs the thinning envelope used, exposed so
-// forecasters can be validated against (and tuned to) the true
-// periodicity instead of reverse-engineering it from arrivals.
-type FunctionProfile struct {
-	// Class is the function's arrival class.
-	Class FunctionClass
-	// Mean is the function's average request rate (requests/second).
-	Mean float64
-	// Period is the sinusoidal period of a Fluctuating function; zero for
-	// other classes.
-	Period sim.Duration
-	// BurstEvery, BurstLen and BurstOffset describe a Spiky function's
-	// burst schedule: a burst starts whenever (t+BurstOffset) mod
-	// BurstEvery < BurstLen. All zero for other classes.
-	BurstEvery  sim.Duration
-	BurstLen    sim.Duration
-	BurstOffset sim.Duration
-}
-
-// Periodicity returns the function's dominant rate periodicity: the burst
-// interval for Spiky functions, the sinusoidal period for Fluctuating
-// ones, and zero for classes with no time structure.
-func (p FunctionProfile) Periodicity() sim.Duration {
-	switch p.Class {
-	case Spiky:
-		return p.BurstEvery
-	case Fluctuating:
-		return p.Period
-	default:
-		return 0
-	}
-}
-
 // Trace is a generated arrival sequence with its per-function metadata.
 type Trace struct {
 	Requests []Request
 	Classes  []FunctionClass // per function (instance) index
-	// Profiles holds each function's ground-truth rate structure, indexed
-	// like Classes.
-	Profiles []FunctionProfile
 }
 
 // MAFLike synthesizes an Azure-Functions-like trace. Each function (mapped
@@ -304,7 +267,7 @@ func MAFLike(spec TraceSpec) (*Trace, error) {
 	}
 
 	durSec := spec.Duration.Seconds()
-	tr := &Trace{Classes: classes, Profiles: make([]FunctionProfile, len(classes))}
+	tr := &Trace{Classes: classes}
 	for fn, c := range classes {
 		mean := spec.TotalRate * weight(c) / totalWeight
 		// Per-function phase/burst structure. The draws always happen so
@@ -320,17 +283,6 @@ func MAFLike(spec TraceSpec) (*Trace, error) {
 			burstLen = spec.BurstLen.Seconds()
 			burstOffset = 0
 		}
-		prof := FunctionProfile{Class: c, Mean: mean}
-		switch c {
-		case Fluctuating:
-			prof.Period = sim.Duration(period * float64(sim.Second))
-		case Spiky:
-			prof.BurstEvery = sim.Duration(burstEvery * float64(sim.Second))
-			prof.BurstLen = sim.Duration(burstLen * float64(sim.Second))
-			prof.BurstOffset = sim.Duration(burstOffset * float64(sim.Second))
-		}
-		tr.Profiles[fn] = prof
-
 		rate := func(t float64) float64 {
 			switch c {
 			case Sustained:
@@ -370,21 +322,4 @@ func MAFLike(spec TraceSpec) (*Trace, error) {
 		return tr.Requests[i].Instance < tr.Requests[j].Instance
 	})
 	return tr, nil
-}
-
-// RatePerMinute returns the offered load per minute bucket (the "offered
-// load" panel at the top of Figure 15).
-func (tr *Trace) RatePerMinute() []float64 {
-	if len(tr.Requests) == 0 {
-		return nil
-	}
-	last := tr.Requests[len(tr.Requests)-1].At
-	buckets := make([]float64, int(last/sim.Time(sim.Second*60))+1)
-	for _, r := range tr.Requests {
-		buckets[int(r.At/sim.Time(sim.Second*60))]++
-	}
-	for i := range buckets {
-		buckets[i] /= 60 // requests per second within the minute
-	}
-	return buckets
 }

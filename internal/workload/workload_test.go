@@ -272,18 +272,23 @@ func TestMAFLikeSpikyBursts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rates := tr.RatePerMinute()
-	if len(rates) == 0 {
-		t.Fatal("no per-minute rates")
+	if len(tr.Requests) == 0 {
+		t.Fatal("empty trace")
+	}
+	// Arrivals per minute bucket, up to the last arrival's minute.
+	minute := sim.Time(60 * sim.Second)
+	perMinute := make([]float64, int(tr.Requests[len(tr.Requests)-1].At/minute)+1)
+	for _, r := range tr.Requests {
+		perMinute[int(r.At/minute)]++
 	}
 	var max, sum float64
-	for _, r := range rates {
+	for _, r := range perMinute {
 		sum += r
 		if r > max {
 			max = r
 		}
 	}
-	mean := sum / float64(len(rates))
+	mean := sum / float64(len(perMinute))
 	// Bursts from many functions partially overlap, so the aggregate peak
 	// is damped; still expect clearly super-Poisson variation.
 	if max < 1.25*mean {
@@ -323,13 +328,6 @@ func TestFunctionClassString(t *testing.T) {
 	}
 	if FunctionClass(42).String() != "FunctionClass(42)" {
 		t.Fatal("out-of-range String broken")
-	}
-}
-
-func TestRatePerMinuteEmpty(t *testing.T) {
-	tr := &Trace{}
-	if tr.RatePerMinute() != nil {
-		t.Fatal("empty trace produced rates")
 	}
 }
 
@@ -431,47 +429,6 @@ func TestWithTokensClampsDegenerateMeans(t *testing.T) {
 	}
 }
 
-func TestMAFLikeProfilesRecorded(t *testing.T) {
-	tr, err := MAFLike(defaultSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Profiles) != len(tr.Classes) {
-		t.Fatalf("profiles = %d, classes = %d", len(tr.Profiles), len(tr.Classes))
-	}
-	for fn, p := range tr.Profiles {
-		if p.Class != tr.Classes[fn] {
-			t.Fatalf("fn %d: profile class %v != trace class %v", fn, p.Class, tr.Classes[fn])
-		}
-		if p.Mean <= 0 {
-			t.Fatalf("fn %d: mean %v", fn, p.Mean)
-		}
-		switch p.Class {
-		case Spiky:
-			if p.BurstEvery < 10*60*sim.Second || p.BurstEvery > 40*60*sim.Second {
-				t.Fatalf("fn %d: burst-every %s outside 10-40min", fn, p.BurstEvery)
-			}
-			if p.BurstLen < 20*sim.Second || p.BurstLen > 80*sim.Second {
-				t.Fatalf("fn %d: burst-len %s outside 20-80s", fn, p.BurstLen)
-			}
-			if p.Periodicity() != p.BurstEvery {
-				t.Fatalf("fn %d: periodicity %s != burst-every %s", fn, p.Periodicity(), p.BurstEvery)
-			}
-		case Fluctuating:
-			if p.Period < 15*60*sim.Second || p.Period > 60*60*sim.Second {
-				t.Fatalf("fn %d: period %s outside 15-60min", fn, p.Period)
-			}
-			if p.Periodicity() != p.Period {
-				t.Fatalf("fn %d: periodicity %s != period %s", fn, p.Periodicity(), p.Period)
-			}
-		default:
-			if p.Period != 0 || p.BurstEvery != 0 || p.Periodicity() != 0 {
-				t.Fatalf("fn %d (%v): unexpected periodicity %+v", fn, p.Class, p)
-			}
-		}
-	}
-}
-
 func TestMAFLikeBurstOverrideSharedSchedule(t *testing.T) {
 	spec := defaultSpec()
 	spec.Mix = map[FunctionClass]float64{Spiky: 1}
@@ -481,12 +438,9 @@ func TestMAFLikeBurstOverrideSharedSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for fn, p := range tr.Profiles {
-		if p.Class != Spiky {
-			t.Fatalf("fn %d: class %v, want spiky under Mix{Spiky:1}", fn, p.Class)
-		}
-		if p.BurstEvery != spec.BurstEvery || p.BurstLen != spec.BurstLen || p.BurstOffset != 0 {
-			t.Fatalf("fn %d: override not applied: %+v", fn, p)
+	for fn, c := range tr.Classes {
+		if c != Spiky {
+			t.Fatalf("fn %d: class %v, want spiky under Mix{Spiky:1}", fn, c)
 		}
 	}
 	// Arrivals must actually concentrate in the shared burst windows:

@@ -29,6 +29,12 @@
 # a second, untyped copy the compiler cannot check, so non-test Go outside
 # internal/plan and benchmark/ may not compare a .Mode or .Policy field to
 # a non-empty string literal (use the plan.Mode* constants).
+#
+# A GPU stream is the engine's: its load, migration and execution streams
+# couple through Record and Wait (§4.3.4), and the two hand-built
+# experiment simulators drive their own. Anything else that ran work on a
+# stream would be a second engine, so non-test Go outside internal/engine,
+# internal/experiments and benchmark/ may not import internal/stream.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,6 +57,10 @@ if grep -nE '(cluster\.Request|ClusterRequest)\{' $SRC | grep -vE '^\./internal/
 fi
 if grep -nE '\.(Mode|Policy) *[!=]= *"[^"]' $SRC | grep -vE '^\./internal/plan/'; then
   echo "FAIL: mode or policy compared to a string literal (use the plan.Mode constants)" >&2
+  exit 1
+fi
+if grep -nE '"deepplan/internal/stream"' $SRC | grep -vE '^\./internal/(engine|experiments)/'; then
+  echo "FAIL: internal/stream imported outside internal/engine and internal/experiments (run GPU work through the engine)" >&2
   exit 1
 fi
 echo "instruments lint: ok"
