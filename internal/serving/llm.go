@@ -22,9 +22,9 @@ package serving
 // ordinary dynamic-batching backlog meanwhile, which is exactly the
 // run-to-completion baseline continuous batching was invented to beat).
 //
-// Failure is handled at eviction: evict → failLLM re-dispatches every
-// sequence of the instance through the ordinary retry-once-then-shed path
-// and releases its KV. A decode iteration aborted by engine.FailGPU only
+// Failure is handled at eviction: evict → drainLLM releases the KV of every
+// sequence of the instance, and once the instance is released evict
+// re-dispatches them through the ordinary retry-once-then-shed path. A decode iteration aborted by engine.FailGPU only
 // cleans up the loop bookkeeping — its sequences were already drained by
 // the eviction that preceded the abort.
 
@@ -193,7 +193,7 @@ func (srv *Server) llmStartTransfer(inst *Instance, seq *llmSeq, bytes float64) 
 	ep := llm.epoch
 	srv.net.StartFlow(inst.dep.decodeName, path, bytes, func(sim.Time) {
 		if llm.epoch != ep {
-			return // evicted mid-transfer; failLLM already re-dispatched it
+			return // evicted mid-transfer; evict already re-dispatched it
 		}
 		for i, s := range llm.transfers {
 			if s == seq {
@@ -303,7 +303,7 @@ func (srv *Server) llmIterDone(inst *Instance, res *engine.Result) {
 	dgs := llm.busyGS
 	if res.Aborted {
 		// The decode GPU failed mid-iteration. The eviction that preceded
-		// the engine abort already re-dispatched the batch (failLLM); only
+		// the engine abort already re-dispatched the batch (evict); only
 		// the loop bookkeeping and any coalesced static batch remain.
 		llm.running = false
 		llm.busyGS = nil
@@ -374,18 +374,18 @@ func (srv *Server) llmRetryKVWaitAll() {
 	}
 }
 
-// failLLM drains every sequence of an instance losing residency: KV
-// reservations release and each request re-enters dispatch through the
-// ordinary retry-once-then-shed path. In-flight KV transfers are orphaned
-// by bumping the epoch. No-op outside LLM mode.
-func (srv *Server) failLLM(inst *Instance) {
+// drainLLM empties an instance losing residency of its sequences: KV
+// reservations release, in-flight KV transfers are orphaned by bumping the
+// epoch, and inflight settles. It returns the sequences for evict to retry
+// once the instance is released. Nil outside LLM mode.
+func (srv *Server) drainLLM(inst *Instance) []*llmSeq {
 	llm := inst.llm
 	if llm == nil {
-		return
+		return nil
 	}
 	total := len(llm.active) + len(llm.joinq) + len(llm.kvwait) + len(llm.transfers)
 	if total == 0 {
-		return
+		return nil
 	}
 	llm.epoch++
 	seqs := make([]*llmSeq, 0, total)
@@ -398,7 +398,7 @@ func (srv *Server) failLLM(inst *Instance) {
 		if s.kv != nil {
 			s.kv.Release()
 		}
-		inst.inflight--
-		srv.retryOrShed(inst, s.p)
 	}
+	inst.inflight -= total
+	return seqs
 }
