@@ -115,6 +115,17 @@ func main() {
 		space.AutoscalePolicies = []cluster.AutoscalePolicy{cluster.AutoscalePolicy(*autoscalePolicy)}
 	}
 
+	// The -metrics file is opened before the sweep, so a path that cannot be
+	// written is a command-line error found before the first probe.
+	var metricsFile *os.File
+	if *metricsPath != "" {
+		f, err := os.Create(*metricsPath)
+		if err != nil {
+			usage("%v", err)
+		}
+		metricsFile = f
+	}
+
 	results, err := capacity.Sweep(space, spec, capacity.DefaultPricing(), runtime.GOMAXPROCS(0))
 	if err != nil {
 		fail("%v", err)
@@ -132,7 +143,7 @@ func main() {
 	// recommendation, the frontier's best point) with full monitoring and
 	// export the registry. The alert log goes to stderr so stdout stays a
 	// pure function of the flags in both output modes.
-	if *metricsPath != "" {
+	if metricsFile != nil {
 		rec := plan.Recommendation
 		if rec == nil {
 			for i := range plan.Results {
@@ -149,14 +160,10 @@ func main() {
 		if err != nil {
 			fail("confirm: %v", err)
 		}
-		f, err := os.Create(*metricsPath)
-		if err != nil {
-			fail("%v", err)
-		}
-		if err := conf.Registry.WriteOpenMetrics(f); err == nil {
-			err = f.Close()
+		if err := conf.Registry.WriteOpenMetrics(metricsFile); err == nil {
+			err = metricsFile.Close()
 		} else {
-			f.Close()
+			metricsFile.Close()
 		}
 		if err != nil {
 			fail("%v", err)

@@ -15,6 +15,7 @@ import (
 // metrics file, naming the bad flag or spec field on stderr.
 func TestRejectsBadFlags(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "out.prom")
+	unwritable := filepath.Join(t.TempDir(), "missing", "x.prom")
 	cases := []struct {
 		args []string
 		want string
@@ -34,6 +35,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-quick", "-duration", "1s", "-metrics", out}, "-duration"},
 		{[]string{"-quick", "-max-rate", "640"}, "-max-rate"},
 		{[]string{"-step", "20", "-quick"}, "-step"},
+		{[]string{"-quick", "-metrics", unwritable}, unwritable},
 	}
 	for _, c := range cases {
 		var stdout, stderr bytes.Buffer

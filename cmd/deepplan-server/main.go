@@ -167,19 +167,22 @@ func main() {
 		},
 		MetricsInterval: deepplan.Duration(*metricsEvery),
 	}
-	if *tracePath != "" {
-		opts.Trace = deepplan.NewTraceRecorder()
-	}
 	if *faultSpec != "" {
 		var err error
 		if opts.Faults, err = deepplan.ParseFaults(*faultSpec); err != nil {
 			fail("%v", err)
 		}
 	}
-	// -metrics enables the registry and the SLO burn-rate monitor; the file
-	// gets one exposition block per -metrics-interval of sim time (if set)
-	// plus a final snapshot, all byte-identical across reruns.
-	var metricsFile *os.File
+	// Output files are opened before the run, so a path that cannot be
+	// written fails before anything is printed. -metrics enables the
+	// registry and the SLO burn-rate monitor; the file gets one exposition
+	// block per -metrics-interval of sim time (if set) plus a final
+	// snapshot, all byte-identical across reruns.
+	var traceFile, metricsFile *os.File
+	if *tracePath != "" {
+		opts.Trace = deepplan.NewTraceRecorder()
+		traceFile = create(*tracePath)
+	}
 	if *metricsPath != "" {
 		opts.Monitor = deepplan.NewMetricsRegistry()
 		opts.Alerts = &deepplan.SLOConfig{}
@@ -358,14 +361,13 @@ func main() {
 		deepplan.WriteTelemetry(os.Stdout, windows)
 	}
 
-	if opts.Trace != nil {
-		f := create(*tracePath)
-		werr := deepplan.WriteTrace(f, opts.Trace, map[string]string{
+	if traceFile != nil {
+		werr := deepplan.WriteTrace(traceFile, opts.Trace, map[string]string{
 			"policy": *policy, "route": *route,
 			"nodes": strconv.Itoa(*nodes),
 			"seed":  strconv.FormatInt(*seed, 10),
 		})
-		closeOutput(f, werr, "trace")
+		closeOutput(traceFile, werr, "trace")
 		fmt.Fprintf(os.Stderr, "wrote %d trace events to %s\n", opts.Trace.Len(), *tracePath)
 	}
 	if metricsFile != nil {

@@ -12,9 +12,11 @@ import (
 
 // TestRejectsBadFlags runs the binary TestMain builds on flag values that
 // cannot describe a run. Each must exit 1 before printing anything on
-// stdout, with an error on stderr that names the flag, or the library
-// field it sets.
+// stdout, with an error on stderr that names the flag, the library field it
+// sets, or the output file it cannot create.
 func TestRejectsBadFlags(t *testing.T) {
+	unwritable := filepath.Join(t.TempDir(), "missing", "trace.json")
+	metrics := filepath.Join(t.TempDir(), "m.prom")
 	cases := []struct {
 		args []string
 		want string
@@ -54,6 +56,8 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-metrics-interval", "-1s"}, "MetricsInterval"},
 		{[]string{"-nodes", "2", "-metrics-interval", "-1s"}, "MetricsInterval"},
 		{[]string{"-metrics-interval", "1s"}, "MetricsInterval"},
+		{[]string{"-requests", "5", "-metrics", metrics, "-metrics-interval", "1us"}, "MetricsInterval"},
+		{[]string{"-requests", "5", "-trace", unwritable}, unwritable},
 		{[]string{"-zoo", "5", "-model", "gpt2"}, "-model"},
 		{[]string{"-zoo", "5", "-instances", "8"}, "-instances"},
 		{[]string{"-mix", "bert-base:2", "-model", "gpt2"}, "-model"},

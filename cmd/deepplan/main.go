@@ -75,6 +75,10 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
+	// Output files are opened once the planner has checked -mode and before
+	// anything is printed, so a path that cannot be written leaves stdout
+	// empty.
+	jsonFile, traceFile := create(*jsonOut), create(*traceOut)
 
 	fmt.Printf("model:      %s (%d layers, %.1f MiB)\n",
 		m.Name, m.NumLayers(), float64(m.TotalParamBytes())/(1<<20))
@@ -98,17 +102,13 @@ func main() {
 		}
 	}
 
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fail("%v", err)
-		}
+	if traceFile != nil {
 		rec := trace.New()
 		res.EmitTrace(rec)
-		if err := trace.WriteChrome(f, rec, map[string]string{"model": res.Model, "mode": res.Mode}); err != nil {
+		if err := trace.WriteChrome(traceFile, rec, map[string]string{"model": res.Model, "mode": res.Mode}); err != nil {
 			fail("%v", err)
 		}
-		if err := f.Close(); err != nil {
+		if err := traceFile.Close(); err != nil {
 			fail("%v", err)
 		}
 		fmt.Printf("timeline written to %s (open in chrome://tracing or ui.perfetto.dev)\n", *traceOut)
@@ -129,12 +129,15 @@ func main() {
 		}
 	}
 
-	if *jsonOut != "" {
+	if jsonFile != nil {
 		b, err := pln.Marshal()
 		if err != nil {
 			fail("%v", err)
 		}
-		if err := os.WriteFile(*jsonOut, b, 0o644); err != nil {
+		if _, err := jsonFile.Write(b); err != nil {
+			fail("%v", err)
+		}
+		if err := jsonFile.Close(); err != nil {
 			fail("%v", err)
 		}
 		fmt.Printf("\nplan written to %s\n", *jsonOut)
@@ -162,6 +165,18 @@ func parseRange(s string, n int) (int, int, error) {
 		return 0, 0, fmt.Errorf("range %d:%d out of bounds [0,%d)", lo, hi, n)
 	}
 	return lo, hi, nil
+}
+
+// create creates (or truncates) an output file; an empty path is no file.
+func create(path string) *os.File {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fail("%v", err)
+	}
+	return f
 }
 
 func fail(format string, args ...any) {

@@ -36,6 +36,7 @@ func TestMain(m *testing.M) {
 // output: a bad value exits 1 with nothing on stdout, stderr naming the
 // value, and no trace file written.
 func TestRejectsBadFlags(t *testing.T) {
+	unwritable := filepath.Join(t.TempDir(), "missing", "plan.json")
 	for _, c := range []struct {
 		args []string
 		bad  string
@@ -45,6 +46,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-model", "bert-base", "-mode", "warp-drive"}, "warp-drive"},
 		{[]string{"-model", "bert-base", "-platform", "bogus"}, "bogus"},
 		{[]string{"-model", "bogus"}, "bogus"},
+		{[]string{"-model", "bert-base", "-json", unwritable}, unwritable},
 	} {
 		tracePath := filepath.Join(t.TempDir(), "trace.json")
 		args := append(c.args, "-trace", tracePath)

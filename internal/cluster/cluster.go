@@ -127,7 +127,7 @@ type AutoscaleConfig struct {
 	// Policy selects the control algorithm; default AutoscaleReactive.
 	Policy AutoscalePolicy
 	// Interval is the controller's decision period on the virtual clock.
-	// Default serving.WindowWidth (one minute).
+	// Default serving.WindowWidth (one minute); under 1 ms is an error.
 	Interval sim.Duration
 	// Horizon is how far ahead the predictive policy forecasts each tick;
 	// replicas are prewarmed for the peak rate predicted inside it.
@@ -198,8 +198,8 @@ type Config struct {
 	// time during the run (each block ends `# EOF`; the file is a
 	// concatenation of expositions, newest last). Callers typically append
 	// a final snapshot after Run returns. Write errors surface from Run. A
-	// positive MetricsInterval without Monitor and MetricsWriter is an
-	// error.
+	// positive MetricsInterval without Monitor and MetricsWriter, or one
+	// under 1 ms, is an error.
 	MetricsWriter   io.Writer
 	MetricsInterval sim.Duration
 	// HostPolicy selects each node's pinned host-memory tier policy (see
@@ -349,6 +349,19 @@ func New(cfg Config) (*Cluster, error) {
 	} {
 		if !(f.v >= 0) || math.IsInf(f.v, 1) {
 			return nil, fmt.Errorf("cluster: %s must be finite and not negative (zero selects the default)", f.name)
+		}
+	}
+	// Every tick is a router event, so a sub-millisecond interval would bury
+	// a short run under ticks (monitor.NewSLO floors its own tick at 1 ms).
+	for _, f := range []struct {
+		name string
+		v    sim.Duration
+	}{
+		{"MetricsInterval", cfg.MetricsInterval},
+		{"Autoscale.Interval", as.Interval},
+	} {
+		if f.v > 0 && f.v < sim.Millisecond {
+			return nil, fmt.Errorf("cluster: %s must be zero or at least 1ms, got %v", f.name, f.v)
 		}
 	}
 	if cfg.MetricsInterval > 0 && (cfg.Monitor == nil || cfg.MetricsWriter == nil) {
@@ -917,11 +930,13 @@ func (c *Cluster) Run(requests []Request) (*Report, error) {
 		horizon = requests[len(requests)-1].At
 	}
 	// every schedules fn at each multiple of interval through the horizon,
-	// skew after the nominal instant.
+	// skew after the nominal instant, as one arrival stream: the ticks fire
+	// in the order one At per tick would give them, and hold one pending
+	// event between them.
 	every := func(interval, skew sim.Duration, fn func()) {
-		for t := sim.Time(0).Add(interval); t <= horizon; t = t.Add(interval) {
-			c.sim.At(t.Add(skew), fn)
-		}
+		c.sim.Arrivals(int(horizon.Sub(0)/interval),
+			func(i int) sim.Time { return sim.Time(0).Add(sim.Duration(i+1)*interval + skew) },
+			func(int) { fn() })
 	}
 	if c.cfg.Autoscale.Enabled {
 		every(c.cfg.Autoscale.Interval, 0, c.scaleTick)

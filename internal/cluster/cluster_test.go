@@ -525,9 +525,9 @@ func TestAutoscalePolicyValidation(t *testing.T) {
 	}
 }
 
-// Zero selects a field's default; a negative or non-finite value is an
-// error that names the field, including the fields New hands down to every
-// node.
+// Zero selects a field's default; a negative or non-finite value, or a
+// tick interval under a millisecond, is an error that names the field,
+// including the fields New hands down to every node.
 func TestNegativeConfigRejected(t *testing.T) {
 	for _, tc := range []struct {
 		field string
@@ -535,7 +535,11 @@ func TestNegativeConfigRejected(t *testing.T) {
 	}{
 		{"SLO", func(c *Config) { c.SLO = -sim.Millisecond }},
 		{"MetricsInterval", func(c *Config) { c.MetricsInterval = -sim.Second }},
+		{"MetricsInterval", func(c *Config) {
+			c.MetricsInterval, c.Monitor, c.MetricsWriter = sim.Microsecond, monitor.New(), io.Discard
+		}},
 		{"Autoscale.Interval", func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, Interval: -sim.Second} }},
+		{"Autoscale.Interval", func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, Interval: sim.Microsecond} }},
 		{"Autoscale.Horizon", func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, Horizon: -sim.Second} }},
 		{"Autoscale.TargetUtil", func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, TargetUtil: -0.5} }},
 		{"Autoscale.TargetUtil", func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, TargetUtil: math.NaN()} }},

@@ -153,16 +153,15 @@ func (srv *Server) fetch(inst *Instance, demand bool, p pending, fresh bool) {
 		inst.fetching = false
 		waiters := inst.fetchWait
 		inst.fetchWait = nil
-		placed := srv.place(inst)
 		switch {
-		case placed && demand:
-			srv.startCold(inst, p)
-		case placed:
-			srv.startPrewarmLoad(inst)
-		default: // evictable again while parked, or the prewarm lapses
-			if demand {
+		case !srv.place(inst):
+			if demand { // evictable again while parked; a prewarm lapses
 				srv.park(inst, p, fresh)
 			}
+		case demand:
+			srv.startCold(inst, p)
+		default:
+			srv.startCold(inst)
 		}
 		for _, w := range waiters {
 			srv.resume(inst, w, true)

@@ -1,7 +1,6 @@
 package serving
 
 import (
-	"deepplan/internal/engine"
 	"deepplan/internal/hostmem"
 	"deepplan/internal/sim"
 	"deepplan/internal/trace"
@@ -134,10 +133,17 @@ func (srv *Server) PrewarmInstance(id int) bool {
 			return false
 		}
 		srv.notePrewarm(inst)
-		srv.startPrewarmLoad(inst)
+		srv.startCold(inst)
 		return true
 	}
-	return srv.prewarmFetch(inst)
+	// Unlike the demand path a prewarm carries no request: if host memory
+	// cannot be freed right now it is abandoned instead of parking anything.
+	if err := srv.admitHost(inst); err != nil {
+		return false // cannot make room; the spike will pay on demand
+	}
+	srv.notePrewarm(inst)
+	srv.fetch(inst, false, pending{}, false)
+	return true
 }
 
 // notePrewarm counts one started prewarm actuation.
@@ -145,44 +151,6 @@ func (srv *Server) notePrewarm(inst *Instance) {
 	srv.emit(kPrewarm, trace.ServerPID, inst, func() map[string]any {
 		return map[string]any{"instance": inst.ID, "state": inst.state.String()}
 	})
-}
-
-// startPrewarmLoad launches the background warm-up load for a just-placed
-// instance. It deliberately uses the single-GPU fallback plan when one
-// exists: a parallel-transmission load ties up a second GPU's copy engine,
-// and a speculative warm-up must never convoy demand cold starts behind
-// its forwarding copies.
-func (srv *Server) startPrewarmLoad(inst *Instance) {
-	r := srv.newRun(inst, true)
-	srv.busyUp(r.gs)
-	r.gs.activeColds++
-	coldPlan := inst.dep.Plan
-	if inst.dep.Fallback != nil {
-		coldPlan = inst.dep.Fallback
-	}
-	spec := engine.Spec{
-		Model:   inst.dep.Model,
-		Plan:    coldPlan,
-		Batch:   servingBatch,
-		Primary: inst.gpu,
-		OnDone:  r.onDone,
-	}
-	if err := srv.eng.Start(spec); err != nil {
-		panic("serving: prewarm load rejected: " + err.Error())
-	}
-}
-
-// prewarmFetch is PrewarmInstance's fetch-to-pin path for instances whose
-// weights are not host-resident. Unlike the demand path it carries no
-// request: if host memory cannot be freed right now the prewarm is simply
-// abandoned (returns false) instead of parking anything.
-func (srv *Server) prewarmFetch(inst *Instance) bool {
-	if err := srv.admitHost(inst); err != nil {
-		return false // cannot make room; the spike will pay on demand
-	}
-	srv.notePrewarm(inst)
-	srv.fetch(inst, false, pending{}, false)
-	return true
 }
 
 // ExecEstimate returns the named deployment's uncontended warm execution

@@ -124,6 +124,42 @@ func TestPrewarmFromSleeping(t *testing.T) {
 	}
 }
 
+// A prewarm under PT+DHA loads over the single-GPU fallback plan: it takes
+// no transmission partner and counts neither a cold start nor a PT
+// fallback.
+func TestPrewarmLoadsOverFallback(t *testing.T) {
+	srv := newServer(t, PolicyPTDHA)
+	deployBERT(t, srv, 2)
+	inst := srv.Instances()[0]
+	if inst.dep.Plan.NumParts != 2 || inst.dep.Fallback == nil {
+		t.Fatalf("test premise broken: plan has %d partitions, fallback %v",
+			inst.dep.Plan.NumParts, inst.dep.Fallback != nil)
+	}
+	if !srv.PrewarmInstance(0) {
+		t.Fatal("prewarm refused a cold instance")
+	}
+	if got := srv.gpus[inst.gpu].activeColds; got != 1 {
+		t.Fatalf("primary activeColds = %d during the load, want 1", got)
+	}
+	for _, gs := range srv.gpus {
+		if gs.secondaryColds != 0 {
+			t.Fatalf("GPU %d secondaryColds = %d during a prewarm, want 0", gs.id, gs.secondaryColds)
+		}
+	}
+	srv.sim.Run()
+	rep, err := srv.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Prewarms != 1 || rep.ColdStarts != 0 || rep.PTFallbacks != 0 {
+		t.Fatalf("prewarms = %d cold starts = %d PT fallbacks = %d, want 1, 0 and 0",
+			rep.Prewarms, rep.ColdStarts, rep.PTFallbacks)
+	}
+	if err := srv.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPrewarmNoops(t *testing.T) {
 	srv := newServer(t, PolicyDHA)
 	deployBERT(t, srv, 2)

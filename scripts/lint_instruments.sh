@@ -35,6 +35,14 @@
 # experiment simulators drive their own. Anything else that ran work on a
 # stream would be a second engine, so non-test Go outside internal/engine,
 # internal/experiments and benchmark/ may not import internal/stream.
+#
+# A run gives back exactly the GPU and instance state it took, and an
+# instance gives back exactly the residency it claimed. So in non-test
+# internal/serving code a statement that changes .inflight, .loading,
+# .activeColds or .secondaryColds, or sets or deletes a residents entry,
+# must sit in launch or (*run).done (a run's counts) or in claim or release
+# (residency). The one exception is .inflight in llm.go, where decode
+# sequences hold the instance busy past their prefill run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,6 +69,18 @@ if grep -nE '\.(Mode|Policy) *[!=]= *"[^"]' $SRC | grep -vE '^\./internal/plan/'
 fi
 if grep -nE '"deepplan/internal/stream"' $SRC | grep -vE '^\./internal/(engine|experiments)/'; then
   echo "FAIL: internal/stream imported outside internal/engine and internal/experiments (run GPU work through the engine)" >&2
+  exit 1
+fi
+if awk '
+  /^func / { fn = $0 }
+  /\.(inflight|loading|activeColds|secondaryColds) *(\+\+|--|[-+]?=[^=])|residents\[[^]]*\] *=[^=]|delete\([^,]*residents,/ {
+    if (fn ~ /^func \(srv \*Server\) (launch|claim|release)\(|^func \(r \*run\) done\(/) next
+    if (FILENAME ~ /llm\.go$/ && $0 ~ /\.inflight *(\+\+|--|[-+]=)/ && $0 !~ /\.(loading|activeColds|secondaryColds)|residents/) next
+    printf "%s:%d: %s\n", FILENAME, FNR, $0; bad = 1
+  }
+  END { exit !bad }
+' $(ls internal/serving/*.go | grep -v '_test\.go$'); then
+  echo "FAIL: run or residency state changed outside launch, (*run).done, claim and release" >&2
   exit 1
 fi
 echo "instruments lint: ok"
