@@ -351,6 +351,24 @@ func TestClusterTraceHasPerNodeTracks(t *testing.T) {
 	if !node1 {
 		t.Fatalf("no events recorded in node 1's PID range; PIDs seen: %v", seen)
 	}
+	// Viewers pair async begin/end events by (cat, id) alone, so an async
+	// id shared by two processes would nest one node's request under
+	// another's.
+	type key struct {
+		cat string
+		id  int64
+	}
+	owner := map[key]int{}
+	for _, e := range rec.Events() {
+		if e.Phase != trace.PhaseAsyncBegin && e.Phase != trace.PhaseAsyncEnd {
+			continue
+		}
+		k := key{e.Cat, e.ID}
+		if pid, ok := owner[k]; ok && pid != e.PID {
+			t.Fatalf("async (%s, %d) appears on pids %d and %d", k.cat, k.id, pid, e.PID)
+		}
+		owner[k] = e.PID
+	}
 }
 
 func TestRendezvousIsPureAndSpreads(t *testing.T) {

@@ -392,8 +392,7 @@ func (srv *Server) respond(req workload.Request, res *engine.Result, cold bool) 
 	// never need to pair begins with ends) and, for single-shot requests, a
 	// nested "queue" span up to first execution. Async events tolerate the
 	// overlap that concurrent requests on one GPU always produce.
-	srv.traceSeq++
-	id := srv.traceSeq
+	id := srv.rec.NextID() // unique across every node sharing the trace
 	queue := res.ExecBegin.Sub(req.At)
 	args := map[string]any{
 		"class":    [...]string{"cold", "warm"}[class],

@@ -305,11 +305,10 @@ type Server struct {
 
 	// The instrumentation spine (instruments.go): per-kind event counts and
 	// the sinks emit feeds.
-	n        [numKinds]int
-	rec      *trace.Recorder  // nil when tracing is off
-	ins      *instruments     // nil when monitoring is off
-	inj      *faults.Injector // nil when no fault schedule is armed
-	traceSeq int64            // request ids for async lifecycle spans
+	n   [numKinds]int
+	rec *trace.Recorder  // nil when tracing is off
+	ins *instruments     // nil when monitoring is off
+	inj *faults.Injector // nil when no fault schedule is armed
 
 	// series is the server's per-window store: every first-response latency
 	// sample (the whole answer in single-shot mode, the first token in LLM
