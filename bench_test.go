@@ -59,6 +59,28 @@ func BenchmarkPlanAlgorithm1(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanAlgorithm1DHA measures the slowest Algorithm 1 path: a
+// single-partition DHA plan of BERT-Large, whose stalls convert dozens of
+// layers, each conversion re-evaluating the whole pipeline.
+func BenchmarkPlanAlgorithm1DHA(b *testing.B) {
+	platform := deepplan.NewP38xlarge()
+	m, err := deepplan.LoadModel("bert-large")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof, err := platform.Profile(m, deepplan.ProfileOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := platform.Plan(prof, deepplan.ModeDHA); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkColdStartSimulation measures one full event-simulated PT+DHA
 // cold start end to end.
 func BenchmarkColdStartSimulation(b *testing.B) {

@@ -75,6 +75,10 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
+	predicted, err := platform.PredictLatency(prof, pln)
+	if err != nil {
+		fail("%v", err)
+	}
 	// Output files are opened once the planner has checked -mode and before
 	// anything is printed, so a path that cannot be written leaves stdout
 	// empty.
@@ -86,8 +90,7 @@ func main() {
 	fmt.Printf("mode:       %s, %d partition(s)\n", pln.Mode, pln.NumParts)
 	fmt.Printf("DHA layers: %d (keeps %.1f MiB in host memory)\n",
 		pln.CountDHA(), float64(pln.HostResidentBytes(m))/(1<<20))
-	fmt.Printf("predicted cold-start: %.2f ms (analytic)\n",
-		platform.PredictLatency(prof, pln).Seconds()*1e3)
+	fmt.Printf("predicted cold-start: %.2f ms (analytic)\n", predicted.Seconds()*1e3)
 	res, err := platform.Execute(m, pln, deepplan.ExecuteOptions{})
 	if err != nil {
 		fail("%v", err)

@@ -314,8 +314,9 @@ func (p *Platform) PlanStreaming(prof *Profile, residentBudget int64) (*Plan, []
 
 // PredictLatency evaluates a plan's cold-start latency with the planner's
 // analytic timeline (fast, idealized; Execute gives the simulated truth).
-func (p *Platform) PredictLatency(prof *Profile, pln *Plan) Duration {
-	return planner.New(p.build()).Predict(prof, pln).Total
+// A plan that does not match the profile is an error naming the mismatch.
+func (p *Platform) PredictLatency(prof *Profile, pln *Plan) (Duration, error) {
+	return planner.New(p.build()).Predict(prof, pln)
 }
 
 // ExecuteOptions configures a single simulated inference.

@@ -82,7 +82,11 @@ func TestPredictTracksExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := platform.PredictLatency(prof, pln).Seconds()
+	predicted, err := platform.PredictLatency(prof, pln)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := predicted.Seconds()
 	res, err := platform.Execute(m, pln, deepplan.ExecuteOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -90,6 +94,42 @@ func TestPredictTracksExecute(t *testing.T) {
 	got := res.Latency().Seconds()
 	if got < pred*0.85 || got > pred*1.2 {
 		t.Fatalf("Execute %.3fms far from Predict %.3fms", got*1e3, pred*1e3)
+	}
+}
+
+// TestPredictLatencyRejectsMismatchedPlan checks that a plan from outside
+// the program which does not fit the profile is an error, not a panic.
+func TestPredictLatencyRejectsMismatchedPlan(t *testing.T) {
+	platform := deepplan.NewP38xlarge()
+	plan := func(name string) (*deepplan.Profile, *deepplan.Plan) {
+		m, err := deepplan.LoadModel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, err := platform.Profile(m, deepplan.ProfileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pln, err := platform.Plan(prof, deepplan.ModePTDHA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prof, pln
+	}
+	bert, bertPlan := plan("bert-base")
+	_, gptPlan := plan("gpt2")
+	bertPlan.NumParts = 1
+	for _, c := range []struct {
+		name string
+		pln  *deepplan.Plan
+		want string
+	}{
+		{"gpt2 plan for bert-base", gptPlan, "124 layer plans for 149-layer profile"},
+		{"partition beyond NumParts", bertPlan, "partition 1 out of range [0,1)"},
+	} {
+		if _, err := platform.PredictLatency(bert, c.pln); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
+		}
 	}
 }
 

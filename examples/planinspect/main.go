@@ -30,11 +30,18 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		psLat, err := platform.PredictLatency(prof, ps)
+		if err != nil {
+			log.Fatal(err)
+		}
+		ptdhaLat, err := platform.PredictLatency(prof, ptdha)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-14s %7d %9d %12.1f %10.2fms %10.2fms\n",
 			model.Name, model.NumLayers(), ptdha.CountDHA(),
 			float64(ptdha.HostResidentBytes(model))/(1<<20),
-			platform.PredictLatency(prof, ps).Seconds()*1e3,
-			platform.PredictLatency(prof, ptdha).Seconds()*1e3)
+			psLat.Seconds()*1e3, ptdhaLat.Seconds()*1e3)
 	}
 
 	// Detailed per-layer view of the decisions at the front of GPT-2, where

@@ -69,7 +69,10 @@ func TestEngineMatchesPlannerPrediction(t *testing.T) {
 			{f.pl.PlanPTDHA(f.prof, 2), []int{2}},
 		}
 		for _, c := range cases {
-			want := f.pl.Predict(f.prof, c.p).Total
+			want, err := f.pl.Predict(f.prof, c.p)
+			if err != nil {
+				t.Fatal(err)
+			}
 			got := f.run(t, c.p, c.secs).Latency()
 			// DHA plans run slightly slower in the engine than predicted:
 			// DHA reads and load copies share the PCIe lane (real

@@ -30,8 +30,7 @@ func TestPlanLargeModelFitsBudget(t *testing.T) {
 		t.Fatal("large-model plan converted nothing")
 	}
 	// The plan must remain executable end to end.
-	tl := pl.Predict(prof, p)
-	if tl.Total <= 0 {
+	if predict(t, pl, prof, p) <= 0 {
 		t.Fatal("nonpositive predicted latency")
 	}
 }

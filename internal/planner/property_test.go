@@ -47,14 +47,14 @@ func TestPropertyPlannerOnRandomProfiles(t *testing.T) {
 		n := 3 + rng.Intn(120)
 		prof := synthProfile(rng, n)
 
-		base := pl.Predict(prof, pl.PlanBaseline(prof)).Total
-		ps := pl.Predict(prof, pl.PlanPipeSwitch(prof)).Total
+		base := predict(t, pl, prof, pl.PlanBaseline(prof))
+		ps := predict(t, pl, prof, pl.PlanPipeSwitch(prof))
 		if ps > base {
 			t.Fatalf("trial %d: pipeswitch %v > baseline %v", trial, ps, base)
 		}
 
 		dhaPlan := pl.PlanDHA(prof)
-		dha := pl.Predict(prof, dhaPlan).Total
+		dha := predict(t, pl, prof, dhaPlan)
 		if dha > ps {
 			t.Fatalf("trial %d: dha %v > pipeswitch %v", trial, dha, ps)
 		}
@@ -73,8 +73,8 @@ func TestPropertyPlannerOnRandomProfiles(t *testing.T) {
 				t.Fatalf("trial %d: partitions not monotone", trial)
 			}
 		}
-		tl := pl.Predict(prof, pt)
-		for i, s := range tl.Stall {
+		stall, _ := recurrence(pl, prof, pt)
+		for i, s := range stall {
 			if s < 0 {
 				t.Fatalf("trial %d: negative stall at %d", trial, i)
 			}

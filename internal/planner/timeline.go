@@ -6,34 +6,19 @@ import (
 	"deepplan/internal/sim"
 )
 
-// Timeline is the analytic pipelined-execution model the planner reasons
-// with. It mirrors the execution engine's stream semantics under the
-// planner's idealized assumptions — uncontended links, partitions on
-// distinct PCIe switches — and is cheap enough to recompute after every
-// candidate DHA conversion, which is how Algorithm 1's
-// UpdatePipelineExecutionFrom step is realized.
-type Timeline struct {
-	// ExecStart/ExecDone/Avail are per-layer instants relative to the
-	// cold-start beginning. Avail is when the layer's weights become usable
-	// on the primary GPU (zero for DHA and parameterless layers).
-	Avail     []sim.Duration
-	ExecStart []sim.Duration
-	ExecDone  []sim.Duration
-	// Stall[i] = ExecStart[i] − ExecDone[i−1]: execution-stream idle time
-	// attributable to waiting for layer i's weights.
-	Stall []sim.Duration
-	// Total is the end-to-end cold inference latency.
-	Total sim.Duration
-}
-
 // timelineParams carries the link characteristics the recurrence needs.
 type timelineParams struct {
 	nvlinkBW       float64 // bytes/s; only used when partitions > 1
 	nvCopyOverhead sim.Duration
 }
 
-// computeTimeline evaluates the pipelined execution of a model under the
-// given per-layer methods and partition assignment.
+// timeline is the analytic pipelined-execution model the planner reasons
+// with. It mirrors the execution engine's stream semantics under the
+// planner's idealized assumptions — uncontended links, partitions on
+// distinct PCIe switches — and is cheap enough to recompute after every
+// candidate DHA conversion, which is how Algorithm 1's
+// UpdatePipelineExecutionFrom step is realized. It returns the end-to-end
+// cold inference latency and allocates nothing.
 //
 // Semantics (matching the engine):
 //   - Partition 0 layers marked Load are copied in layer order over the
@@ -45,68 +30,45 @@ type timelineParams struct {
 //   - Execution runs in layer order on the primary GPU. A Load layer may
 //     start once its weights are available; DHA and parameterless layers are
 //     always ready. Load layers execute in ExecInMem, DHA layers in ExecDHA.
-func computeTimeline(prof *profiler.Profile, methods []plan.Method, parts []int, numParts int, tp timelineParams) *Timeline {
-	n := len(prof.Layers)
-	tl := &Timeline{
-		Avail:     make([]sim.Duration, n),
-		ExecStart: make([]sim.Duration, n),
-		ExecDone:  make([]sim.Duration, n),
-		Stall:     make([]sim.Duration, n),
-	}
-
-	// Per-partition PCIe progress and per-secondary NVLink progress.
-	lane := make([]sim.Duration, numParts)
-	nvlink := make([]sim.Duration, numParts)
-
-	for i := 0; i < n; i++ {
-		lp := &prof.Layers[i]
-		if lp.ParamBytes == 0 || methods[i] == plan.DHA {
-			continue // nothing to transmit
-		}
-		k := parts[i]
-		lane[k] += lp.LoadTime
-		if k == 0 {
-			tl.Avail[i] = lane[0]
-			continue
-		}
-		// Forward over NVLink once landed on the secondary GPU.
-		start := lane[k]
-		if nvlink[k] > start {
-			start = nvlink[k]
-		}
-		xfer := tp.nvCopyOverhead
-		if tp.nvlinkBW > 0 {
-			xfer += sim.Duration(float64(lp.ParamBytes) / tp.nvlinkBW * 1e9)
-		}
-		nvlink[k] = start + xfer
-		tl.Avail[i] = nvlink[k]
-	}
-
+//
+// A layer's arrival depends only on the earlier layers of its own
+// partition, so one pass in layer order advances the copy, the NVLink
+// forwarding and the execution clock together. lanes is caller-owned
+// scratch of 2*numParts entries, cleared here: partition k's PCIe progress
+// at k and its NVLink progress at numParts+k. When stall is non-nil,
+// stall[i] receives the execution stream's idle time waiting for layer i's
+// weights.
+func timeline(prof *profiler.Profile, methods []plan.Method, parts []int, lanes []sim.Duration, tp timelineParams, stall []sim.Duration) sim.Duration {
+	clear(lanes)
+	pcie, nvlink := lanes[:len(lanes)/2], lanes[len(lanes)/2:]
 	var t sim.Duration
-	for i := 0; i < n; i++ {
+	for i := range prof.Layers {
 		lp := &prof.Layers[i]
-		start := t
-		if methods[i] == plan.Load && tl.Avail[i] > start {
-			start = tl.Avail[i]
-		}
-		tl.Stall[i] = start - t
-		tl.ExecStart[i] = start
-		dur := lp.ExecInMem
-		if methods[i] == plan.DHA && lp.ParamBytes > 0 {
+		start, dur := t, lp.ExecInMem
+		switch {
+		case lp.ParamBytes == 0:
+			// nothing to transmit
+		case methods[i] == plan.DHA:
 			dur = lp.ExecDHA
+		default:
+			k := parts[i]
+			pcie[k] += lp.LoadTime
+			avail := pcie[k]
+			if k > 0 {
+				// Forward over NVLink once landed on the secondary GPU.
+				xfer := tp.nvCopyOverhead
+				if tp.nvlinkBW > 0 {
+					xfer += sim.Duration(float64(lp.ParamBytes) / tp.nvlinkBW * 1e9)
+				}
+				nvlink[k] = max(avail, nvlink[k]) + xfer
+				avail = nvlink[k]
+			}
+			start = max(start, avail)
+		}
+		if stall != nil {
+			stall[i] = start - t
 		}
 		t = start + dur
-		tl.ExecDone[i] = t
 	}
-	tl.Total = t
-	return tl
-}
-
-// TotalStall sums the per-layer stalls.
-func (tl *Timeline) TotalStall() sim.Duration {
-	var s sim.Duration
-	for _, v := range tl.Stall {
-		s += v
-	}
-	return s
+	return t
 }
