@@ -96,8 +96,8 @@ type Plan struct {
 // Validate checks the plan's structural invariants against its model:
 // one decision per layer, in order; DHA only on layers that have parameters;
 // DHA never outside partition 0 (paper §4.3.3: later partitions are forced
-// to Load so they can be transmitted); partition indices contiguous,
-// nondecreasing, and within range.
+// to Load so they can be transmitted); partition indices nondecreasing and
+// within range. Indices may skip a partition, which is then empty.
 func (p *Plan) Validate(m *dnn.Model) error {
 	if p.NumParts < 1 {
 		return fmt.Errorf("plan: partitions = %d, want >= 1", p.NumParts)
